@@ -24,12 +24,9 @@ from .geometry import (
     BIDISC,
     DISC,
     BoundarySamples,
-    Convergence,
     Domain,
     QuadratureRule,
     build_quadrature,
-    ball_zonal_rule,
-    converge_scalar,
     domain,
     inner_product,
     integrate,
@@ -44,7 +41,6 @@ from .kernels import (
     KernelFactor,
     NormCache,
     NormTable,
-    RuleNorms,
     SHConstants,
     analytic_projection_eval,
     conjugate_exponent,

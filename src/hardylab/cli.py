@@ -65,14 +65,6 @@ def _rule(cfg: dict, dom: geometry.Domain) -> geometry.QuadratureRule:
     return geometry.build_quadrature(dom, resolution)
 
 
-def _norms(cfg: dict, dom: geometry.Domain) -> kernels.NormCache:
-    return kernels.NormCache(
-        dom,
-        rtol=float(cfg.get("norm_rtol", 1e-10)),
-        max_resolution=int(cfg.get("norm_max_resolution", 1 << 14)),
-    )
-
-
 def _need_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ParameterError("this subcommand is stochastic: an explicit 'seed' is required")
@@ -106,14 +98,14 @@ def _run_norms(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     exponents = [_parse_exponent(p) for p in cfg.get("exponents", [1, 4 / 3, 2, 4, "inf"])]
-    cache = _norms(cfg, dom)
+    cache = kernels.NormCache(dom)
     tables = [cache.table(seq[i], exponents).to_json() for i in range(len(seq))]
     return {"tables": tables, "engine": cache.report()}, None
 
 
 def _run_sh(cfg: dict):
     dom = _domain(cfg)
-    cache = _norms(cfg, dom)
+    cache = kernels.NormCache(dom)
     grid = _scan_grid(cfg, dom)
     results, rows = [], []
     for q in cfg.get("q", [4 / 3, 2.0, 4.0]):
@@ -160,7 +152,7 @@ def _run_dual(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
-    cache = _norms(cfg, dom)
+    cache = kernels.NormCache(dom)
     p = _parse_exponent(cfg.get("p", 2.0))
     method = cfg.get("method", "gram2")
     if method == "gram2":
@@ -203,7 +195,7 @@ def _run_extend(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
-    cache = _norms(cfg, dom)
+    cache = kernels.NormCache(dom)
     s = _parse_exponent(cfg.get("s", 1.0))
     p = _parse_exponent(cfg.get("p", 2.0))
     kernels.exponent_from_split(s, p)  # validates the identity at parse time
@@ -279,7 +271,7 @@ def _run_bergman(cfg: dict):
 
 
 _REPORT_COMMON = ("domain", "points", "points_csv", "resolution", "angular", "seed",
-                  "batch", "s", "p", "norm_rtol", "norm_max_resolution", "restarts")
+                  "batch", "s", "p", "restarts")
 
 
 def _run_report(cfg: dict):

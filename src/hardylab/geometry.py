@@ -12,7 +12,7 @@ an (M, n) complex array.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -155,25 +155,6 @@ def build_quadrature(dom: Domain, resolution: int, angular: int | None = None) -
     return QuadratureRule(dom, nodes, weights, resolution)
 
 
-def ball_zonal_rule(gauss: int, angular: int) -> QuadratureRule:
-    """Reduced ball rule with nodes (sqrt(t) e^{i th}, sqrt(1-t)).
-
-    All nodes lie on the sphere and the weights realize a probability
-    measure, but the rule integrates correctly only integrands invariant
-    under rotation of the second coordinate (e.g. |k_a| powers after the
-    point has been rotated onto (r, 0)).
-    """
-    if gauss < 2 or angular < 4:
-        raise ParameterError("zonal rule needs gauss >= 2 and angular >= 4")
-    t, wt = _gauss01(gauss)
-    c = _circle_nodes(angular)
-    z1 = (np.sqrt(t)[:, None] * c[None, :]).ravel()
-    z2 = np.repeat(np.sqrt(1.0 - t), angular)
-    weights = np.repeat(wt / angular, angular)
-    weights = weights / weights.sum()
-    return QuadratureRule(Domain(BALL2), np.column_stack([z1, z2]), weights, angular)
-
-
 @dataclass
 class BoundarySamples:
     """Values of a boundary function at the nodes of a rule."""
@@ -194,7 +175,9 @@ def sample_function(fn: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule
 
 def _same_rule(a: QuadratureRule, b: QuadratureRule) -> bool:
     return a is b or (
-        a.domain.kind == b.domain.kind and len(a) == len(b) and a.resolution == b.resolution
+        a.domain.kind == b.domain.kind
+        and np.array_equal(a.nodes, b.nodes)
+        and np.array_equal(a.weights, b.weights)
     )
 
 
@@ -232,47 +215,3 @@ def seq_norm(x: Iterable[complex], p: float) -> float:
     if p < 1:
         raise ParameterError("seq_norm requires p >= 1 or p = inf")
     return float(np.sum(v**p) ** (1.0 / p))
-
-
-@dataclass
-class Convergence:
-    """Outcome of doubling a resolution until a scalar stabilizes."""
-
-    value: float
-    residual: float
-    resolution: int
-    converged: bool
-    history: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "residual": self.residual,
-            "resolution": self.resolution,
-            "converged": self.converged,
-        }
-
-
-def converge_scalar(evaluate: Callable[[int], float], start: int, rtol: float = 1e-10,
-                    max_resolution: int = 1 << 14) -> Convergence:
-    """Double the resolution until two successive values agree to rtol.
-
-    Returns the last value together with the achieved relative residual
-    and the resolution it was computed at; ``converged`` is False when the
-    cap is reached first.
-    """
-    if start < 4:
-        raise ParameterError("starting resolution must be at least 4")
-    res = start
-    prev = float(evaluate(res))
-    history = [(res, prev)]
-    residual = np.inf
-    while 2 * res <= max_resolution:
-        res *= 2
-        cur = float(evaluate(res))
-        history.append((res, cur))
-        residual = abs(cur - prev) / max(abs(cur), np.finfo(float).tiny)
-        if residual <= rtol:
-            return Convergence(cur, residual, res, True, history)
-        prev = cur
-    return Convergence(prev, residual, res, False, history)

@@ -5,15 +5,11 @@ disc, (1 - <z, a>)^(-2) on the ball of C^2, and the coordinate product of
 disc kernels on the bidisc.  Everything downstream (Carleson constants,
 dual systems, extension operators) consumes kernels through this module.
 
-Norm computation has two routes:
-
-* ``kernel_norm(a, p, rule)`` samples the kernel on an explicit rule --
-  the basic, fully general path;
-* ``NormCache`` exploits rotation invariance (norms depend only on |a|,
-  or on the coordinate moduli for the bidisc) to evaluate the same
-  integrals on reduced rules, doubling the resolution until successive
-  values agree to a relative tolerance.  Every cached entry carries the
-  achieved residual and resolution so reports can quote them.
+Kernel norms are closed forms: ||k_a||_p^p is a hypergeometric value of
+|a|^2 (see ``NormCache``), summed with an explicit tail bound that every
+table carries as its residual.  ``kernel_norm(a, p, rule)`` samples the
+kernel on an explicit rule instead; tests use it as the quadrature
+reference for the closed forms.
 
 p = inf norms are the maximum of |k_a| over an evaluation set that
 includes the boundary point a/|a| where the sup is attained; they are
@@ -23,7 +19,7 @@ assertions treat them as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -31,6 +27,7 @@ from .errors import (
     DependencyError,
     DomainError,
     InvariantViolation,
+    NumericError,
     ParameterError,
 )
 from .geometry import (
@@ -142,8 +139,7 @@ class NormTable:
     point: tuple
     domain: Domain
     entries: dict
-    residual: float
-    resolution: int
+    residual: float                  # relative error bound of every entry
 
     def norm(self, p: float) -> float:
         key = float(p)
@@ -169,92 +165,88 @@ class NormTable:
             "point_im": [v.imag for v in self.point],
             "norms": {("inf" if p == INF else repr(p)): v for p, v in self.entries.items()},
             "residual": self.residual,
-            "resolution": self.resolution,
         }
 
 
-def kernel_norm(a, p: float, rule: QuadratureRule, table: NormTable | None = None) -> float:
-    """||k_a||_p from samples on an explicit rule; optionally cached."""
+def kernel_norm(a, p: float, rule: QuadratureRule) -> float:
+    """||k_a||_p from samples on an explicit rule."""
     if p != INF and p < 1:
         raise ParameterError("kernel_norm requires p >= 1 or p = inf")
-    value = lp_norm(kernel_samples(a, rule), p)
-    if table is not None:
-        table.entries[float(p)] = value
-    return value
+    return lp_norm(kernel_samples(a, rule), p)
 
 
-class RuleNorms:
-    """Norm source backed by one fixed rule; same interface as NormCache."""
-
-    def __init__(self, rule: QuadratureRule):
-        self.rule = rule
-        self.domain = rule.domain
-        self._cache: dict = {}
-
-    def norm(self, a, p: float) -> float:
-        key = (_point_key(np.atleast_1d(np.asarray(a, dtype=complex))), float(p))
-        if key not in self._cache:
-            self._cache[key] = kernel_norm(a, p, self.rule)
-        return self._cache[key]
-
-    def table(self, a, ps: Iterable[float]) -> NormTable:
-        entries = {float(p): self.norm(a, p) for p in ps}
-        return NormTable(_point_key(np.asarray(a, dtype=complex)), self.domain, entries,
-                         0.0, self.rule.resolution)
-
-    def report(self) -> dict:
-        return {"source": "fixed-rule", "resolution": self.rule.resolution}
+_SERIES_BLOCK = 4096
+_SERIES_TERMS = 1 << 20
+_SERIES_RTOL = 2.0**-60
 
 
-def _disc_radial_power_mean(r: float, ps: Sequence[float], m: int) -> dict:
-    theta = 2.0 * np.pi * np.arange(m) / m
-    mod = np.abs(1.0 - r * np.exp(1j * theta))
-    return {p: float(np.mean(mod ** (-p)) ** (1.0 / p)) for p in ps}
+def _euler_series(r: float, c: float, n: int) -> tuple:
+    """(2F1(n - c, n - c; n; r^2), relative tail bound) for 0 <= r < 1, c >= n/2.
+
+    The terms t_k = ((n - c)_k)^2 / ((n)_k k!) r^(2k) are nonnegative, and
+    their ratio x (k + n - c)^2 / ((k + n)(k + 1)), x = r^2, stays at or
+    below x from k0 = ((n - c)^2 - n) / (2c + 1 - n) on, so everything after
+    t_k (k >= k0) sums to at most t_k x / (1 - x).  Terms are summed in
+    fixed blocks until that bound falls below _SERIES_RTOL of the partial
+    sum; a series that needs more than _SERIES_TERMS terms (|a| extremely
+    close to 1) raises instead of returning a truncated value.
+    """
+    x = r * r
+    one_minus_x = (1.0 - r) * (1.0 + r)
+    b = n - c
+    k0 = (b * b - n) / (2.0 * c + 1.0 - n)
+    total, term, k = 1.0, 1.0, 0
+    while k < _SERIES_TERMS:
+        ks = np.arange(k, k + _SERIES_BLOCK, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by the isfinite check
+            terms = term * np.cumprod(x * (ks + b) ** 2 / ((ks + n) * (ks + 1.0)))
+            total += float(np.sum(terms))
+        term = float(terms[-1])
+        k += _SERIES_BLOCK
+        if not np.isfinite(total):
+            raise NumericError(f"kernel-norm series overflowed at |a| = {r}, c = {c}")
+        tail = term * x / one_minus_x
+        if k >= k0 and tail <= _SERIES_RTOL * total:
+            return total, tail / total
+    raise NumericError(f"kernel-norm series at |a| = {r}, c = {c} needs more than "
+                       f"{_SERIES_TERMS} terms to reach its tail bound")
 
 
-def _ball_radial_power_mean(r: float, ps: Sequence[float], m: int) -> dict:
-    g = max(16, m // 16)
-    x, w = np.polynomial.legendre.leggauss(g)
-    t, wt = (x + 1.0) / 2.0, w / 2.0
-    theta = 2.0 * np.pi * np.arange(m) / m
-    mod = np.abs(1.0 - r * np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :])
-    out = {}
-    for p in ps:
-        vals = np.mean(mod ** (-2.0 * p), axis=1)
-        out[p] = float(np.dot(wt, vals) ** (1.0 / p))
-    return out
+def _series_norm(r: float, p: float, c: float, n: int) -> tuple:
+    """(||k_a||_p, relative error bound) from ||k_a||_p^p = 2F1(c, c; n; r^2).
+
+    Euler's transform 2F1(c, c; n; x) = (1 - x)^(n - 2c) 2F1(n - c, n - c; n; x)
+    moves the singularity at x = 1 into a closed-form factor.
+    """
+    series, residual = _euler_series(r, c, n)
+    one_minus_x = (1.0 - r) * (1.0 + r)
+    return one_minus_x ** ((n - 2.0 * c) / p) * series ** (1.0 / p), residual
 
 
 class NormCache:
-    """Adaptive kernel-norm engine keyed by (point, exponent).
+    """Closed-form kernel-norm engine keyed by (point, exponent).
 
-    Rotation invariance reduces every norm integral to one radius (disc,
-    ball) or a pair of radii (bidisc), so the refinement loop runs on
-    small one- or two-dimensional rules regardless of how fine it has to
-    go.  ``table`` evaluates all requested exponents of one point on a
-    shared node set, which keeps discrete Hoelder-type inequalities exact.
+    ||k_a||_p^p = 2F1(c, c; n; |a|^2) (Rudin, Function Theory in the Unit
+    Ball of C^n, 1.4.10) with c = p/2, n = 1 on the disc and c = p, n = 2
+    on the ball of C^2; on the bidisc it is the product of the two disc
+    values of the coordinates.  Each entry carries the series tail bound as
+    its residual.  Exponents are evaluated independently, so Hoelder-type
+    inequalities between the entries of one table hold to rounding.
     """
 
-    def __init__(self, dom: Domain, rtol: float = 1e-10, start_resolution: int = 64,
-                 max_resolution: int = 1 << 14):
+    def __init__(self, dom: Domain):
         self.domain = dom
-        self.rtol = rtol
-        self.start_resolution = start_resolution
-        self.max_resolution = max_resolution
         self._cache: dict = {}
         self.worst_residual = 0.0
-        self.max_used_resolution = 0
 
-    # -- radial profiles -----------------------------------------------
-
-    def _finite_profile(self, a: np.ndarray, ps: Sequence[float], m: int) -> dict:
+    def _finite_norm(self, a: np.ndarray, p: float) -> tuple:
         if self.domain.kind == DISC:
-            return _disc_radial_power_mean(abs(a[0]), ps, m)
+            return _series_norm(abs(a[0]), p, p / 2.0, 1)
         if self.domain.kind == BALL2:
-            return _ball_radial_power_mean(float(np.linalg.norm(a)), ps, m)
-        first = _disc_radial_power_mean(abs(a[0]), ps, m)
-        second = _disc_radial_power_mean(abs(a[1]), ps, m)
-        return {p: first[p] * second[p] for p in ps}
+            return _series_norm(float(np.linalg.norm(a)), p, p, 2)
+        v1, d1 = _series_norm(abs(a[0]), p, p / 2.0, 1)
+        v2, d2 = _series_norm(abs(a[1]), p, p / 2.0, 1)
+        return v1 * v2, d1 + d2 + d1 * d2
 
     def _sup_norm(self, a: np.ndarray) -> float:
         # max of |k_a| over the closed boundary, attained in the direction
@@ -266,63 +258,29 @@ class NormCache:
             return (1.0 - float(np.linalg.norm(a))) ** -2
         return 1.0 / ((1.0 - abs(a[0])) * (1.0 - abs(a[1])))
 
-    # -- public interface ------------------------------------------------
-
     def table(self, a, ps: Iterable[float]) -> NormTable:
         a = self.domain.point(a)
         wanted = sorted({float(p) for p in ps})
         for p in wanted:
             if p != INF and p < 1:
                 raise ParameterError("kernel norms need p >= 1 or p = inf")
-        finite = [p for p in wanted if p != INF]
+        key = _point_key(a)
         entries: dict = {}
         residual = 0.0
-        m = self.start_resolution
-        if finite:
-            prev = self._finite_profile(a, finite, m)
-            residual = INF
-            while 2 * m <= self.max_resolution:
-                m *= 2
-                cur = self._finite_profile(a, finite, m)
-                residual = max(abs(cur[p] - prev[p]) / cur[p] for p in finite)
-                if residual <= self.rtol:
-                    break
-                prev = cur
-            else:
-                cur = prev
-            entries.update(cur)
-        if INF in wanted:
-            entries[INF] = float(self._sup_norm(a))
-        key = _point_key(a)
-        for p, v in entries.items():
-            self._cache.setdefault((key, p), (v, residual, m))
-        self.worst_residual = max(self.worst_residual, 0.0 if residual == INF else residual)
-        self.max_used_resolution = max(self.max_used_resolution, m)
-        return NormTable(key, self.domain, entries, residual, m)
+        for p in wanted:
+            if (key, p) not in self._cache:
+                self._cache[key, p] = ((self._sup_norm(a), 0.0) if p == INF
+                                       else self._finite_norm(a, p))
+            entries[p], res = self._cache[key, p]
+            residual = max(residual, res)
+        self.worst_residual = max(self.worst_residual, residual)
+        return NormTable(key, self.domain, entries, residual)
 
     def norm(self, a, p: float) -> float:
-        a = self.domain.point(a)
-        key = (_point_key(a), float(p))
-        if key not in self._cache:
-            self.table(a, [p])
-        return self._cache[key][0]
-
-    def entry(self, a, p: float) -> tuple:
-        """(value, residual, resolution) for a cached or fresh norm."""
-        a = self.domain.point(a)
-        key = (_point_key(a), float(p))
-        if key not in self._cache:
-            self.table(a, [p])
-        return self._cache[key]
+        return self.table(a, [p]).norm(p)
 
     def report(self) -> dict:
-        return {
-            "source": "adaptive",
-            "rtol": self.rtol,
-            "max_resolution_cap": self.max_resolution,
-            "max_resolution_used": self.max_used_resolution,
-            "worst_residual": self.worst_residual,
-        }
+        return {"source": "2F1 series", "worst_residual": self.worst_residual}
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +358,9 @@ _FLAG_RESIDUAL = 1e-8
 def sh_q_scan(dom: Domain, q: float, grid, norms, grid_note: str = "") -> SHConstants:
     """min over the grid of ||k_a||_2^2 / (||k_a||_q ||k_a||_{q'}).
 
-    Discrete Hoelder guarantees each ratio <= 1 when the three norms share
-    a node set, which ``norms.table`` arranges; a ratio beyond 1 + 1e-10
-    is treated as a broken invariant rather than a data point.
+    Hoelder's inequality makes each ratio <= 1, and the closed-form norms
+    keep it to rounding; a ratio beyond 1 + 1e-10 is treated as a broken
+    invariant rather than a data point.
     """
     if not (1.0 < q < INF):
         raise ParameterError("sh_q_scan needs 1 < q < inf")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hardylab import cli
-from hardylab.errors import EXIT_CAPACITY, EXIT_CONFIG
+from hardylab.errors import EXIT_CAPACITY, EXIT_CONFIG, EXIT_NUMERIC
 
 
 def _write(tmp_path, name, cfg):
@@ -26,6 +26,13 @@ def test_norms_subcommand(tmp_path):
     rep = _load(tmp_path / "o", "norms")
     assert len(rep["results"]["tables"]) == 3
     assert rep["subcommand"] == "norms"
+
+
+def test_norms_past_series_budget_is_numeric_error(tmp_path):
+    # at |a| = 1 - 1e-6 the p = 1 series needs far more terms than its budget
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": [[0.999999, 0.0]],
+                                      "exponents": [1, 2]})
+    assert cli.main(["norms", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
 
 
 def test_sh_subcommand_with_csv(tmp_path):
@@ -110,6 +117,19 @@ def test_bergman_subcommand(tmp_path):
     assert cli.main(["bergman", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rep = _load(tmp_path / "o", "bergman")
     assert rep["results"]["bergman_extension"]["max_rel_residual"] < 1e-8
+
+
+def test_extend_ball_edge_line(tmp_path):
+    # points up to |a| = 0.999 on one complex line, the last on the far side
+    radii = [0.0, 0.5, 0.9, 0.99, -0.999]
+    cfg = _write(tmp_path, "c.json", {"domain": "ball2",
+                                      "points": [[r, 0.0, 0.0, 0.0] for r in radii],
+                                      "s": 1, "p": 2, "dual_method": "gram2",
+                                      "resolution": 16, "angular": 64,
+                                      "batch": 16, "seed": 2024})
+    assert cli.main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    ext = _load(tmp_path / "o", "extend")["results"]["extension"]
+    assert ext["ci_estimate"] <= ext["constant_budget"]
 
 
 def test_report_subcommand(tmp_path):

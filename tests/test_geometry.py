@@ -106,6 +106,13 @@ def test_inner_product_rule_mismatch(disc):
     g = hl.sample_function(lambda zs: zs[:, 0], r2)
     with pytest.raises(hl.ShapeError):
         hl.inner_product(f, g)
+    # same kind, length and resolution, different nodes
+    base = hl.build_quadrature(disc, 256)
+    turned = hl.QuadratureRule(disc, base.nodes * np.exp(0.1j), base.weights, base.resolution)
+    f = hl.sample_function(lambda zs: zs[:, 0], base)
+    g = hl.sample_function(lambda zs: zs[:, 0], turned)
+    with pytest.raises(hl.ShapeError):
+        hl.inner_product(f, g)
 
 
 def test_resolution_validation(disc):
@@ -132,16 +139,24 @@ def test_rule_json_roundtrip(ball):
     assert np.allclose(back.weights, rule.weights)
 
 
-def test_adaptive_convergence_disc(disc):
-    # doubling changes the kernel-power integral by < 1e-10 once converged
+def test_adaptive_convergence_disc(disc, disc_norms):
+    # doubling changes the kernel-power integral by < 1e-10 once converged,
+    # and the converged value is the closed-form norm
     for r, p in [(0.5, 1.0), (0.9, 4.0 / 3.0), (0.95, 2.0), (0.95, 4.0)]:
         def value(m):
             rule = hl.build_quadrature(disc, m)
             k = hl.sample_function(lambda zs: 1.0 / (1.0 - r * zs[:, 0]), rule)
             return hl.lp_norm(k, p)
 
-        conv = hl.converge_scalar(value, 64, rtol=1e-10, max_resolution=1 << 13)
-        assert conv.converged and conv.residual < 1e-10
+        m, prev = 64, value(64)
+        while True:
+            assert m < 1 << 13, "quadrature did not converge by 8192 nodes"
+            m *= 2
+            cur = value(m)
+            if abs(cur - prev) <= 1e-10 * abs(cur):
+                break
+            prev = cur
+        assert abs(cur - disc_norms.norm(np.array([r]), p)) / cur < 1e-10
 
 
 def test_adaptive_convergence_engine(ball_norms, bidisc_norms):
@@ -150,12 +165,6 @@ def test_adaptive_convergence_engine(ball_norms, bidisc_norms):
         t = cache.table(0.95 / np.linalg.norm(pt) * pt if cache.domain.kind == "ball2" else pt,
                         [1.0, 4.0 / 3.0, 2.0, 4.0])
         assert t.residual < 1e-10
-
-
-def test_converge_scalar_cap():
-    conv = hl.converge_scalar(lambda m: 1.0 + 1.0 / m, 4, rtol=1e-14, max_resolution=64)
-    assert not conv.converged
-    assert conv.resolution == 64
 
 
 def test_seq_norm():

@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
 from conftest import disc_kernel_norm
@@ -46,10 +48,67 @@ def test_kernel_norm_closed_forms(disc, ball, disc_rule, disc_norms, ball_norms)
 
 
 def test_rule_norms_matches_cache(disc, disc_rule, disc_norms):
-    source = hl.RuleNorms(disc_rule)
     a = np.array([0.3 - 0.4j])
     for p in (1.0, 2.0, 4.0):
-        assert abs(source.norm(a, p) - disc_norms.norm(a, p)) < 1e-10
+        assert abs(hl.kernel_norm(a, p, disc_rule) - disc_norms.norm(a, p)) < 1e-10
+
+
+def test_norm_cache_overflow_is_numeric_error(ball_norms):
+    # at p ~ 1000 the transformed series' terms exceed the float range
+    with pytest.raises(hl.NumericError):
+        ball_norms.norm(np.array([0.9, 0.0]), 1000.5)
+
+
+def test_kernel_norm_quadrature_matches_cache(disc_rule, ball_rule, bidisc_rule,
+                                             disc_norms, ball_norms, bidisc_norms):
+    # the sampled reference and the closed forms agree where the rules resolve the kernel
+    rng = np.random.default_rng(3)
+    for rule, cache, rmax in ((disc_rule, disc_norms, 0.95), (ball_rule, ball_norms, 0.6),
+                              (bidisc_rule, bidisc_norms, 0.8)):
+        n = rule.domain.n
+        for _ in range(4):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            scale = np.max(np.abs(v)) if rule.domain.kind == "bidisc" else np.linalg.norm(v)
+            a = rng.uniform(0.1, rmax) * v / scale
+            for p in (1.0, 4.0 / 3.0, 2.0, 4.0):
+                want = cache.norm(a, p)
+                assert abs(hl.kernel_norm(a, p, rule) - want) / want < 1e-10
+
+
+def _oracle_norm(kind: str, radii, p: float):
+    """||k_a||_p from mpmath's 2F1 (Rudin 1.4.10), or the sup closed form."""
+    with mpmath.workdps(30):
+        if kind == "ball2":
+            r = mpmath.mpf(radii[0])
+            if p == np.inf:
+                return (1 - r) ** -2
+            return mpmath.hyp2f1(p, p, 2, r * r) ** (1 / mpmath.mpf(p))
+        value = mpmath.mpf(1)
+        for r in map(mpmath.mpf, radii):
+            if p == np.inf:
+                value /= 1 - r
+            else:
+                value *= mpmath.hyp2f1(p / 2, p / 2, 1, r * r) ** (1 / mpmath.mpf(p))
+        return value
+
+
+@pytest.mark.parametrize("kind", ["disc", "ball2", "bidisc"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(r1=st.floats(0.0, 0.9999), r2=st.floats(0.0, 0.9999),
+       p=st.one_of(st.floats(1.0, 12.0), st.just(np.inf)))
+def test_norm_cache_matches_hypergeometric_oracle(kind, r1, r2, p):
+    # real points, so the radius the engine derives is exactly the oracle's
+    point, radii = {"disc": ([r1], [r1]), "ball2": ([r1, 0.0], [r1]),
+                    "bidisc": ([r1, r2], [r1, r2])}[kind]
+    cache = hl.NormCache(hl.Domain(kind))
+    t = cache.table(np.array(point, dtype=complex), [p])
+    exact = _oracle_norm(kind, radii, p)
+    err = float(abs(t.norm(p) - exact) / exact)
+    assert err <= 1e-13
+    # the tail bound is honest (covers all error beyond rounding) and meets its target
+    assert t.residual >= err - 1e-13
+    assert t.residual <= 2.0**-59
+    assert cache.report()["worst_residual"] == t.residual
 
 
 @pytest.mark.parametrize("domkind", ["disc", "ball2", "bidisc"])
@@ -83,7 +142,7 @@ def test_norm_table_omega_and_json(disc_norms):
     t = disc_norms.table(np.array([0.4 + 0j]), [2.0, 4.0])
     assert abs(t.omega(2.0) - t.norm(4.0) ** -4.0) < 1e-14
     data = t.to_json()
-    assert "norms" in data and data["resolution"] >= 64
+    assert "norms" in data and 0.0 <= data["residual"] <= 2.0**-60
     with pytest.raises(hl.DependencyError):
         t.norm(8.0)
 
