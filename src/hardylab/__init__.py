@@ -76,12 +76,10 @@ from .sequences import (
 )
 from .signs import (
     EXACT_CAP,
-    ExpectationEstimate,
-    SignPattern,
-    expect,
+    SignMoments,
     khintchine_ratio,
-    khintchine_ratio_estimate,
     sign_matrix_chunks,
+    sign_moments,
     weak_from_carleson_check,
 )
 from .extension import (
@@ -95,7 +93,6 @@ from .extension import (
     interior_panel,
     randomized_factorization,
     split_target,
-    type_p_bound_check,
     verify_norm_bound,
 )
 from .bergman import (

@@ -238,11 +238,7 @@ def _run_khintchine(cfg: dict):
     mc_seed = _need_seed(cfg) if method == "monte-carlo" else None
     for q in qs:
         for x in vectors:
-            if method == "monte-carlo":
-                ratio, stderr = signs.khintchine_ratio_estimate(x, q, int(samples or 0), mc_seed)
-            else:
-                ratio = signs.khintchine_ratio(x, q, method=method)
-                stderr = 0.0
+            ratio, stderr = signs.khintchine_ratio(x, q, method, int(samples or 0), mc_seed)
             rows.append([q, len(x), ratio, method, stderr])
             results.append({"q": q, "n": len(x), "ratio": ratio, "method": method, "stderr": stderr})
     return {"ratios": results, "seed": seed}, rows

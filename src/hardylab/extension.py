@@ -40,8 +40,8 @@ from .kernels import (
     kernel_diag,
     kernel_values,
 )
-from .sequences import DualSystem, PointSequence
-from .signs import EXACT_CAP, sign_matrix_chunks
+from .sequences import DualSystem, PointSequence, normalized_kernel_matrix
+from .signs import EXACT_CAP, sign_matrix_chunks, sign_moments
 
 _CHAIN_SLACK = 1e-8
 
@@ -310,7 +310,7 @@ def randomized_factorization(seq: PointSequence, dual: DualSystem, split: SplitD
     dom = seq.domain
 
     def f_of(eps) -> HoloExpr:
-        eps = np.asarray(getattr(eps, "signs", eps), dtype=float)
+        eps = np.asarray(eps, dtype=float)
         out = HoloExpr(dom, [])
         for i in range(n):
             w = complex(split.lam[i] * coeffs.values[i] * eps[i])
@@ -319,7 +319,7 @@ def randomized_factorization(seq: PointSequence, dual: DualSystem, split: SplitD
         return out
 
     def g_of(eps) -> HoloExpr:
-        eps = np.asarray(getattr(eps, "signs", eps), dtype=float)
+        eps = np.asarray(eps, dtype=float)
         out = HoloExpr(dom, [])
         for i in range(n):
             w = complex(split.mu[i] * eps[i])
@@ -375,8 +375,6 @@ def verify_norm_bound(seq: PointSequence, dual: DualSystem, s: float, p: float,
         raise ParameterError("batch must be at least 1")
     _check_contract(seq, dual, p)
     n = len(seq)
-    if n > EXACT_CAP:
-        raise CapacityError(f"exact chain verification capped at {EXACT_CAP} points")
     q = exponent_from_split(s, p)
     coeffs = coeff_c(seq, s, p, norms, scales=dual.scales)
     w = rule.weights
@@ -402,44 +400,23 @@ def verify_norm_bound(seq: PointSequence, dual: DualSystem, s: float, p: float,
     worst_chain_margin = np.inf
     for nu in targets:
         split = split_target(nu, s, p)
-        lc = split.lam * coeffs.values
         h_vals = (split.nu * coeffs.values) @ prod_vals
         h_norm = float(np.sum(w * np.abs(h_vals) ** s) ** (1.0 / s))
         nu_norm = seq_norm(nu, s)
         ci = max(ci, h_norm / nu_norm)
 
-        total_patterns = 1 << n
-        ef_nodes = np.zeros(len(rule))
-        eg_nodes = np.zeros(len(rule))
-        sup_f = 0.0
-        for block in sign_matrix_chunks(n):
-            f_vals = (block * lc[None, :]) @ rho_vals
-            g_vals = (block * split.mu[None, :]) @ kq_vals
-            if p == INF:
-                sup_f = max(sup_f, float(np.max(np.abs(f_vals))))
-            else:
-                ef_nodes += np.sum(np.abs(f_vals) ** p, axis=0)
-            eg_nodes += np.sum(np.abs(g_vals) ** q, axis=0)
-        eg_nodes /= total_patterns
-        e_g = float(np.sum(w * eg_nodes))
+        f = sign_moments(rho_vals, split.lam * coeffs.values, w, p)
+        g = sign_moments(kq_vals, split.mu, w, q)
         if p == INF:
-            bound = sup_f * e_g ** (1.0 / q)
+            bound = f.best * g.value ** (1.0 / q)
         else:
-            ef_nodes /= total_patterns
-            e_f = float(np.sum(w * ef_nodes))
-            bound = e_f ** (1.0 / p) * e_g ** (1.0 / q)
-            den_f = np.sum((np.abs(lc)[:, None] * np.abs(rho_vals)) ** 2, axis=0) ** (p / 2.0)
-            ok = den_f > 0
-            if np.any(ok):
-                khin_f = max(khin_f, float(np.max(ef_nodes[ok] / den_f[ok])))
-        den_g = np.sum((split.mu[:, None] * np.abs(kq_vals)) ** 2, axis=0)
-        ok = den_g > 0
-        if np.any(ok):
-            khin_g = max(khin_g, float(np.max(eg_nodes[ok] / den_g[ok] ** (q / 2.0))))
+            bound = f.value ** (1.0 / p) * g.value ** (1.0 / q)
+            khin_f = max(khin_f, f.khintchine_factor())
+        khin_g = max(khin_g, g.khintchine_factor())
         mu_norm = seq_norm(split.mu, q)
         if mu_norm > 0:
             weak_inst = max(weak_inst, float(
-                np.sum(w * den_g ** (q / 2.0)) ** (2.0 / q)) / mu_norm**2)
+                np.sum(w * g.square ** (q / 2.0)) ** (2.0 / q)) / mu_norm**2)
         if h_norm > bound * (1.0 + _CHAIN_SLACK):
             raise InvariantViolation(
                 f"Hoelder chain failed: ||h||_s = {h_norm} > bound {bound}")
@@ -474,23 +451,6 @@ def verify_norm_bound(seq: PointSequence, dual: DualSystem, s: float, p: float,
 # expectation bounds for the two dual routes
 
 
-def _expectation_power(vals_rows: np.ndarray, coeff: np.ndarray, w: np.ndarray,
-                       p: float) -> tuple:
-    """E||sum_a coeff_a eps_a row_a||_p^p with exact signs.
-
-    Returns (expectation, per-node expectation array).
-    """
-    n = coeff.size
-    if n > EXACT_CAP:
-        raise CapacityError(f"exact enumeration capped at {EXACT_CAP} points")
-    nodes = np.zeros(vals_rows.shape[1])
-    for block in sign_matrix_chunks(n):
-        f_vals = (block * coeff[None, :]) @ vals_rows
-        nodes += np.sum(np.abs(f_vals) ** p, axis=0)
-    nodes /= 1 << n
-    return float(np.sum(w * nodes)), nodes
-
-
 def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
                                   rule: QuadratureRule, norms) -> dict:
     """Sign-averaged dual-sum bound for a dual system with p <= 2.
@@ -504,32 +464,29 @@ def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
     if p == INF or not (1.0 <= p <= 2.0):
         raise ParameterError("this route needs a dual system with 1 <= p <= 2")
     lam = np.asarray(lam, dtype=complex)
-    if lam.shape != (len(seq),):
-        raise ParameterError("one coefficient per point is required")
     _check_contract(seq, dual, p)
     w = rule.weights
     rho_vals = dual_sample_matrix(dual, rule.nodes, norms)
-    weighted = np.abs(lam)[:, None] * np.abs(rho_vals)
+    mom = sign_moments(rho_vals, lam, w, p)
 
-    l2_nodes = np.sqrt(np.sum(weighted**2, axis=0))
-    lp_nodes = np.sum(weighted**p, axis=0) ** (1.0 / p)
-    pointwise_gap = float(np.max(l2_nodes - lp_nodes * (1.0 + 1e-12)))
+    lp_nodes = np.sum((np.abs(lam)[:, None] * np.abs(rho_vals)) ** p, axis=0) ** (1.0 / p)
+    pointwise_gap = float(np.max(np.sqrt(mom.square) - lp_nodes * (1.0 + 1e-12)))
     if pointwise_gap > 0:
         raise InvariantViolation("pointwise l2 <= lp comparison failed at a node")
 
-    expectation, nodes = _expectation_power(rho_vals, lam, w, p)
+    expectation = mom.value
     lam_p = seq_norm(lam, p)
     ratio = expectation / lam_p**p
-
-    den = np.sum(weighted**2, axis=0) ** (p / 2.0)
-    ok = den > 0
-    khin = float(np.max(nodes[ok] / den[ok])) if np.any(ok) else 0.0
+    khin = mom.khintchine_factor()
     rho_norms_p = _weighted_power_sum(rho_vals, w, p)
     sup_rho_p = float(np.max(rho_norms_p))
     bound = khin * sup_rho_p
     if ratio > bound * (1.0 + _CHAIN_SLACK):
         raise InvariantViolation(f"expectation ratio {ratio} exceeded measured bound {bound}")
 
+    # sum_a |lam_a|^p ||rho_a||_p^p: the type-p denominator, and at p = 2
+    # the exact value of the expectation by sign orthogonality
+    diagonal = float(np.abs(lam) ** p @ rho_norms_p)
     out = {
         "p": p,
         "ratio": ratio,
@@ -537,35 +494,14 @@ def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
         "sup_rho_p_pow": sup_rho_p,
         "bound": bound,
         "pointwise_ok": True,
+        "type_p_ratio": expectation / diagonal,
     }
     if p == 2.0:
-        exact = float(np.abs(lam) ** 2 @ rho_norms_p)
-        gap = abs(expectation - exact) / max(exact, 1e-300)
+        gap = abs(expectation - diagonal) / max(diagonal, 1e-300)
         if gap > 1e-10:
             raise InvariantViolation(f"sign orthogonality identity failed: gap {gap}")
         out["orthogonality_gap"] = gap
     return out
-
-
-def type_p_bound_check(seq: PointSequence, dual: DualSystem, lam,
-                       rule: QuadratureRule, norms) -> dict:
-    """Ratio E||sum lam_a eps_a rho_a||_p^p / sum_a |lam_a|^p ||rho_a||_p^p.
-
-    The type-p constant is instance dependent, so the ratio is reported;
-    at p = 2 sign orthogonality forces it to 1.
-    """
-    p = dual.p
-    if p == INF or not (1.0 <= p <= 2.0):
-        raise ParameterError("type-p ratios are computed for 1 <= p <= 2")
-    lam = np.asarray(lam, dtype=complex)
-    _check_contract(seq, dual, p)
-    rho_vals = dual_sample_matrix(dual, rule.nodes, norms)
-    expectation, _ = _expectation_power(rho_vals, lam, rule.weights, p)
-    denom = float(np.abs(lam) ** p @ _weighted_power_sum(rho_vals, rule.weights, p))
-    ratio = expectation / denom
-    if p == 2.0 and abs(ratio - 1.0) > 1e-10:
-        raise InvariantViolation(f"type-2 ratio {ratio} should be 1 by orthogonality")
-    return {"p": p, "ratio": ratio, "denominator": denom}
 
 
 def dual_expectation_bound_infty(seq: PointSequence, inf_dual: DualSystem, p: float,
@@ -590,11 +526,7 @@ def dual_expectation_bound_infty(seq: PointSequence, inf_dual: DualSystem, p: fl
     c_hat = float(np.max(per_point_sup))
 
     # rule-consistent normalization keeps ||k_{p,a}||_p = 1 exactly here
-    kp_rows = []
-    for i in range(len(seq)):
-        vals = kernel_values(seq[i], rule.nodes, seq.domain)
-        kp_rows.append(vals / float(np.sum(w * np.abs(vals) ** p) ** (1.0 / p)))
-    kp = np.vstack(kp_rows)
+    kp = normalized_kernel_matrix(seq, p, rule).T
     rho_p = rho_inf * kp
 
     rho_p_norms = _weighted_power_sum(rho_p, w, p) ** (1.0 / p)
@@ -603,14 +535,10 @@ def dual_expectation_bound_infty(seq: PointSequence, inf_dual: DualSystem, p: fl
     if np.max(np.abs(rho_p) - c_hat * np.abs(kp) * (1.0 + 1e-12)) > 0:
         raise InvariantViolation("pointwise domination by the normalized kernel failed")
 
-    expectation, nodes = _expectation_power(rho_p, lam, w, p)
+    mom = sign_moments(rho_p, lam, w, p)
     lam_p = seq_norm(lam, p)
-    ratio = expectation / lam_p**p
-
-    weighted = np.abs(lam)[:, None] * np.abs(rho_p)
-    den = np.sum(weighted**2, axis=0) ** (p / 2.0)
-    ok = den > 0
-    khin = float(np.max(nodes[ok] / den[ok])) if np.any(ok) else 0.0
+    ratio = mom.value / lam_p**p
+    khin = mom.khintchine_factor()
 
     dens_k = np.sum((np.abs(lam)[:, None] * np.abs(kp)) ** 2, axis=0)
     weak_inst = float(np.sum(w * dens_k ** (p / 2.0)) ** (2.0 / p)) / lam_p**2

@@ -1,9 +1,11 @@
-"""Bernoulli sign machinery: exact and Monte Carlo expectations.
+"""Bernoulli sign machinery: one sign-moment engine, exact or seeded Monte Carlo.
 
-Expectations over independent +-1 signs are computed either by exact
-enumeration of all 2^N patterns (N <= 20) or by seeded Monte Carlo.
-Pattern order is fixed (sign j of pattern i is read off bit j of i) and
-reductions happen in a fixed order, so every figure is reproducible.
+``sign_moments`` is the only code that turns sign patterns into moments of
+f(eps) = sum_a eps_a c_a R_a, where R_a are rows sampled on boundary nodes:
+by exact enumeration of all 2^N patterns (N <= 20) or by seeded Monte
+Carlo.  Pattern order is fixed (sign j of pattern i is read off bit j of
+i) and reductions happen in a fixed order, so every figure is
+reproducible.
 
 Khintchine-type comparability constants are never hard-coded anywhere in
 the package: ratios are measured per instance and reported.
@@ -14,43 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, ShapeError
 from .geometry import QuadratureRule, seq_norm
 from .sequences import PointSequence, normalized_kernel_matrix
 
 EXACT_CAP = 20
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """One assignment of +-1 signs."""
-
-    signs: tuple
-
-    def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ParameterError("sign patterns contain only +1 and -1")
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.signs, dtype=float)
-
-
-@dataclass
-class ExpectationEstimate:
-    """Expectation value with its provenance (exact or sampled)."""
-
-    value: float
-    method: str
-    stderr: float = 0.0
-    samples: int | None = None
-    seed: int | None = None
-
-    def to_json(self) -> dict:
-        out = {"value": self.value, "method": self.method, "stderr": self.stderr}
-        if self.samples is not None:
-            out["samples"] = self.samples
-            out["seed"] = self.seed
-        return out
 
 
 def sign_matrix_chunks(n: int, chunk: int = 1 << 14):
@@ -70,63 +40,93 @@ def sampled_sign_matrix(n: int, samples: int, seed: int) -> np.ndarray:
     return rng.integers(0, 2, size=(samples, n)).astype(float) * 2.0 - 1.0
 
 
-def _require_mc_args(samples, seed):
-    if samples is None or samples < 1:
-        raise ParameterError("Monte Carlo needs samples >= 1")
-    if seed is None:
-        raise ParameterError("Monte Carlo needs an explicit seed")
+@dataclass(frozen=True)
+class SignMoments:
+    """Moments of f(eps) = sum_a eps_a c_a R_a over the sign patterns.
+
+    ``nodes`` is the per-node E|f|^p (the max of |f| over patterns when
+    p = inf), ``value`` is sum w * nodes, ``best`` the largest per-pattern
+    sum w |f|^p (largest max |f| when p = inf), ``stderr`` the standard
+    error of ``value`` (0 when exact), and ``square`` the per-node square
+    function sum_a |c_a R_a|^2.
+    """
+
+    p: float
+    nodes: np.ndarray
+    value: float
+    best: float
+    stderr: float
+    square: np.ndarray
+
+    def khintchine_factor(self) -> float:
+        """Largest per-node E|f|^p / (sum_a |c_a R_a|^2)^{p/2}; 0 if that vanishes."""
+        den = self.square ** (self.p / 2.0)
+        ok = den > 0
+        return float(np.max(self.nodes[ok] / den[ok])) if np.any(ok) else 0.0
 
 
-def expect(fn, n: int, method: str = "exact", samples: int | None = None,
-           seed: int | None = None) -> ExpectationEstimate:
-    """E[fn(eps)] for fn mapping a +-1 vector to a real number."""
-    if n < 1:
-        raise ParameterError("need at least one sign")
+def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
+                 samples: int | None = None, seed: int | None = None) -> SignMoments:
+    """Moments of f(eps) = sum_a eps_a coeffs_a rows_a, weighted by w.
+
+    ``rows`` is (N, M), ``coeffs`` (N,) and ``w`` (M,).  With
+    ``method="exact"`` all 2^N patterns are enumerated in blocks; with
+    ``method="monte-carlo"`` ``samples`` seeded patterns are drawn.  A
+    sampled sup is no bound, so p = inf is exact only.
+    """
+    rows = np.asarray(rows)
+    coeffs = np.asarray(coeffs)
+    w = np.asarray(w, dtype=float)
+    if rows.ndim != 2 or coeffs.shape != (rows.shape[0],) or w.shape != (rows.shape[1],):
+        raise ShapeError(f"need rows (N, M), coeffs (N,) and weights (M,); got "
+                         f"{rows.shape}, {coeffs.shape} and {w.shape}")
+    n = coeffs.size
     if method == "exact":
-        total = 0.0
-        for block in sign_matrix_chunks(n):
-            total += float(np.sum([fn(row) for row in block]))
-        return ExpectationEstimate(total / (1 << n), "exact")
-    if method == "monte-carlo":
-        _require_mc_args(samples, seed)
-        vals = np.array([fn(row) for row in sampled_sign_matrix(n, samples, seed)], dtype=float)
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
-        return ExpectationEstimate(float(np.mean(vals)), "monte-carlo", stderr, samples, seed)
-    raise ParameterError(f"unknown expectation method {method!r}")
+        blocks, count = sign_matrix_chunks(n), 1 << n
+    elif method == "monte-carlo":
+        if samples is None or samples < 1:
+            raise ParameterError("Monte Carlo needs samples >= 1")
+        if seed is None:
+            raise ParameterError("Monte Carlo needs an explicit seed")
+        if p == np.inf:
+            raise ParameterError("a sampled sup over signs is no bound; use exact enumeration")
+        blocks, count = [sampled_sign_matrix(n, samples, seed)], samples
+    else:
+        raise ParameterError(f"unknown expectation method {method!r}")
+
+    nodes = np.zeros(rows.shape[1])
+    best = 0.0
+    for block in blocks:
+        mag = np.abs((block * coeffs[None, :]) @ rows)
+        if p == np.inf:
+            np.maximum(nodes, np.max(mag, axis=0), out=nodes)
+            continue
+        mag **= p
+        nodes += np.sum(mag, axis=0)
+        norms = mag @ w
+        best = max(best, float(np.max(norms)))
+    stderr = 0.0
+    if p == np.inf:
+        best = float(np.max(nodes, initial=0.0))
+    else:
+        nodes /= count
+        if method == "monte-carlo":
+            stderr = float(np.std(norms, ddof=1) / np.sqrt(count)) if count > 1 else np.inf
+    square = np.sum((np.abs(coeffs)[:, None] * np.abs(rows)) ** 2, axis=0)
+    return SignMoments(p, nodes, float(np.sum(w * nodes)), best, stderr, square)
 
 
 def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = None,
-                     seed: int | None = None) -> float:
-    """E|sum_a eps_a x_a|^q / (sum |x_a|^2)^{q/2}; equals 1 at q = 2."""
+                     seed: int | None = None) -> tuple:
+    """(E|sum_a eps_a x_a|^q / (sum |x_a|^2)^{q/2}, its standard error); 1 at q = 2."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or x.size == 0 or not np.any(x):
         raise ParameterError("khintchine_ratio needs a nonzero vector")
-    if q < 1:
-        raise ParameterError("khintchine_ratio needs q >= 1")
-    denom = float(np.sum(np.abs(x) ** 2) ** (q / 2.0))
-    n = x.size
-    if method == "exact":
-        total = 0.0
-        for block in sign_matrix_chunks(n):
-            total += float(np.sum(np.abs(block @ x) ** q))
-        return total / (1 << n) / denom
-    _require_mc_args(samples, seed)
-    vals = np.abs(sampled_sign_matrix(n, samples, seed) @ x) ** q
-    return float(np.mean(vals)) / denom
-
-
-def khintchine_ratio_estimate(x, q: float, samples: int, seed: int | None) -> tuple:
-    """Monte Carlo Khintchine ratio with its standard error."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or x.size == 0 or not np.any(x):
-        raise ParameterError("khintchine_ratio_estimate needs a nonzero vector")
-    if q < 1:
-        raise ParameterError("khintchine_ratio_estimate needs q >= 1")
-    _require_mc_args(samples, seed)
-    denom = float(np.sum(np.abs(x) ** 2) ** (q / 2.0))
-    vals = np.abs(sampled_sign_matrix(x.size, samples, seed) @ x) ** q / denom
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
-    return float(np.mean(vals)), stderr
+    if not 1 <= q < np.inf:
+        raise ParameterError("khintchine_ratio needs a finite q >= 1")
+    mom = sign_moments(x[:, None], np.ones(x.size), np.ones(1), q, method, samples, seed)
+    denom = float(mom.square[0]) ** (q / 2.0)
+    return mom.value / denom, mom.stderr / denom
 
 
 def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureRule,
@@ -150,36 +150,11 @@ def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureR
     if q < 2:
         raise ParameterError("the sign-averaging chain needs q >= 2")
     mu = np.asarray(mu, dtype=complex)
-    if mu.shape != (len(seq),):
-        raise ParameterError("one coefficient per sequence point is required")
-    A = normalized_kernel_matrix(seq, q, rule)
     w = rule.weights
-    n = len(seq)
+    mom = sign_moments(normalized_kernel_matrix(seq, q, rule).T, mu, w, q, method, samples, seed)
     mu_norm_q = seq_norm(mu, q)
-
-    dens = (np.abs(A) ** 2) @ (np.abs(mu) ** 2)
-    left = float(np.sum(w * dens ** (q / 2.0)))
-
-    def pattern_norms(blocks):
-        total, count, best, sq = 0.0, 0, 0.0, 0.0
-        for block in blocks:
-            f_vals = (block * mu[None, :]) @ A.T          # (C, M)
-            norms_q = np.sum(w[None, :] * np.abs(f_vals) ** q, axis=1)
-            total += float(np.sum(norms_q))
-            sq += float(np.sum(norms_q**2))
-            count += block.shape[0]
-            best = max(best, float(np.max(norms_q)))
-        return total / count, best, sq, count
-
-    if method == "exact":
-        middle, best_q, _, _ = pattern_norms(sign_matrix_chunks(n))
-        stderr = 0.0
-    else:
-        _require_mc_args(samples, seed)
-        middle, best_q, sq, count = pattern_norms([sampled_sign_matrix(n, samples, seed)])
-        var = max(sq / count - middle**2, 0.0) * count / max(count - 1, 1)
-        stderr = float(np.sqrt(var / count))
-
+    left = float(np.sum(w * mom.square ** (q / 2.0)))
+    middle, best_q, stderr = mom.value, mom.best, mom.stderr
     d_local = best_q ** (1.0 / q) / mu_norm_q
     d_eff = max(d_q, d_local)
     right = d_eff**q * mu_norm_q**q

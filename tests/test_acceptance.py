@@ -116,8 +116,8 @@ def test_criterion_04_khintchine_exact():
     for _ in range(100):
         n = int(rng.integers(1, 13))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        dev = max(dev, abs(hl.khintchine_ratio(x, 2.0) - 1.0))
-    pair = hl.khintchine_ratio(np.array([1.0, 1.0]), 4.0)
+        dev = max(dev, abs(hl.khintchine_ratio(x, 2.0)[0] - 1.0))
+    pair, _ = hl.khintchine_ratio(np.array([1.0, 1.0]), 4.0)
     _criterion(4, "Khintchine ratios", [
         (dev <= 1e-12, f"q=2 max deviation {dev:.2e} over 100 vectors"),
         (abs(pair - 2.0) <= 1e-12, f"(1,1) at q=4 -> {pair}"),

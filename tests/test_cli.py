@@ -181,6 +181,13 @@ def test_khintchine_mc_csv_has_stderr(tmp_path):
     assert abs(float(ratio) - 2.0) < 6 * float(stderr)
 
 
+def test_khintchine_misspelled_method_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"q": [4], "vectors": [[[1, 0], [1, 0]]],
+                                      "method": "montecarlo", "samples": 50, "seed": 1})
+    assert cli.main(["khintchine", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "unknown expectation method 'montecarlo'" in capsys.readouterr().err
+
+
 def test_bad_exponent_is_config_error(tmp_path):
     cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
                                       "s": [1], "p": 2, "seed": 1})

@@ -270,15 +270,16 @@ def test_p_le_2_rejects_large_p(disc, disc_rule, disc_norms):
 def test_type_p_examples(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.6, -0.6)
     dual2 = hl.dual_system_gram(seq, disc_norms)
-    out = hl.type_p_bound_check(seq, dual2, np.array([1.0, 1.0j]), disc_rule, disc_norms)
-    assert abs(out["ratio"] - 1.0) < 1e-10
+    out = hl.dual_expectation_bound_p_le_2(seq, dual2, np.array([1.0, 1.0j]), disc_rule, disc_norms)
+    assert abs(out["type_p_ratio"] - 1.0) < 1e-10
     single = _seq(disc, 0.4)
     duals = hl.dual_system_collocation(single, 1.5, disc_norms)
-    outs = hl.type_p_bound_check(single, duals, np.array([1.5]), disc_rule, disc_norms)
-    assert abs(outs["ratio"] - 1.0) < 1e-10
+    outs = hl.dual_expectation_bound_p_le_2(single, duals, np.array([1.5]), disc_rule, disc_norms)
+    assert abs(outs["type_p_ratio"] - 1.0) < 1e-10
     dual15 = hl.dual_system_collocation(seq, 1.5, disc_norms)
-    out15 = hl.type_p_bound_check(seq, dual15, np.array([1.0, 1.0 + 0.5j]), disc_rule, disc_norms)
-    assert np.isfinite(out15["ratio"]) and out15["ratio"] > 0
+    out15 = hl.dual_expectation_bound_p_le_2(seq, dual15, np.array([1.0, 1.0 + 0.5j]),
+                                             disc_rule, disc_norms)
+    assert np.isfinite(out15["type_p_ratio"]) and out15["type_p_ratio"] > 0
 
 
 def test_inf_route_two_points(disc, disc_rule, disc_norms):
@@ -298,6 +299,13 @@ def test_inf_route_validation(disc, disc_rule, disc_norms):
     dinf = hl.dual_system_blaschke(seq, np.inf)
     with pytest.raises(hl.ParameterError):
         hl.dual_expectation_bound_infty(seq, dinf, 1.5, np.ones(2), disc_rule, disc_norms)
+
+
+def test_inf_route_coefficient_length_is_shape_error(disc, disc_rule, disc_norms):
+    seq = _seq(disc, 0.0, 0.5, 0.8j)
+    dinf = hl.dual_system_blaschke(seq, np.inf)
+    with pytest.raises(hl.ShapeError):
+        hl.dual_expectation_bound_infty(seq, dinf, 2.0, np.ones(2), disc_rule, disc_norms)
 
 
 def test_interior_panel_inside(disc, ball, bidisc):
