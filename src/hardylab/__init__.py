@@ -36,9 +36,6 @@ from .geometry import (
 )
 from .kernels import (
     INF,
-    BlaschkeFactor,
-    HoloExpr,
-    KernelFactor,
     NormCache,
     NormTable,
     SHConstants,
@@ -49,6 +46,7 @@ from .kernels import (
     interpolation_theta,
     kernel_diag,
     kernel_eval,
+    kernel_matrix,
     kernel_norm,
     kernel_samples,
     kernel_values,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, UnsupportedDomainError
 from .geometry import BALL2, BoundarySamples, Domain, QuadratureRule, build_quadrature, lp_norm
-from .kernels import INF, NormCache, conjugate_exponent
+from .kernels import INF, NormCache, conjugate_exponent, kernel_samples, kernel_values
 from .sequences import PointSequence, dual_system_collocation, dual_system_gram
 from .extension import build_extension
 
@@ -151,16 +151,12 @@ def kernel_norm_link_residual(a: complex, p: float, spec: BergmanSpec,
     """
     if spec.n != 1 or spec.weight != 0:
         raise UnsupportedDomainError("the norm link check needs n = 1, weight 0")
+    ball = Domain(BALL2)
     if rule is None:
-        rule = build_quadrature(Domain(BALL2), 16, angular=64)
-    a = complex(a)
-
-    def unnormalized(zs):
-        zs = np.asarray(zs, dtype=complex)
-        return (1.0 - np.conj(a) * zs[:, 0]) ** -2
-
-    a_side = bergman_norm(unnormalized, p, spec)
-    h_side = lp_norm(BoundarySamples(unnormalized(rule.nodes), rule), p)
+        rule = build_quadrature(ball, 16, angular=64)
+    point = (complex(a), 0.0)
+    a_side = bergman_norm(restrict(lambda zs: kernel_values(point, zs, ball)), p, spec)
+    h_side = lp_norm(kernel_samples(point, rule), p)
     return abs(a_side - h_side) / max(h_side, 1e-300)
 
 
@@ -169,10 +165,10 @@ def bergman_extension(points, nu, s: float, p: float, spec: BergmanSpec, *,
                       dual_method: str = "collocation") -> tuple:
     """Extend a Bergman target by running the Hardy pipeline on {(a, 0)}.
 
-    Returns (U, report) where U evaluates the extension on the base
-    domain, U(z) = h(z, 0).  Residuals are measured against the lifted
-    targets nu_a ||k_{(a,0)}||_{s'}; the report also records the Bergman
-    norm of U against the Hardy norm of h (restriction contraction).
+    Returns (U, report) where U evaluates the extension on an (M, 1) array
+    of base-domain points, U(z) = h(z, 0).  Residuals are measured against
+    the lifted targets nu_a ||k_{(a,0)}||_{s'}; the report also records the
+    Bergman norm of U against the Hardy norm of h (restriction contraction).
     """
     if spec.n != 1 or spec.weight != 0:
         raise UnsupportedDomainError("the extension pipeline lifts into the ball of C^2 only")
@@ -191,16 +187,7 @@ def bergman_extension(points, nu, s: float, p: float, spec: BergmanSpec, *,
     else:
         dual = dual_system_collocation(embedded, p, norms)
     h, report = build_extension(embedded, dual, nu, s, p, rule, norms)
-
-    def U(zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        if zs.ndim == 0:
-            zs = zs.reshape(1, 1)
-        elif zs.ndim == 1:
-            zs = zs.reshape(-1, 1)
-        padded = np.hstack([zs, np.zeros((zs.shape[0], 1), dtype=complex)])
-        return h.eval_many(padded, norms)
-
+    U = restrict(h)
     h_norm = report.details["h_norm"]
     u_norm = bergman_norm(U, s, spec)
     report.details["bergman_norm"] = u_norm

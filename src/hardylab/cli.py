@@ -165,7 +165,7 @@ def _run_dual(cfg: dict):
         raise ParameterError(f"unknown dual method {method!r}")
     out = dual.to_json()
     out["delta_residual"] = dual.delta_residual()
-    out["dual_bound"] = sequences.dual_bound(seq, dual.p, dual, rule, cache)
+    out["dual_bound"] = sequences.dual_bound(seq, dual.p, dual, rule)
     return {"dual": out, "engine": cache.report()}, None
 
 

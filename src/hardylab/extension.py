@@ -18,6 +18,11 @@ that chain is a finite inequality, so the bounds asserted here are exact
 up to rounding; comparability constants that the theory leaves implicit
 (Khintchine factors, structural-hypothesis extrema) are measured per
 instance and reported, never hard-coded.
+
+h, f(eps) and g(eps) are finite combinations of the N functions rho_a and
+k_{q,a}.  They are returned as plain vectorized evaluators zs (M, n) ->
+(M,) built on ``DualSystem.values`` and ``kernel_matrix``, and every check
+here works on those (N, M) sample matrices.
 """
 from __future__ import annotations
 
@@ -32,14 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .geometry import BALL2, DISC, Domain, QuadratureRule, seq_norm
-from .kernels import (
-    INF,
-    HoloExpr,
-    conjugate_exponent,
-    exponent_from_split,
-    kernel_diag,
-    kernel_values,
-)
+from .kernels import INF, conjugate_exponent, exponent_from_split, kernel_diag, kernel_matrix
 from .sequences import DualSystem, PointSequence, normalized_kernel_matrix
 from .signs import EXACT_CAP, sign_matrix_chunks, sign_moments
 
@@ -201,21 +199,10 @@ def _check_contract(seq: PointSequence, dual: DualSystem, p: float) -> None:
         raise ContractError(f"dual system targets exponent {dual.p}, not {p}")
 
 
-def dual_sample_matrix(dual: DualSystem, zs: np.ndarray, norms=None) -> np.ndarray:
-    """(N, len(zs)) values of the dual functions."""
-    seq = dual.sequence
-    if not dual.blaschke:
-        kmat = np.column_stack([kernel_values(seq[c], zs, seq.domain) for c in range(len(seq))])
-        return dual.coefficients @ kmat.T
-    return np.vstack([dual.rho_values(i, zs, norms) for i in range(len(seq))])
-
-
 def normalized_kernel_rows(seq: PointSequence, q: float, zs: np.ndarray, norms) -> np.ndarray:
     """(N, len(zs)) values of k_{q,a}, normalized with the given norm source."""
-    rows = []
-    for i in range(len(seq)):
-        rows.append(kernel_values(seq[i], zs, seq.domain) / norms.norm(seq[i], q))
-    return np.vstack(rows)
+    scale = np.array([norms.norm(seq[i], q) for i in range(len(seq))])
+    return kernel_matrix(seq.arrays(), zs, seq.domain) / scale[:, None]
 
 
 def interior_panel(dom: Domain, count: int, seed: int, rmax: float = 0.8) -> np.ndarray:
@@ -248,6 +235,7 @@ def build_extension(seq: PointSequence, dual: DualSystem, nu, s: float, p: float
                     rule: QuadratureRule, norms) -> tuple:
     """h = sum_a nu_a c_a rho_a k_{q,a} plus its interpolation report.
 
+    h is a vectorized evaluator zs (M, n) -> (M,) that holds on to ``norms``.
     h(a) = nu_a ||k_a||_{s'} holds by construction up to the dual system's
     delta residual; the report carries per-point residuals and the ratio
     ||h||_s / ||nu||_s measured on the rule.
@@ -261,20 +249,18 @@ def build_extension(seq: PointSequence, dual: DualSystem, nu, s: float, p: float
     sc = conjugate_exponent(s)
     target_scale = np.array([norms.norm(seq[i], sc) for i in range(len(seq))])
 
-    dom = seq.domain
-    h = HoloExpr(dom, [])
-    for i in range(len(seq)):
-        weight = complex(nu[i] * coeffs.values[i])
-        if weight != 0:
-            h = h + weight * (dual.rho_expr(i) * HoloExpr.kernel(dom, seq[i], normalized_at=q))
+    weights = nu * coeffs.values
+
+    def h(zs: np.ndarray) -> np.ndarray:
+        return weights @ (dual.values(zs) * normalized_kernel_rows(seq, q, zs, norms))
 
     targets = nu * target_scale
-    at_points = h.eval_many(seq.arrays(), norms)
+    at_points = h(seq.arrays())
     residuals = np.abs(at_points - targets)
     denom = float(np.max(np.abs(targets)))
     max_rel = float(np.max(residuals) / denom) if denom > 0 else float(np.max(residuals, initial=0.0))
 
-    h_norm = float(np.sum(rule.weights * np.abs(h.sample(rule, norms).values) ** s) ** (1.0 / s))
+    h_norm = float(np.sum(rule.weights * np.abs(h(rule.nodes)) ** s) ** (1.0 / s))
     nu_norm = seq_norm(nu, s)
     report = ExtensionReport(
         residuals=residuals.tolist(),
@@ -283,6 +269,8 @@ def build_extension(seq: PointSequence, dual: DualSystem, nu, s: float, p: float
         details={
             "s": s, "p": "inf" if p == INF else p, "q": q,
             "dual_method": dual.method,
+            "dual_condition": dual.condition,
+            "dual_tikhonov_eps": dual.tikhonov_eps,
             "coeffs": coeffs.to_json(),
             "h_norm": h_norm,
             "target_scale": target_scale.tolist(),
@@ -297,6 +285,7 @@ def randomized_factorization(seq: PointSequence, dual: DualSystem, split: SplitD
                              n_boundary: int = 20, panel_seed: int = 2024) -> tuple:
     """Builders for f(eps), g(eps) and the identity check h = E[f g].
 
+    f_of(eps) and g_of(eps) return vectorized evaluators zs (M, n) -> (M,).
     The identity is exact because E[eps_j eps_k] = delta_jk kills every
     cross term; it is verified pointwise on a fixed panel of interior and
     boundary points by full enumeration (N <= 20).
@@ -307,35 +296,24 @@ def randomized_factorization(seq: PointSequence, dual: DualSystem, split: SplitD
         raise CapacityError(f"exact factorization check capped at {EXACT_CAP} points")
     coeffs = coeff_c(seq, split.s, split.p, norms, scales=dual.scales)
     q = split.q
-    dom = seq.domain
+    lc = split.lam * coeffs.values
 
-    def f_of(eps) -> HoloExpr:
-        eps = np.asarray(eps, dtype=float)
-        out = HoloExpr(dom, [])
-        for i in range(n):
-            w = complex(split.lam[i] * coeffs.values[i] * eps[i])
-            if w != 0:
-                out = out + w * dual.rho_expr(i)
-        return out
+    def f_of(eps):
+        w = lc * np.asarray(eps, dtype=float)
+        return lambda zs: w @ dual.values(zs)
 
-    def g_of(eps) -> HoloExpr:
-        eps = np.asarray(eps, dtype=float)
-        out = HoloExpr(dom, [])
-        for i in range(n):
-            w = complex(split.mu[i] * eps[i])
-            if w != 0:
-                out = out + HoloExpr.kernel(dom, seq[i], normalized_at=q, coeff=w)
-        return out
+    def g_of(eps):
+        w = split.mu * np.asarray(eps, dtype=float)
+        return lambda zs: w @ normalized_kernel_rows(seq, q, zs, norms)
 
     panel = np.vstack([
-        interior_panel(dom, n_interior, panel_seed),
+        interior_panel(seq.domain, n_interior, panel_seed),
         rule.nodes[np.linspace(0, len(rule) - 1, n_boundary, dtype=int)],
     ])
-    rho_at = dual_sample_matrix(dual, panel, norms)
+    rho_at = dual.values(panel)
     kq_at = normalized_kernel_rows(seq, q, panel, norms)
     h_at = (split.nu * coeffs.values) @ (rho_at * kq_at)
 
-    lc = split.lam * coeffs.values
     acc = np.zeros(panel.shape[0], dtype=complex)
     for block in sign_matrix_chunks(n):
         f_vals = (block * lc[None, :]) @ rho_at
@@ -378,7 +356,7 @@ def verify_norm_bound(seq: PointSequence, dual: DualSystem, s: float, p: float,
     q = exponent_from_split(s, p)
     coeffs = coeff_c(seq, s, p, norms, scales=dual.scales)
     w = rule.weights
-    rho_vals = dual_sample_matrix(dual, rule.nodes, norms)
+    rho_vals = dual.values(rule.nodes)
     kq_vals = normalized_kernel_rows(seq, q, rule.nodes, norms)
     prod_vals = rho_vals * kq_vals
 
@@ -452,7 +430,7 @@ def verify_norm_bound(seq: PointSequence, dual: DualSystem, s: float, p: float,
 
 
 def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
-                                  rule: QuadratureRule, norms) -> dict:
+                                  rule: QuadratureRule) -> dict:
     """Sign-averaged dual-sum bound for a dual system with p <= 2.
 
     Verifies the pointwise l^2 <= l^p comparison at every node, measures
@@ -466,7 +444,7 @@ def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
     lam = np.asarray(lam, dtype=complex)
     _check_contract(seq, dual, p)
     w = rule.weights
-    rho_vals = dual_sample_matrix(dual, rule.nodes, norms)
+    rho_vals = dual.values(rule.nodes)
     mom = sign_moments(rho_vals, lam, w, p)
 
     lp_nodes = np.sum((np.abs(lam)[:, None] * np.abs(rho_vals)) ** p, axis=0) ** (1.0 / p)
@@ -505,7 +483,7 @@ def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
 
 
 def dual_expectation_bound_infty(seq: PointSequence, inf_dual: DualSystem, p: float,
-                                 lam, rule: QuadratureRule, norms,
+                                 lam, rule: QuadratureRule, *,
                                  weak_d: float | None = None) -> dict:
     """Bounded-dual route: rho_{p,a} = rho_a k_{p,a} with an inf-dual.
 
@@ -521,7 +499,7 @@ def dual_expectation_bound_infty(seq: PointSequence, inf_dual: DualSystem, p: fl
     lam = np.asarray(lam, dtype=complex)
     _check_contract(seq, inf_dual, INF)
     w = rule.weights
-    rho_inf = dual_sample_matrix(inf_dual, rule.nodes, norms)
+    rho_inf = inf_dual.values(rule.nodes)
     per_point_sup = np.max(np.abs(rho_inf), axis=1)
     c_hat = float(np.max(per_point_sup))
 

@@ -3,7 +3,10 @@
 The kernel attached to an interior point a is 1/(1 - conj(a) z) on the
 disc, (1 - <z, a>)^(-2) on the ball of C^2, and the coordinate product of
 disc kernels on the bidisc.  Everything downstream (Carleson constants,
-dual systems, extension operators) consumes kernels through this module.
+dual systems, extension operators) consumes kernels through this module,
+and ``kernel_matrix`` is the only code that evaluates those formulas: it
+returns the (N, M) values of the kernels of N points at M points in one
+broadcast, and the single-point helpers are its one-row cases.
 
 Kernel norms are closed forms: ||k_a||_p^p is a hypergeometric value of
 |a|^2 (see ``NormCache``), summed with an explicit tail bound that every
@@ -86,25 +89,35 @@ def _point_key(a: np.ndarray) -> tuple:
     return tuple(complex(v) for v in np.atleast_1d(a))
 
 
-def kernel_values(a, zs: np.ndarray, dom: Domain) -> np.ndarray:
-    """k_a at an (M, n) array of points (interior or boundary)."""
-    a = dom.point(a)
+def kernel_matrix(points, zs: np.ndarray, dom: Domain) -> np.ndarray:
+    """(N, M) values k_a(z) for N interior points a and M points z.
+
+    ``zs`` is an (M, n) array of interior or boundary points (a flat array
+    is read as consecutive points).  This is the one place a kernel
+    formula is evaluated: one broadcast over (a, z) per domain.
+    """
+    ca = np.conj([dom.point(a) for a in points]).reshape(-1, dom.n)[:, None, :]
     zs = np.asarray(zs, dtype=complex)
     if zs.ndim == 1:
         zs = zs.reshape(-1, dom.n)
     if dom.kind == DISC:
-        denom = 1.0 - np.conj(a[0]) * zs[:, 0]
+        denom = 1.0 - ca[:, :, 0] * zs[None, :, 0]
         _check_branch(denom)
         return 1.0 / denom
     if dom.kind == BALL2:
-        denom = 1.0 - zs @ np.conj(a)
+        denom = 1.0 - (ca[:, :, 0] * zs[None, :, 0] + ca[:, :, 1] * zs[None, :, 1])
         _check_branch(denom)
         return denom**-2
-    denom1 = 1.0 - np.conj(a[0]) * zs[:, 0]
-    denom2 = 1.0 - np.conj(a[1]) * zs[:, 1]
+    denom1 = 1.0 - ca[:, :, 0] * zs[None, :, 0]
+    denom2 = 1.0 - ca[:, :, 1] * zs[None, :, 1]
     _check_branch(denom1)
     _check_branch(denom2)
     return 1.0 / (denom1 * denom2)
+
+
+def kernel_values(a, zs: np.ndarray, dom: Domain) -> np.ndarray:
+    """k_a at an (M, n) array of points: the one-row case of ``kernel_matrix``."""
+    return kernel_matrix([a], zs, dom)[0]
 
 
 def _check_branch(denom: np.ndarray) -> None:
@@ -432,115 +445,3 @@ def stein_weiss_weight_check(a, p: float, q: float, norms) -> tuple:
         raise InvariantViolation(
             f"weight comparison failed at {t.point}: {omega_interp} > {omega_direct}")
     return omega_interp, omega_direct
-
-
-# ---------------------------------------------------------------------------
-# finite symbolic kernel combinations
-
-
-@dataclass(frozen=True)
-class KernelFactor:
-    """(k_base)^power, optionally divided by ||k_base||_q^power."""
-
-    base: tuple
-    power: int = 1
-    normalized_at: float | None = None
-
-    def __post_init__(self):
-        if self.power < 1:
-            raise ParameterError("kernel factor powers must be positive integers")
-
-    def values(self, zs: np.ndarray, dom: Domain, norms=None) -> np.ndarray:
-        v = kernel_values(np.asarray(self.base, dtype=complex), zs, dom) ** self.power
-        if self.normalized_at is not None:
-            if norms is None:
-                raise DependencyError("normalized kernel factor needs a norm source")
-            v = v / norms.norm(np.asarray(self.base, dtype=complex), self.normalized_at) ** self.power
-        return v
-
-
-def _blaschke_factor_values(c: complex, zs: np.ndarray) -> np.ndarray:
-    if c == 0:
-        return -zs
-    return (abs(c) / c) * (c - zs) / (1.0 - np.conj(c) * zs)
-
-
-@dataclass(frozen=True)
-class BlaschkeFactor:
-    """Finite Blaschke product on the disc with the given zeros."""
-
-    zeros: tuple
-
-    def values(self, zs: np.ndarray, dom: Domain, norms=None) -> np.ndarray:
-        if dom.kind != DISC:
-            raise DomainError("Blaschke factors live on the disc")
-        zs = np.asarray(zs, dtype=complex)
-        z = zs[:, 0] if zs.ndim == 2 else np.atleast_1d(zs)
-        out = np.ones_like(z)
-        for c in self.zeros:
-            out = out * _blaschke_factor_values(complex(c), z)
-        return out
-
-
-class HoloExpr:
-    """Finite linear combination of products of kernel/Blaschke factors.
-
-    Terms are (coefficient, factor tuple); evaluation is linear in the
-    coefficients, and sums/products of expressions expand termwise.
-    """
-
-    def __init__(self, dom: Domain, terms):
-        self.domain = dom
-        self.terms = tuple((complex(c), tuple(fs)) for c, fs in terms)
-
-    @classmethod
-    def constant(cls, dom: Domain, c) -> "HoloExpr":
-        return cls(dom, [(complex(c), ())])
-
-    @classmethod
-    def kernel(cls, dom: Domain, a, power: int = 1, normalized_at: float | None = None,
-               coeff: complex = 1.0) -> "HoloExpr":
-        factor = KernelFactor(_point_key(dom.point(a)), power, normalized_at)
-        return cls(dom, [(complex(coeff), (factor,))])
-
-    def __add__(self, other: "HoloExpr") -> "HoloExpr":
-        if not isinstance(other, HoloExpr):
-            return NotImplemented
-        return HoloExpr(self.domain, self.terms + other.terms)
-
-    def __neg__(self) -> "HoloExpr":
-        return HoloExpr(self.domain, [(-c, fs) for c, fs in self.terms])
-
-    def __sub__(self, other: "HoloExpr") -> "HoloExpr":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, HoloExpr):
-            return HoloExpr(self.domain, [(c1 * c2, fs1 + fs2)
-                                          for c1, fs1 in self.terms
-                                          for c2, fs2 in other.terms])
-        return HoloExpr(self.domain, [(complex(other) * c, fs) for c, fs in self.terms])
-
-    __rmul__ = __mul__
-
-    def eval_many(self, zs: np.ndarray, norms=None) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        if zs.ndim == 1:
-            zs = zs.reshape(-1, self.domain.n)
-        out = np.zeros(zs.shape[0], dtype=complex)
-        cache: dict = {}
-        for coeff, factors in self.terms:
-            term = np.full(zs.shape[0], coeff, dtype=complex)
-            for f in factors:
-                if f not in cache:
-                    cache[f] = f.values(zs, self.domain, norms)
-                term = term * cache[f]
-            out += term
-        return out
-
-    def eval(self, z, norms=None) -> complex:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return complex(self.eval_many(z.reshape(1, -1), norms)[0])
-
-    def sample(self, rule: QuadratureRule, norms=None) -> BoundarySamples:
-        return BoundarySamples(self.eval_many(rule.nodes, norms), rule)

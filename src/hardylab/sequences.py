@@ -8,6 +8,12 @@ constructs dual systems (collocation in the kernel span, or closed-form
 Blaschke products on the disc) normalized so that rho_a(b) is
 delta_ab * ||k_b||_{p'} for finite p and delta_ab for p = inf.
 
+Kernels and duals are only ever needed as sample matrices: the kernels of
+a sequence at M points are one ``kernel_matrix`` call, and
+``DualSystem.values`` gives every rho_a at M points as one (N, M) array.
+A collocation dual records the condition number of its solve and the
+Tikhonov shift, if one was applied, in its report.
+
 Operator norms away from q = 2 are nonconvex; the estimates here are
 certified lower bounds from a duality-map power iteration with seeded
 restarts, and every report carries the maximizing certificate.
@@ -27,17 +33,8 @@ from .errors import (
     ParameterError,
     UnsupportedDomainError,
 )
-from .geometry import BALL2, DISC, Domain, QuadratureRule, lp_norm, seq_norm
-from .kernels import (
-    INF,
-    BlaschkeFactor,
-    HoloExpr,
-    KernelFactor,
-    conjugate_exponent,
-    kernel_samples,
-    kernel_values,
-    _point_key,
-)
+from .geometry import BALL2, DISC, BoundarySamples, Domain, QuadratureRule, lp_norm, seq_norm
+from .kernels import INF, conjugate_exponent, kernel_matrix, _point_key
 
 
 @dataclass(frozen=True)
@@ -192,13 +189,14 @@ class CarlesonReport:
 
 
 def normalized_kernel_matrix(seq: PointSequence, q: float, rule: QuadratureRule) -> np.ndarray:
-    """Columns k_{q,a} sampled on the rule, normalized on the rule itself."""
-    cols = []
-    for i in range(len(seq)):
-        vals = kernel_samples(seq[i], rule).values
-        norm = float(np.sum(rule.weights * np.abs(vals) ** q) ** (1.0 / q))
-        cols.append(vals / norm)
-    return np.column_stack(cols)
+    """(M, N) columns k_{q,a} sampled on the rule, normalized on the rule itself.
+
+    The result is the transpose of a row-major (N, M) array; the power
+    iteration runs faster on that column-major layout than on a copy.
+    """
+    K = kernel_matrix(seq.arrays(), rule.nodes, seq.domain)
+    norms = np.sum(rule.weights * np.abs(K) ** q, axis=1) ** (1.0 / q)
+    return (K / norms[:, None]).T
 
 
 def _weighted_lq(vals: np.ndarray, w: np.ndarray, q: float) -> float:
@@ -215,9 +213,14 @@ def _duality_map(x: np.ndarray, r: float) -> np.ndarray:
 
 def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter: int,
                         rtol: float = 1e-13):
-    """Best ratio ||A mu||_{L^q} / ||mu||_{l^q} over duality-map iterations."""
+    """Best ratio ||A mu||_{L^q} / ||mu||_{l^q} over duality-map iterations.
+
+    Returns (ratio, maximizer, most iterations of one restart, converged);
+    converged is False when some restart used up ``max_iter`` before its
+    relative progress fell below ``rtol``.
+    """
     qc = conjugate_exponent(q)
-    best_ratio, best_mu, used_iters = -np.inf, None, 0
+    best_ratio, best_mu, used_iters, converged = -np.inf, None, 0, True
     for start in starts:
         mu = np.asarray(start, dtype=complex)
         mu = mu / seq_norm(mu, q)
@@ -235,9 +238,11 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
             used_iters = max(used_iters, it + 1)
             if not progressed:
                 break
+        else:
+            converged = False
         if ratio > best_ratio:
             best_ratio, best_mu = ratio, mu
-    return best_ratio, best_mu, used_iters
+    return best_ratio, best_mu, used_iters, converged
 
 
 def _default_starts(n: int, restarts: int, seed: int, positive: bool = False):
@@ -260,9 +265,14 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
     q = 2 is solved exactly (up to the eigensolve) through the Gram matrix
     of the normalized kernels; q = 1 is attained at a coordinate vector;
     other q use the power iteration and give certified lower bounds.
+    ``method`` is "auto", "gram-spectral" (q = 2 only) or "power-iteration".
     """
     if q == INF or q < 1:
         raise ParameterError("carleson_constant needs 1 <= q < inf")
+    if method not in ("auto", "gram-spectral", "power-iteration"):
+        raise ParameterError(f"unknown Carleson method {method!r}")
+    if method == "gram-spectral" and q != 2:
+        raise ParameterError("the gram-spectral method needs q = 2")
     A = normalized_kernel_matrix(seq, q, rule)
     w = rule.weights
     n = len(seq)
@@ -272,7 +282,7 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
         return CarlesonReport(q=q, d_q=float(masses[i]), method="coordinate-extreme",
                               certificate=np.eye(n)[i].astype(complex),
                               details={"resolution": rule.resolution})
-    if q == 2 and method in ("auto", "gram-spectral"):
+    if q == 2 and method != "power-iteration":
         gram = A.conj().T @ (w[:, None] * A)
         try:
             evals, evecs = np.linalg.eigh(gram)
@@ -282,12 +292,12 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
         return CarlesonReport(q=q, d_q=float(np.sqrt(max(evals[top], 0.0))),
                               method="gram-spectral", certificate=evecs[:, top],
                               details={"resolution": rule.resolution})
-    ratio, mu, iters = _power_iteration_lq(A, w, q, _default_starts(n, restarts, seed),
-                                           max_iter)
+    ratio, mu, iters, converged = _power_iteration_lq(
+        A, w, q, _default_starts(n, restarts, seed), max_iter)
     return CarlesonReport(q=q, d_q=ratio, method="power-iteration",
                           certificate=mu,
-                          details={"restarts": restarts, "seed": seed,
-                                   "iterations": iters, "resolution": rule.resolution})
+                          details={"restarts": restarts, "seed": seed, "iterations": iters,
+                                   "converged": converged, "resolution": rule.resolution})
 
 
 def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
@@ -315,12 +325,12 @@ def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *
         return CarlesonReport(q=q, weak_d_q=float(masses[i]), method="column-mass",
                               certificate=np.eye(n)[i].astype(complex),
                               details={"resolution": rule.resolution})
-    ratio, t, iters = _power_iteration_lq(B, w, r, _default_starts(n, restarts, seed, positive=True),
-                                          max_iter)
+    ratio, t, iters, converged = _power_iteration_lq(
+        B, w, r, _default_starts(n, restarts, seed, positive=True), max_iter)
     return CarlesonReport(q=q, weak_d_q=ratio, method="power-iteration",
                           certificate=np.sqrt(np.abs(t)).astype(complex),
-                          details={"restarts": restarts, "seed": seed,
-                                   "iterations": iters, "resolution": rule.resolution})
+                          details={"restarts": restarts, "seed": seed, "iterations": iters,
+                                   "converged": converged, "resolution": rule.resolution})
 
 
 def weak_ratio_at(seq: PointSequence, q: float, mu, rule: QuadratureRule) -> float:
@@ -343,8 +353,10 @@ class DualSystem:
     """System {rho_a} with rho_a(b) = delta_ab * scale_b.
 
     ``scales`` is ||k_b||_{p'} for finite target exponents and 1 for the
-    p = inf convention.  Matrix-based systems store rho_a = sum_c X[a, c] k_c;
-    Blaschke systems are closed form and exact on the disc.
+    p = inf convention.  Matrix-based systems store rho_a = sum_c X[a, c] k_c
+    together with the condition number of the collocation matrix and the
+    Tikhonov shift added to it (0 when none was); Blaschke systems are
+    closed form and exact on the disc.
     """
 
     sequence: PointSequence
@@ -352,35 +364,27 @@ class DualSystem:
     method: str
     scales: np.ndarray
     coefficients: np.ndarray | None = None
+    condition: float | None = None
+    tikhonov_eps: float = 0.0
 
     @property
     def blaschke(self) -> bool:
         return self.coefficients is None
 
-    def rho_expr(self, i: int) -> HoloExpr:
-        dom = self.sequence.domain
+    def values(self, zs: np.ndarray) -> np.ndarray:
+        """(N, M) values rho_a(z) at an (M, n) array of points."""
+        pts = self.sequence.arrays()
         if not self.blaschke:
-            terms = [(self.coefficients[i, c], (KernelFactor(self.sequence.points[c]),))
-                     for c in range(len(self.sequence))]
-            return HoloExpr(dom, terms)
-        zeros = tuple(self.sequence.points[j][0] for j in range(len(self.sequence)) if j != i)
-        factor = BlaschkeFactor(zeros)
-        at_a = factor.values(self.sequence[i].reshape(1, -1), dom)[0] if zeros else 1.0
-        return HoloExpr(dom, [(self.scales[i] / at_a, (factor,))])
-
-    def rho_values(self, i: int, zs: np.ndarray, norms=None) -> np.ndarray:
-        return self.rho_expr(i).eval_many(zs, norms)
+            return self.coefficients @ kernel_matrix(pts, zs, self.sequence.domain)
+        zeros = pts[:, 0]
+        at_points = np.diag(_blaschke_others(zeros, zeros))
+        rows = _blaschke_others(zeros, np.asarray(zs, dtype=complex).reshape(-1))
+        return (self.scales / at_points)[:, None] * rows
 
     def delta_residual(self) -> float:
         """max_{a,b} |rho_a(b) - delta_ab scale_b| / scale_b."""
-        pts = self.sequence.arrays()
-        worst = 0.0
-        for i in range(len(self.sequence)):
-            vals = self.rho_values(i, pts)
-            target = np.zeros(len(self.sequence), dtype=complex)
-            target[i] = self.scales[i]
-            worst = max(worst, float(np.max(np.abs(vals - target) / self.scales)))
-        return worst
+        vals = self.values(self.sequence.arrays())
+        return float(np.max(np.abs(vals - np.diag(self.scales)) / self.scales))
 
     def to_json(self) -> dict:
         out = {
@@ -388,6 +392,8 @@ class DualSystem:
             "p": "inf" if self.p == INF else self.p,
             "scales": self.scales.tolist(),
             "sequence": self.sequence.to_json(),
+            "condition": self.condition,
+            "tikhonov_eps": self.tikhonov_eps,
         }
         if self.coefficients is not None:
             out["coefficients_re"] = self.coefficients.real.tolist()
@@ -395,21 +401,25 @@ class DualSystem:
         return out
 
 
+def _blaschke_others(zeros: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(N, M) products over b != a of the disc Blaschke factors with zero b, at z."""
+    c = zeros[:, None]
+    nonzero = c != 0
+    unit = np.ones_like(c)
+    unit[nonzero] = np.abs(c[nonzero]) / c[nonzero]
+    factors = unit * (c - z[None, :]) / (1.0 - np.conj(c) * z[None, :])
+    return np.array([np.prod(np.delete(factors, a, axis=0), axis=0) for a in range(len(zeros))])
+
+
 _COND_LIMIT = 1e12
 
 
-def _collocation_matrix(seq: PointSequence) -> np.ndarray:
+def _solve_dual(seq: PointSequence, scales: np.ndarray, tikhonov: bool) -> tuple:
+    """(X, condition, Tikhonov eps) for the collocation solve K X^T = diag(scales)."""
     pts = seq.arrays()
-    n = len(seq)
-    K = np.empty((n, n), dtype=complex)
-    for c in range(n):
-        K[:, c] = kernel_values(seq[c], pts, seq.domain)
-    return K
-
-
-def _solve_dual(seq: PointSequence, scales: np.ndarray, tikhonov: bool) -> np.ndarray:
-    K = _collocation_matrix(seq)
-    cond = np.linalg.cond(K)
+    K = kernel_matrix(pts, pts, seq.domain).T  # K[b, c] = k_c(b)
+    cond = float(np.linalg.cond(K))
+    eps = 0.0
     if cond > _COND_LIMIT:
         if not tikhonov:
             raise IllConditionedError(
@@ -423,14 +433,13 @@ def _solve_dual(seq: PointSequence, scales: np.ndarray, tikhonov: bool) -> np.nd
         X = np.linalg.solve(K, np.diag(scales.astype(complex))).T
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"dual system solve failed: {exc}") from exc
-    return X
+    return X, cond, eps
 
 
 def dual_system_gram(seq: PointSequence, norms, *, tikhonov: bool = False) -> DualSystem:
     """Minimal-norm dual system in span{k_c} for exponent 2."""
     scales = np.array([norms.norm(seq[i], 2.0) for i in range(len(seq))])
-    X = _solve_dual(seq, scales, tikhonov)
-    return DualSystem(seq, 2.0, "gram2", scales, X)
+    return DualSystem(seq, 2.0, "gram2", scales, *_solve_dual(seq, scales, tikhonov))
 
 
 def dual_system_collocation(seq: PointSequence, p: float, norms, *,
@@ -438,8 +447,7 @@ def dual_system_collocation(seq: PointSequence, p: float, norms, *,
     """Same collocation solve with right-hand side ||k_a||_{p'}."""
     pc = conjugate_exponent(p)
     scales = np.array([norms.norm(seq[i], pc) for i in range(len(seq))])
-    X = _solve_dual(seq, scales, tikhonov)
-    return DualSystem(seq, float(p), "collocation", scales, X)
+    return DualSystem(seq, float(p), "collocation", scales, *_solve_dual(seq, scales, tikhonov))
 
 
 def dual_system_blaschke(seq: PointSequence, p: float, norms=None) -> DualSystem:
@@ -461,10 +469,6 @@ def dual_system_blaschke(seq: PointSequence, p: float, norms=None) -> DualSystem
     return DualSystem(seq, float(p) if p != INF else INF, "blaschke", scales, None)
 
 
-def dual_bound(seq: PointSequence, p: float, dual: DualSystem, rule: QuadratureRule,
-               norms=None) -> float:
+def dual_bound(seq: PointSequence, p: float, dual: DualSystem, rule: QuadratureRule) -> float:
     """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf)."""
-    best = 0.0
-    for i in range(len(seq)):
-        best = max(best, lp_norm(dual.rho_expr(i).sample(rule, norms), p))
-    return best
+    return max(lp_norm(BoundarySamples(row, rule), p) for row in dual.values(rule.nodes))

@@ -64,6 +64,16 @@ def test_carleson_needs_seed_for_power_iteration(tmp_path):
                      "--seed", "3"]) == 0
 
 
+@pytest.mark.parametrize("method,q,seed", [("spectral", 2, None), ("gram-spectral", 4, 1)])
+def test_carleson_unknown_method_is_config_error(tmp_path, capsys, method, q, seed):
+    cfg = {"domain": "disc", "points": DISC_POINTS, "q": q, "method": method, "resolution": 256}
+    if seed is not None:
+        cfg["seed"] = seed
+    path = _write(tmp_path, "c.json", cfg)
+    assert cli.main(["carleson", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "method" in capsys.readouterr().err
+
+
 def test_dual_and_gleason_subcommands(tmp_path):
     cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
                                       "p": 2, "method": "gram2", "resolution": 256})

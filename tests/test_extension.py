@@ -85,7 +85,7 @@ def test_build_extension_trivial(disc, disc_rule, disc_norms):
     h, rep = hl.build_extension(seq, dual, np.array([1.0 + 0j]), 1.0, 2.0, disc_rule, disc_norms)
     assert rep.residuals[0] < 1e-12
     assert abs(rep.norm_ratio - 1.0) < 1e-10
-    assert abs(h.eval(np.array([0.3 + 0.3j]), disc_norms) - 1.0) < 1e-10
+    assert abs(h(np.array([0.3 + 0.3j]))[0] - 1.0) < 1e-10
 
 
 def test_build_extension_two_points_end_to_end(disc, disc_rule, disc_norms):
@@ -110,7 +110,7 @@ def test_build_extension_two_points_end_to_end(disc, disc_rule, disc_norms):
         return np.sum(nu * c * rho * kq)
 
     for z in (np.array([0.25 + 0.1j]), np.array([0.0 + 0j]), np.array([-0.7j])):
-        assert abs(h.eval(z, disc_norms) - oracle(z)) < 1e-12
+        assert abs(h(z)[0] - oracle(z)) < 1e-12
 
 
 def test_extension_linearity(disc, disc_rule, disc_norms):
@@ -124,11 +124,9 @@ def test_extension_linearity(disc, disc_rule, disc_norms):
     h12, _ = hl.build_extension(seq, dual, nu1 + nu2, 1.0, 2.0, disc_rule, disc_norms)
     hc, _ = hl.build_extension(seq, dual, (2.0 - 1.0j) * nu1, 1.0, 2.0, disc_rule, disc_norms)
     pts = hl.interior_panel(disc, 20, 42)
-    scale = np.max(np.abs(h1.eval_many(pts, disc_norms))) + np.max(np.abs(h2.eval_many(pts, disc_norms)))
-    add_gap = np.max(np.abs(h12.eval_many(pts, disc_norms)
-                            - h1.eval_many(pts, disc_norms) - h2.eval_many(pts, disc_norms)))
-    hom_gap = np.max(np.abs(hc.eval_many(pts, disc_norms)
-                            - (2.0 - 1.0j) * h1.eval_many(pts, disc_norms)))
+    scale = np.max(np.abs(h1(pts))) + np.max(np.abs(h2(pts)))
+    add_gap = np.max(np.abs(h12(pts) - h1(pts) - h2(pts)))
+    hom_gap = np.max(np.abs(hc(pts) - (2.0 - 1.0j) * h1(pts)))
     assert add_gap < 1e-10 * scale
     assert hom_gap < 1e-10 * scale
 
@@ -177,8 +175,8 @@ def test_randomized_factorization_single_point(disc, disc_rule, disc_norms):
     assert rep["max_pointwise_error"] < 1e-12
     # f g is independent of the sign for one point
     z = np.array([0.2 + 0.2j])
-    up = f_of(np.array([1.0])).eval(z, disc_norms) * g_of(np.array([1.0])).eval(z, disc_norms)
-    dn = f_of(np.array([-1.0])).eval(z, disc_norms) * g_of(np.array([-1.0])).eval(z, disc_norms)
+    up = f_of(np.array([1.0]))(z)[0] * g_of(np.array([1.0]))(z)[0]
+    dn = f_of(np.array([-1.0]))(z)[0] * g_of(np.array([-1.0]))(z)[0]
     assert abs(up - dn) < 1e-13
 
 
@@ -196,8 +194,8 @@ def test_randomized_factorization_two_points(disc, disc_rule, disc_norms):
     for e1 in (-1.0, 1.0):
         for e2 in (-1.0, 1.0):
             eps = np.array([e1, e2])
-            acc += f_of(eps).eval(z, disc_norms) * g_of(eps).eval(z, disc_norms)
-    assert abs(acc / 4.0 - h.eval(z, disc_norms)) < 1e-12
+            acc += f_of(eps)(z)[0] * g_of(eps)(z)[0]
+    assert abs(acc / 4.0 - h(z)[0]) < 1e-12
 
 
 def test_verify_norm_bound_trivial(disc, disc_rule, disc_norms):
@@ -239,15 +237,15 @@ def test_verify_norm_bound_inf_route(disc, disc_rule, disc_norms):
 def test_p_le_2_bound_single_point(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5)
     dual = hl.dual_system_collocation(seq, 1.5, disc_norms)
-    out = hl.dual_expectation_bound_p_le_2(seq, dual, np.array([2.0]), disc_rule, disc_norms)
-    rho_p = hl.lp_norm(dual.rho_expr(0).sample(disc_rule, disc_norms), 1.5) ** 1.5
+    out = hl.dual_expectation_bound_p_le_2(seq, dual, np.array([2.0]), disc_rule)
+    rho_p = hl.lp_norm(hl.BoundarySamples(dual.values(disc_rule.nodes)[0], disc_rule), 1.5) ** 1.5
     assert abs(out["ratio"] - rho_p) < 1e-10 * rho_p
 
 
 def test_p2_orthogonality_identity(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system_gram(seq, disc_norms)
-    out = hl.dual_expectation_bound_p_le_2(seq, dual, np.array([1.0, 0.5j]), disc_rule, disc_norms)
+    out = hl.dual_expectation_bound_p_le_2(seq, dual, np.array([1.0, 0.5j]), disc_rule)
     assert out["orthogonality_gap"] < 1e-10
 
 
@@ -255,7 +253,7 @@ def test_p_1_5_bound_and_pointwise(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system_collocation(seq, 1.5, disc_norms)
     out = hl.dual_expectation_bound_p_le_2(seq, dual, np.array([1.0, 1.0 + 0.5j]),
-                                           disc_rule, disc_norms)
+                                           disc_rule)
     assert out["pointwise_ok"]
     assert out["ratio"] <= out["bound"] * (1.0 + 1e-8)
 
@@ -264,21 +262,21 @@ def test_p_le_2_rejects_large_p(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5, -0.5)
     dual = hl.dual_system_collocation(seq, 4.0, disc_norms)
     with pytest.raises(hl.ParameterError):
-        hl.dual_expectation_bound_p_le_2(seq, dual, np.ones(2), disc_rule, disc_norms)
+        hl.dual_expectation_bound_p_le_2(seq, dual, np.ones(2), disc_rule)
 
 
 def test_type_p_examples(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.6, -0.6)
     dual2 = hl.dual_system_gram(seq, disc_norms)
-    out = hl.dual_expectation_bound_p_le_2(seq, dual2, np.array([1.0, 1.0j]), disc_rule, disc_norms)
+    out = hl.dual_expectation_bound_p_le_2(seq, dual2, np.array([1.0, 1.0j]), disc_rule)
     assert abs(out["type_p_ratio"] - 1.0) < 1e-10
     single = _seq(disc, 0.4)
     duals = hl.dual_system_collocation(single, 1.5, disc_norms)
-    outs = hl.dual_expectation_bound_p_le_2(single, duals, np.array([1.5]), disc_rule, disc_norms)
+    outs = hl.dual_expectation_bound_p_le_2(single, duals, np.array([1.5]), disc_rule)
     assert abs(outs["type_p_ratio"] - 1.0) < 1e-10
     dual15 = hl.dual_system_collocation(seq, 1.5, disc_norms)
     out15 = hl.dual_expectation_bound_p_le_2(seq, dual15, np.array([1.0, 1.0 + 0.5j]),
-                                             disc_rule, disc_norms)
+                                             disc_rule)
     assert np.isfinite(out15["type_p_ratio"]) and out15["type_p_ratio"] > 0
 
 
@@ -286,7 +284,7 @@ def test_inf_route_two_points(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0, 0.5)
     dinf = hl.dual_system_blaschke(seq, np.inf)
     out = hl.dual_expectation_bound_infty(seq, dinf, 2.0, np.array([1.0, 1.0]),
-                                          disc_rule, disc_norms)
+                                          disc_rule)
     assert abs(out["sup_rho_inf"] - 2.0) < 1e-12
     assert out["ratio"] <= out["budget"] * (1.0 + 1e-8)
 
@@ -295,17 +293,17 @@ def test_inf_route_validation(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0, 0.5)
     with pytest.raises(hl.ContractError):
         hl.dual_expectation_bound_infty(seq, hl.dual_system_gram(seq, disc_norms), 2.0,
-                                        np.ones(2), disc_rule, disc_norms)
+                                        np.ones(2), disc_rule)
     dinf = hl.dual_system_blaschke(seq, np.inf)
     with pytest.raises(hl.ParameterError):
-        hl.dual_expectation_bound_infty(seq, dinf, 1.5, np.ones(2), disc_rule, disc_norms)
+        hl.dual_expectation_bound_infty(seq, dinf, 1.5, np.ones(2), disc_rule)
 
 
 def test_inf_route_coefficient_length_is_shape_error(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0, 0.5, 0.8j)
     dinf = hl.dual_system_blaschke(seq, np.inf)
     with pytest.raises(hl.ShapeError):
-        hl.dual_expectation_bound_infty(seq, dinf, 2.0, np.ones(2), disc_rule, disc_norms)
+        hl.dual_expectation_bound_infty(seq, dinf, 2.0, np.ones(2), disc_rule)
 
 
 def test_interior_panel_inside(disc, ball, bidisc):

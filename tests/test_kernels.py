@@ -23,6 +23,51 @@ def test_kernel_eval_boundary_point_rejected(disc):
         hl.kernel_eval(np.array([1.0]), np.array([0.0]), disc)
 
 
+def _kernel_oracle(kind, a, z):
+    """k_a(z) written out with Python complex arithmetic."""
+    a, z = [complex(v) for v in a], [complex(v) for v in z]
+    if kind == "disc":
+        return 1.0 / (1.0 - a[0].conjugate() * z[0])
+    if kind == "ball2":
+        return (1.0 - a[0].conjugate() * z[0] - a[1].conjugate() * z[1]) ** -2
+    return 1.0 / ((1.0 - a[0].conjugate() * z[0]) * (1.0 - a[1].conjugate() * z[1]))
+
+
+def _polar_points(kind, raw):
+    pts = []
+    for r1, r2, t1, t2, psi in raw:
+        if kind == "disc":
+            pts.append([r1 * np.exp(1j * t1)])
+        elif kind == "ball2":
+            pts.append([r1 * np.cos(psi) * np.exp(1j * t1), r1 * np.sin(psi) * np.exp(1j * t2)])
+        else:
+            pts.append([r1 * np.exp(1j * t1), r2 * np.exp(1j * t2)])
+    return np.array(pts)
+
+
+def _polar(rmax, max_size):
+    angle = st.floats(0.0, 2.0 * np.pi)
+    return st.lists(st.tuples(st.floats(0.0, rmax), st.floats(0.0, rmax), angle, angle,
+                              st.floats(0.0, np.pi / 2)), min_size=1, max_size=max_size)
+
+
+@pytest.mark.parametrize("kind", ["disc", "ball2", "bidisc"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a_raw=_polar(0.99, 4), z_raw=_polar(1.0, 5))
+def test_kernel_matrix_matches_kernel_eval(kind, a_raw, z_raw):
+    dom = hl.Domain(kind)
+    A, Z = _polar_points(kind, a_raw), _polar_points(kind, z_raw)
+    K = hl.kernel_matrix(A, Z, dom)
+    assert K.shape == (len(A), len(Z))
+    single = np.array([[hl.kernel_eval(a, z, dom) for z in Z] for a in A])
+    oracle = np.array([[_kernel_oracle(kind, a, z) for z in Z] for a in A])
+    if kind == "ball2":
+        assert np.max(np.abs(K - single) / np.abs(single)) <= 1e-14
+    else:
+        assert np.array_equal(K, single)
+    assert np.max(np.abs(K - oracle) / np.abs(oracle)) <= 1e-12
+
+
 def test_branch_check_outside_closed_domain(disc):
     with pytest.raises(hl.DomainError):
         hl.kernel_values(np.array([0.9]), np.array([[1.2 + 0j]]), disc)
@@ -248,41 +293,12 @@ def test_stein_weiss_weights(disc, disc_norms, ball_norms):
         hl.stein_weiss_weight_check(np.array([0.5 + 0j]), 4.0, 2.0, disc_norms)
 
 
-def test_holo_expr_algebra(disc, disc_rule, disc_norms):
-    k1 = hl.HoloExpr.kernel(disc, np.array([0.5 + 0j]))
-    k2 = hl.HoloExpr.kernel(disc, np.array([-0.3j]), normalized_at=2.0)
-    expr = 2.0 * k1 + k2 * k1 - hl.HoloExpr.constant(disc, 1.0)
-    z = np.array([0.2 + 0.1j])
-    want = (2.0 * hl.kernel_eval(np.array([0.5 + 0j]), z, disc)
-            + hl.kernel_eval(np.array([-0.3j]), z, disc)
-            / disc_norms.norm(np.array([-0.3j]), 2.0)
-            * hl.kernel_eval(np.array([0.5 + 0j]), z, disc) - 1.0)
-    assert abs(expr.eval(z, disc_norms) - want) < 1e-13
-    samples = expr.sample(disc_rule, disc_norms)
-    direct = expr.eval_many(disc_rule.nodes, disc_norms)
-    assert np.max(np.abs(samples.values - direct)) == 0.0
-
-
-def test_holo_expr_linearity_in_coefficients(disc, disc_norms):
-    a = np.array([0.4 + 0j])
-    zs = np.array([[0.1 + 0.2j], [0.5j], [-0.6 + 0j]])
-    e1 = hl.HoloExpr.kernel(disc, a, coeff=1.0)
-    e3 = hl.HoloExpr.kernel(disc, a, coeff=3.0)
-    assert np.max(np.abs(3.0 * e1.eval_many(zs) - e3.eval_many(zs))) < 1e-14
-
-
 def test_blaschke_factor_unimodular_on_boundary(disc, disc_rule):
-    factor = hl.BlaschkeFactor((0.5 + 0j, -0.2j, 0.0))
-    vals = factor.values(disc_rule.nodes, disc)
-    assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
-    with pytest.raises(hl.DomainError):
-        factor.values(np.array([[0.1, 0.1]]), hl.Domain(hl.BALL2))
-
-
-def test_normalized_factor_requires_norms(disc):
-    expr = hl.HoloExpr.kernel(disc, np.array([0.5 + 0j]), normalized_at=2.0)
-    with pytest.raises(hl.DependencyError):
-        expr.eval(np.array([0.1 + 0j]))
+    # each Blaschke dual function is a constant times a finite Blaschke
+    # product, so its modulus is constant on the circle
+    seq = hl.PointSequence.create(disc, [0.5, -0.2j, 0.0, 0.7 + 0.1j])
+    rho = np.abs(hl.dual_system_blaschke(seq, np.inf).values(disc_rule.nodes))
+    assert np.max(np.abs(rho / rho[:, :1] - 1.0)) < 1e-12
 
 
 def test_sh_constants_json(disc, disc_norms):

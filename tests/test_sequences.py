@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
 
@@ -138,6 +139,20 @@ def test_carleson_parameter_errors(disc_rule):
         hl.weak_carleson_constant(seq, 1.5, disc_rule)
 
 
+@pytest.mark.parametrize("method,q", [("spectral", 2.0), ("gram_spectral", 2.0),
+                                      ("bogus", 2.0), ("gram-spectral", 4.0)])
+def test_carleson_rejects_unknown_method(disc_rule, method, q):
+    with pytest.raises(hl.ParameterError):
+        hl.carleson_constant(_disc_seq(0.5, -0.3j), q, disc_rule, method=method)
+
+
+def test_power_iteration_reports_convergence(disc_rule):
+    seq = _disc_seq(0.5, -0.3j, 0.6j)
+    for estimate in (hl.carleson_constant, hl.weak_carleson_constant):
+        assert estimate(seq, 4.0, disc_rule, seed=0, max_iter=1).details["converged"] is False
+        assert estimate(seq, 4.0, disc_rule, seed=0).details["converged"] is True
+
+
 def test_weak_carleson_q2_is_contractive(disc_rule):
     for pts in ([0.5], [0.9, -0.9], [0.3, 0.6j, -0.7]):
         rep = hl.weak_carleson_constant(_disc_seq(*pts), 2.0, disc_rule)
@@ -178,8 +193,8 @@ def test_dual_system_gram_two_point_oracle(disc, disc_norms):
     K = np.array([[1.0, 1.0], [1.0, 4.0 / 3.0]])
     x0 = np.linalg.solve(K, np.array([disc_norms.norm(np.zeros(1), 2.0), 0.0]))
     assert np.allclose(dual.coefficients[0], x0, atol=1e-12)
-    assert abs(dual.rho_values(0, np.array([[0.5 + 0j]]))[0]) < 1e-12
-    assert abs(dual.rho_values(0, np.array([[0.0 + 0j]]))[0] - 1.0) < 1e-12
+    assert abs(dual.values(np.array([[0.5 + 0j]]))[0, 0]) < 1e-12
+    assert abs(dual.values(np.array([[0.0 + 0j]]))[0, 0] - 1.0) < 1e-12
     assert dual.delta_residual() < 1e-12
 
 
@@ -187,7 +202,7 @@ def test_dual_single_point(disc, disc_norms, disc_rule):
     seq = _disc_seq(0.4)
     dual = hl.dual_system_gram(seq, disc_norms)
     assert dual.delta_residual() < 1e-12
-    assert abs(hl.dual_bound(seq, 2.0, dual, disc_rule, disc_norms) - 1.0) < 1e-9
+    assert abs(hl.dual_bound(seq, 2.0, dual, disc_rule) - 1.0) < 1e-9
 
 
 def test_dual_collocation(disc, disc_norms):
@@ -205,10 +220,9 @@ def test_dual_collocation(disc, disc_norms):
 def test_dual_blaschke(disc, disc_norms, disc_rule):
     single = _disc_seq(0.5)
     dual = hl.dual_system_blaschke(single, 4.0, disc_norms)
-    expr = dual.rho_expr(0)
     # empty product: constant ||k_a||_{p'}
     want = disc_norms.norm(np.array([0.5 + 0j]), 4.0 / 3.0)
-    assert abs(expr.eval(np.array([0.2j])) - want) < 1e-12
+    assert abs(dual.values(np.array([0.2j]))[0, 0] - want) < 1e-12
 
     seq = _disc_seq(0.0, 0.5)
     dinf = hl.dual_system_blaschke(seq, np.inf)
@@ -226,7 +240,7 @@ def test_dual_bound_well_separated(disc, disc_norms, disc_rule):
     # so ||rho_a||_p = ||k_a||_{p'} / |B_a(a)| = max kernel norm up to eps
     seq = _disc_seq(0.9, -0.9)  # gleason distance 1.8/1.81
     dual = hl.dual_system_blaschke(seq, 2.0, disc_norms)
-    bound = hl.dual_bound(seq, 2.0, dual, disc_rule, disc_norms)
+    bound = hl.dual_bound(seq, 2.0, dual, disc_rule)
     reference = max(disc_norms.norm(seq[i], 2.0) for i in range(2))
     assert reference <= bound <= reference * (1.81 / 1.80) * (1.0 + 1e-10)
 
@@ -240,6 +254,10 @@ def test_ill_conditioned_dual(disc, disc_norms):
         dual = hl.dual_system_gram(seq, disc_norms, tikhonov=True)
     assert any("Tikhonov" in str(w.message) for w in caught)
     assert dual.delta_residual() < 1.0  # re-measured, reported, large but finite
+    data = dual.to_json()
+    assert data["tikhonov_eps"] > 0 and data["condition"] > 1e12
+    well = hl.dual_system_gram(_disc_seq(0.5, -0.5), disc_norms).to_json()
+    assert well["tikhonov_eps"] == 0.0 and 1.0 <= well["condition"] < 1e12
 
 
 def test_dual_system_json(disc, disc_norms):
@@ -248,3 +266,39 @@ def test_dual_system_json(disc, disc_norms):
     data = dual.to_json()
     assert data["method"] == "gram2"
     assert len(data["coefficients_re"]) == 2
+    assert hl.dual_system_blaschke(seq, np.inf).to_json()["condition"] is None
+
+
+_DUALS = [("disc", "gram2"), ("disc", "collocation"), ("disc", "blaschke"),
+          ("ball2", "gram2"), ("ball2", "collocation"),
+          ("bidisc", "gram2"), ("bidisc", "collocation")]
+
+
+def _separated_points(dom, n, seed, sep=0.3):
+    """Up to n seeded interior points, pairwise Gleason distance >= sep."""
+    pts = []
+    for z in hl.interior_panel(dom, 50, seed, rmax=0.85):
+        if all(hl.gleason_distance(z, w, dom) >= sep for w in pts):
+            pts.append(z)
+        if len(pts) == n:
+            break
+    return hl.PointSequence.create(dom, pts)
+
+
+@pytest.mark.parametrize("kind,method", _DUALS)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       p=st.sampled_from([1.5, 4.0, np.inf]))
+def test_dual_values_delta_property(kind, method, seed, n, p):
+    dom = hl.Domain(kind)
+    seq = _separated_points(dom, n, seed)
+    norms = hl.NormCache(dom)
+    if method == "gram2":
+        dual = hl.dual_system_gram(seq, norms)
+    elif method == "collocation":
+        dual = hl.dual_system_collocation(seq, p, norms)
+    else:
+        dual = hl.dual_system_blaschke(seq, p, norms)
+    vals = dual.values(seq.arrays())
+    assert vals.shape == (len(seq), len(seq))
+    assert np.max(np.abs(vals - np.diag(dual.scales)) / dual.scales) < 1e-9
