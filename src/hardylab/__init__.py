@@ -27,7 +27,6 @@ from .geometry import (
     Domain,
     QuadratureRule,
     build_quadrature,
-    domain,
     inner_product,
     integrate,
     lp_norm,
@@ -63,6 +62,7 @@ from .sequences import (
     carleson_constant,
     carleson_window_constant,
     dual_bound,
+    dual_system,
     dual_system_blaschke,
     dual_system_collocation,
     dual_system_gram,

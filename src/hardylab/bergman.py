@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, UnsupportedDomainError
+from .errors import ParameterError, UnsupportedDomainError
 from .geometry import BALL2, BoundarySamples, Domain, QuadratureRule, build_quadrature, lp_norm
 from .kernels import INF, NormCache, conjugate_exponent, kernel_samples, kernel_values
-from .sequences import PointSequence, dual_system_collocation, dual_system_gram
+from .sequences import PointSequence, dual_system
 from .extension import build_extension
 
 
@@ -62,10 +62,6 @@ class BergmanSpec:
     @property
     def lift_dimension(self) -> int:
         """Complex dimension of the Hardy lift target, n + k + 1."""
-        return self.n + self.weight + 1
-
-    @property
-    def kernel_exponent(self) -> int:
         return self.n + self.weight + 1
 
 
@@ -135,7 +131,7 @@ def bergman_kernel_eval(a, z, p: float, spec: BergmanSpec) -> complex:
         raise ParameterError(f"points need {spec.n} coordinate(s)")
     if np.linalg.norm(a) >= 1.0:
         raise ParameterError("the base point must be interior")
-    m = spec.kernel_exponent
+    m = spec.lift_dimension
     pc = conjugate_exponent(p)
     exponent = 0.0 if pc == INF else m / pc
     pairing = complex(np.sum(z * np.conj(a)))
@@ -161,7 +157,7 @@ def kernel_norm_link_residual(a: complex, p: float, spec: BergmanSpec,
 
 
 def bergman_extension(points, nu, s: float, p: float, spec: BergmanSpec, *,
-                      rule: QuadratureRule | None = None, norms: NormCache | None = None,
+                      rule: QuadratureRule | None = None,
                       dual_method: str = "collocation") -> tuple:
     """Extend a Bergman target by running the Hardy pipeline on {(a, 0)}.
 
@@ -172,21 +168,13 @@ def bergman_extension(points, nu, s: float, p: float, spec: BergmanSpec, *,
     """
     if spec.n != 1 or spec.weight != 0:
         raise UnsupportedDomainError("the extension pipeline lifts into the ball of C^2 only")
-    if dual_method not in ("collocation", "gram2"):
-        raise ParameterError("dual_method must be 'collocation' or 'gram2'")
     ball = Domain(BALL2)
     if rule is None:
         rule = build_quadrature(ball, 16, angular=64)
-    if norms is None:
-        norms = NormCache(ball)
     embedded = PointSequence.create(ball, [(complex(a), 0.0) for a in np.atleast_1d(points)])
-    if dual_method == "gram2":
-        if p != 2:
-            raise ContractError("the gram2 dual targets exponent 2")
-        dual = dual_system_gram(embedded, norms)
-    else:
-        dual = dual_system_collocation(embedded, p, norms)
-    h, report = build_extension(embedded, dual, nu, s, p, rule, norms)
+    norms = NormCache(ball)
+    dual = dual_system(embedded, p, dual_method, norms)
+    h, report = build_extension(dual, nu, s, rule, norms)
     U = restrict(h)
     h_norm = report.details["h_norm"]
     u_norm = bergman_norm(U, s, spec)

@@ -22,10 +22,13 @@ import numpy as np
 from . import bergman as bergman_mod
 from . import extension as ext
 from . import geometry, kernels, sequences, signs
-from .errors import HardyLabError, ParameterError, exit_code_for
+from .errors import HardyLabError, InvariantViolation, ParameterError, exit_code_for
 
 SUBCOMMANDS = ("norms", "sh", "carleson", "dual", "gleason", "extend",
                "khintchine", "bergman", "report")
+
+# largest delta residual max |rho_a(b) - delta_ab scale_b| / scale_b a run accepts
+_DELTA_LIMIT = 1e-8
 
 
 def _parse_exponent(v):
@@ -69,6 +72,16 @@ def _need_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ParameterError("this subcommand is stochastic: an explicit 'seed' is required")
     return int(cfg["seed"])
+
+
+def _delta_residual(dual: sequences.DualSystem) -> float:
+    """The dual's delta residual; past ``_DELTA_LIMIT`` the dual is broken (exit 5)."""
+    residual = dual.delta_residual()
+    if residual > _DELTA_LIMIT:
+        raise InvariantViolation(
+            f"dual delta residual {residual:.3e} exceeds {_DELTA_LIMIT:.0e} "
+            f"(condition {dual.condition}, tikhonov_eps {dual.tikhonov_eps})")
+    return residual
 
 
 def _scan_grid(cfg: dict, dom: geometry.Domain):
@@ -125,23 +138,16 @@ def _run_carleson(cfg: dict):
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
     q = _parse_exponent(cfg.get("q", 2.0))
-    method = cfg.get("method", "auto")
-    kwargs = {}
-    if method == "power-iteration" or (q not in (1.0, 2.0)):
-        kwargs = {"restarts": int(cfg.get("restarts", 32)), "seed": _need_seed(cfg)}
-    report = sequences.carleson_constant(seq, q, rule, method=method, **kwargs)
+    seed = cfg.get("seed")
+    kwargs = {"restarts": int(cfg.get("restarts", 32)), "seed": None if seed is None else int(seed)}
+    report = sequences.carleson_constant(seq, q, rule, method=cfg.get("method", "auto"), **kwargs)
     out = {"carleson": report.to_json()}
     if q >= 2 and cfg.get("weak", True):
-        wkwargs = {}
-        if q != 2.0:
-            wkwargs = {"restarts": int(cfg.get("restarts", 32)), "seed": _need_seed(cfg)}
-        out["weak"] = sequences.weak_carleson_constant(seq, q, rule, **wkwargs).to_json()
+        out["weak"] = sequences.weak_carleson_constant(seq, q, rule, **kwargs).to_json()
     if cfg.get("remark_2q", False):
         # side-by-side estimators for the q-Carleson vs weakly-2q-Carleson
         # comparison; the ratio is reported, never asserted
-        wkwargs = {} if 2.0 * q == 2.0 else {"restarts": int(cfg.get("restarts", 32)),
-                                             "seed": _need_seed(cfg)}
-        weak2q = sequences.weak_carleson_constant(seq, 2.0 * q, rule, **wkwargs)
+        weak2q = sequences.weak_carleson_constant(seq, 2.0 * q, rule, **kwargs)
         out["weak_2q"] = weak2q.to_json()
         if report.d_q:
             out["remark_ratio_weak2q_over_dq"] = weak2q.weak_d_q / report.d_q
@@ -154,18 +160,11 @@ def _run_dual(cfg: dict):
     rule = _rule(cfg, dom)
     cache = kernels.NormCache(dom)
     p = _parse_exponent(cfg.get("p", 2.0))
-    method = cfg.get("method", "gram2")
-    if method == "gram2":
-        dual = sequences.dual_system_gram(seq, cache, tikhonov=bool(cfg.get("tikhonov", False)))
-    elif method == "collocation":
-        dual = sequences.dual_system_collocation(seq, p, cache, tikhonov=bool(cfg.get("tikhonov", False)))
-    elif method == "blaschke":
-        dual = sequences.dual_system_blaschke(seq, p, cache)
-    else:
-        raise ParameterError(f"unknown dual method {method!r}")
+    dual = sequences.dual_system(seq, p, cfg.get("method", "gram2"), cache,
+                                 tikhonov=bool(cfg.get("tikhonov", False)))
     out = dual.to_json()
-    out["delta_residual"] = dual.delta_residual()
-    out["dual_bound"] = sequences.dual_bound(seq, dual.p, dual, rule)
+    out["delta_residual"] = _delta_residual(dual)
+    out["dual_bound"] = sequences.dual_bound(dual, rule)
     return {"dual": out, "engine": cache.report()}, None
 
 
@@ -200,24 +199,17 @@ def _run_extend(cfg: dict):
     p = _parse_exponent(cfg.get("p", 2.0))
     kernels.exponent_from_split(s, p)  # validates the identity at parse time
     seed = _need_seed(cfg)
-    method = cfg.get("dual_method", "gram2")
-    if method == "gram2":
-        dual = sequences.dual_system_gram(seq, cache)
-    elif method == "collocation":
-        dual = sequences.dual_system_collocation(seq, p, cache)
-    elif method == "blaschke":
-        dual = sequences.dual_system_blaschke(seq, p, cache if p != np.inf else None)
-    else:
-        raise ParameterError(f"unknown dual method {method!r}")
+    dual = sequences.dual_system(seq, p, cfg.get("dual_method", "gram2"), cache)
+    delta_residual = _delta_residual(dual)
     nu = np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
                      for v in cfg.get("target", [1.0] * len(seq))])
-    _, rep = ext.build_extension(seq, dual, nu, s, p, rule, cache)
-    bound_rep = ext.verify_norm_bound(seq, dual, s, p, rule, cache,
+    _, rep = ext.build_extension(dual, nu, s, rule, cache)
+    bound_rep = ext.verify_norm_bound(dual, s, rule, cache,
                                       batch=int(cfg.get("batch", 64)), seed=seed)
     rep.ci_estimate = bound_rep.ci_estimate
     rep.constant_budget = bound_rep.constant_budget
     rep.details["verification"] = bound_rep.details
-    rep.details["dual_delta_residual"] = dual.delta_residual()
+    rep.details["dual_delta_residual"] = delta_residual
     rows = [[i, r] for i, r in enumerate(rep.residuals)]
     return {"extension": rep.to_json(), "engine": cache.report()}, rows
 

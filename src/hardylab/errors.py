@@ -27,7 +27,7 @@ class UnsupportedDomainError(ParameterError):
 
 
 class ContractError(ParameterError):
-    """Inconsistent objects passed together (wrong dual exponent, etc.)."""
+    """A dual system of the wrong kind for the route (finite p where sup-norm is needed)."""
 
 
 class DependencyError(HardyLabError):

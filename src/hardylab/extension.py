@@ -1,7 +1,7 @@
 """Linear extension of finite interpolation targets.
 
-Given a dual system {rho_a} for exponent p and a target nu in l^s with
-s < p, the extension is
+Every step takes a dual system {rho_a}, which fixes the points a and the
+exponent p.  For a target nu in l^s with s < p, the extension is
 
     h = sum_a nu_a c_a rho_a k_{q,a},      1/s = 1/p + 1/q,
 
@@ -42,6 +42,11 @@ from .sequences import DualSystem, PointSequence, normalized_kernel_matrix
 from .signs import EXACT_CAP, sign_matrix_chunks, sign_moments
 
 _CHAIN_SLACK = 1e-8
+
+# the fixed panel on which randomized_factorization checks h = E[f g]
+_PANEL_INTERIOR = 20
+_PANEL_BOUNDARY = 20
+_PANEL_SEED = 2024
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +131,16 @@ class ExtensionCoeffs:
         }
 
 
-def coeff_c(seq: PointSequence, s: float, p: float, norms, q: float | None = None,
-            scales=None, alpha_hat: float | None = None,
-            beta_hat: float | None = None) -> ExtensionCoeffs:
-    """c_a = ||k_a||_{s'} ||k_a||_q / (scale_a k_a(a)), scale_a = ||k_a||_{p'} by default.
+def coeff_c(dual: DualSystem, s: float, norms) -> ExtensionCoeffs:
+    """c_a = ||k_a||_{s'} ||k_a||_q / (scale_a k_a(a)) with the dual's scales, 1/s = 1/p + 1/q.
 
-    The hypothesis extrema are evaluated at the sequence points themselves
-    (optionally merged with externally scanned values), so the recorded
-    budget genuinely dominates the coefficients it is compared against.
+    The hypothesis extrema are evaluated at the sequence points themselves,
+    so the recorded budget genuinely dominates the coefficients it is
+    compared against.
     """
-    q_expected = exponent_from_split(s, p)
-    if q is None:
-        q = q_expected
-    elif abs(1.0 / q - 1.0 / q_expected) > 1e-12:
-        raise ContractError(f"q = {q} inconsistent with 1/s = 1/p + 1/q (expected {q_expected})")
-    sc, pc, qc = conjugate_exponent(s), conjugate_exponent(p), conjugate_exponent(q)
+    seq = dual.sequence
+    q = exponent_from_split(s, dual.p)
+    sc, pc, qc = conjugate_exponent(s), conjugate_exponent(dual.p), conjugate_exponent(q)
     n = len(seq)
     values = np.empty(n)
     paper = np.empty(n)
@@ -151,14 +151,11 @@ def coeff_c(seq: PointSequence, s: float, p: float, norms, q: float | None = Non
         diag = kernel_diag(a, seq.domain)
         if diag <= 0:
             raise ParameterError("kernel diagonal must be positive")
-        scale = t.norm(pc) if scales is None else float(scales[i])
-        values[i] = t.norm(sc) * t.norm(q) / (scale * diag)
+        values[i] = t.norm(sc) * t.norm(q) / (dual.scales[i] * diag)
         paper[i] = t.norm(sc) * t.norm(q) / (t.norm(pc) * diag)
         ratios_q.append(t.norm(2.0) ** 2 / (t.norm(q) * t.norm(qc)))
         ratios_ps.append(t.norm(sc) / (t.norm(pc) * t.norm(qc)))
-    a_hat = min(ratios_q) if alpha_hat is None else min(alpha_hat, min(ratios_q))
-    b_hat = max(ratios_ps) if beta_hat is None else max(beta_hat, max(ratios_ps))
-    return ExtensionCoeffs(values, paper, a_hat, b_hat)
+    return ExtensionCoeffs(values, paper, min(ratios_q), max(ratios_ps))
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +187,6 @@ class ExtensionReport:
 
 # ---------------------------------------------------------------------------
 # sample-matrix helpers
-
-
-def _check_contract(seq: PointSequence, dual: DualSystem, p: float) -> None:
-    if dual.sequence.points != seq.points:
-        raise ContractError("dual system was built for a different sequence")
-    if not ((dual.p == INF and p == INF) or (dual.p != INF and p != INF and abs(dual.p - p) < 1e-12)):
-        raise ContractError(f"dual system targets exponent {dual.p}, not {p}")
 
 
 def normalized_kernel_rows(seq: PointSequence, q: float, zs: np.ndarray, norms) -> np.ndarray:
@@ -231,8 +221,7 @@ def _weighted_power_sum(vals: np.ndarray, w: np.ndarray, p: float) -> np.ndarray
 # the extension itself
 
 
-def build_extension(seq: PointSequence, dual: DualSystem, nu, s: float, p: float,
-                    rule: QuadratureRule, norms) -> tuple:
+def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule, norms) -> tuple:
     """h = sum_a nu_a c_a rho_a k_{q,a} plus its interpolation report.
 
     h is a vectorized evaluator zs (M, n) -> (M,) that holds on to ``norms``.
@@ -240,12 +229,12 @@ def build_extension(seq: PointSequence, dual: DualSystem, nu, s: float, p: float
     delta residual; the report carries per-point residuals and the ratio
     ||h||_s / ||nu||_s measured on the rule.
     """
-    _check_contract(seq, dual, p)
+    seq, p = dual.sequence, dual.p
     q = exponent_from_split(s, p)
     nu = np.asarray(nu, dtype=complex)
     if nu.shape != (len(seq),):
         raise ParameterError("one target value per sequence point is required")
-    coeffs = coeff_c(seq, s, p, norms, scales=dual.scales)
+    coeffs = coeff_c(dual, s, norms)
     sc = conjugate_exponent(s)
     target_scale = np.array([norms.norm(seq[i], sc) for i in range(len(seq))])
 
@@ -280,21 +269,22 @@ def build_extension(seq: PointSequence, dual: DualSystem, nu, s: float, p: float
     return h, report
 
 
-def randomized_factorization(seq: PointSequence, dual: DualSystem, split: SplitData,
-                             rule: QuadratureRule, norms, n_interior: int = 20,
-                             n_boundary: int = 20, panel_seed: int = 2024) -> tuple:
+def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRule,
+                             norms) -> tuple:
     """Builders for f(eps), g(eps) and the identity check h = E[f g].
 
-    f_of(eps) and g_of(eps) return vectorized evaluators zs (M, n) -> (M,).
-    The identity is exact because E[eps_j eps_k] = delta_jk kills every
-    cross term; it is verified pointwise on a fixed panel of interior and
-    boundary points by full enumeration (N <= 20).
+    nu is split along 1/s = 1/p + 1/q with the dual's exponent p.  f_of(eps)
+    and g_of(eps) return vectorized evaluators zs (M, n) -> (M,).  The
+    identity is exact because E[eps_j eps_k] = delta_jk kills every cross
+    term; it is verified pointwise on a fixed panel of interior and boundary
+    points by full enumeration (N <= 20).
     """
-    _check_contract(seq, dual, split.p)
+    seq = dual.sequence
     n = len(seq)
     if n > EXACT_CAP:
         raise CapacityError(f"exact factorization check capped at {EXACT_CAP} points")
-    coeffs = coeff_c(seq, split.s, split.p, norms, scales=dual.scales)
+    split = split_target(nu, s, dual.p)
+    coeffs = coeff_c(dual, s, norms)
     q = split.q
     lc = split.lam * coeffs.values
 
@@ -307,8 +297,8 @@ def randomized_factorization(seq: PointSequence, dual: DualSystem, split: SplitD
         return lambda zs: w @ normalized_kernel_rows(seq, q, zs, norms)
 
     panel = np.vstack([
-        interior_panel(seq.domain, n_interior, panel_seed),
-        rule.nodes[np.linspace(0, len(rule) - 1, n_boundary, dtype=int)],
+        interior_panel(seq.domain, _PANEL_INTERIOR, _PANEL_SEED),
+        rule.nodes[np.linspace(0, len(rule) - 1, _PANEL_BOUNDARY, dtype=int)],
     ])
     rho_at = dual.values(panel)
     kq_at = normalized_kernel_rows(seq, q, panel, norms)
@@ -325,14 +315,13 @@ def randomized_factorization(seq: PointSequence, dual: DualSystem, split: SplitD
     report = {
         "max_pointwise_error": float(err),
         "panel_size": int(panel.shape[0]),
-        "panel_seed": panel_seed,
+        "panel_seed": _PANEL_SEED,
     }
     return f_of, g_of, report
 
 
-def verify_norm_bound(seq: PointSequence, dual: DualSystem, s: float, p: float,
-                      rule: QuadratureRule, norms, batch: int = 64,
-                      seed: int | None = None) -> ExtensionReport:
+def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule, norms,
+                      batch: int = 64, seed: int | None = None) -> ExtensionReport:
     """Estimate the operator norm from below and bound it from above.
 
     Every coordinate unit vector plus ``batch`` seeded random targets on
@@ -351,10 +340,10 @@ def verify_norm_bound(seq: PointSequence, dual: DualSystem, s: float, p: float,
         raise ParameterError("verify_norm_bound needs an explicit seed")
     if batch < 1:
         raise ParameterError("batch must be at least 1")
-    _check_contract(seq, dual, p)
+    seq, p = dual.sequence, dual.p
     n = len(seq)
     q = exponent_from_split(s, p)
-    coeffs = coeff_c(seq, s, p, norms, scales=dual.scales)
+    coeffs = coeff_c(dual, s, norms)
     w = rule.weights
     rho_vals = dual.values(rule.nodes)
     kq_vals = normalized_kernel_rows(seq, q, rule.nodes, norms)
@@ -429,8 +418,7 @@ def verify_norm_bound(seq: PointSequence, dual: DualSystem, s: float, p: float,
 # expectation bounds for the two dual routes
 
 
-def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
-                                  rule: QuadratureRule) -> dict:
+def dual_expectation_bound_p_le_2(dual: DualSystem, lam, rule: QuadratureRule) -> dict:
     """Sign-averaged dual-sum bound for a dual system with p <= 2.
 
     Verifies the pointwise l^2 <= l^p comparison at every node, measures
@@ -442,7 +430,6 @@ def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
     if p == INF or not (1.0 <= p <= 2.0):
         raise ParameterError("this route needs a dual system with 1 <= p <= 2")
     lam = np.asarray(lam, dtype=complex)
-    _check_contract(seq, dual, p)
     w = rule.weights
     rho_vals = dual.values(rule.nodes)
     mom = sign_moments(rho_vals, lam, w, p)
@@ -482,8 +469,7 @@ def dual_expectation_bound_p_le_2(seq: PointSequence, dual: DualSystem, lam,
     return out
 
 
-def dual_expectation_bound_infty(seq: PointSequence, inf_dual: DualSystem, p: float,
-                                 lam, rule: QuadratureRule, *,
+def dual_expectation_bound_infty(inf_dual: DualSystem, p: float, lam, rule: QuadratureRule, *,
                                  weak_d: float | None = None) -> dict:
     """Bounded-dual route: rho_{p,a} = rho_a k_{p,a} with an inf-dual.
 
@@ -497,14 +483,13 @@ def dual_expectation_bound_infty(seq: PointSequence, inf_dual: DualSystem, p: fl
     if p == INF or p < 2.0:
         raise ParameterError("the squared-modulus step needs a finite p >= 2")
     lam = np.asarray(lam, dtype=complex)
-    _check_contract(seq, inf_dual, INF)
     w = rule.weights
     rho_inf = inf_dual.values(rule.nodes)
     per_point_sup = np.max(np.abs(rho_inf), axis=1)
     c_hat = float(np.max(per_point_sup))
 
     # rule-consistent normalization keeps ||k_{p,a}||_p = 1 exactly here
-    kp = normalized_kernel_matrix(seq, p, rule).T
+    kp = normalized_kernel_matrix(inf_dual.sequence, p, rule).T
     rho_p = rho_inf * kp
 
     rho_p_norms = _weighted_power_sum(rho_p, w, p) ** (1.0 / p)

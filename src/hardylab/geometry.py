@@ -57,10 +57,6 @@ class Domain:
         return bool(np.linalg.norm(pt) < 1.0)
 
 
-def domain(kind: str) -> Domain:
-    return Domain(kind)
-
-
 def _circle_nodes(m: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(m) / m
     return np.exp(1j * theta)

@@ -245,7 +245,15 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
     return best_ratio, best_mu, used_iters, converged
 
 
-def _default_starts(n: int, restarts: int, seed: int, positive: bool = False):
+def _heaviest_column(masses: np.ndarray) -> tuple:
+    """(mass, e_i) of the first column within 1e-12 relative of the heaviest (ties are rounding)."""
+    i = int(np.flatnonzero(masses >= np.max(masses) * (1.0 - 1e-12))[0])
+    return float(masses[i]), np.eye(len(masses))[i].astype(complex)
+
+
+def _default_starts(n: int, restarts: int, seed: int | None, positive: bool = False):
+    if seed is None:
+        raise ParameterError("the power iteration is stochastic: an explicit seed is required")
     starts = [np.ones(n)]
     starts.extend(np.eye(n)[i] for i in range(n))
     rng = np.random.default_rng(seed)
@@ -258,13 +266,13 @@ def _default_starts(n: int, restarts: int, seed: int, positive: bool = False):
 
 
 def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
-                      method: str = "auto", restarts: int = 32, seed: int = 0,
+                      method: str = "auto", restarts: int = 32, seed: int | None = None,
                       max_iter: int = 5000) -> CarlesonReport:
     """Least D with ||sum mu_a k_{q,a}||_q <= D ||mu||_q, at desk scale.
 
     q = 2 is solved exactly (up to the eigensolve) through the Gram matrix
     of the normalized kernels; q = 1 is attained at a coordinate vector;
-    other q use the power iteration and give certified lower bounds.
+    other q use the seeded power iteration and give certified lower bounds.
     ``method`` is "auto", "gram-spectral" (q = 2 only) or "power-iteration".
     """
     if q == INF or q < 1:
@@ -277,10 +285,8 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
     w = rule.weights
     n = len(seq)
     if q == 1:
-        masses = np.sum(w[:, None] * np.abs(A), axis=0)
-        i = int(np.argmax(masses))
-        return CarlesonReport(q=q, d_q=float(masses[i]), method="coordinate-extreme",
-                              certificate=np.eye(n)[i].astype(complex),
+        mass, cert = _heaviest_column(np.sum(w[:, None] * np.abs(A), axis=0))
+        return CarlesonReport(q=q, d_q=mass, method="coordinate-extreme", certificate=cert,
                               details={"resolution": rule.resolution})
     if q == 2 and method != "power-iteration":
         gram = A.conj().T @ (w[:, None] * A)
@@ -301,14 +307,14 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
 
 
 def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
-                           restarts: int = 32, seed: int = 0,
+                           restarts: int = 32, seed: int | None = None,
                            max_iter: int = 5000) -> CarlesonReport:
     """Least D with ||sum |mu_a|^2 |k_{q,a}|^2||_{q/2} <= D ||mu||_q^2.
 
     Only |mu_a|^2 enters, so the search runs over nonnegative t on the
     l^{q/2} sphere.  q = 2 is exact: positivity makes the L^1 norm of the
     sum additive, so the best constant is the largest column mass (1 by
-    normalization).
+    normalization).  Other q run the power iteration, which needs a ``seed``.
     """
     if q < 2:
         raise ParameterError("weak Carleson constants need q >= 2")
@@ -318,12 +324,10 @@ def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *
     r = q / 2.0
     n = len(seq)
     if q == 2:
-        masses = B.T @ w
-        i = int(np.argmax(masses))
-        if masses[i] > 1.0 + 1e-10:
-            raise InvariantViolation(f"weak 2-Carleson mass exceeded 1: {masses[i]}")
-        return CarlesonReport(q=q, weak_d_q=float(masses[i]), method="column-mass",
-                              certificate=np.eye(n)[i].astype(complex),
+        mass, cert = _heaviest_column(B.T @ w)
+        if mass > 1.0 + 1e-10:
+            raise InvariantViolation(f"weak 2-Carleson mass exceeded 1: {mass}")
+        return CarlesonReport(q=q, weak_d_q=mass, method="column-mass", certificate=cert,
                               details={"resolution": rule.resolution})
     ratio, t, iters, converged = _power_iteration_lq(
         B, w, r, _default_starts(n, restarts, seed, positive=True), max_iter)
@@ -469,6 +473,20 @@ def dual_system_blaschke(seq: PointSequence, p: float, norms=None) -> DualSystem
     return DualSystem(seq, float(p) if p != INF else INF, "blaschke", scales, None)
 
 
-def dual_bound(seq: PointSequence, p: float, dual: DualSystem, rule: QuadratureRule) -> float:
+def dual_system(seq: PointSequence, p: float, method: str, norms, *,
+                tikhonov: bool = False) -> DualSystem:
+    """The "gram2" (p = 2 only), "collocation" or "blaschke" dual system for exponent p."""
+    if method == "gram2":
+        if p != 2:
+            raise ParameterError(f"the gram2 dual targets exponent 2, not {p}")
+        return dual_system_gram(seq, norms, tikhonov=tikhonov)
+    if method == "collocation":
+        return dual_system_collocation(seq, p, norms, tikhonov=tikhonov)
+    if method == "blaschke":
+        return dual_system_blaschke(seq, p, norms)
+    raise ParameterError(f"unknown dual method {method!r}")
+
+
+def dual_bound(dual: DualSystem, rule: QuadratureRule) -> float:
     """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf)."""
-    return max(lp_norm(BoundarySamples(row, rule), p) for row in dual.values(rule.nodes))
+    return max(lp_norm(BoundarySamples(row, rule), dual.p) for row in dual.values(rule.nodes))

@@ -51,6 +51,24 @@ def bidisc_norms(bidisc):
     return hl.NormCache(bidisc)
 
 
+# (domain, dual method) pairs: Gram and collocation duals everywhere,
+# Blaschke duals on the disc only
+DUAL_CASES = [("disc", "gram2"), ("disc", "collocation"), ("disc", "blaschke"),
+              ("ball2", "gram2"), ("ball2", "collocation"),
+              ("bidisc", "gram2"), ("bidisc", "collocation")]
+
+
+def separated_points(dom, n, seed, sep=0.3):
+    """Up to n seeded interior points, pairwise Gleason distance >= sep."""
+    pts = []
+    for z in hl.interior_panel(dom, 50, seed, rmax=0.85):
+        if all(hl.gleason_distance(z, w, dom) >= sep for w in pts):
+            pts.append(z)
+        if len(pts) == n:
+            break
+    return hl.PointSequence.create(dom, pts)
+
+
 def sphere_moment(alpha1: int, alpha2: int) -> float:
     """Oracle: integral over the unit sphere of C^2 of |z1|^(2 a1) |z2|^(2 a2).
 

@@ -136,12 +136,12 @@ def test_criterion_05_extension_correctness():
     dual = hl.dual_system_gram(seq, cache)
     rng = np.random.default_rng(55)
     nu = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    h, rep = hl.build_extension(seq, dual, nu, 1.0, 2.0, rule, cache)
+    h, rep = hl.build_extension(dual, nu, 1.0, rule, cache)
 
     nu2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    h2, _ = hl.build_extension(seq, dual, nu2, 1.0, 2.0, rule, cache)
-    h12, _ = hl.build_extension(seq, dual, nu + nu2, 1.0, 2.0, rule, cache)
-    hs, _ = hl.build_extension(seq, dual, (1.5 - 0.5j) * nu, 1.0, 2.0, rule, cache)
+    h2, _ = hl.build_extension(dual, nu2, 1.0, rule, cache)
+    h12, _ = hl.build_extension(dual, nu + nu2, 1.0, rule, cache)
+    hs, _ = hl.build_extension(dual, (1.5 - 0.5j) * nu, 1.0, rule, cache)
     panel = hl.interior_panel(disc, 20, 99)
     v1, v2 = h(panel), h2(panel)
     scale = np.max(np.abs(v1)) + np.max(np.abs(v2))
@@ -149,7 +149,7 @@ def test_criterion_05_extension_correctness():
     hom_gap = np.max(np.abs(hs(panel) - (1.5 - 0.5j) * v1)) / scale
 
     # the Hoelder chain is asserted inside verify_norm_bound at slack 1e-8
-    vrep = hl.verify_norm_bound(seq, dual, 1.0, 2.0, rule, cache, batch=16, seed=5)
+    vrep = hl.verify_norm_bound(dual, 1.0, rule, cache, batch=16, seed=5)
     elapsed = time.perf_counter() - t0
     _criterion(5, "extension correctness", [
         (min_sep >= 0.5, f"gleason separation {min_sep:.3f} >= 0.5"),
@@ -171,9 +171,7 @@ def test_criterion_06_factorization_identity():
     dual = hl.dual_system_gram(seq, cache)
     rng = np.random.default_rng(6)
     nu = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    split = hl.split_target(nu, 1.0, 2.0)
-    _, _, rep = hl.randomized_factorization(seq, dual, split, rule, cache,
-                                            n_interior=20, n_boundary=20)
+    _, _, rep = hl.randomized_factorization(dual, nu, 1.0, rule, cache)
     _criterion(6, "randomized factorization identity", [
         (rep["max_pointwise_error"] < 1e-10,
          f"N=10, 40 points, max relative error {rep['max_pointwise_error']:.2e}"),
@@ -256,10 +254,9 @@ def test_criterion_09_p_le_2_expectation_bound():
     cache = hl.NormCache(disc)
     seq = hl.PointSequence.create(disc, [0.6, -0.6])
     dual2 = hl.dual_system_gram(seq, cache)
-    out2 = hl.dual_expectation_bound_p_le_2(seq, dual2, np.array([1.0, 0.5j]), rule)
+    out2 = hl.dual_expectation_bound_p_le_2(dual2, np.array([1.0, 0.5j]), rule)
     dual15 = hl.dual_system_collocation(seq, 1.5, cache)
-    out15 = hl.dual_expectation_bound_p_le_2(seq, dual15, np.array([1.0, 1.0 + 0.5j]),
-                                             rule)
+    out15 = hl.dual_expectation_bound_p_le_2(dual15, np.array([1.0, 1.0 + 0.5j]), rule)
     _criterion(9, "p <= 2 expectation bound", [
         (out2["orthogonality_gap"] < 1e-10, f"p=2 orthogonality gap {out2['orthogonality_gap']:.2e}"),
         (out15["pointwise_ok"], "p=1.5 pointwise l2 <= lp at every node"),
@@ -274,8 +271,8 @@ def test_criterion_10_inf_route():
     seq = hl.PointSequence.create(disc, [0.0, 0.5, 0.8j])
     dinf = hl.dual_system_blaschke(seq, np.inf)
     weak = hl.weak_carleson_constant(seq, 2.0, rule)
-    out = hl.dual_expectation_bound_infty(seq, dinf, 2.0, np.array([1.0, 1.0, 1.0]),
-                                          rule, weak_d=weak.weak_d_q)
+    out = hl.dual_expectation_bound_infty(dinf, 2.0, np.array([1.0, 1.0, 1.0]), rule,
+                                          weak_d=weak.weak_d_q)
     kp = hl.normalized_kernel_matrix(seq, 2.0, rule)
     norm_gap = 0.0
     rho = dinf.values(rule.nodes)

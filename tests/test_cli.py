@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hardylab import cli
-from hardylab.errors import EXIT_CAPACITY, EXIT_CONFIG, EXIT_NUMERIC
+from hardylab.errors import EXIT_CAPACITY, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERIC
 
 
 def _write(tmp_path, name, cfg):
@@ -64,7 +64,8 @@ def test_carleson_needs_seed_for_power_iteration(tmp_path):
                      "--seed", "3"]) == 0
 
 
-@pytest.mark.parametrize("method,q,seed", [("spectral", 2, None), ("gram-spectral", 4, 1)])
+@pytest.mark.parametrize("method,q,seed", [("spectral", 2, None), ("gram-spectral", 4, 1),
+                                           ("spectral", 4, None)])
 def test_carleson_unknown_method_is_config_error(tmp_path, capsys, method, q, seed):
     cfg = {"domain": "disc", "points": DISC_POINTS, "q": q, "method": method, "resolution": 256}
     if seed is not None:
@@ -84,6 +85,31 @@ def test_dual_and_gleason_subcommands(tmp_path):
     rep = _load(tmp_path / "o", "gleason")
     assert "window_constant" in rep["results"]
     assert rep["results"]["product_delta"] > 0
+
+
+@pytest.mark.parametrize("sub", ["dual", "extend"])
+def test_gram2_needs_p2(tmp_path, capsys, sub):
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS, "p": 4, "s": 1,
+                                      "method": "gram2", "dual_method": "gram2",
+                                      "seed": 1, "resolution": 256})
+    assert cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "gram2" in capsys.readouterr().err
+
+
+# two duals whose delta property is broken: a Tikhonov-regularized pair 1e-9
+# apart (condition 1.7e16) and an unregularized pair 1e-7 apart near the
+# boundary (condition 1.6e11, below the regularization threshold)
+@pytest.mark.parametrize("sub,cfg", [
+    ("dual", {"points": [[0.5, 0.0], [0.5 + 1e-9, 0.0]], "tikhonov": True}),
+    ("dual", {"points": [[0.99, 0.0], [0.99, 1e-7]]}),
+    ("extend", {"points": [[0.99, 0.0], [0.99, 1e-7]], "s": 1, "seed": 1, "batch": 2}),
+], ids=["dual-tikhonov", "dual-near-pair", "extend-near-pair"])
+def test_broken_delta_property_is_invariant_violation(tmp_path, capsys, sub, cfg):
+    path = _write(tmp_path, "c.json", {"domain": "disc", "p": 2, "resolution": 256, **cfg})
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "delta residual" in err and "condition" in err and "tikhonov_eps" in err
+    assert not (tmp_path / "o" / f"{sub}.json").exists()
 
 
 def test_extend_subcommand_and_csv(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
+from conftest import DUAL_CASES, separated_points
 
 
 def _seq(disc, *pts):
@@ -52,10 +54,14 @@ def test_split_validation():
 # coefficients
 
 
+def _gram(disc_norms, seq):
+    return hl.dual_system_gram(seq, disc_norms)
+
+
 def test_coeff_examples(disc, disc_norms):
-    co0 = hl.coeff_c(_seq(disc, 0.0), 1.0, 2.0, disc_norms)
+    co0 = hl.coeff_c(_gram(disc_norms, _seq(disc, 0.0)), 1.0, disc_norms)
     assert abs(co0.values[0] - 1.0) < 1e-10
-    co = hl.coeff_c(_seq(disc, 0.5), 1.0, 2.0, disc_norms)
+    co = hl.coeff_c(_gram(disc_norms, _seq(disc, 0.5)), 1.0, disc_norms)
     # closed form: ||k||_inf / k_a(a) = (1 / 0.5) / (4/3)
     assert abs(co.values[0] - 1.5) < 1e-10
     assert co.within_budget
@@ -64,15 +70,10 @@ def test_coeff_examples(disc, disc_norms):
 def test_coeff_positivity_and_budget(disc, disc_norms):
     rng = np.random.default_rng(2)
     pts = (0.9 * rng.uniform(0.05, 1.0, 5) * np.exp(2j * np.pi * rng.uniform(size=5))).tolist()
-    co = hl.coeff_c(hl.PointSequence.create(disc, pts), 1.0, 2.0, disc_norms)
+    co = hl.coeff_c(_gram(disc_norms, hl.PointSequence.create(disc, pts)), 1.0, disc_norms)
     assert np.all(co.values > 0)
     assert co.within_budget
     assert co.budget >= 1.0 - 1e-10
-
-
-def test_coeff_q_mismatch(disc, disc_norms):
-    with pytest.raises(hl.ContractError):
-        hl.coeff_c(_seq(disc, 0.5), 1.0, 2.0, disc_norms, q=3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def test_coeff_q_mismatch(disc, disc_norms):
 def test_build_extension_trivial(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0)
     dual = hl.dual_system_gram(seq, disc_norms)
-    h, rep = hl.build_extension(seq, dual, np.array([1.0 + 0j]), 1.0, 2.0, disc_rule, disc_norms)
+    h, rep = hl.build_extension(dual, np.array([1.0 + 0j]), 1.0, disc_rule, disc_norms)
     assert rep.residuals[0] < 1e-12
     assert abs(rep.norm_ratio - 1.0) < 1e-10
     assert abs(h(np.array([0.3 + 0.3j]))[0] - 1.0) < 1e-10
@@ -93,7 +94,7 @@ def test_build_extension_two_points_end_to_end(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5, -0.5)
     dual = hl.dual_system_gram(seq, disc_norms)
     nu = np.array([1.0, 1.0], dtype=complex)
-    h, rep = hl.build_extension(seq, dual, nu, 1.0, 2.0, disc_rule, disc_norms)
+    h, rep = hl.build_extension(dual, nu, 1.0, disc_rule, disc_norms)
     assert rep.max_rel_residual < 1e-8
 
     K = np.array([[hl.kernel_eval(np.array([b]), np.array([a]), disc)
@@ -119,10 +120,10 @@ def test_extension_linearity(disc, disc_rule, disc_norms):
     rng = np.random.default_rng(7)
     nu1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     nu2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    h1, _ = hl.build_extension(seq, dual, nu1, 1.0, 2.0, disc_rule, disc_norms)
-    h2, _ = hl.build_extension(seq, dual, nu2, 1.0, 2.0, disc_rule, disc_norms)
-    h12, _ = hl.build_extension(seq, dual, nu1 + nu2, 1.0, 2.0, disc_rule, disc_norms)
-    hc, _ = hl.build_extension(seq, dual, (2.0 - 1.0j) * nu1, 1.0, 2.0, disc_rule, disc_norms)
+    h1, _ = hl.build_extension(dual, nu1, 1.0, disc_rule, disc_norms)
+    h2, _ = hl.build_extension(dual, nu2, 1.0, disc_rule, disc_norms)
+    h12, _ = hl.build_extension(dual, nu1 + nu2, 1.0, disc_rule, disc_norms)
+    hc, _ = hl.build_extension(dual, (2.0 - 1.0j) * nu1, 1.0, disc_rule, disc_norms)
     pts = hl.interior_panel(disc, 20, 42)
     scale = np.max(np.abs(h1(pts))) + np.max(np.abs(h2(pts)))
     add_gap = np.max(np.abs(h12(pts) - h1(pts) - h2(pts)))
@@ -139,27 +140,16 @@ def test_extension_residual_scales_with_dual_defect(disc, disc_rule, disc_norms)
     for eps in (1e-6, 2e-6):
         perturbed = hl.DualSystem(seq, 2.0, "gram2", dual.scales,
                                   dual.coefficients + eps * np.eye(2))
-        _, rep = hl.build_extension(seq, perturbed, nu, 1.0, 2.0, disc_rule, disc_norms)
+        _, rep = hl.build_extension(perturbed, nu, 1.0, disc_rule, disc_norms)
         gaps.append(rep.max_rel_residual)
     assert 1.7 < gaps[1] / gaps[0] < 2.3
-
-
-def test_build_extension_contract_errors(disc, disc_rule, disc_norms):
-    seq = _seq(disc, 0.5, -0.5)
-    other = _seq(disc, 0.4, -0.4)
-    dual = hl.dual_system_gram(other, disc_norms)
-    with pytest.raises(hl.ContractError):
-        hl.build_extension(seq, dual, np.ones(2, dtype=complex), 1.0, 2.0, disc_rule, disc_norms)
-    dual2 = hl.dual_system_gram(seq, disc_norms)
-    with pytest.raises(hl.ContractError):
-        hl.build_extension(seq, dual2, np.ones(2, dtype=complex), 1.0, 4.0, disc_rule, disc_norms)
 
 
 def test_build_extension_blaschke_inf_dual(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0, 0.5)
     dual = hl.dual_system_blaschke(seq, np.inf)
     nu = np.array([1.0, -0.5j])
-    h, rep = hl.build_extension(seq, dual, nu, 1.0, np.inf, disc_rule, disc_norms)
+    h, rep = hl.build_extension(dual, nu, 1.0, disc_rule, disc_norms)
     assert rep.max_rel_residual < 1e-10
 
 
@@ -170,8 +160,8 @@ def test_build_extension_blaschke_inf_dual(disc, disc_rule, disc_norms):
 def test_randomized_factorization_single_point(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5)
     dual = hl.dual_system_gram(seq, disc_norms)
-    split = hl.split_target(np.array([2.0 - 1.0j]), 1.0, 2.0)
-    f_of, g_of, rep = hl.randomized_factorization(seq, dual, split, disc_rule, disc_norms)
+    f_of, g_of, rep = hl.randomized_factorization(dual, np.array([2.0 - 1.0j]), 1.0, disc_rule,
+                                                  disc_norms)
     assert rep["max_pointwise_error"] < 1e-12
     # f g is independent of the sign for one point
     z = np.array([0.2 + 0.2j])
@@ -184,11 +174,10 @@ def test_randomized_factorization_two_points(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5, -0.5)
     dual = hl.dual_system_gram(seq, disc_norms)
     nu = np.array([1.0, 1.0], dtype=complex)
-    split = hl.split_target(nu, 1.0, 2.0)
-    f_of, g_of, rep = hl.randomized_factorization(seq, dual, split, disc_rule, disc_norms)
+    f_of, g_of, rep = hl.randomized_factorization(dual, nu, 1.0, disc_rule, disc_norms)
     assert rep["max_pointwise_error"] < 1e-10
     # direct enumeration over the four patterns at a fresh point
-    h, _ = hl.build_extension(seq, dual, nu, 1.0, 2.0, disc_rule, disc_norms)
+    h, _ = hl.build_extension(dual, nu, 1.0, disc_rule, disc_norms)
     z = np.array([0.1 - 0.4j])
     acc = 0.0
     for e1 in (-1.0, 1.0):
@@ -201,7 +190,7 @@ def test_randomized_factorization_two_points(disc, disc_rule, disc_norms):
 def test_verify_norm_bound_trivial(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0)
     dual = hl.dual_system_gram(seq, disc_norms)
-    rep = hl.verify_norm_bound(seq, dual, 1.0, 2.0, disc_rule, disc_norms, batch=4, seed=0)
+    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=4, seed=0)
     assert abs(rep.ci_estimate - 1.0) < 1e-10
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-10)
 
@@ -209,7 +198,7 @@ def test_verify_norm_bound_trivial(disc, disc_rule, disc_norms):
 def test_verify_norm_bound_antipodal(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.9, -0.9)
     dual = hl.dual_system_gram(seq, disc_norms)
-    rep = hl.verify_norm_bound(seq, dual, 1.0, 2.0, disc_rule, disc_norms, batch=16, seed=5)
+    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=16, seed=5)
     assert np.isfinite(rep.ci_estimate) and rep.ci_estimate >= 1.0 - 1e-9
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-8)
     assert rep.details["worst_chain_margin"] >= -1e-12
@@ -219,13 +208,13 @@ def test_verify_norm_bound_needs_seed(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5)
     dual = hl.dual_system_gram(seq, disc_norms)
     with pytest.raises(hl.ParameterError):
-        hl.verify_norm_bound(seq, dual, 1.0, 2.0, disc_rule, disc_norms, batch=4)
+        hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=4)
 
 
 def test_verify_norm_bound_inf_route(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0, 0.5)
     dual = hl.dual_system_blaschke(seq, np.inf)
-    rep = hl.verify_norm_bound(seq, dual, 1.0, np.inf, disc_rule, disc_norms, batch=8, seed=2)
+    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=8, seed=2)
     assert rep.ci_estimate >= 1.0 - 1e-9
     assert rep.constant_budget is None  # budget is assembled for p <= 2 only
 
@@ -237,7 +226,7 @@ def test_verify_norm_bound_inf_route(disc, disc_rule, disc_norms):
 def test_p_le_2_bound_single_point(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5)
     dual = hl.dual_system_collocation(seq, 1.5, disc_norms)
-    out = hl.dual_expectation_bound_p_le_2(seq, dual, np.array([2.0]), disc_rule)
+    out = hl.dual_expectation_bound_p_le_2(dual, np.array([2.0]), disc_rule)
     rho_p = hl.lp_norm(hl.BoundarySamples(dual.values(disc_rule.nodes)[0], disc_rule), 1.5) ** 1.5
     assert abs(out["ratio"] - rho_p) < 1e-10 * rho_p
 
@@ -245,14 +234,14 @@ def test_p_le_2_bound_single_point(disc, disc_rule, disc_norms):
 def test_p2_orthogonality_identity(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system_gram(seq, disc_norms)
-    out = hl.dual_expectation_bound_p_le_2(seq, dual, np.array([1.0, 0.5j]), disc_rule)
+    out = hl.dual_expectation_bound_p_le_2(dual, np.array([1.0, 0.5j]), disc_rule)
     assert out["orthogonality_gap"] < 1e-10
 
 
 def test_p_1_5_bound_and_pointwise(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system_collocation(seq, 1.5, disc_norms)
-    out = hl.dual_expectation_bound_p_le_2(seq, dual, np.array([1.0, 1.0 + 0.5j]),
+    out = hl.dual_expectation_bound_p_le_2(dual, np.array([1.0, 1.0 + 0.5j]),
                                            disc_rule)
     assert out["pointwise_ok"]
     assert out["ratio"] <= out["bound"] * (1.0 + 1e-8)
@@ -262,20 +251,20 @@ def test_p_le_2_rejects_large_p(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5, -0.5)
     dual = hl.dual_system_collocation(seq, 4.0, disc_norms)
     with pytest.raises(hl.ParameterError):
-        hl.dual_expectation_bound_p_le_2(seq, dual, np.ones(2), disc_rule)
+        hl.dual_expectation_bound_p_le_2(dual, np.ones(2), disc_rule)
 
 
 def test_type_p_examples(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.6, -0.6)
     dual2 = hl.dual_system_gram(seq, disc_norms)
-    out = hl.dual_expectation_bound_p_le_2(seq, dual2, np.array([1.0, 1.0j]), disc_rule)
+    out = hl.dual_expectation_bound_p_le_2(dual2, np.array([1.0, 1.0j]), disc_rule)
     assert abs(out["type_p_ratio"] - 1.0) < 1e-10
     single = _seq(disc, 0.4)
     duals = hl.dual_system_collocation(single, 1.5, disc_norms)
-    outs = hl.dual_expectation_bound_p_le_2(single, duals, np.array([1.5]), disc_rule)
+    outs = hl.dual_expectation_bound_p_le_2(duals, np.array([1.5]), disc_rule)
     assert abs(outs["type_p_ratio"] - 1.0) < 1e-10
     dual15 = hl.dual_system_collocation(seq, 1.5, disc_norms)
-    out15 = hl.dual_expectation_bound_p_le_2(seq, dual15, np.array([1.0, 1.0 + 0.5j]),
+    out15 = hl.dual_expectation_bound_p_le_2(dual15, np.array([1.0, 1.0 + 0.5j]),
                                              disc_rule)
     assert np.isfinite(out15["type_p_ratio"]) and out15["type_p_ratio"] > 0
 
@@ -283,7 +272,7 @@ def test_type_p_examples(disc, disc_rule, disc_norms):
 def test_inf_route_two_points(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0, 0.5)
     dinf = hl.dual_system_blaschke(seq, np.inf)
-    out = hl.dual_expectation_bound_infty(seq, dinf, 2.0, np.array([1.0, 1.0]),
+    out = hl.dual_expectation_bound_infty(dinf, 2.0, np.array([1.0, 1.0]),
                                           disc_rule)
     assert abs(out["sup_rho_inf"] - 2.0) < 1e-12
     assert out["ratio"] <= out["budget"] * (1.0 + 1e-8)
@@ -292,18 +281,18 @@ def test_inf_route_two_points(disc, disc_rule, disc_norms):
 def test_inf_route_validation(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0, 0.5)
     with pytest.raises(hl.ContractError):
-        hl.dual_expectation_bound_infty(seq, hl.dual_system_gram(seq, disc_norms), 2.0,
+        hl.dual_expectation_bound_infty(hl.dual_system_gram(seq, disc_norms), 2.0,
                                         np.ones(2), disc_rule)
     dinf = hl.dual_system_blaschke(seq, np.inf)
     with pytest.raises(hl.ParameterError):
-        hl.dual_expectation_bound_infty(seq, dinf, 1.5, np.ones(2), disc_rule)
+        hl.dual_expectation_bound_infty(dinf, 1.5, np.ones(2), disc_rule)
 
 
 def test_inf_route_coefficient_length_is_shape_error(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.0, 0.5, 0.8j)
     dinf = hl.dual_system_blaschke(seq, np.inf)
     with pytest.raises(hl.ShapeError):
-        hl.dual_expectation_bound_infty(seq, dinf, 2.0, np.ones(2), disc_rule)
+        hl.dual_expectation_bound_infty(dinf, 2.0, np.ones(2), disc_rule)
 
 
 def test_interior_panel_inside(disc, ball, bidisc):
@@ -325,10 +314,30 @@ def test_extension_pipeline_other_domains(kind, pts):
     seq = hl.PointSequence.create(dom, pts)
     dual = hl.dual_system_gram(seq, cache)
     nu = np.array([1.0, -0.5j])
-    _, rep = hl.build_extension(seq, dual, nu, 1.0, 2.0, rule, cache)
+    _, rep = hl.build_extension(dual, nu, 1.0, rule, cache)
     assert rep.max_rel_residual < 1e-8
-    vrep = hl.verify_norm_bound(seq, dual, 1.0, 2.0, rule, cache, batch=8, seed=3)
+    vrep = hl.verify_norm_bound(dual, 1.0, rule, cache, batch=8, seed=3)
     assert vrep.ci_estimate <= vrep.constant_budget * (1.0 + 1e-8)
-    split = hl.split_target(nu, 1.0, 2.0)
-    _, _, fr = hl.randomized_factorization(seq, dual, split, rule, cache)
+    _, _, fr = hl.randomized_factorization(dual, nu, 1.0, rule, cache)
     assert fr["max_pointwise_error"] < 1e-10
+
+
+@pytest.mark.parametrize("kind,method", DUAL_CASES)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       p=st.sampled_from([1.5, 4.0, np.inf]), t=st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+def test_factorization_identity_property(kind, method, seed, n, p, t):
+    # h = E[f(eps) g(eps)] pointwise, for every dual kind, with 1 <= s < p;
+    # s stays away from 1+ because s' -> inf overflows the kernel-norm series
+    dom = hl.Domain(kind)
+    seq = separated_points(dom, n, seed)
+    norms = hl.NormCache(dom)
+    p = 2.0 if method == "gram2" else p
+    s = 1.0 + t * (min(p, 3.0) - 1.0)
+    dual = hl.dual_system(seq, p, method, norms)
+    rule = (hl.build_quadrature(dom, 8, angular=16) if kind == "ball2"
+            else hl.build_quadrature(dom, 64))
+    rng = np.random.default_rng(seed)
+    nu = rng.standard_normal(len(seq)) + 1j * rng.standard_normal(len(seq))
+    _, _, rep = hl.randomized_factorization(dual, nu, s, rule, norms)
+    assert rep["max_pointwise_error"] <= 1e-10

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
+from conftest import DUAL_CASES, separated_points
 
 
 def _disc_seq(*pts):
@@ -137,6 +138,13 @@ def test_carleson_parameter_errors(disc_rule):
         hl.carleson_constant(seq, 0.5, disc_rule)
     with pytest.raises(hl.ParameterError):
         hl.weak_carleson_constant(seq, 1.5, disc_rule)
+    # the power iteration is stochastic: without a seed it does not run
+    with pytest.raises(hl.ParameterError, match="seed"):
+        hl.carleson_constant(seq, 4.0, disc_rule)
+    with pytest.raises(hl.ParameterError, match="seed"):
+        hl.carleson_constant(seq, 2.0, disc_rule, method="power-iteration")
+    with pytest.raises(hl.ParameterError, match="seed"):
+        hl.weak_carleson_constant(seq, 4.0, disc_rule)
 
 
 @pytest.mark.parametrize("method,q", [("spectral", 2.0), ("gram_spectral", 2.0),
@@ -151,6 +159,26 @@ def test_power_iteration_reports_convergence(disc_rule):
     for estimate in (hl.carleson_constant, hl.weak_carleson_constant):
         assert estimate(seq, 4.0, disc_rule, seed=0, max_iter=1).details["converged"] is False
         assert estimate(seq, 4.0, disc_rule, seed=0).details["converged"] is True
+
+
+def test_column_mass_certificates_take_the_first_tied_column(ball):
+    # report_ball_edge seed 11: all four normalized column masses equal 1 up
+    # to rounding, at q = 1 and at q = 2
+    seq = hl.PointSequence.create(ball, [
+        [0.0, 0.0],
+        [complex(0.2221217880799294, 0.4460706732853035),
+         complex(-0.0136065191025045, -0.03870049525373228)],
+        [complex(-0.23446675942112594, -0.5924921138562209),
+         complex(-0.5558094791145824, 0.3083087035280052)],
+        [complex(-0.668758988451667, 0.4808568358717806),
+         complex(-0.022518343390179957, -0.5487540824189326)],
+    ])
+    rule = hl.build_quadrature(ball, 16, angular=64)
+    e0 = np.eye(4)[0]
+    strong = hl.carleson_constant(seq, 1.0, rule)
+    weak = hl.weak_carleson_constant(seq, 2.0, rule)
+    assert np.array_equal(strong.certificate, e0) and abs(strong.d_q - 1.0) < 1e-12
+    assert np.array_equal(weak.certificate, e0) and abs(weak.weak_d_q - 1.0) < 1e-12
 
 
 def test_weak_carleson_q2_is_contractive(disc_rule):
@@ -202,7 +230,7 @@ def test_dual_single_point(disc, disc_norms, disc_rule):
     seq = _disc_seq(0.4)
     dual = hl.dual_system_gram(seq, disc_norms)
     assert dual.delta_residual() < 1e-12
-    assert abs(hl.dual_bound(seq, 2.0, dual, disc_rule) - 1.0) < 1e-9
+    assert abs(hl.dual_bound(dual, disc_rule) - 1.0) < 1e-9
 
 
 def test_dual_collocation(disc, disc_norms):
@@ -227,7 +255,7 @@ def test_dual_blaschke(disc, disc_norms, disc_rule):
     seq = _disc_seq(0.0, 0.5)
     dinf = hl.dual_system_blaschke(seq, np.inf)
     assert dinf.delta_residual() < 1e-12
-    bound = hl.dual_bound(seq, np.inf, dinf, disc_rule)
+    bound = hl.dual_bound(dinf, disc_rule)
     assert abs(bound - 2.0) < 1e-12  # 1 / |B_a(a)| = 1 / 0.5
     with pytest.raises(hl.UnsupportedDomainError):
         hl.dual_system_blaschke(hl.PointSequence.create(hl.Domain(hl.BALL2), [[0.1, 0.0]]), np.inf)
@@ -240,7 +268,7 @@ def test_dual_bound_well_separated(disc, disc_norms, disc_rule):
     # so ||rho_a||_p = ||k_a||_{p'} / |B_a(a)| = max kernel norm up to eps
     seq = _disc_seq(0.9, -0.9)  # gleason distance 1.8/1.81
     dual = hl.dual_system_blaschke(seq, 2.0, disc_norms)
-    bound = hl.dual_bound(seq, 2.0, dual, disc_rule)
+    bound = hl.dual_bound(dual, disc_rule)
     reference = max(disc_norms.norm(seq[i], 2.0) for i in range(2))
     assert reference <= bound <= reference * (1.81 / 1.80) * (1.0 + 1e-10)
 
@@ -269,36 +297,14 @@ def test_dual_system_json(disc, disc_norms):
     assert hl.dual_system_blaschke(seq, np.inf).to_json()["condition"] is None
 
 
-_DUALS = [("disc", "gram2"), ("disc", "collocation"), ("disc", "blaschke"),
-          ("ball2", "gram2"), ("ball2", "collocation"),
-          ("bidisc", "gram2"), ("bidisc", "collocation")]
-
-
-def _separated_points(dom, n, seed, sep=0.3):
-    """Up to n seeded interior points, pairwise Gleason distance >= sep."""
-    pts = []
-    for z in hl.interior_panel(dom, 50, seed, rmax=0.85):
-        if all(hl.gleason_distance(z, w, dom) >= sep for w in pts):
-            pts.append(z)
-        if len(pts) == n:
-            break
-    return hl.PointSequence.create(dom, pts)
-
-
-@pytest.mark.parametrize("kind,method", _DUALS)
+@pytest.mark.parametrize("kind,method", DUAL_CASES)
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
        p=st.sampled_from([1.5, 4.0, np.inf]))
 def test_dual_values_delta_property(kind, method, seed, n, p):
     dom = hl.Domain(kind)
-    seq = _separated_points(dom, n, seed)
-    norms = hl.NormCache(dom)
-    if method == "gram2":
-        dual = hl.dual_system_gram(seq, norms)
-    elif method == "collocation":
-        dual = hl.dual_system_collocation(seq, p, norms)
-    else:
-        dual = hl.dual_system_blaschke(seq, p, norms)
+    seq = separated_points(dom, n, seed)
+    dual = hl.dual_system(seq, 2.0 if method == "gram2" else p, method, hl.NormCache(dom))
     vals = dual.values(seq.arrays())
     assert vals.shape == (len(seq), len(seq))
     assert np.max(np.abs(vals - np.diag(dual.scales)) / dual.scales) < 1e-9
