@@ -259,7 +259,7 @@ def _run_bergman(cfg: dict):
 
 
 _REPORT_COMMON = ("domain", "points", "points_csv", "resolution", "angular", "seed",
-                  "batch", "s", "p", "restarts")
+                  "batch", "s", "p", "restarts", "dual_method")
 
 
 def _run_report(cfg: dict):
@@ -277,7 +277,9 @@ def _run_report(cfg: dict):
     bundle["norms"], _ = _run_norms(section("norms"))
     bundle["sh"], _ = _run_sh(section("sh", grid=cfg.get("grid", {"rmax": 0.9, "count": 8})))
     bundle["carleson"], _ = _run_carleson(section("carleson"))
-    bundle["dual"], _ = _run_dual(section("dual"))
+    # the dual subcommand names its construction "method"
+    dual_method = {"method": cfg["dual_method"]} if "dual_method" in cfg else {}
+    bundle["dual"], _ = _run_dual(section("dual", **dual_method))
     bundle["extend"], _ = _run_extend(section("extend"))
     return bundle, None
 

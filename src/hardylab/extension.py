@@ -277,7 +277,8 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
     and g_of(eps) return vectorized evaluators zs (M, n) -> (M,).  The
     identity is exact because E[eps_j eps_k] = delta_jk kills every cross
     term; it is verified pointwise on a fixed panel of interior and boundary
-    points by full enumeration (N <= 20).
+    points by exact enumeration of the 2^(N-1) patterns with eps_0 = +1
+    (N <= 20).
     """
     seq = dual.sequence
     n = len(seq)
@@ -304,12 +305,14 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
     kq_at = normalized_kernel_rows(seq, q, panel, norms)
     h_at = (split.nu * coeffs.values) @ (rho_at * kq_at)
 
+    # f(eps) g(eps) is even in eps, so the patterns with eps_0 = +1 suffice
     acc = np.zeros(panel.shape[0], dtype=complex)
-    for block in sign_matrix_chunks(n):
+    for block in sign_matrix_chunks(n - 1):
+        block = np.hstack([np.ones((len(block), 1)), block])
         f_vals = (block * lc[None, :]) @ rho_at
         g_vals = (block * split.mu[None, :]) @ kq_at
         acc += np.sum(f_vals * g_vals, axis=0)
-    expectation = acc / (1 << n)
+    expectation = acc / (1 << (n - 1))
 
     err = np.max(np.abs(h_at - expectation) / (1.0 + np.abs(h_at)))
     report = {
@@ -403,6 +406,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule, norms,
             "s": s, "p": "inf" if p == INF else p, "q": q,
             "batch": batch, "seed": seed,
             "targets_tested": len(targets),
+            "sign_patterns": 1 << (n - 1),
             "sup_rho_p": sup_rho,
             "khintchine_factor_f": khin_f if p != INF else None,
             "khintchine_factor_g": khin_g,

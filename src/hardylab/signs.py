@@ -2,10 +2,17 @@
 
 ``sign_moments`` is the only code that turns sign patterns into moments of
 f(eps) = sum_a eps_a c_a R_a, where R_a are rows sampled on boundary nodes:
-by exact enumeration of all 2^N patterns (N <= 20) or by seeded Monte
-Carlo.  Pattern order is fixed (sign j of pattern i is read off bit j of
-i) and reductions happen in a fixed order, so every figure is
-reproducible.
+by exact enumeration (N <= 20) or by seeded Monte Carlo.
+
+Exact enumeration uses |f(-eps)| = |f(eps)|: it fixes eps_0 = +1 and
+visits only the 2^(N-1) patterns that have it.  The other N - 1 signs
+split into a first half of (N - 1) // 2 signs and a second half.  The
+partial sums of each half over all its patterns form a table A (with the
+eps_0 term added in) and a table B, each kept as separate real and
+imaginary float tables; within a table, sign k of row i is read off bit
+k of i.  f at pattern (i, j) is row i of A plus row j of B, and the loop
+runs over j, each step covering every i at once.  The order and every
+reduction are fixed, so every figure is reproducible.
 
 Khintchine-type comparability constants are never hard-coded anywhere in
 the package: ratios are measured per instance and reported.
@@ -65,14 +72,61 @@ class SignMoments:
         return float(np.max(self.nodes[ok] / den[ok])) if np.any(ok) else 0.0
 
 
+def _pattern_table(terms: np.ndarray) -> tuple:
+    """Real and imaginary parts of sum_k eps_k terms_k for every pattern of
+    the K = len(terms) signs, in index order: two (2^K, M) float tables."""
+    signs = next(sign_matrix_chunks(len(terms), chunk=1 << len(terms)))
+    return signs @ terms.real, signs @ terms.imag
+
+
+def _half_enumeration(terms: np.ndarray, w: np.ndarray, p: float) -> tuple:
+    """Moments of f(eps) = sum_a eps_a terms_a from the patterns with eps_0 = +1.
+
+    Returns the per-node mean of |f|^p and the largest per-pattern sum
+    w |f|^p; when p = inf, the per-node max of |f| and the largest of
+    those.  The tables A and B are described in the module docstring.
+    """
+    n, m = terms.shape
+    rest = terms[1:]
+    half = len(rest) // 2
+    a_re, a_im = _pattern_table(rest[:half])
+    b_re, b_im = _pattern_table(rest[half:])
+    if n:  # N = 0 leaves the single empty pattern, f = 0
+        a_re += terms[0].real
+        a_im += terms[0].imag
+    mag2 = np.empty_like(a_re)
+    im2 = np.empty_like(a_im)
+    nodes = np.zeros(m)
+    best = 0.0
+    for j in range(len(b_re)):
+        np.add(a_re, b_re[j], out=mag2)
+        np.multiply(mag2, mag2, out=mag2)
+        np.add(a_im, b_im[j], out=im2)
+        np.multiply(im2, im2, out=im2)
+        mag2 += im2
+        if p == np.inf:
+            np.maximum(nodes, np.max(mag2, axis=0), out=nodes)
+            continue
+        if p != 2.0:
+            np.power(mag2, p / 2.0, out=mag2)
+        nodes += np.sum(mag2, axis=0)
+        best = max(best, float(np.max(mag2 @ w)))
+    if p == np.inf:
+        np.sqrt(nodes, out=nodes)
+        return nodes, float(np.max(nodes, initial=0.0))
+    nodes /= len(a_re) * len(b_re)
+    return nodes, best
+
+
 def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
                  samples: int | None = None, seed: int | None = None) -> SignMoments:
     """Moments of f(eps) = sum_a eps_a coeffs_a rows_a, weighted by w.
 
     ``rows`` is (N, M), ``coeffs`` (N,) and ``w`` (M,).  With
-    ``method="exact"`` all 2^N patterns are enumerated in blocks; with
-    ``method="monte-carlo"`` ``samples`` seeded patterns are drawn.  A
-    sampled sup is no bound, so p = inf is exact only.
+    ``method="exact"`` the 2^(N-1) patterns with eps_0 = +1 are enumerated,
+    which gives the moments over all 2^N; with ``method="monte-carlo"``
+    ``samples`` seeded patterns are drawn.  A sampled sup is no bound, so
+    p = inf is exact only.
     """
     rows = np.asarray(rows)
     coeffs = np.asarray(coeffs)
@@ -81,8 +135,11 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
         raise ShapeError(f"need rows (N, M), coeffs (N,) and weights (M,); got "
                          f"{rows.shape}, {coeffs.shape} and {w.shape}")
     n = coeffs.size
+    stderr = 0.0
     if method == "exact":
-        blocks, count = sign_matrix_chunks(n), 1 << n
+        if n > EXACT_CAP:
+            raise CapacityError(f"exact enumeration capped at {EXACT_CAP} signs, got {n}")
+        nodes, best = _half_enumeration(coeffs[:, None] * rows, w, p)
     elif method == "monte-carlo":
         if samples is None or samples < 1:
             raise ParameterError("Monte Carlo needs samples >= 1")
@@ -90,28 +147,13 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
             raise ParameterError("Monte Carlo needs an explicit seed")
         if p == np.inf:
             raise ParameterError("a sampled sup over signs is no bound; use exact enumeration")
-        blocks, count = [sampled_sign_matrix(n, samples, seed)], samples
+        mag = np.abs((sampled_sign_matrix(n, samples, seed) * coeffs[None, :]) @ rows) ** p
+        nodes = np.sum(mag, axis=0) / samples
+        norms = mag @ w
+        best = float(np.max(norms))
+        stderr = float(np.std(norms, ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
     else:
         raise ParameterError(f"unknown expectation method {method!r}")
-
-    nodes = np.zeros(rows.shape[1])
-    best = 0.0
-    for block in blocks:
-        mag = np.abs((block * coeffs[None, :]) @ rows)
-        if p == np.inf:
-            np.maximum(nodes, np.max(mag, axis=0), out=nodes)
-            continue
-        mag **= p
-        nodes += np.sum(mag, axis=0)
-        norms = mag @ w
-        best = max(best, float(np.max(norms)))
-    stderr = 0.0
-    if p == np.inf:
-        best = float(np.max(nodes, initial=0.0))
-    else:
-        nodes /= count
-        if method == "monte-carlo":
-            stderr = float(np.std(norms, ddof=1) / np.sqrt(count)) if count > 1 else np.inf
     square = np.sum((np.abs(coeffs)[:, None] * np.abs(rows)) ** 2, axis=0)
     return SignMoments(p, nodes, float(np.sum(w * nodes)), best, stderr, square)
 

@@ -180,6 +180,19 @@ def test_report_subcommand(tmp_path):
         assert key in rep["results"]
 
 
+def test_report_dual_method_reaches_both_sections(tmp_path):
+    # gram2 needs p = 2, so at p = 1.5 both sections must take the collocation dual
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
+                                      "s": 1.2, "p": 1.5, "dual_method": "collocation",
+                                      "sh": {"q": [2], "ps": [[2, 1]]},
+                                      "grid": {"rmax": 0.8, "count": 4},
+                                      "batch": 2, "seed": 5, "resolution": 256})
+    assert cli.main(["report", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    results = _load(tmp_path / "o", "report")["results"]
+    assert results["dual"]["dual"]["method"] == "collocation"
+    assert results["extend"]["extension"]["details"]["dual_method"] == "collocation"
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert cli.main(["norms", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG

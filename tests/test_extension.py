@@ -193,6 +193,7 @@ def test_verify_norm_bound_trivial(disc, disc_rule, disc_norms):
     rep = hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=4, seed=0)
     assert abs(rep.ci_estimate - 1.0) < 1e-10
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-10)
+    assert rep.details["sign_patterns"] == 1
 
 
 def test_verify_norm_bound_antipodal(disc, disc_rule, disc_norms):
@@ -202,6 +203,7 @@ def test_verify_norm_bound_antipodal(disc, disc_rule, disc_norms):
     assert np.isfinite(rep.ci_estimate) and rep.ci_estimate >= 1.0 - 1e-9
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-8)
     assert rep.details["worst_chain_margin"] >= -1e-12
+    assert rep.details["sign_patterns"] == 2  # 2^(N-1): eps_0 = +1
 
 
 def test_verify_norm_bound_needs_seed(disc, disc_rule, disc_norms):

@@ -190,6 +190,40 @@ def test_sign_moments_match_brute_force(n, m, p, seed):
         assert np.allclose(mom.nodes, mom.square, rtol=1e-12, atol=0.0)
 
 
+def _gemm_enumeration(rows, coeffs, w, p):
+    """The full 2^N enumeration by one GEMM per block of patterns."""
+    n = coeffs.size
+    nodes = np.zeros(rows.shape[1])
+    best = 0.0
+    for block in hl.sign_matrix_chunks(n):
+        mag = np.abs((block * coeffs[None, :]) @ rows)
+        if p == np.inf:
+            np.maximum(nodes, np.max(mag, axis=0), out=nodes)
+            continue
+        mag **= p
+        nodes += np.sum(mag, axis=0)
+        best = max(best, float(np.max(mag @ w)))
+    if p == np.inf:
+        return nodes, float(np.max(nodes)), float(w @ nodes)
+    nodes /= 1 << n
+    return nodes, best, float(w @ nodes)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 5.999999999999997, np.inf])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 12, 17])
+def test_sign_moments_match_gemm_enumeration(n, p):
+    # odd and even splits of the N - 1 free signs, and the empty and
+    # single-row tables at N = 0 and N = 1
+    rows, coeffs, w = _random_instance(n, 9, 100 + n)
+    nodes, best, value = _gemm_enumeration(rows, coeffs, w, p)
+    mom = hl.sign_moments(rows, coeffs, w, p)
+    assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
+    assert abs(mom.value - value) <= 1e-13 * value
+    assert abs(mom.best - best) <= 1e-13 * best
+    if n == 0:
+        assert not np.any(mom.nodes) and mom.best == 0.0
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(m=st.integers(1, 4), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
        seed=st.integers(0, 2**32 - 1))
