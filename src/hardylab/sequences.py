@@ -16,7 +16,11 @@ Tikhonov shift, if one was applied, in its report.
 
 Operator norms away from q = 2 are nonconvex; the estimates here are
 certified lower bounds from a duality-map power iteration with seeded
-restarts, and every report carries the maximizing certificate.
+restarts, and every report carries the maximizing certificate and the
+steps and converged flag of each restart.  The iteration forms the
+conjugate transpose once per call and runs in real arithmetic when the
+matrix and the start are real, as for the weak constant, whose matrix is
+|A|^2 and whose starts are positive.
 """
 from __future__ import annotations
 
@@ -204,45 +208,63 @@ def _weighted_lq(vals: np.ndarray, w: np.ndarray, q: float) -> float:
 
 
 def _duality_map(x: np.ndarray, r: float) -> np.ndarray:
+    """|x|^(r-2) x entrywise, in the dtype of x; zero entries map to 0 for every r."""
     mag = np.abs(x)
-    out = np.zeros_like(x)
-    nz = mag > 0
-    out[nz] = mag[nz] ** (r - 1.0) * (x[nz] / mag[nz])
-    return out
+    return np.power(mag, r - 2.0, out=np.zeros_like(mag), where=mag > 0) * x
 
 
 def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter: int,
                         rtol: float = 1e-13):
     """Best ratio ||A mu||_{L^q} / ||mu||_{l^q} over duality-map iterations.
 
-    Returns (ratio, maximizer, most iterations of one restart, converged);
-    converged is False when some restart used up ``max_iter`` before its
-    relative progress fell below ``rtol``.
+    Each restart runs in ``np.result_type(A, start)``: real arithmetic when
+    the matrix and the start are real, complex otherwise.  The conjugate
+    transpose of A is formed once, and A mu is carried from the accepted
+    candidate of one step to the next.  Returns (ratio, maximizer, steps of
+    each restart, converged flag of each restart), in start order; a restart
+    has not converged when it used up ``max_iter`` before its relative
+    progress fell below ``rtol``.  The first restart with the largest ratio
+    supplies the maximizer.
     """
     qc = conjugate_exponent(q)
-    best_ratio, best_mu, used_iters, converged = -np.inf, None, 0, True
+    AH = A.conj().T
+    best_ratio, best_mu, iterations, converged = -np.inf, None, [], []
     for start in starts:
-        mu = np.asarray(start, dtype=complex)
+        start = np.asarray(start)
+        mu = start.astype(np.result_type(A, start))
         mu = mu / seq_norm(mu, q)
-        ratio = _weighted_lq(A @ mu, w, q)
+        Amu = A @ mu
+        ratio = _weighted_lq(Amu, w, q)
+        steps, done = 0, True
         for it in range(max_iter):
-            grad = A.conj().T @ (w * _duality_map(A @ mu, q))
+            grad = AH @ (w * _duality_map(Amu, q))
             if not np.any(grad):
                 break
             cand = _duality_map(grad, qc)
             cand = cand / seq_norm(cand, q)
-            cand_ratio = _weighted_lq(A @ cand, w, q)
+            Acand = A @ cand
+            cand_ratio = _weighted_lq(Acand, w, q)
             progressed = cand_ratio > ratio * (1.0 + rtol)
             if cand_ratio > ratio:
-                mu, ratio = cand, cand_ratio
-            used_iters = max(used_iters, it + 1)
+                mu, Amu, ratio = cand, Acand, cand_ratio
+            steps = it + 1
             if not progressed:
                 break
         else:
-            converged = False
+            done = False
+        iterations.append(steps)
+        converged.append(done)
         if ratio > best_ratio:
             best_ratio, best_mu = ratio, mu
-    return best_ratio, best_mu, used_iters, converged
+    return best_ratio, best_mu, iterations, converged
+
+
+def _power_details(restarts: int, seed: int, iterations: list, converged: list,
+                   resolution: int) -> dict:
+    """Report details of a power-iteration estimate, per restart and overall."""
+    return {"restarts": restarts, "seed": seed, "iterations": max(iterations, default=0),
+            "converged": all(converged), "resolution": resolution,
+            "restart_iterations": iterations, "restart_converged": converged}
 
 
 def _heaviest_column(masses: np.ndarray) -> tuple:
@@ -255,7 +277,7 @@ def _default_starts(n: int, restarts: int, seed: int | None, positive: bool = Fa
     if seed is None:
         raise ParameterError("the power iteration is stochastic: an explicit seed is required")
     starts = [np.ones(n)]
-    starts.extend(np.eye(n)[i] for i in range(n))
+    starts.extend(np.eye(n))
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         if positive:
@@ -300,10 +322,9 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
                               details={"resolution": rule.resolution})
     ratio, mu, iters, converged = _power_iteration_lq(
         A, w, q, _default_starts(n, restarts, seed), max_iter)
-    return CarlesonReport(q=q, d_q=ratio, method="power-iteration",
-                          certificate=mu,
-                          details={"restarts": restarts, "seed": seed, "iterations": iters,
-                                   "converged": converged, "resolution": rule.resolution})
+    return CarlesonReport(q=q, d_q=ratio, method="power-iteration", certificate=mu,
+                          details=_power_details(restarts, seed, iters, converged,
+                                                 rule.resolution))
 
 
 def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
@@ -333,8 +354,8 @@ def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *
         B, w, r, _default_starts(n, restarts, seed, positive=True), max_iter)
     return CarlesonReport(q=q, weak_d_q=ratio, method="power-iteration",
                           certificate=np.sqrt(np.abs(t)).astype(complex),
-                          details={"restarts": restarts, "seed": seed, "iterations": iters,
-                                   "converged": converged, "resolution": rule.resolution})
+                          details=_power_details(restarts, seed, iters, converged,
+                                                 rule.resolution))
 
 
 def weak_ratio_at(seq: PointSequence, q: float, mu, rule: QuadratureRule) -> float:

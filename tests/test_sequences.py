@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
+from hardylab.sequences import _default_starts, _duality_map, _weighted_lq
 from conftest import DUAL_CASES, separated_points
 
 
@@ -156,9 +157,105 @@ def test_carleson_rejects_unknown_method(disc_rule, method, q):
 
 def test_power_iteration_reports_convergence(disc_rule):
     seq = _disc_seq(0.5, -0.3j, 0.6j)
+    starts = 1 + len(seq) + 32  # ones, coordinate vectors, seeded restarts
     for estimate in (hl.carleson_constant, hl.weak_carleson_constant):
-        assert estimate(seq, 4.0, disc_rule, seed=0, max_iter=1).details["converged"] is False
-        assert estimate(seq, 4.0, disc_rule, seed=0).details["converged"] is True
+        capped = estimate(seq, 4.0, disc_rule, seed=0, max_iter=1).details
+        assert capped["converged"] is False and capped["iterations"] == 1
+        # every restart still progresses after its one step
+        assert capped["restart_iterations"] == [1] * starts
+        assert capped["restart_converged"] == [False] * starts
+        full = estimate(seq, 4.0, disc_rule, seed=0).details
+        assert full["converged"] is True
+        assert full["restart_converged"] == [True] * starts
+        assert len(full["restart_iterations"]) == starts
+        assert full["iterations"] == max(full["restart_iterations"]) > 1
+
+
+def test_duality_map_edge_cases():
+    x = np.array([0.0, 2.0, -0.5, 0.0])
+    z = np.array([0.0, 3.0 - 4.0j, -0.25j, 1e-3 + 1e-3j])
+    with np.errstate(all="raise"):
+        real = _duality_map(x, 4.0 / 3.0)
+        cplx = {r: _duality_map(z, r) for r in (4.0 / 3.0, 3.0)}
+    # zeros map to exactly 0 where |x|^(r - 2) would be inf
+    assert real.dtype == np.float64
+    assert real[0] == 0.0 and real[3] == 0.0
+    assert np.allclose(real[1:3], np.sign(x[1:3]) * np.abs(x[1:3]) ** (1.0 / 3.0),
+                       rtol=1e-15, atol=0.0)
+    for r, out in cplx.items():
+        assert out.dtype == np.complex128 and out[0] == 0.0
+        assert np.allclose(np.abs(out), np.abs(z) ** (r - 1.0), rtol=1e-14, atol=0.0)
+        # same phase as the input
+        assert np.allclose(out * np.abs(z), z * np.abs(out), rtol=1e-14, atol=1e-300)
+
+
+def _pre_change_duality_map(x: np.ndarray, r: float) -> np.ndarray:
+    """The masked duality map the iteration used before it ran in the input dtype."""
+    mag = np.abs(x)
+    out = np.zeros_like(x)
+    nz = mag > 0
+    out[nz] = mag[nz] ** (r - 1.0) * (x[nz] / mag[nz])
+    return out
+
+
+def _pre_change_power_iteration(A, w, q, starts, max_iter, rtol=1e-13):
+    """The complex-only loop that recomputed A.conj() and A mu at every step."""
+    qc = hl.conjugate_exponent(q)
+    best_ratio, best_mu, used_iters, converged = -np.inf, None, 0, True
+    for start in starts:
+        mu = np.asarray(start, dtype=complex)
+        mu = mu / hl.seq_norm(mu, q)
+        ratio = _weighted_lq(A @ mu, w, q)
+        for it in range(max_iter):
+            grad = A.conj().T @ (w * _pre_change_duality_map(A @ mu, q))
+            if not np.any(grad):
+                break
+            cand = _pre_change_duality_map(grad, qc)
+            cand = cand / hl.seq_norm(cand, q)
+            cand_ratio = _weighted_lq(A @ cand, w, q)
+            progressed = cand_ratio > ratio * (1.0 + rtol)
+            if cand_ratio > ratio:
+                mu, ratio = cand, cand_ratio
+            used_iters = max(used_iters, it + 1)
+            if not progressed:
+                break
+        else:
+            converged = False
+        if ratio > best_ratio:
+            best_ratio, best_mu = ratio, mu
+    return best_ratio, best_mu, used_iters, converged
+
+
+_ORACLE_RULES = {hl.DISC: (256, None), hl.BALL2: (8, 24), hl.BIDISC: (48, None)}
+
+
+@pytest.mark.parametrize("kind", list(_ORACLE_RULES))
+@pytest.mark.parametrize("weak,q", [(False, 1.5), (False, 3.0), (False, 4.0), (False, 6.0),
+                                    (True, 3.0), (True, 4.0), (True, 6.0)])
+def test_power_iteration_matches_pre_change_loop(kind, weak, q):
+    dom = hl.Domain(kind)
+    rule = hl.build_quadrature(dom, *_ORACLE_RULES[kind])
+    seq = separated_points(dom, 5, seed=41)
+    n, restarts, seed = len(seq), 6, 7
+    A = hl.normalized_kernel_matrix(seq, q, rule)
+    if weak:
+        rep = hl.weak_carleson_constant(seq, q, rule, restarts=restarts, seed=seed)
+        value = rep.weak_d_q
+        oracle = _pre_change_power_iteration(np.abs(A) ** 2, rule.weights, q / 2.0,
+                                             _default_starts(n, restarts, seed, positive=True),
+                                             5000)
+        own = hl.weak_ratio_at(seq, q, rep.certificate, rule)
+    else:
+        rep = hl.carleson_constant(seq, q, rule, restarts=restarts, seed=seed)
+        value = rep.d_q
+        oracle = _pre_change_power_iteration(A, rule.weights, q,
+                                             _default_starts(n, restarts, seed), 5000)
+        own = _weighted_lq(A @ rep.certificate, rule.weights, q) / hl.seq_norm(rep.certificate, q)
+    ratio, _, iterations, converged = oracle
+    assert rep.method == "power-iteration"
+    assert abs(value - ratio) <= 1e-13 * ratio
+    assert (rep.details["iterations"], rep.details["converged"]) == (iterations, converged)
+    assert abs(own - value) <= 1e-12 * value
 
 
 def test_column_mass_certificates_take_the_first_tied_column(ball):
