@@ -30,6 +30,8 @@ from .geometry import (
     inner_product,
     integrate,
     lp_norm,
+    rule_norm,
+    rule_power,
     sample_function,
     seq_norm,
 )

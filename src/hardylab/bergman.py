@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedDomainError
-from .geometry import BALL2, BoundarySamples, Domain, QuadratureRule, build_quadrature, lp_norm
+from .geometry import BALL2, BoundarySamples, Domain, QuadratureRule, build_quadrature, lp_norm, rule_norm
 from .kernels import INF, NormCache, conjugate_exponent, kernel_samples, kernel_values
 from .sequences import PointSequence, dual_system
 from .extension import build_extension
@@ -99,10 +99,7 @@ def bergman_norm(f, p: float, spec: BergmanSpec) -> float:
     """Weighted Bergman p-norm by volume quadrature (max over nodes at p = inf)."""
     if p != INF and p < 1:
         raise ParameterError("bergman_norm requires p >= 1 or p = inf")
-    vals = np.abs(np.asarray(f(spec.nodes), dtype=complex))
-    if p == INF:
-        return float(np.max(vals))
-    return float(np.sum(spec.weights * vals**p) ** (1.0 / p))
+    return float(rule_norm(np.asarray(f(spec.nodes), dtype=complex), spec.weights, p))
 
 
 def subordination_check(f, p: float, spec: BergmanSpec,

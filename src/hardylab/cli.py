@@ -40,18 +40,33 @@ def _parse_exponent(v):
         raise ParameterError(f"bad exponent {v!r}") from exc
 
 
+def _complex_row(row, n: int, what: str) -> np.ndarray:
+    """n complex numbers from a row of 2n reals (re/im per coordinate)."""
+    try:
+        vals = [float(x) for x in row]
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad {what} row {row!r}: {exc}") from exc
+    if len(vals) != 2 * n:
+        raise ParameterError(f"{what} need {2 * n} numbers (re/im per coordinate), got {row!r}")
+    return np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)])
+
+
 def _parse_points(cfg: dict, dom: geometry.Domain) -> sequences.PointSequence:
     if "points_csv" in cfg:
         return sequences.PointSequence.from_csv(dom, cfg["points_csv"])
     if "points" not in cfg:
         raise ParameterError("config needs 'points' or 'points_csv'")
-    pts = []
-    for row in cfg["points"]:
-        vals = [float(x) for x in row]
-        if len(vals) != 2 * dom.n:
-            raise ParameterError(f"{dom.kind} points need {2 * dom.n} numbers (re/im per coordinate)")
-        pts.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dom.n)])
-    return sequences.PointSequence.create(dom, pts)
+    return sequences.PointSequence.create(
+        dom, [_complex_row(row, dom.n, f"{dom.kind} points") for row in cfg["points"]])
+
+
+def _parse_target(cfg: dict, n: int) -> np.ndarray:
+    """Target values nu_a, each a number or an [re, im] pair; all ones by default."""
+    try:
+        return np.array([_complex_row(v, 1, "target pairs")[0] if isinstance(v, (list, tuple))
+                         else complex(v) for v in cfg.get("target", [1.0] * n)])
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad target entry: {exc}") from exc
 
 
 def _domain(cfg: dict) -> geometry.Domain:
@@ -87,7 +102,7 @@ def _delta_residual(dual: sequences.DualSystem) -> float:
 def _scan_grid(cfg: dict, dom: geometry.Domain):
     grid_cfg = cfg.get("grid", {"rmax": 0.95, "count": 20})
     if isinstance(grid_cfg, list):
-        return [_point_from_row(row, dom) for row in grid_cfg]
+        return [_complex_row(row, dom.n, f"{dom.kind} grid points") for row in grid_cfg]
     rmax = float(grid_cfg.get("rmax", 0.95))
     count = int(grid_cfg.get("count", 20))
     radii = np.linspace(0.0, rmax, count)
@@ -96,11 +111,6 @@ def _scan_grid(cfg: dict, dom: geometry.Domain):
     if dom.kind == geometry.BALL2:
         return [np.array([r, 0.0], dtype=complex) for r in radii]
     return [np.array([r, r], dtype=complex) for r in radii]
-
-
-def _point_from_row(row, dom: geometry.Domain) -> np.ndarray:
-    vals = [float(x) for x in row]
-    return np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dom.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +129,13 @@ def _run_norms(cfg: dict):
 def _run_sh(cfg: dict):
     dom = _domain(cfg)
     cache = kernels.NormCache(dom)
-    grid = _scan_grid(cfg, dom)
-    results, rows = [], []
-    for q in cfg.get("q", [4 / 3, 2.0, 4.0]):
-        scan = kernels.sh_q_scan(dom, _parse_exponent(q), grid, cache, grid_note=str(cfg.get("grid", "radial")))
-        results.append(scan.to_json())
-        rows.extend(scan.csv_rows())
-    for p, s in cfg.get("ps", [[2.0, 1.0]]):
-        scan = kernels.sh_ps_scan(dom, _parse_exponent(p), _parse_exponent(s), grid, cache,
-                                  grid_note=str(cfg.get("grid", "radial")))
-        results.append(scan.to_json())
-        rows.extend(scan.csv_rows())
-    return {"scans": results, "engine": cache.report()}, rows
+    grid, note = _scan_grid(cfg, dom), str(cfg.get("grid", "radial"))
+    scans = [kernels.sh_q_scan(dom, _parse_exponent(q), grid, cache, note)
+             for q in cfg.get("q", [4 / 3, 2.0, 4.0])]
+    scans += [kernels.sh_ps_scan(dom, _parse_exponent(p), _parse_exponent(s), grid, cache, note)
+              for p, s in cfg.get("ps", [[2.0, 1.0]])]
+    rows = [row for scan in scans for row in scan.csv_rows()]
+    return {"scans": [scan.to_json() for scan in scans], "engine": cache.report()}, rows
 
 
 def _run_carleson(cfg: dict):
@@ -201,9 +206,7 @@ def _run_extend(cfg: dict):
     seed = _need_seed(cfg)
     dual = sequences.dual_system(seq, p, cfg.get("dual_method", "gram2"), cache)
     delta_residual = _delta_residual(dual)
-    nu = np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-                     for v in cfg.get("target", [1.0] * len(seq))])
-    _, rep = ext.build_extension(dual, nu, s, rule, cache)
+    _, rep = ext.build_extension(dual, _parse_target(cfg, len(seq)), s, rule, cache)
     bound_rep = ext.verify_norm_bound(dual, s, rule, cache,
                                       batch=int(cfg.get("batch", 64)), seed=seed)
     rep.ci_estimate = bound_rep.ci_estimate
@@ -243,9 +246,10 @@ def _run_bergman(cfg: dict):
         radial=int(cfg.get("radial", 32)),
         angular=int(cfg.get("angular_volume", 64)),
     )
-    pts = [complex(v[0], v[1]) for v in cfg["points"]]
-    nu = np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-                     for v in cfg.get("target", [1.0] * len(pts))])
+    if "points" not in cfg:
+        raise ParameterError("a bergman config needs 'points' (re/im pairs in the disc)")
+    pts = [_complex_row(row, 1, "bergman points")[0] for row in cfg["points"]]
+    nu = _parse_target(cfg, len(pts))
     s = _parse_exponent(cfg.get("s", 1.0))
     p = _parse_exponent(cfg.get("p", 2.0))
     kernels.exponent_from_split(s, p)

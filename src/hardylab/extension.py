@@ -36,9 +36,9 @@ from .errors import (
     InvariantViolation,
     ParameterError,
 )
-from .geometry import BALL2, DISC, Domain, QuadratureRule, seq_norm
+from .geometry import BALL2, DISC, Domain, QuadratureRule, rule_norm, rule_power, seq_norm
 from .kernels import INF, conjugate_exponent, exponent_from_split, kernel_diag, kernel_matrix
-from .sequences import DualSystem, PointSequence, normalized_kernel_matrix
+from .sequences import DualSystem, PointSequence, normalized_kernel_matrix, weak_ratio_at
 from .signs import EXACT_CAP, sign_matrix_chunks, sign_moments
 
 _CHAIN_SLACK = 1e-8
@@ -212,11 +212,6 @@ def interior_panel(dom: Domain, count: int, seed: int, rmax: float = 0.8) -> np.
     return pts
 
 
-def _weighted_power_sum(vals: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise integral |vals|^p against w (vals is (rows, M))."""
-    return np.sum(w[None, :] * np.abs(vals) ** p, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # the extension itself
 
@@ -249,7 +244,7 @@ def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule, norms)
     denom = float(np.max(np.abs(targets)))
     max_rel = float(np.max(residuals) / denom) if denom > 0 else float(np.max(residuals, initial=0.0))
 
-    h_norm = float(np.sum(rule.weights * np.abs(h(rule.nodes)) ** s) ** (1.0 / s))
+    h_norm = float(rule_norm(h(rule.nodes), rule.weights, s))
     nu_norm = seq_norm(nu, s)
     report = ExtensionReport(
         residuals=residuals.tolist(),
@@ -351,11 +346,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule, norms,
     rho_vals = dual.values(rule.nodes)
     kq_vals = normalized_kernel_rows(seq, q, rule.nodes, norms)
     prod_vals = rho_vals * kq_vals
-
-    if p == INF:
-        sup_rho = float(np.max(np.abs(rho_vals)))
-    else:
-        sup_rho = float(np.max(_weighted_power_sum(rho_vals, w, p)) ** (1.0 / p))
+    sup_rho = float(np.max(rule_norm(rho_vals, w, p)))
 
     rng = np.random.default_rng(seed)
     targets = [np.eye(n, dtype=complex)[i] for i in range(n)]
@@ -371,7 +362,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule, norms,
     for nu in targets:
         split = split_target(nu, s, p)
         h_vals = (split.nu * coeffs.values) @ prod_vals
-        h_norm = float(np.sum(w * np.abs(h_vals) ** s) ** (1.0 / s))
+        h_norm = float(rule_norm(h_vals, w, s))
         nu_norm = seq_norm(nu, s)
         ci = max(ci, h_norm / nu_norm)
 
@@ -385,8 +376,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule, norms,
         khin_g = max(khin_g, g.khintchine_factor())
         mu_norm = seq_norm(split.mu, q)
         if mu_norm > 0:
-            weak_inst = max(weak_inst, float(
-                np.sum(w * g.square ** (q / 2.0)) ** (2.0 / q)) / mu_norm**2)
+            weak_inst = max(weak_inst, float(rule_norm(g.square, w, q / 2.0)) / mu_norm**2)
         if h_norm > bound * (1.0 + _CHAIN_SLACK):
             raise InvariantViolation(
                 f"Hoelder chain failed: ||h||_s = {h_norm} > bound {bound}")
@@ -434,6 +424,8 @@ def dual_expectation_bound_p_le_2(dual: DualSystem, lam, rule: QuadratureRule) -
     if p == INF or not (1.0 <= p <= 2.0):
         raise ParameterError("this route needs a dual system with 1 <= p <= 2")
     lam = np.asarray(lam, dtype=complex)
+    if not np.any(lam):
+        raise ParameterError("the expectation bound needs a nonzero coefficient vector")
     w = rule.weights
     rho_vals = dual.values(rule.nodes)
     mom = sign_moments(rho_vals, lam, w, p)
@@ -447,7 +439,7 @@ def dual_expectation_bound_p_le_2(dual: DualSystem, lam, rule: QuadratureRule) -
     lam_p = seq_norm(lam, p)
     ratio = expectation / lam_p**p
     khin = mom.khintchine_factor()
-    rho_norms_p = _weighted_power_sum(rho_vals, w, p)
+    rho_norms_p = rule_power(rho_vals, w, p)
     sup_rho_p = float(np.max(rho_norms_p))
     bound = khin * sup_rho_p
     if ratio > bound * (1.0 + _CHAIN_SLACK):
@@ -487,6 +479,8 @@ def dual_expectation_bound_infty(inf_dual: DualSystem, p: float, lam, rule: Quad
     if p == INF or p < 2.0:
         raise ParameterError("the squared-modulus step needs a finite p >= 2")
     lam = np.asarray(lam, dtype=complex)
+    if not np.any(lam):
+        raise ParameterError("the expectation bound needs a nonzero coefficient vector")
     w = rule.weights
     rho_inf = inf_dual.values(rule.nodes)
     per_point_sup = np.max(np.abs(rho_inf), axis=1)
@@ -496,7 +490,7 @@ def dual_expectation_bound_infty(inf_dual: DualSystem, p: float, lam, rule: Quad
     kp = normalized_kernel_matrix(inf_dual.sequence, p, rule).T
     rho_p = rho_inf * kp
 
-    rho_p_norms = _weighted_power_sum(rho_p, w, p) ** (1.0 / p)
+    rho_p_norms = rule_norm(rho_p, w, p)
     if np.any(rho_p_norms > per_point_sup * (1.0 + _CHAIN_SLACK)):
         raise InvariantViolation("||rho_a k_{p,a}||_p exceeded the sup-norm budget")
     if np.max(np.abs(rho_p) - c_hat * np.abs(kp) * (1.0 + 1e-12)) > 0:
@@ -507,8 +501,7 @@ def dual_expectation_bound_infty(inf_dual: DualSystem, p: float, lam, rule: Quad
     ratio = mom.value / lam_p**p
     khin = mom.khintchine_factor()
 
-    dens_k = np.sum((np.abs(lam)[:, None] * np.abs(kp)) ** 2, axis=0)
-    weak_inst = float(np.sum(w * dens_k ** (p / 2.0)) ** (2.0 / p)) / lam_p**2
+    weak_inst = weak_ratio_at(inf_dual.sequence, p, lam, rule)
     weak_eff = max(weak_inst, weak_d or 0.0)
     budget = khin * c_hat**p * weak_eff ** (p / 2.0)
     if ratio > budget * (1.0 + _CHAIN_SLACK):

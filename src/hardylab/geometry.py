@@ -4,7 +4,8 @@ Three domains are supported: the unit disc (n=1), the unit ball of C^2,
 and the bidisc.  The boundary carries the normalized rotation-invariant
 probability measure; a QuadratureRule is a finite node/weight realization
 of it.  All integration, L^p norms and inner products in the package go
-through the helpers here.
+through the helpers here: ``rule_power`` and ``rule_norm`` are the one home
+of rule integrals of |v|^p, on boundary and Bergman volume rules alike.
 
 Conventions: an interior point is a complex vector of length n (a bare
 complex number is accepted for the disc); quadrature nodes are stored as
@@ -190,10 +191,24 @@ def lp_norm(f: BoundarySamples, p: float) -> float:
     """
     if p != np.inf and p < 1:
         raise ParameterError("lp_norm requires p >= 1 or p = inf")
-    absv = np.abs(f.values)
+    return float(rule_norm(f.values[None, :], f.rule.weights, p)[0])
+
+
+def rule_power(values, weights: np.ndarray | float, p: float) -> np.ndarray:
+    """Row-wise integral of |values|^p against ``weights`` (last axis), for any p > 0:
+    the weak ratios of the p = inf extension route integrate at q/2 = 1/2."""
+    return np.sum(weights * np.abs(values) ** p, axis=-1)
+
+
+def rule_norm(values, weights: np.ndarray | float, p: float) -> np.ndarray:
+    """(integral |values|^p)^(1/p) along the last axis; max |values| at p = inf.
+
+    A 1-D input is rooted as a numpy scalar, which can differ in the last bit
+    from the rows of a 2-D input; ``lp_norm`` passes its samples as one row.
+    """
     if p == np.inf:
-        return float(np.max(absv))
-    return float(np.sum(f.rule.weights * absv**p) ** (1.0 / p))
+        return np.max(np.abs(values), axis=-1)
+    return rule_power(values, weights, p) ** (1.0 / p)
 
 
 def inner_product(f: BoundarySamples, g: BoundarySamples) -> complex:
@@ -204,10 +219,8 @@ def inner_product(f: BoundarySamples, g: BoundarySamples) -> complex:
 
 
 def seq_norm(x: Iterable[complex], p: float) -> float:
-    """l^p norm of a finite coefficient vector (p >= 1 or inf)."""
-    v = np.abs(np.asarray(list(x) if not isinstance(x, np.ndarray) else x, dtype=complex))
-    if p == np.inf:
-        return float(v.max()) if v.size else 0.0
-    if p < 1:
+    """l^p norm of a finite coefficient vector (p >= 1 or inf): ``rule_norm`` with unit weights."""
+    v = np.asarray(list(x) if not isinstance(x, np.ndarray) else x, dtype=complex)
+    if p != np.inf and p < 1:
         raise ParameterError("seq_norm requires p >= 1 or p = inf")
-    return float(np.sum(v**p) ** (1.0 / p))
+    return float(rule_norm(v, 1.0, p)) if v.size else 0.0

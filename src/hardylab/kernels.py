@@ -40,8 +40,9 @@ from .geometry import (
     BoundarySamples,
     Domain,
     QuadratureRule,
-    lp_norm,
     inner_product,
+    lp_norm,
+    rule_power,
 )
 
 INF = np.inf
@@ -183,8 +184,6 @@ class NormTable:
 
 def kernel_norm(a, p: float, rule: QuadratureRule) -> float:
     """||k_a||_p from samples on an explicit rule."""
-    if p != INF and p < 1:
-        raise ParameterError("kernel_norm requires p >= 1 or p = inf")
     return lp_norm(kernel_samples(a, rule), p)
 
 
@@ -313,9 +312,8 @@ def reproducing_check(f, a, rule: QuadratureRule) -> float:
 def poisson_kernel(a, rule: QuadratureRule) -> BoundarySamples:
     """P_a = |k_a|^2 / ||k_a||_2^2, normalized on the rule itself."""
     k = kernel_samples(a, rule)
-    dens = np.abs(k.values) ** 2
-    mass = float(np.sum(rule.weights * dens))
-    return BoundarySamples(dens / mass, rule)
+    mass = float(rule_power(k.values, rule.weights, 2.0))
+    return BoundarySamples(np.abs(k.values) ** 2 / mass, rule)
 
 
 def analytic_projection_eval(f: BoundarySamples, a) -> complex:
@@ -356,16 +354,28 @@ class SHConstants:
         }
 
     def csv_rows(self) -> list:
-        rows = []
-        for pt, r in self.ratios:
-            coords = []
-            for c in pt:
-                coords.extend([c.real, c.imag])
-            rows.append(coords + [r, self.hypothesis])
-        return rows
+        return [[x for c in pt for x in (c.real, c.imag)] + [r, self.hypothesis]
+                for pt, r in self.ratios]
 
 
 _FLAG_RESIDUAL = 1e-8
+
+
+def _sh_scan(dom: Domain, hypothesis: str, exponents: dict, grid, norms, wanted: list,
+             ratio, extremum, grid_note: str) -> SHConstants:
+    """ratio(table) at every grid point whose series residual passes the filter."""
+    ratios, flagged, worst = [], [], 0.0
+    for a in grid:
+        t = norms.table(a, wanted)
+        if t.residual > _FLAG_RESIDUAL:
+            flagged.append(t.point)
+            continue
+        worst = max(worst, t.residual)
+        ratios.append((t.point, ratio(t)))
+    if not ratios:
+        raise ParameterError("no grid point survived the convergence filter")
+    return SHConstants(dom, hypothesis, exponents, extremum(r for _, r in ratios), ratios,
+                       flagged, worst, grid_note)
 
 
 def sh_q_scan(dom: Domain, q: float, grid, norms, grid_note: str = "") -> SHConstants:
@@ -378,41 +388,22 @@ def sh_q_scan(dom: Domain, q: float, grid, norms, grid_note: str = "") -> SHCons
     if not (1.0 < q < INF):
         raise ParameterError("sh_q_scan needs 1 < q < inf")
     qc = conjugate_exponent(q)
-    ratios, flagged = [], []
-    worst = 0.0
-    for a in grid:
-        t = norms.table(a, [2.0, q, qc])
-        if t.residual > _FLAG_RESIDUAL:
-            flagged.append(t.point)
-            continue
-        worst = max(worst, t.residual)
-        ratio = t.norm(2.0) ** 2 / (t.norm(q) * t.norm(qc))
-        if ratio > 1.0 + 1e-10:
-            raise InvariantViolation(f"Hoelder side of the q-hypothesis failed at {t.point}: {ratio}")
-        ratios.append((t.point, ratio))
-    if not ratios:
-        raise ParameterError("no grid point survived the convergence filter")
-    alpha = min(r for _, r in ratios)
-    return SHConstants(dom, "sh_q", {"q": q}, alpha, ratios, flagged, worst, grid_note)
+
+    def ratio(t: NormTable) -> float:
+        r = t.norm(2.0) ** 2 / (t.norm(q) * t.norm(qc))
+        if r > 1.0 + 1e-10:
+            raise InvariantViolation(f"Hoelder side of the q-hypothesis failed at {t.point}: {r}")
+        return r
+
+    return _sh_scan(dom, "sh_q", {"q": q}, grid, norms, [2.0, q, qc], ratio, min, grid_note)
 
 
 def sh_ps_scan(dom: Domain, p: float, s: float, grid, norms, grid_note: str = "") -> SHConstants:
     """max over the grid of ||k_a||_{s'} / (||k_a||_{p'} ||k_a||_{q'})."""
     q = exponent_from_split(s, p)
     sc, pc, qc = conjugate_exponent(s), conjugate_exponent(p), conjugate_exponent(q)
-    ratios, flagged = [], []
-    worst = 0.0
-    for a in grid:
-        t = norms.table(a, [sc, pc, qc])
-        if t.residual > _FLAG_RESIDUAL:
-            flagged.append(t.point)
-            continue
-        worst = max(worst, t.residual)
-        ratios.append((t.point, t.norm(sc) / (t.norm(pc) * t.norm(qc))))
-    if not ratios:
-        raise ParameterError("no grid point survived the convergence filter")
-    beta = max(r for _, r in ratios)
-    return SHConstants(dom, "sh_ps", {"p": p, "s": s, "q": q}, beta, ratios, flagged, worst, grid_note)
+    return _sh_scan(dom, "sh_ps", {"p": p, "s": s, "q": q}, grid, norms, [sc, pc, qc],
+                    lambda t: t.norm(sc) / (t.norm(pc) * t.norm(qc)), max, grid_note)
 
 
 def holder_interp_check(a, p: float, q: float, norms) -> tuple:

@@ -37,7 +37,7 @@ from .errors import (
     ParameterError,
     UnsupportedDomainError,
 )
-from .geometry import BALL2, DISC, BoundarySamples, Domain, QuadratureRule, lp_norm, seq_norm
+from .geometry import BALL2, DISC, Domain, QuadratureRule, rule_norm, rule_power, seq_norm
 from .kernels import INF, conjugate_exponent, kernel_matrix, _point_key
 
 
@@ -199,12 +199,7 @@ def normalized_kernel_matrix(seq: PointSequence, q: float, rule: QuadratureRule)
     iteration runs faster on that column-major layout than on a copy.
     """
     K = kernel_matrix(seq.arrays(), rule.nodes, seq.domain)
-    norms = np.sum(rule.weights * np.abs(K) ** q, axis=1) ** (1.0 / q)
-    return (K / norms[:, None]).T
-
-
-def _weighted_lq(vals: np.ndarray, w: np.ndarray, q: float) -> float:
-    return float(np.sum(w * np.abs(vals) ** q) ** (1.0 / q))
+    return (K / rule_norm(K, rule.weights, q)[:, None]).T
 
 
 def _duality_map(x: np.ndarray, r: float) -> np.ndarray:
@@ -234,7 +229,7 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
         mu = start.astype(np.result_type(A, start))
         mu = mu / seq_norm(mu, q)
         Amu = A @ mu
-        ratio = _weighted_lq(Amu, w, q)
+        ratio = float(rule_norm(Amu, w, q))
         steps, done = 0, True
         for it in range(max_iter):
             grad = AH @ (w * _duality_map(Amu, q))
@@ -243,7 +238,7 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
             cand = _duality_map(grad, qc)
             cand = cand / seq_norm(cand, q)
             Acand = A @ cand
-            cand_ratio = _weighted_lq(Acand, w, q)
+            cand_ratio = float(rule_norm(Acand, w, q))
             progressed = cand_ratio > ratio * (1.0 + rtol)
             if cand_ratio > ratio:
                 mu, Amu, ratio = cand, Acand, cand_ratio
@@ -307,7 +302,7 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
     w = rule.weights
     n = len(seq)
     if q == 1:
-        mass, cert = _heaviest_column(np.sum(w[:, None] * np.abs(A), axis=0))
+        mass, cert = _heaviest_column(rule_power(A.T, w, 1.0))
         return CarlesonReport(q=q, d_q=mass, method="coordinate-extreme", certificate=cert,
                               details={"resolution": rule.resolution})
     if q == 2 and method != "power-iteration":
@@ -362,11 +357,11 @@ def weak_ratio_at(seq: PointSequence, q: float, mu, rule: QuadratureRule) -> flo
     """||sum |mu_a|^2 |k_{q,a}|^2||_{q/2} / ||mu||_q^2 for one coefficient vector."""
     if q < 2:
         raise ParameterError("weak Carleson ratios need q >= 2")
-    A = normalized_kernel_matrix(seq, q, rule)
     mu = np.asarray(mu, dtype=complex)
-    dens = (np.abs(A) ** 2) @ (np.abs(mu) ** 2)
-    r = q / 2.0
-    return float(np.sum(rule.weights * dens**r) ** (1.0 / r) / seq_norm(mu, q) ** 2)
+    if not np.any(mu):
+        raise ParameterError("weak_ratio_at needs a nonzero coefficient vector")
+    dens = (np.abs(normalized_kernel_matrix(seq, q, rule)) ** 2) @ (np.abs(mu) ** 2)
+    return float(rule_norm(dens, rule.weights, q / 2.0)) / seq_norm(mu, q) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -510,4 +505,6 @@ def dual_system(seq: PointSequence, p: float, method: str, norms, *,
 
 def dual_bound(dual: DualSystem, rule: QuadratureRule) -> float:
     """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf)."""
-    return max(lp_norm(BoundarySamples(row, rule), dual.p) for row in dual.values(rule.nodes))
+    if dual.p < 1:
+        raise ParameterError("dual_bound requires p >= 1 or p = inf")
+    return float(np.max(rule_norm(dual.values(rule.nodes), rule.weights, dual.p)))

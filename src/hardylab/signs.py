@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ShapeError
-from .geometry import QuadratureRule, seq_norm
+from .geometry import QuadratureRule, rule_power, seq_norm
 from .sequences import PointSequence, normalized_kernel_matrix
 
 EXACT_CAP = 20
@@ -192,10 +192,12 @@ def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureR
     if q < 2:
         raise ParameterError("the sign-averaging chain needs q >= 2")
     mu = np.asarray(mu, dtype=complex)
+    if not np.any(mu):
+        raise ParameterError("the sign-averaging chain needs a nonzero coefficient vector")
     w = rule.weights
     mom = sign_moments(normalized_kernel_matrix(seq, q, rule).T, mu, w, q, method, samples, seed)
     mu_norm_q = seq_norm(mu, q)
-    left = float(np.sum(w * mom.square ** (q / 2.0)))
+    left = float(rule_power(mom.square, w, q / 2.0))
     middle, best_q, stderr = mom.value, mom.best, mom.stderr
     d_local = best_q ** (1.0 / q) / mu_norm_q
     d_eff = max(d_q, d_local)

@@ -241,3 +241,25 @@ def test_bad_exponent_is_config_error(tmp_path):
     cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
                                       "s": [1], "p": 2, "seed": 1})
     assert cli.main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+_EXTEND = {"domain": "disc", "points": DISC_POINTS, "s": 1, "p": 2, "batch": 1, "seed": 1,
+           "resolution": 64}
+_BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8, "angular": 32}
+
+
+@pytest.mark.parametrize("sub,cfg", [
+    ("sh", {"domain": "disc", "q": [2], "ps": [], "grid": [[0.5]]}),
+    ("sh", {"domain": "ball2", "q": [2], "ps": [], "grid": [[0.5, 0.0]]}),
+    ("extend", {**_EXTEND, "target": [[1.0], 1.0, 1.0]}),
+    ("extend", {**_EXTEND, "target": ["abc", 1.0, 1.0]}),
+    ("bergman", {**_BERGMAN, "target": [[1.0], 1.0]}),
+    ("bergman", {**_BERGMAN, "target": ["abc", 1.0]}),
+    ("bergman", {k: v for k, v in _BERGMAN.items() if k != "points"}),
+], ids=["sh-disc-short-row", "sh-ball-short-row", "extend-short-pair", "extend-text",
+        "bergman-short-pair", "bergman-text", "bergman-no-points"])
+def test_malformed_input_is_config_error(tmp_path, capsys, sub, cfg):
+    path = _write(tmp_path, "c.json", cfg)
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+    assert "error:" in capsys.readouterr().err

@@ -343,3 +343,41 @@ def test_factorization_identity_property(kind, method, seed, n, p, t):
     nu = rng.standard_normal(len(seq)) + 1j * rng.standard_normal(len(seq))
     _, _, rep = hl.randomized_factorization(dual, nu, s, rule, norms)
     assert rep["max_pointwise_error"] <= 1e-10
+
+
+@pytest.mark.parametrize("kind,method", DUAL_CASES)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       p=st.sampled_from([1.5, 2.0, 4.0, np.inf]), t=st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+def test_holder_chain_property(kind, method, seed, n, p, t):
+    # ||h||_s <= (E||f||_p^p)^{1/p} (E||g||_q^q)^{1/q} for every target, and
+    # for p <= 2 the measured budget dominates the operator-norm estimate; with
+    # one point, a Gram dual and s = 1 the two are equal up to rounding
+    dom = hl.Domain(kind)
+    seq = separated_points(dom, n, seed)
+    norms = hl.NormCache(dom)
+    p = 2.0 if method == "gram2" else p
+    s = 1.0 + t * (min(p, 3.0) - 1.0)
+    dual = hl.dual_system(seq, p, method, norms)
+    rule = (hl.build_quadrature(dom, 8, angular=16) if kind == "ball2"
+            else hl.build_quadrature(dom, 64))
+    rep = hl.verify_norm_bound(dual, s, rule, norms, batch=4, seed=seed)
+    assert rep.details["worst_chain_margin"] >= -1e-8
+    if p <= 2.0:
+        assert rep.ci_estimate <= rep.constant_budget * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("route", ["weak_ratio_at", "p_le_2", "infty", "weak_from_carleson"])
+def test_zero_coefficient_vector_is_parameter_error(disc, disc_rule, disc_norms, route):
+    seq = _seq(disc, 0.0, 0.5)
+    zero = np.zeros(2, dtype=complex)
+    calls = {
+        "weak_ratio_at": lambda: hl.weak_ratio_at(seq, 4.0, zero, disc_rule),
+        "p_le_2": lambda: hl.dual_expectation_bound_p_le_2(
+            hl.dual_system_collocation(seq, 1.5, disc_norms), zero, disc_rule),
+        "infty": lambda: hl.dual_expectation_bound_infty(
+            hl.dual_system_blaschke(seq, np.inf), 2.0, zero, disc_rule),
+        "weak_from_carleson": lambda: hl.weak_from_carleson_check(seq, 4.0, zero, disc_rule, 1.0),
+    }
+    with pytest.raises(hl.ParameterError, match="nonzero coefficient vector"):
+        calls[route]()

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
 from conftest import geometric_kernel_l2sq, sphere_moment
@@ -172,3 +174,27 @@ def test_seq_norm():
     assert abs(hl.seq_norm(x, 1) - 7.0) < 1e-15
     assert abs(hl.seq_norm(x, 2) - 5.0) < 1e-15
     assert abs(hl.seq_norm(x, np.inf) - 4.0) < 1e-15
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), m=st.integers(4, 1100),
+       p=st.one_of(st.floats(1.0, 12.0), st.sampled_from([1.0, 2.0, np.inf])),
+       real=st.booleans())
+def test_rule_norm_rows_match_lp_norm(seed, rows, m, p, real):
+    # each row of the row-wise helper is lp_norm of that row, bit for bit
+    rule = hl.build_quadrature(hl.Domain(hl.DISC), m)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((rows, m)) * rng.uniform(0.1, 10.0, size=(rows, 1))
+    if not real:
+        vals = vals + 1j * rng.standard_normal((rows, m))
+    norms = hl.rule_norm(vals, rule.weights, p)
+    powers = hl.rule_power(vals, rule.weights, p)
+    assert norms.shape == powers.shape == (rows,)
+    for row, norm, power in zip(vals, norms, powers):
+        assert norm == hl.lp_norm(hl.BoundarySamples(row, rule), p)
+        if p == np.inf:
+            assert norm == np.max(np.abs(row))
+        else:
+            exact = math.fsum(rule.weights * np.abs(row) ** p)
+            assert abs(power - exact) <= 1e-13 * exact
+            assert abs(norm - exact ** (1.0 / p)) <= 1e-14 * norm

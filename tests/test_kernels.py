@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -201,6 +204,34 @@ def test_reproducing_property(disc, ball, disc_rule, ball_rule):
     res = hl.reproducing_check(lambda zs: zs[:, 0] * zs[:, 1],
                                np.array([0.3, 0.4j]), ball_rule)
     assert res < 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _repro_rule(kind):
+    """A rule on which polynomials of degree <= 4 pair exactly with k_a, |a| <= 0.7,
+    up to trapezoid aliasing of order |a|^124."""
+    dom = hl.Domain(kind)
+    if kind == hl.BALL2:
+        return hl.build_quadrature(dom, 6, angular=128)
+    return hl.build_quadrature(dom, 256 if kind == hl.DISC else 128)
+
+
+@pytest.mark.parametrize("kind", [hl.DISC, hl.BALL2, hl.BIDISC])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.floats(0.0, 0.7))
+def test_reproducing_property_at_random_points(kind, seed, r):
+    # <f, k_a> = f(a) for a random polynomial f of degree <= 4
+    dom = hl.Domain(kind)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
+    a = r * (v / np.abs(v) if kind == hl.BIDISC else v / np.linalg.norm(v))
+    powers = [al for al in itertools.product(range(5), repeat=dom.n) if sum(al) <= 4]
+    c = rng.standard_normal(len(powers)) + 1j * rng.standard_normal(len(powers))
+
+    def f(zs):
+        return sum(ck * np.prod(zs ** np.array(al), axis=1) for ck, al in zip(c, powers))
+
+    assert hl.reproducing_check(f, a, _repro_rule(kind)) <= 1e-12 * np.sum(np.abs(c))
 
 
 def test_poisson_kernel(disc, ball, bidisc, disc_rule, ball_rule, bidisc_rule):

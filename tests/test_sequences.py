@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
-from hardylab.sequences import _default_starts, _duality_map, _weighted_lq
+from hardylab.sequences import _default_starts, _duality_map
 from conftest import DUAL_CASES, separated_points
 
 
@@ -196,6 +196,11 @@ def _pre_change_duality_map(x: np.ndarray, r: float) -> np.ndarray:
     nz = mag > 0
     out[nz] = mag[nz] ** (r - 1.0) * (x[nz] / mag[nz])
     return out
+
+
+def _weighted_lq(vals: np.ndarray, w: np.ndarray, q: float) -> float:
+    """The oracle's own L^q(w) norm, written out as the package once wrote it."""
+    return float(np.sum(w * np.abs(vals) ** q) ** (1.0 / q))
 
 
 def _pre_change_power_iteration(A, w, q, starts, max_iter, rtol=1e-13):
