@@ -65,9 +65,6 @@ from .sequences import (
     carleson_window_constant,
     dual_bound,
     dual_system,
-    dual_system_blaschke,
-    dual_system_collocation,
-    dual_system_gram,
     gleason_distance,
     gleason_product_delta,
     normalized_kernel_matrix,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedDomainError
 from .geometry import BALL2, BoundarySamples, Domain, QuadratureRule, build_quadrature, lp_norm, rule_norm
-from .kernels import INF, NormCache, conjugate_exponent, kernel_samples, kernel_values
+from .kernels import INF, conjugate_exponent, kernel_samples, kernel_values
 from .sequences import PointSequence, dual_system
 from .extension import build_extension
 
@@ -169,9 +169,7 @@ def bergman_extension(points, nu, s: float, p: float, spec: BergmanSpec, *,
     if rule is None:
         rule = build_quadrature(ball, 16, angular=64)
     embedded = PointSequence.create(ball, [(complex(a), 0.0) for a in np.atleast_1d(points)])
-    norms = NormCache(ball)
-    dual = dual_system(embedded, p, dual_method, norms)
-    h, report = build_extension(dual, nu, s, rule, norms)
+    h, report = build_extension(dual_system(embedded, p, dual_method), nu, s, rule)
     U = restrict(h)
     h_norm = report.details["h_norm"]
     u_norm = bergman_norm(U, s, spec)

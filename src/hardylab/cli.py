@@ -40,6 +40,21 @@ def _parse_exponent(v):
         raise ParameterError(f"bad exponent {v!r}") from exc
 
 
+def _number(value, what: str, kind=int):
+    """``kind(value)`` for a numeric config value; a malformed one is a ParameterError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad {what} {value!r}") from exc
+
+
+def _list(value, what: str) -> list:
+    """A list-valued config entry; a value of another type is a ParameterError."""
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _complex_row(row, n: int, what: str) -> np.ndarray:
     """n complex numbers from a row of 2n reals (re/im per coordinate)."""
     try:
@@ -57,7 +72,8 @@ def _parse_points(cfg: dict, dom: geometry.Domain) -> sequences.PointSequence:
     if "points" not in cfg:
         raise ParameterError("config needs 'points' or 'points_csv'")
     return sequences.PointSequence.create(
-        dom, [_complex_row(row, dom.n, f"{dom.kind} points") for row in cfg["points"]])
+        dom, [_complex_row(row, dom.n, f"{dom.kind} points")
+              for row in _list(cfg["points"], "points")])
 
 
 def _parse_target(cfg: dict, n: int) -> np.ndarray:
@@ -76,17 +92,19 @@ def _domain(cfg: dict) -> geometry.Domain:
 
 
 def _rule(cfg: dict, dom: geometry.Domain) -> geometry.QuadratureRule:
-    resolution = int(cfg.get("resolution", 256 if dom.kind == geometry.DISC else 16))
+    default = 256 if dom.kind == geometry.DISC else 16
+    resolution = _number(cfg.get("resolution", default), "resolution")
     angular = cfg.get("angular")
     if dom.kind == geometry.BALL2:
-        return geometry.build_quadrature(dom, resolution, angular=int(angular) if angular else None)
+        return geometry.build_quadrature(
+            dom, resolution, angular=_number(angular, "angular") if angular else None)
     return geometry.build_quadrature(dom, resolution)
 
 
 def _need_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ParameterError("this subcommand is stochastic: an explicit 'seed' is required")
-    return int(cfg["seed"])
+    return _number(cfg["seed"], "seed")
 
 
 def _delta_residual(dual: sequences.DualSystem) -> float:
@@ -103,8 +121,10 @@ def _scan_grid(cfg: dict, dom: geometry.Domain):
     grid_cfg = cfg.get("grid", {"rmax": 0.95, "count": 20})
     if isinstance(grid_cfg, list):
         return [_complex_row(row, dom.n, f"{dom.kind} grid points") for row in grid_cfg]
-    rmax = float(grid_cfg.get("rmax", 0.95))
-    count = int(grid_cfg.get("count", 20))
+    if not isinstance(grid_cfg, dict):
+        raise ParameterError(f"grid must be a list of points or a dict, got {grid_cfg!r}")
+    rmax = _number(grid_cfg.get("rmax", 0.95), "grid rmax", float)
+    count = _number(grid_cfg.get("count", 20), "grid count")
     radii = np.linspace(0.0, rmax, count)
     if dom.kind == geometry.DISC:
         return [np.array([r], dtype=complex) for r in radii]
@@ -144,7 +164,8 @@ def _run_carleson(cfg: dict):
     rule = _rule(cfg, dom)
     q = _parse_exponent(cfg.get("q", 2.0))
     seed = cfg.get("seed")
-    kwargs = {"restarts": int(cfg.get("restarts", 32)), "seed": None if seed is None else int(seed)}
+    kwargs = {"restarts": _number(cfg.get("restarts", 32), "restarts"),
+              "seed": None if seed is None else _number(seed, "seed")}
     report = sequences.carleson_constant(seq, q, rule, method=cfg.get("method", "auto"), **kwargs)
     out = {"carleson": report.to_json()}
     if q >= 2 and cfg.get("weak", True):
@@ -163,14 +184,13 @@ def _run_dual(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
-    cache = kernels.NormCache(dom)
     p = _parse_exponent(cfg.get("p", 2.0))
-    dual = sequences.dual_system(seq, p, cfg.get("method", "gram2"), cache,
+    dual = sequences.dual_system(seq, p, cfg.get("method", "gram2"),
                                  tikhonov=bool(cfg.get("tikhonov", False)))
     out = dual.to_json()
     out["delta_residual"] = _delta_residual(dual)
     out["dual_bound"] = sequences.dual_bound(dual, rule)
-    return {"dual": out, "engine": cache.report()}, None
+    return {"dual": out, "engine": dual.norms.report()}, None
 
 
 def _run_gleason(cfg: dict):
@@ -199,41 +219,41 @@ def _run_extend(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
-    cache = kernels.NormCache(dom)
     s = _parse_exponent(cfg.get("s", 1.0))
     p = _parse_exponent(cfg.get("p", 2.0))
     kernels.exponent_from_split(s, p)  # validates the identity at parse time
     seed = _need_seed(cfg)
-    dual = sequences.dual_system(seq, p, cfg.get("dual_method", "gram2"), cache)
+    dual = sequences.dual_system(seq, p, cfg.get("dual_method", "gram2"))
     delta_residual = _delta_residual(dual)
-    _, rep = ext.build_extension(dual, _parse_target(cfg, len(seq)), s, rule, cache)
-    bound_rep = ext.verify_norm_bound(dual, s, rule, cache,
-                                      batch=int(cfg.get("batch", 64)), seed=seed)
+    _, rep = ext.build_extension(dual, _parse_target(cfg, len(seq)), s, rule)
+    bound_rep = ext.verify_norm_bound(dual, s, rule, batch=_number(cfg.get("batch", 64), "batch"),
+                                      seed=seed)
     rep.ci_estimate = bound_rep.ci_estimate
     rep.constant_budget = bound_rep.constant_budget
     rep.details["verification"] = bound_rep.details
     rep.details["dual_delta_residual"] = delta_residual
     rows = [[i, r] for i, r in enumerate(rep.residuals)]
-    return {"extension": rep.to_json(), "engine": cache.report()}, rows
+    return {"extension": rep.to_json(), "engine": dual.norms.report()}, rows
 
 
 def _run_khintchine(cfg: dict):
     qs = [_parse_exponent(q) for q in cfg.get("q", [1.0, 2.0, 4.0])]
     method = cfg.get("method", "exact")
-    samples = cfg.get("samples")
+    samples = _number(cfg.get("samples") or 0, "samples")
     seed = None
     rows, results = [], []
     if "vectors" in cfg:
-        vectors = [np.asarray([complex(v[0], v[1]) for v in vec]) for vec in cfg["vectors"]]
+        vectors = [np.array([_complex_row(v, 1, "vector entries")[0] for v in _list(vec, "vector")])
+                   for vec in _list(cfg["vectors"], "vectors")]
     else:
         seed = _need_seed(cfg)
         rng = np.random.default_rng(seed)
-        lengths = [int(n) for n in cfg.get("lengths", [2, 4, 8])]
+        lengths = [_number(n, "length") for n in _list(cfg.get("lengths", [2, 4, 8]), "lengths")]
         vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in lengths]
     mc_seed = _need_seed(cfg) if method == "monte-carlo" else None
     for q in qs:
         for x in vectors:
-            ratio, stderr = signs.khintchine_ratio(x, q, method, int(samples or 0), mc_seed)
+            ratio, stderr = signs.khintchine_ratio(x, q, method, samples, mc_seed)
             rows.append([q, len(x), ratio, method, stderr])
             results.append({"q": q, "n": len(x), "ratio": ratio, "method": method, "stderr": stderr})
     return {"ratios": results, "seed": seed}, rows
@@ -241,21 +261,21 @@ def _run_khintchine(cfg: dict):
 
 def _run_bergman(cfg: dict):
     spec = bergman_mod.BergmanSpec(
-        n=int(cfg.get("base_dim", 1)),
-        weight=int(cfg.get("weight", 0)),
-        radial=int(cfg.get("radial", 32)),
-        angular=int(cfg.get("angular_volume", 64)),
+        n=_number(cfg.get("base_dim", 1), "base_dim"),
+        weight=_number(cfg.get("weight", 0), "weight"),
+        radial=_number(cfg.get("radial", 32), "radial"),
+        angular=_number(cfg.get("angular_volume", 64), "angular_volume"),
     )
     if "points" not in cfg:
         raise ParameterError("a bergman config needs 'points' (re/im pairs in the disc)")
-    pts = [_complex_row(row, 1, "bergman points")[0] for row in cfg["points"]]
+    pts = [_complex_row(row, 1, "bergman points")[0] for row in _list(cfg["points"], "points")]
     nu = _parse_target(cfg, len(pts))
     s = _parse_exponent(cfg.get("s", 1.0))
     p = _parse_exponent(cfg.get("p", 2.0))
     kernels.exponent_from_split(s, p)
     ball = geometry.Domain(geometry.BALL2)
-    rule = geometry.build_quadrature(ball, int(cfg.get("resolution", 16)),
-                                     angular=int(cfg.get("angular", 64)))
+    rule = geometry.build_quadrature(ball, _number(cfg.get("resolution", 16), "resolution"),
+                                     angular=_number(cfg.get("angular", 64), "angular"))
     _, rep = bergman_mod.bergman_extension(pts, nu, s, p, spec, rule=rule,
                                            dual_method=cfg.get("dual_method", "collocation"))
     rows = [[i, r] for i, r in enumerate(rep.residuals)]

@@ -1,7 +1,8 @@
 """Linear extension of finite interpolation targets.
 
 Every step takes a dual system {rho_a}, which fixes the points a and the
-exponent p.  For a target nu in l^s with s < p, the extension is
+exponent p and carries the kernel-norm cache that c_a, the targets and the
+k_{q,a} are read from.  For a target nu in l^s with s < p, the extension is
 
     h = sum_a nu_a c_a rho_a k_{q,a},      1/s = 1/p + 1/q,
 
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .geometry import BALL2, DISC, Domain, QuadratureRule, rule_norm, rule_power, seq_norm
 from .kernels import INF, conjugate_exponent, exponent_from_split, kernel_diag, kernel_matrix
-from .sequences import DualSystem, PointSequence, normalized_kernel_matrix, weak_ratio_at
+from .sequences import DualSystem, normalized_kernel_matrix, weak_ratio_at
 from .signs import EXACT_CAP, sign_matrix_chunks, sign_moments
 
 _CHAIN_SLACK = 1e-8
@@ -131,7 +132,7 @@ class ExtensionCoeffs:
         }
 
 
-def coeff_c(dual: DualSystem, s: float, norms) -> ExtensionCoeffs:
+def coeff_c(dual: DualSystem, s: float) -> ExtensionCoeffs:
     """c_a = ||k_a||_{s'} ||k_a||_q / (scale_a k_a(a)) with the dual's scales, 1/s = 1/p + 1/q.
 
     The hypothesis extrema are evaluated at the sequence points themselves,
@@ -147,7 +148,7 @@ def coeff_c(dual: DualSystem, s: float, norms) -> ExtensionCoeffs:
     ratios_q, ratios_ps = [], []
     for i in range(n):
         a = seq[i]
-        t = norms.table(a, [sc, pc, qc, q, 2.0])
+        t = dual.norms.table(a, [sc, pc, qc, q, 2.0])
         diag = kernel_diag(a, seq.domain)
         if diag <= 0:
             raise ParameterError("kernel diagonal must be positive")
@@ -189,9 +190,10 @@ class ExtensionReport:
 # sample-matrix helpers
 
 
-def normalized_kernel_rows(seq: PointSequence, q: float, zs: np.ndarray, norms) -> np.ndarray:
-    """(N, len(zs)) values of k_{q,a}, normalized with the given norm source."""
-    scale = np.array([norms.norm(seq[i], q) for i in range(len(seq))])
+def normalized_kernel_rows(dual: DualSystem, q: float, zs: np.ndarray) -> np.ndarray:
+    """(N, len(zs)) values of k_{q,a} at the dual's points, normalized with its norm cache."""
+    seq = dual.sequence
+    scale = np.array([dual.norms.norm(seq[i], q) for i in range(len(seq))])
     return kernel_matrix(seq.arrays(), zs, seq.domain) / scale[:, None]
 
 
@@ -216,10 +218,10 @@ def interior_panel(dom: Domain, count: int, seed: int, rmax: float = 0.8) -> np.
 # the extension itself
 
 
-def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule, norms) -> tuple:
+def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule) -> tuple:
     """h = sum_a nu_a c_a rho_a k_{q,a} plus its interpolation report.
 
-    h is a vectorized evaluator zs (M, n) -> (M,) that holds on to ``norms``.
+    h is a vectorized evaluator zs (M, n) -> (M,) that holds on to ``dual``.
     h(a) = nu_a ||k_a||_{s'} holds by construction up to the dual system's
     delta residual; the report carries per-point residuals and the ratio
     ||h||_s / ||nu||_s measured on the rule.
@@ -229,14 +231,14 @@ def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule, norms)
     nu = np.asarray(nu, dtype=complex)
     if nu.shape != (len(seq),):
         raise ParameterError("one target value per sequence point is required")
-    coeffs = coeff_c(dual, s, norms)
+    coeffs = coeff_c(dual, s)
     sc = conjugate_exponent(s)
-    target_scale = np.array([norms.norm(seq[i], sc) for i in range(len(seq))])
+    target_scale = np.array([dual.norms.norm(seq[i], sc) for i in range(len(seq))])
 
     weights = nu * coeffs.values
 
     def h(zs: np.ndarray) -> np.ndarray:
-        return weights @ (dual.values(zs) * normalized_kernel_rows(seq, q, zs, norms))
+        return weights @ (dual.values(zs) * normalized_kernel_rows(dual, q, zs))
 
     targets = nu * target_scale
     at_points = h(seq.arrays())
@@ -264,8 +266,7 @@ def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule, norms)
     return h, report
 
 
-def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRule,
-                             norms) -> tuple:
+def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRule) -> tuple:
     """Builders for f(eps), g(eps) and the identity check h = E[f g].
 
     nu is split along 1/s = 1/p + 1/q with the dual's exponent p.  f_of(eps)
@@ -280,7 +281,7 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
     if n > EXACT_CAP:
         raise CapacityError(f"exact factorization check capped at {EXACT_CAP} points")
     split = split_target(nu, s, dual.p)
-    coeffs = coeff_c(dual, s, norms)
+    coeffs = coeff_c(dual, s)
     q = split.q
     lc = split.lam * coeffs.values
 
@@ -290,14 +291,14 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
 
     def g_of(eps):
         w = split.mu * np.asarray(eps, dtype=float)
-        return lambda zs: w @ normalized_kernel_rows(seq, q, zs, norms)
+        return lambda zs: w @ normalized_kernel_rows(dual, q, zs)
 
     panel = np.vstack([
         interior_panel(seq.domain, _PANEL_INTERIOR, _PANEL_SEED),
         rule.nodes[np.linspace(0, len(rule) - 1, _PANEL_BOUNDARY, dtype=int)],
     ])
     rho_at = dual.values(panel)
-    kq_at = normalized_kernel_rows(seq, q, panel, norms)
+    kq_at = normalized_kernel_rows(dual, q, panel)
     h_at = (split.nu * coeffs.values) @ (rho_at * kq_at)
 
     # f(eps) g(eps) is even in eps, so the patterns with eps_0 = +1 suffice
@@ -318,7 +319,7 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
     return f_of, g_of, report
 
 
-def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule, norms,
+def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
                       batch: int = 64, seed: int | None = None) -> ExtensionReport:
     """Estimate the operator norm from below and bound it from above.
 
@@ -341,10 +342,10 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule, norms,
     seq, p = dual.sequence, dual.p
     n = len(seq)
     q = exponent_from_split(s, p)
-    coeffs = coeff_c(dual, s, norms)
+    coeffs = coeff_c(dual, s)
     w = rule.weights
     rho_vals = dual.values(rule.nodes)
-    kq_vals = normalized_kernel_rows(seq, q, rule.nodes, norms)
+    kq_vals = normalized_kernel_rows(dual, q, rule.nodes)
     prod_vals = rho_vals * kq_vals
     sup_rho = float(np.max(rule_norm(rho_vals, w, p)))
 

@@ -6,7 +6,10 @@ ways: Gleason separation, the classical window constant on the disc, and
 operator-norm Carleson constants of the kernel synthesis map; and it
 constructs dual systems (collocation in the kernel span, or closed-form
 Blaschke products on the disc) normalized so that rho_a(b) is
-delta_ab * ||k_b||_{p'} for finite p and delta_ab for p = inf.
+delta_ab * ||k_b||_{p'} for finite p and delta_ab for p = inf, whatever
+the method.  ``dual_system`` is the only constructor; the dual keeps the
+kernel-norm cache it read its scales from, and every chain step in
+``extension`` reads kernel norms from it.
 
 Kernels and duals are only ever needed as sample matrices: the kernels of
 a sequence at M points are one ``kernel_matrix`` call, and
@@ -38,7 +41,7 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .geometry import BALL2, DISC, Domain, QuadratureRule, rule_norm, rule_power, seq_norm
-from .kernels import INF, conjugate_exponent, kernel_matrix, _point_key
+from .kernels import INF, NormCache, conjugate_exponent, kernel_matrix, _point_key
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,8 @@ class DualSystem:
     p = inf convention.  Matrix-based systems store rho_a = sum_c X[a, c] k_c
     together with the condition number of the collocation matrix and the
     Tikhonov shift added to it (0 when none was); Blaschke systems are
-    closed form and exact on the disc.
+    closed form and exact on the disc.  ``norms`` is the kernel-norm cache of
+    the sequence's domain that every chain step reads; reports leave it out.
     """
 
     sequence: PointSequence
@@ -386,6 +390,7 @@ class DualSystem:
     coefficients: np.ndarray | None = None
     condition: float | None = None
     tikhonov_eps: float = 0.0
+    norms: NormCache = field(kw_only=True, repr=False, compare=False)
 
     @property
     def blaschke(self) -> bool:
@@ -434,8 +439,29 @@ def _blaschke_others(zeros: np.ndarray, z: np.ndarray) -> np.ndarray:
 _COND_LIMIT = 1e12
 
 
-def _solve_dual(seq: PointSequence, scales: np.ndarray, tikhonov: bool) -> tuple:
-    """(X, condition, Tikhonov eps) for the collocation solve K X^T = diag(scales)."""
+def dual_system(seq: PointSequence, p: float, method: str, *,
+                tikhonov: bool = False) -> DualSystem:
+    """The "gram2" (p = 2 only), "collocation" or "blaschke" (disc only) dual for exponent p.
+
+    scale_b is 1 at p = inf and ||k_b||_{p'} otherwise, read from a new
+    NormCache of the sequence's domain that the dual keeps.  Collocation
+    (gram2 is its p = 2 case) solves K X^T = diag(scales) in span{k_c};
+    Blaschke is rho_a = scale_a B_a / B_a(a), B_a the product over b != a.
+    """
+    if method not in ("gram2", "collocation", "blaschke"):
+        raise ParameterError(f"unknown dual method {method!r}")
+    if method == "gram2" and p != 2:
+        raise ParameterError(f"the gram2 dual targets exponent 2, not {p}")
+    if method == "blaschke" and seq.domain.kind != DISC:
+        raise UnsupportedDomainError("Blaschke duals require the disc")
+    norms = NormCache(seq.domain)
+    if p == INF:
+        scales = np.ones(len(seq))
+    else:
+        pc = conjugate_exponent(p)
+        scales = np.array([norms.norm(seq[i], pc) for i in range(len(seq))])
+    if method == "blaschke":
+        return DualSystem(seq, float(p), method, scales, norms=norms)
     pts = seq.arrays()
     K = kernel_matrix(pts, pts, seq.domain).T  # K[b, c] = k_c(b)
     cond = float(np.linalg.cond(K))
@@ -453,54 +479,7 @@ def _solve_dual(seq: PointSequence, scales: np.ndarray, tikhonov: bool) -> tuple
         X = np.linalg.solve(K, np.diag(scales.astype(complex))).T
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"dual system solve failed: {exc}") from exc
-    return X, cond, eps
-
-
-def dual_system_gram(seq: PointSequence, norms, *, tikhonov: bool = False) -> DualSystem:
-    """Minimal-norm dual system in span{k_c} for exponent 2."""
-    scales = np.array([norms.norm(seq[i], 2.0) for i in range(len(seq))])
-    return DualSystem(seq, 2.0, "gram2", scales, *_solve_dual(seq, scales, tikhonov))
-
-
-def dual_system_collocation(seq: PointSequence, p: float, norms, *,
-                            tikhonov: bool = False) -> DualSystem:
-    """Same collocation solve with right-hand side ||k_a||_{p'}."""
-    pc = conjugate_exponent(p)
-    scales = np.array([norms.norm(seq[i], pc) for i in range(len(seq))])
-    return DualSystem(seq, float(p), "collocation", scales, *_solve_dual(seq, scales, tikhonov))
-
-
-def dual_system_blaschke(seq: PointSequence, p: float, norms=None) -> DualSystem:
-    """Closed-form Blaschke dual on the disc.
-
-    rho_a = scale_a * B_a / B_a(a) with B_a the Blaschke product over the
-    other points; scale_a is ||k_a||_{p'} for finite p and 1 for p = inf,
-    where the interpolation targets carry no kernel-norm factor.
-    """
-    if seq.domain.kind != DISC:
-        raise UnsupportedDomainError("Blaschke duals require the disc")
-    if p == INF:
-        scales = np.ones(len(seq))
-    else:
-        if norms is None:
-            raise ParameterError("finite-p Blaschke duals need a norm source")
-        pc = conjugate_exponent(p)
-        scales = np.array([norms.norm(seq[i], pc) for i in range(len(seq))])
-    return DualSystem(seq, float(p) if p != INF else INF, "blaschke", scales, None)
-
-
-def dual_system(seq: PointSequence, p: float, method: str, norms, *,
-                tikhonov: bool = False) -> DualSystem:
-    """The "gram2" (p = 2 only), "collocation" or "blaschke" dual system for exponent p."""
-    if method == "gram2":
-        if p != 2:
-            raise ParameterError(f"the gram2 dual targets exponent 2, not {p}")
-        return dual_system_gram(seq, norms, tikhonov=tikhonov)
-    if method == "collocation":
-        return dual_system_collocation(seq, p, norms, tikhonov=tikhonov)
-    if method == "blaschke":
-        return dual_system_blaschke(seq, p, norms)
-    raise ParameterError(f"unknown dual method {method!r}")
+    return DualSystem(seq, float(p), method, scales, X, cond, eps, norms=norms)
 
 
 def dual_bound(dual: DualSystem, rule: QuadratureRule) -> float:

@@ -181,16 +181,18 @@ def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureR
 
       left   = || sum |mu_a|^2 |k_{q,a}|^2 ||_{q/2}^{q/2}
       middle = E || sum mu_a eps_a k_{q,a} ||_q^q
-      right  = D^q ||mu||_q^q
+      right  = D^q ||mu||_q^q,  D = d_q as supplied
 
-    The per-pattern synthesis ratio never exceeds the true constant, so
-    the right inequality is asserted against max(d_q, best ratio seen
-    here); the report records whether the supplied d_q already dominated.
+    ``right_ok`` records whether the supplied d_q dominates the average; a
+    d_q below the true constant can fail it.  ``d_q_local`` is the best
+    per-pattern synthesis ratio seen here, a lower bound for the constant.
     The left/middle comparison carries the Khintchine constant, so only
     finiteness and positivity are asserted for it.
     """
     if q < 2:
         raise ParameterError("the sign-averaging chain needs q >= 2")
+    if not d_q > 0:
+        raise ParameterError(f"the synthesis constant d_q must be positive, got {d_q}")
     mu = np.asarray(mu, dtype=complex)
     if not np.any(mu):
         raise ParameterError("the sign-averaging chain needs a nonzero coefficient vector")
@@ -200,8 +202,7 @@ def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureR
     left = float(rule_power(mom.square, w, q / 2.0))
     middle, best_q, stderr = mom.value, mom.best, mom.stderr
     d_local = best_q ** (1.0 / q) / mu_norm_q
-    d_eff = max(d_q, d_local)
-    right = d_eff**q * mu_norm_q**q
+    right = d_q**q * mu_norm_q**q
     slack = 1e-8 * right + 4.0 * stderr
     right_ok = middle <= right + slack
     left_factor = left / middle if middle > 0 else np.inf
@@ -217,7 +218,6 @@ def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureR
         "right_ok": bool(right_ok),
         "d_q_given": d_q,
         "d_q_local": d_local,
-        "d_q_given_sufficient": bool(middle <= d_q**q * mu_norm_q**q * (1.0 + 1e-8) + 4.0 * stderr),
         "method": method,
         "stderr": stderr,
     }

@@ -132,16 +132,15 @@ def test_criterion_05_extension_correctness():
     min_sep = min(hl.gleason_distance(seq[i], seq[j], disc)
                   for i in range(6) for j in range(i + 1, 6))
     rule = hl.build_quadrature(disc, 1024)
-    cache = hl.NormCache(disc)
-    dual = hl.dual_system_gram(seq, cache)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     rng = np.random.default_rng(55)
     nu = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    h, rep = hl.build_extension(dual, nu, 1.0, rule, cache)
+    h, rep = hl.build_extension(dual, nu, 1.0, rule)
 
     nu2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    h2, _ = hl.build_extension(dual, nu2, 1.0, rule, cache)
-    h12, _ = hl.build_extension(dual, nu + nu2, 1.0, rule, cache)
-    hs, _ = hl.build_extension(dual, (1.5 - 0.5j) * nu, 1.0, rule, cache)
+    h2, _ = hl.build_extension(dual, nu2, 1.0, rule)
+    h12, _ = hl.build_extension(dual, nu + nu2, 1.0, rule)
+    hs, _ = hl.build_extension(dual, (1.5 - 0.5j) * nu, 1.0, rule)
     panel = hl.interior_panel(disc, 20, 99)
     v1, v2 = h(panel), h2(panel)
     scale = np.max(np.abs(v1)) + np.max(np.abs(v2))
@@ -149,7 +148,7 @@ def test_criterion_05_extension_correctness():
     hom_gap = np.max(np.abs(hs(panel) - (1.5 - 0.5j) * v1)) / scale
 
     # the Hoelder chain is asserted inside verify_norm_bound at slack 1e-8
-    vrep = hl.verify_norm_bound(dual, 1.0, rule, cache, batch=16, seed=5)
+    vrep = hl.verify_norm_bound(dual, 1.0, rule, batch=16, seed=5)
     elapsed = time.perf_counter() - t0
     _criterion(5, "extension correctness", [
         (min_sep >= 0.5, f"gleason separation {min_sep:.3f} >= 0.5"),
@@ -167,11 +166,10 @@ def test_criterion_06_factorization_identity():
     pts = (0.8 * np.arange(1, 11) / 10.0 * np.exp(2.39996j * np.arange(1, 11))).tolist()
     seq = hl.PointSequence.create(disc, pts)
     rule = hl.build_quadrature(disc, 512)
-    cache = hl.NormCache(disc)
-    dual = hl.dual_system_gram(seq, cache)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     rng = np.random.default_rng(6)
     nu = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    _, _, rep = hl.randomized_factorization(dual, nu, 1.0, rule, cache)
+    _, _, rep = hl.randomized_factorization(dual, nu, 1.0, rule)
     _criterion(6, "randomized factorization identity", [
         (rep["max_pointwise_error"] < 1e-10,
          f"N=10, 40 points, max relative error {rep['max_pointwise_error']:.2e}"),
@@ -181,7 +179,7 @@ def test_criterion_06_factorization_identity():
 def test_criterion_07_dual_systems():
     disc = hl.Domain(hl.DISC)
     ring = hl.PointSequence.create(disc, list(0.8 * np.exp(2j * np.pi * np.arange(20) / 20)))
-    disc_dual = hl.dual_system_gram(ring, hl.NormCache(disc))
+    disc_dual = hl.dual_system(ring, 2.0, "gram2")
 
     ball = hl.Domain(hl.BALL2)
     pb = []
@@ -190,11 +188,11 @@ def test_criterion_07_dual_systems():
         pb.append([0.75 * np.cos(psi) * np.exp(0.3j * np.pi * m),
                    0.75 * np.sin(psi) * np.exp(0.7j * np.pi * m)])
     ball_seq = hl.PointSequence.create(ball, pb)
-    ball_dual = hl.dual_system_gram(ball_seq, hl.NormCache(ball))
+    ball_dual = hl.dual_system(ball_seq, 2.0, "gram2")
 
     pts = [0.0, 0.5, 0.8j, -0.4]
     seq = hl.PointSequence.create(disc, pts)
-    bl = hl.dual_system_blaschke(seq, np.inf)
+    bl = hl.dual_system(seq, np.inf, "blaschke")
     rule = hl.build_quadrature(disc, 1024)
     sup_gap = 0.0
     rho = bl.values(rule.nodes)
@@ -251,11 +249,10 @@ def test_criterion_08_carleson_consistency():
 def test_criterion_09_p_le_2_expectation_bound():
     disc = hl.Domain(hl.DISC)
     rule = hl.build_quadrature(disc, 512)
-    cache = hl.NormCache(disc)
     seq = hl.PointSequence.create(disc, [0.6, -0.6])
-    dual2 = hl.dual_system_gram(seq, cache)
+    dual2 = hl.dual_system(seq, 2.0, "gram2")
     out2 = hl.dual_expectation_bound_p_le_2(dual2, np.array([1.0, 0.5j]), rule)
-    dual15 = hl.dual_system_collocation(seq, 1.5, cache)
+    dual15 = hl.dual_system(seq, 1.5, "collocation")
     out15 = hl.dual_expectation_bound_p_le_2(dual15, np.array([1.0, 1.0 + 0.5j]), rule)
     _criterion(9, "p <= 2 expectation bound", [
         (out2["orthogonality_gap"] < 1e-10, f"p=2 orthogonality gap {out2['orthogonality_gap']:.2e}"),
@@ -269,7 +266,7 @@ def test_criterion_10_inf_route():
     disc = hl.Domain(hl.DISC)
     rule = hl.build_quadrature(disc, 512)
     seq = hl.PointSequence.create(disc, [0.0, 0.5, 0.8j])
-    dinf = hl.dual_system_blaschke(seq, np.inf)
+    dinf = hl.dual_system(seq, np.inf, "blaschke")
     weak = hl.weak_carleson_constant(seq, 2.0, rule)
     out = hl.dual_expectation_bound_infty(dinf, 2.0, np.array([1.0, 1.0, 1.0]), rule,
                                           weak_d=weak.weak_d_q)

@@ -256,8 +256,22 @@ _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8
     ("bergman", {**_BERGMAN, "target": [[1.0], 1.0]}),
     ("bergman", {**_BERGMAN, "target": ["abc", 1.0]}),
     ("bergman", {k: v for k, v in _BERGMAN.items() if k != "points"}),
+    ("extend", {**_EXTEND, "batch": "many"}),
+    ("extend", {**_EXTEND, "seed": "abc"}),
+    ("carleson", {"domain": "disc", "points": DISC_POINTS, "q": 4, "seed": 1, "restarts": "x"}),
+    ("carleson", {"domain": "disc", "points": DISC_POINTS, "q": 2, "resolution": "hi"}),
+    ("gleason", {"domain": "disc", "points": 5}),
+    ("sh", {"domain": "disc", "q": [2], "ps": [], "grid": 5}),
+    ("sh", {"domain": "disc", "q": [2], "ps": [], "grid": {"rmax": "x"}}),
+    ("khintchine", {"q": [2], "vectors": [[[1.0]]]}),
+    ("khintchine", {"q": [2], "lengths": ["x"], "seed": 1}),
+    ("bergman", {**_BERGMAN, "weight": "heavy"}),
 ], ids=["sh-disc-short-row", "sh-ball-short-row", "extend-short-pair", "extend-text",
-        "bergman-short-pair", "bergman-text", "bergman-no-points"])
+        "bergman-short-pair", "bergman-text", "bergman-no-points",
+        "extend-batch-text", "extend-seed-text", "carleson-restarts-text",
+        "carleson-resolution-text", "gleason-points-number", "sh-grid-number",
+        "sh-grid-rmax-text", "khintchine-short-entry", "khintchine-lengths-text",
+        "bergman-weight-text"])
 def test_malformed_input_is_config_error(tmp_path, capsys, sub, cfg):
     path = _write(tmp_path, "c.json", cfg)
     assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

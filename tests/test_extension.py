@@ -54,23 +54,23 @@ def test_split_validation():
 # coefficients
 
 
-def _gram(disc_norms, seq):
-    return hl.dual_system_gram(seq, disc_norms)
+def _gram(seq):
+    return hl.dual_system(seq, 2.0, "gram2")
 
 
-def test_coeff_examples(disc, disc_norms):
-    co0 = hl.coeff_c(_gram(disc_norms, _seq(disc, 0.0)), 1.0, disc_norms)
+def test_coeff_examples(disc):
+    co0 = hl.coeff_c(_gram(_seq(disc, 0.0)), 1.0)
     assert abs(co0.values[0] - 1.0) < 1e-10
-    co = hl.coeff_c(_gram(disc_norms, _seq(disc, 0.5)), 1.0, disc_norms)
+    co = hl.coeff_c(_gram(_seq(disc, 0.5)), 1.0)
     # closed form: ||k||_inf / k_a(a) = (1 / 0.5) / (4/3)
     assert abs(co.values[0] - 1.5) < 1e-10
     assert co.within_budget
 
 
-def test_coeff_positivity_and_budget(disc, disc_norms):
+def test_coeff_positivity_and_budget(disc):
     rng = np.random.default_rng(2)
     pts = (0.9 * rng.uniform(0.05, 1.0, 5) * np.exp(2j * np.pi * rng.uniform(size=5))).tolist()
-    co = hl.coeff_c(_gram(disc_norms, hl.PointSequence.create(disc, pts)), 1.0, disc_norms)
+    co = hl.coeff_c(_gram(hl.PointSequence.create(disc, pts)), 1.0)
     assert np.all(co.values > 0)
     assert co.within_budget
     assert co.budget >= 1.0 - 1e-10
@@ -80,10 +80,10 @@ def test_coeff_positivity_and_budget(disc, disc_norms):
 # the extension operator
 
 
-def test_build_extension_trivial(disc, disc_rule, disc_norms):
+def test_build_extension_trivial(disc, disc_rule):
     seq = _seq(disc, 0.0)
-    dual = hl.dual_system_gram(seq, disc_norms)
-    h, rep = hl.build_extension(dual, np.array([1.0 + 0j]), 1.0, disc_rule, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
+    h, rep = hl.build_extension(dual, np.array([1.0 + 0j]), 1.0, disc_rule)
     assert rep.residuals[0] < 1e-12
     assert abs(rep.norm_ratio - 1.0) < 1e-10
     assert abs(h(np.array([0.3 + 0.3j]))[0] - 1.0) < 1e-10
@@ -92,9 +92,9 @@ def test_build_extension_trivial(disc, disc_rule, disc_norms):
 def test_build_extension_two_points_end_to_end(disc, disc_rule, disc_norms):
     # independent oracle: closed-form two-point construction evaluated directly
     seq = _seq(disc, 0.5, -0.5)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     nu = np.array([1.0, 1.0], dtype=complex)
-    h, rep = hl.build_extension(dual, nu, 1.0, disc_rule, disc_norms)
+    h, rep = hl.build_extension(dual, nu, 1.0, disc_rule)
     assert rep.max_rel_residual < 1e-8
 
     K = np.array([[hl.kernel_eval(np.array([b]), np.array([a]), disc)
@@ -114,16 +114,16 @@ def test_build_extension_two_points_end_to_end(disc, disc_rule, disc_norms):
         assert abs(h(z)[0] - oracle(z)) < 1e-12
 
 
-def test_extension_linearity(disc, disc_rule, disc_norms):
+def test_extension_linearity(disc, disc_rule):
     seq = _seq(disc, 0.5, -0.5, 0.3j)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     rng = np.random.default_rng(7)
     nu1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     nu2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    h1, _ = hl.build_extension(dual, nu1, 1.0, disc_rule, disc_norms)
-    h2, _ = hl.build_extension(dual, nu2, 1.0, disc_rule, disc_norms)
-    h12, _ = hl.build_extension(dual, nu1 + nu2, 1.0, disc_rule, disc_norms)
-    hc, _ = hl.build_extension(dual, (2.0 - 1.0j) * nu1, 1.0, disc_rule, disc_norms)
+    h1, _ = hl.build_extension(dual, nu1, 1.0, disc_rule)
+    h2, _ = hl.build_extension(dual, nu2, 1.0, disc_rule)
+    h12, _ = hl.build_extension(dual, nu1 + nu2, 1.0, disc_rule)
+    hc, _ = hl.build_extension(dual, (2.0 - 1.0j) * nu1, 1.0, disc_rule)
     pts = hl.interior_panel(disc, 20, 42)
     scale = np.max(np.abs(h1(pts))) + np.max(np.abs(h2(pts)))
     add_gap = np.max(np.abs(h12(pts) - h1(pts) - h2(pts)))
@@ -132,24 +132,24 @@ def test_extension_linearity(disc, disc_rule, disc_norms):
     assert hom_gap < 1e-10 * scale
 
 
-def test_extension_residual_scales_with_dual_defect(disc, disc_rule, disc_norms):
+def test_extension_residual_scales_with_dual_defect(disc, disc_rule):
     seq = _seq(disc, 0.5, -0.5)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     nu = np.array([1.0, 1.0], dtype=complex)
     gaps = []
     for eps in (1e-6, 2e-6):
         perturbed = hl.DualSystem(seq, 2.0, "gram2", dual.scales,
-                                  dual.coefficients + eps * np.eye(2))
-        _, rep = hl.build_extension(perturbed, nu, 1.0, disc_rule, disc_norms)
+                                  dual.coefficients + eps * np.eye(2), norms=dual.norms)
+        _, rep = hl.build_extension(perturbed, nu, 1.0, disc_rule)
         gaps.append(rep.max_rel_residual)
     assert 1.7 < gaps[1] / gaps[0] < 2.3
 
 
-def test_build_extension_blaschke_inf_dual(disc, disc_rule, disc_norms):
+def test_build_extension_blaschke_inf_dual(disc, disc_rule):
     seq = _seq(disc, 0.0, 0.5)
-    dual = hl.dual_system_blaschke(seq, np.inf)
+    dual = hl.dual_system(seq, np.inf, "blaschke")
     nu = np.array([1.0, -0.5j])
-    h, rep = hl.build_extension(dual, nu, 1.0, disc_rule, disc_norms)
+    h, rep = hl.build_extension(dual, nu, 1.0, disc_rule)
     assert rep.max_rel_residual < 1e-10
 
 
@@ -157,11 +157,10 @@ def test_build_extension_blaschke_inf_dual(disc, disc_rule, disc_norms):
 # factorization and the norm-bound chain
 
 
-def test_randomized_factorization_single_point(disc, disc_rule, disc_norms):
+def test_randomized_factorization_single_point(disc, disc_rule):
     seq = _seq(disc, 0.5)
-    dual = hl.dual_system_gram(seq, disc_norms)
-    f_of, g_of, rep = hl.randomized_factorization(dual, np.array([2.0 - 1.0j]), 1.0, disc_rule,
-                                                  disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
+    f_of, g_of, rep = hl.randomized_factorization(dual, np.array([2.0 - 1.0j]), 1.0, disc_rule)
     assert rep["max_pointwise_error"] < 1e-12
     # f g is independent of the sign for one point
     z = np.array([0.2 + 0.2j])
@@ -170,14 +169,14 @@ def test_randomized_factorization_single_point(disc, disc_rule, disc_norms):
     assert abs(up - dn) < 1e-13
 
 
-def test_randomized_factorization_two_points(disc, disc_rule, disc_norms):
+def test_randomized_factorization_two_points(disc, disc_rule):
     seq = _seq(disc, 0.5, -0.5)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     nu = np.array([1.0, 1.0], dtype=complex)
-    f_of, g_of, rep = hl.randomized_factorization(dual, nu, 1.0, disc_rule, disc_norms)
+    f_of, g_of, rep = hl.randomized_factorization(dual, nu, 1.0, disc_rule)
     assert rep["max_pointwise_error"] < 1e-10
     # direct enumeration over the four patterns at a fresh point
-    h, _ = hl.build_extension(dual, nu, 1.0, disc_rule, disc_norms)
+    h, _ = hl.build_extension(dual, nu, 1.0, disc_rule)
     z = np.array([0.1 - 0.4j])
     acc = 0.0
     for e1 in (-1.0, 1.0):
@@ -187,36 +186,36 @@ def test_randomized_factorization_two_points(disc, disc_rule, disc_norms):
     assert abs(acc / 4.0 - h(z)[0]) < 1e-12
 
 
-def test_verify_norm_bound_trivial(disc, disc_rule, disc_norms):
+def test_verify_norm_bound_trivial(disc, disc_rule):
     seq = _seq(disc, 0.0)
-    dual = hl.dual_system_gram(seq, disc_norms)
-    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=4, seed=0)
+    dual = hl.dual_system(seq, 2.0, "gram2")
+    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=4, seed=0)
     assert abs(rep.ci_estimate - 1.0) < 1e-10
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-10)
     assert rep.details["sign_patterns"] == 1
 
 
-def test_verify_norm_bound_antipodal(disc, disc_rule, disc_norms):
+def test_verify_norm_bound_antipodal(disc, disc_rule):
     seq = _seq(disc, 0.9, -0.9)
-    dual = hl.dual_system_gram(seq, disc_norms)
-    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=16, seed=5)
+    dual = hl.dual_system(seq, 2.0, "gram2")
+    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=16, seed=5)
     assert np.isfinite(rep.ci_estimate) and rep.ci_estimate >= 1.0 - 1e-9
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-8)
     assert rep.details["worst_chain_margin"] >= -1e-12
     assert rep.details["sign_patterns"] == 2  # 2^(N-1): eps_0 = +1
 
 
-def test_verify_norm_bound_needs_seed(disc, disc_rule, disc_norms):
+def test_verify_norm_bound_needs_seed(disc, disc_rule):
     seq = _seq(disc, 0.5)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     with pytest.raises(hl.ParameterError):
-        hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=4)
+        hl.verify_norm_bound(dual, 1.0, disc_rule, batch=4)
 
 
-def test_verify_norm_bound_inf_route(disc, disc_rule, disc_norms):
+def test_verify_norm_bound_inf_route(disc, disc_rule):
     seq = _seq(disc, 0.0, 0.5)
-    dual = hl.dual_system_blaschke(seq, np.inf)
-    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, disc_norms, batch=8, seed=2)
+    dual = hl.dual_system(seq, np.inf, "blaschke")
+    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=8, seed=2)
     assert rep.ci_estimate >= 1.0 - 1e-9
     assert rep.constant_budget is None  # budget is assembled for p <= 2 only
 
@@ -225,74 +224,74 @@ def test_verify_norm_bound_inf_route(disc, disc_rule, disc_norms):
 # expectation bounds
 
 
-def test_p_le_2_bound_single_point(disc, disc_rule, disc_norms):
+def test_p_le_2_bound_single_point(disc, disc_rule):
     seq = _seq(disc, 0.5)
-    dual = hl.dual_system_collocation(seq, 1.5, disc_norms)
+    dual = hl.dual_system(seq, 1.5, "collocation")
     out = hl.dual_expectation_bound_p_le_2(dual, np.array([2.0]), disc_rule)
     rho_p = hl.lp_norm(hl.BoundarySamples(dual.values(disc_rule.nodes)[0], disc_rule), 1.5) ** 1.5
     assert abs(out["ratio"] - rho_p) < 1e-10 * rho_p
 
 
-def test_p2_orthogonality_identity(disc, disc_rule, disc_norms):
+def test_p2_orthogonality_identity(disc, disc_rule):
     seq = _seq(disc, 0.6, -0.6)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     out = hl.dual_expectation_bound_p_le_2(dual, np.array([1.0, 0.5j]), disc_rule)
     assert out["orthogonality_gap"] < 1e-10
 
 
-def test_p_1_5_bound_and_pointwise(disc, disc_rule, disc_norms):
+def test_p_1_5_bound_and_pointwise(disc, disc_rule):
     seq = _seq(disc, 0.6, -0.6)
-    dual = hl.dual_system_collocation(seq, 1.5, disc_norms)
+    dual = hl.dual_system(seq, 1.5, "collocation")
     out = hl.dual_expectation_bound_p_le_2(dual, np.array([1.0, 1.0 + 0.5j]),
                                            disc_rule)
     assert out["pointwise_ok"]
     assert out["ratio"] <= out["bound"] * (1.0 + 1e-8)
 
 
-def test_p_le_2_rejects_large_p(disc, disc_rule, disc_norms):
+def test_p_le_2_rejects_large_p(disc, disc_rule):
     seq = _seq(disc, 0.5, -0.5)
-    dual = hl.dual_system_collocation(seq, 4.0, disc_norms)
+    dual = hl.dual_system(seq, 4.0, "collocation")
     with pytest.raises(hl.ParameterError):
         hl.dual_expectation_bound_p_le_2(dual, np.ones(2), disc_rule)
 
 
-def test_type_p_examples(disc, disc_rule, disc_norms):
+def test_type_p_examples(disc, disc_rule):
     seq = _seq(disc, 0.6, -0.6)
-    dual2 = hl.dual_system_gram(seq, disc_norms)
+    dual2 = hl.dual_system(seq, 2.0, "gram2")
     out = hl.dual_expectation_bound_p_le_2(dual2, np.array([1.0, 1.0j]), disc_rule)
     assert abs(out["type_p_ratio"] - 1.0) < 1e-10
     single = _seq(disc, 0.4)
-    duals = hl.dual_system_collocation(single, 1.5, disc_norms)
+    duals = hl.dual_system(single, 1.5, "collocation")
     outs = hl.dual_expectation_bound_p_le_2(duals, np.array([1.5]), disc_rule)
     assert abs(outs["type_p_ratio"] - 1.0) < 1e-10
-    dual15 = hl.dual_system_collocation(seq, 1.5, disc_norms)
+    dual15 = hl.dual_system(seq, 1.5, "collocation")
     out15 = hl.dual_expectation_bound_p_le_2(dual15, np.array([1.0, 1.0 + 0.5j]),
                                              disc_rule)
     assert np.isfinite(out15["type_p_ratio"]) and out15["type_p_ratio"] > 0
 
 
-def test_inf_route_two_points(disc, disc_rule, disc_norms):
+def test_inf_route_two_points(disc, disc_rule):
     seq = _seq(disc, 0.0, 0.5)
-    dinf = hl.dual_system_blaschke(seq, np.inf)
+    dinf = hl.dual_system(seq, np.inf, "blaschke")
     out = hl.dual_expectation_bound_infty(dinf, 2.0, np.array([1.0, 1.0]),
                                           disc_rule)
     assert abs(out["sup_rho_inf"] - 2.0) < 1e-12
     assert out["ratio"] <= out["budget"] * (1.0 + 1e-8)
 
 
-def test_inf_route_validation(disc, disc_rule, disc_norms):
+def test_inf_route_validation(disc, disc_rule):
     seq = _seq(disc, 0.0, 0.5)
     with pytest.raises(hl.ContractError):
-        hl.dual_expectation_bound_infty(hl.dual_system_gram(seq, disc_norms), 2.0,
+        hl.dual_expectation_bound_infty(hl.dual_system(seq, 2.0, "gram2"), 2.0,
                                         np.ones(2), disc_rule)
-    dinf = hl.dual_system_blaschke(seq, np.inf)
+    dinf = hl.dual_system(seq, np.inf, "blaschke")
     with pytest.raises(hl.ParameterError):
         hl.dual_expectation_bound_infty(dinf, 1.5, np.ones(2), disc_rule)
 
 
-def test_inf_route_coefficient_length_is_shape_error(disc, disc_rule, disc_norms):
+def test_inf_route_coefficient_length_is_shape_error(disc, disc_rule):
     seq = _seq(disc, 0.0, 0.5, 0.8j)
-    dinf = hl.dual_system_blaschke(seq, np.inf)
+    dinf = hl.dual_system(seq, np.inf, "blaschke")
     with pytest.raises(hl.ShapeError):
         hl.dual_expectation_bound_infty(dinf, 2.0, np.ones(2), disc_rule)
 
@@ -312,15 +311,14 @@ def test_extension_pipeline_other_domains(kind, pts):
     dom = hl.Domain(kind)
     rule = (hl.build_quadrature(dom, 16, angular=64) if kind == "ball2"
             else hl.build_quadrature(dom, 64))
-    cache = hl.NormCache(dom)
     seq = hl.PointSequence.create(dom, pts)
-    dual = hl.dual_system_gram(seq, cache)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     nu = np.array([1.0, -0.5j])
-    _, rep = hl.build_extension(dual, nu, 1.0, rule, cache)
+    _, rep = hl.build_extension(dual, nu, 1.0, rule)
     assert rep.max_rel_residual < 1e-8
-    vrep = hl.verify_norm_bound(dual, 1.0, rule, cache, batch=8, seed=3)
+    vrep = hl.verify_norm_bound(dual, 1.0, rule, batch=8, seed=3)
     assert vrep.ci_estimate <= vrep.constant_budget * (1.0 + 1e-8)
-    _, _, fr = hl.randomized_factorization(dual, nu, 1.0, rule, cache)
+    _, _, fr = hl.randomized_factorization(dual, nu, 1.0, rule)
     assert fr["max_pointwise_error"] < 1e-10
 
 
@@ -333,15 +331,14 @@ def test_factorization_identity_property(kind, method, seed, n, p, t):
     # s stays away from 1+ because s' -> inf overflows the kernel-norm series
     dom = hl.Domain(kind)
     seq = separated_points(dom, n, seed)
-    norms = hl.NormCache(dom)
     p = 2.0 if method == "gram2" else p
     s = 1.0 + t * (min(p, 3.0) - 1.0)
-    dual = hl.dual_system(seq, p, method, norms)
+    dual = hl.dual_system(seq, p, method)
     rule = (hl.build_quadrature(dom, 8, angular=16) if kind == "ball2"
             else hl.build_quadrature(dom, 64))
     rng = np.random.default_rng(seed)
     nu = rng.standard_normal(len(seq)) + 1j * rng.standard_normal(len(seq))
-    _, _, rep = hl.randomized_factorization(dual, nu, s, rule, norms)
+    _, _, rep = hl.randomized_factorization(dual, nu, s, rule)
     assert rep["max_pointwise_error"] <= 1e-10
 
 
@@ -355,28 +352,27 @@ def test_holder_chain_property(kind, method, seed, n, p, t):
     # one point, a Gram dual and s = 1 the two are equal up to rounding
     dom = hl.Domain(kind)
     seq = separated_points(dom, n, seed)
-    norms = hl.NormCache(dom)
     p = 2.0 if method == "gram2" else p
     s = 1.0 + t * (min(p, 3.0) - 1.0)
-    dual = hl.dual_system(seq, p, method, norms)
+    dual = hl.dual_system(seq, p, method)
     rule = (hl.build_quadrature(dom, 8, angular=16) if kind == "ball2"
             else hl.build_quadrature(dom, 64))
-    rep = hl.verify_norm_bound(dual, s, rule, norms, batch=4, seed=seed)
+    rep = hl.verify_norm_bound(dual, s, rule, batch=4, seed=seed)
     assert rep.details["worst_chain_margin"] >= -1e-8
     if p <= 2.0:
         assert rep.ci_estimate <= rep.constant_budget * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("route", ["weak_ratio_at", "p_le_2", "infty", "weak_from_carleson"])
-def test_zero_coefficient_vector_is_parameter_error(disc, disc_rule, disc_norms, route):
+def test_zero_coefficient_vector_is_parameter_error(disc, disc_rule, route):
     seq = _seq(disc, 0.0, 0.5)
     zero = np.zeros(2, dtype=complex)
     calls = {
         "weak_ratio_at": lambda: hl.weak_ratio_at(seq, 4.0, zero, disc_rule),
         "p_le_2": lambda: hl.dual_expectation_bound_p_le_2(
-            hl.dual_system_collocation(seq, 1.5, disc_norms), zero, disc_rule),
+            hl.dual_system(seq, 1.5, "collocation"), zero, disc_rule),
         "infty": lambda: hl.dual_expectation_bound_infty(
-            hl.dual_system_blaschke(seq, np.inf), 2.0, zero, disc_rule),
+            hl.dual_system(seq, np.inf, "blaschke"), 2.0, zero, disc_rule),
         "weak_from_carleson": lambda: hl.weak_from_carleson_check(seq, 4.0, zero, disc_rule, 1.0),
     }
     with pytest.raises(hl.ParameterError, match="nonzero coefficient vector"):

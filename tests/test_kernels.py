@@ -328,7 +328,7 @@ def test_blaschke_factor_unimodular_on_boundary(disc, disc_rule):
     # each Blaschke dual function is a constant times a finite Blaschke
     # product, so its modulus is constant on the circle
     seq = hl.PointSequence.create(disc, [0.5, -0.2j, 0.0, 0.7 + 0.1j])
-    rho = np.abs(hl.dual_system_blaschke(seq, np.inf).values(disc_rule.nodes))
+    rho = np.abs(hl.dual_system(seq, np.inf, "blaschke").values(disc_rule.nodes))
     assert np.max(np.abs(rho / rho[:, :1] - 1.0)) < 1e-12
 
 

@@ -318,7 +318,7 @@ def test_weak_ratio_at_matches_definition(disc_rule):
 
 def test_dual_system_gram_two_point_oracle(disc, disc_norms):
     seq = _disc_seq(0.0, 0.5)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     # independent 2x2 solve: K = [[1, 1], [1, 4/3]]
     K = np.array([[1.0, 1.0], [1.0, 4.0 / 3.0]])
     x0 = np.linalg.solve(K, np.array([disc_norms.norm(np.zeros(1), 2.0), 0.0]))
@@ -328,19 +328,19 @@ def test_dual_system_gram_two_point_oracle(disc, disc_norms):
     assert dual.delta_residual() < 1e-12
 
 
-def test_dual_single_point(disc, disc_norms, disc_rule):
+def test_dual_single_point(disc, disc_rule):
     seq = _disc_seq(0.4)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     assert dual.delta_residual() < 1e-12
     assert abs(hl.dual_bound(dual, disc_rule) - 1.0) < 1e-9
 
 
-def test_dual_collocation(disc, disc_norms):
+def test_dual_collocation(disc):
     seq = _disc_seq(0.3, 0.6)
-    dual4 = hl.dual_system_collocation(seq, 4.0, disc_norms)
+    dual4 = hl.dual_system(seq, 4.0, "collocation")
     assert dual4.delta_residual() < 1e-9
-    dual2 = hl.dual_system_collocation(seq, 2.0, disc_norms)
-    gram = hl.dual_system_gram(seq, disc_norms)
+    dual2 = hl.dual_system(seq, 2.0, "collocation")
+    gram = hl.dual_system(seq, 2.0, "gram2")
     assert np.allclose(dual2.coefficients, gram.coefficients, atol=1e-12)
     # row-wise linearity in the normalization vector
     ratio = dual4.scales / gram.scales
@@ -349,54 +349,62 @@ def test_dual_collocation(disc, disc_norms):
 
 def test_dual_blaschke(disc, disc_norms, disc_rule):
     single = _disc_seq(0.5)
-    dual = hl.dual_system_blaschke(single, 4.0, disc_norms)
+    dual = hl.dual_system(single, 4.0, "blaschke")
     # empty product: constant ||k_a||_{p'}
     want = disc_norms.norm(np.array([0.5 + 0j]), 4.0 / 3.0)
     assert abs(dual.values(np.array([0.2j]))[0, 0] - want) < 1e-12
 
     seq = _disc_seq(0.0, 0.5)
-    dinf = hl.dual_system_blaschke(seq, np.inf)
+    dinf = hl.dual_system(seq, np.inf, "blaschke")
     assert dinf.delta_residual() < 1e-12
     bound = hl.dual_bound(dinf, disc_rule)
     assert abs(bound - 2.0) < 1e-12  # 1 / |B_a(a)| = 1 / 0.5
     with pytest.raises(hl.UnsupportedDomainError):
-        hl.dual_system_blaschke(hl.PointSequence.create(hl.Domain(hl.BALL2), [[0.1, 0.0]]), np.inf)
-    with pytest.raises(hl.ParameterError):
-        hl.dual_system_blaschke(seq, 4.0)  # finite p needs norms
+        hl.dual_system(hl.PointSequence.create(hl.Domain(hl.BALL2), [[0.1, 0.0]]), np.inf,
+                       "blaschke")
+
+
+@pytest.mark.parametrize("kind,method", [c for c in DUAL_CASES if c[1] != "gram2"])
+def test_sup_norm_duals_interpolate_plain_deltas(kind, method):
+    # the p = inf convention holds for every method valid on the domain
+    seq = separated_points(hl.Domain(kind), 3, 11)
+    dual = hl.dual_system(seq, np.inf, method)
+    assert np.all(dual.scales == 1.0)
+    assert np.max(np.abs(dual.values(seq.arrays()) - np.eye(len(seq)))) < 1e-8
 
 
 def test_dual_bound_well_separated(disc, disc_norms, disc_rule):
     # Blaschke dual of a well-separated pair: |B_a| = 1 on the boundary,
     # so ||rho_a||_p = ||k_a||_{p'} / |B_a(a)| = max kernel norm up to eps
     seq = _disc_seq(0.9, -0.9)  # gleason distance 1.8/1.81
-    dual = hl.dual_system_blaschke(seq, 2.0, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "blaschke")
     bound = hl.dual_bound(dual, disc_rule)
     reference = max(disc_norms.norm(seq[i], 2.0) for i in range(2))
     assert reference <= bound <= reference * (1.81 / 1.80) * (1.0 + 1e-10)
 
 
-def test_ill_conditioned_dual(disc, disc_norms):
+def test_ill_conditioned_dual(disc):
     seq = _disc_seq(0.5, 0.5 + 1e-9)
     with pytest.raises(hl.IllConditionedError):
-        hl.dual_system_gram(seq, disc_norms)
+        hl.dual_system(seq, 2.0, "gram2")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        dual = hl.dual_system_gram(seq, disc_norms, tikhonov=True)
+        dual = hl.dual_system(seq, 2.0, "gram2", tikhonov=True)
     assert any("Tikhonov" in str(w.message) for w in caught)
     assert dual.delta_residual() < 1.0  # re-measured, reported, large but finite
     data = dual.to_json()
     assert data["tikhonov_eps"] > 0 and data["condition"] > 1e12
-    well = hl.dual_system_gram(_disc_seq(0.5, -0.5), disc_norms).to_json()
+    well = hl.dual_system(_disc_seq(0.5, -0.5), 2.0, "gram2").to_json()
     assert well["tikhonov_eps"] == 0.0 and 1.0 <= well["condition"] < 1e12
 
 
-def test_dual_system_json(disc, disc_norms):
+def test_dual_system_json(disc):
     seq = _disc_seq(0.0, 0.5)
-    dual = hl.dual_system_gram(seq, disc_norms)
+    dual = hl.dual_system(seq, 2.0, "gram2")
     data = dual.to_json()
     assert data["method"] == "gram2"
     assert len(data["coefficients_re"]) == 2
-    assert hl.dual_system_blaschke(seq, np.inf).to_json()["condition"] is None
+    assert hl.dual_system(seq, np.inf, "blaschke").to_json()["condition"] is None
 
 
 @pytest.mark.parametrize("kind,method", DUAL_CASES)
@@ -406,7 +414,7 @@ def test_dual_system_json(disc, disc_norms):
 def test_dual_values_delta_property(kind, method, seed, n, p):
     dom = hl.Domain(kind)
     seq = separated_points(dom, n, seed)
-    dual = hl.dual_system(seq, 2.0 if method == "gram2" else p, method, hl.NormCache(dom))
+    dual = hl.dual_system(seq, 2.0 if method == "gram2" else p, method)
     vals = dual.values(seq.arrays())
     assert vals.shape == (len(seq), len(seq))
     assert np.max(np.abs(vals - np.diag(dual.scales)) / dual.scales) < 1e-9

@@ -1,5 +1,6 @@
-"""A DualSystem carries the point sequence it was built for, so no function
-in ``src`` takes a PointSequence and a DualSystem as separate parameters."""
+"""A DualSystem carries the point sequence it was built for and the kernel-norm
+cache of its domain, so no function in ``src`` takes a PointSequence or a norm
+cache next to a DualSystem."""
 import ast
 import re
 from pathlib import Path
@@ -16,15 +17,29 @@ def _annotated(fn: ast.FunctionDef, name: str) -> set:
             and re.search(rf"\b{name}\b", ast.unparse(arg.annotation))}
 
 
-def test_no_function_takes_a_sequence_and_a_dual():
+def _functions():
     files = sorted(SRC.glob("*.py"))
     assert files
-    both = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            seqs, duals = _annotated(node, "PointSequence"), _annotated(node, "DualSystem")
-            if any(i != j for i in seqs for j in duals):
-                both.append(f"{path.name}:{node.lineno} {node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.name}:{node.lineno} {node.name}", node
+
+
+def test_no_function_takes_a_sequence_and_a_dual():
+    both = []
+    for where, node in _functions():
+        seqs, duals = _annotated(node, "PointSequence"), _annotated(node, "DualSystem")
+        if any(i != j for i in seqs for j in duals):
+            both.append(where)
     assert not both, f"functions taking a PointSequence next to a DualSystem: {both}"
+
+
+def test_no_function_takes_a_norm_cache_and_a_dual():
+    both = []
+    for where, node in _functions():
+        a = node.args
+        names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+        if _annotated(node, "DualSystem") and ("norms" in names or _annotated(node, "NormCache")):
+            both.append(where)
+    assert not both, f"functions taking a norm cache next to a DualSystem: {both}"

@@ -141,9 +141,20 @@ def test_weak_from_carleson_chain(disc_rule):
     out = hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, rep.d_q)
     assert out["right_ok"]
     assert out["left_factor"] > 0 and np.isfinite(out["left_factor"])
-    assert out["d_q_given_sufficient"]
     with pytest.raises(hl.ParameterError):
         hl.weak_from_carleson_check(seq, 1.5, np.array([1.0, 1.0]), disc_rule, 1.0)
+
+
+def test_weak_from_carleson_small_d_q_fails_right(disc_rule):
+    # right is taken from the supplied d_q, so a d_q far below the constant
+    # cannot dominate the average; d_q_local still reports the ratio seen
+    seq = hl.PointSequence.create(hl.Domain(hl.DISC), [0.8, -0.8])
+    out = hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, 0.1)
+    assert not out["right_ok"]
+    assert out["right_factor"] > 1.0
+    assert out["d_q_local"] > 0.1
+    with pytest.raises(hl.ParameterError):
+        hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, 0.0)
 
 
 def test_weak_from_carleson_mc(disc_rule):
