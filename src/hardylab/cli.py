@@ -48,10 +48,18 @@ def _number(value, what: str, kind=int):
         raise ParameterError(f"bad {what} {value!r}") from exc
 
 
-def _list(value, what: str) -> list:
-    """A list-valued config entry; a value of another type is a ParameterError."""
-    if not isinstance(value, (list, tuple)):
-        raise ParameterError(f"{what} must be a list, got {value!r}")
+def _list(value, what: str, size: int | None = None) -> list:
+    """A list-valued config entry, of ``size`` entries if given; else a ParameterError."""
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        raise ParameterError(f"{what} must be a list{f' of {size}' if size else ''}, got {value!r}")
+    return value
+
+
+def _flag(cfg: dict, key: str, default: bool) -> bool:
+    """A boolean config entry: JSON true or false, anything else is a ParameterError."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ParameterError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -140,7 +148,8 @@ def _scan_grid(cfg: dict, dom: geometry.Domain):
 def _run_norms(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
-    exponents = [_parse_exponent(p) for p in cfg.get("exponents", [1, 4 / 3, 2, 4, "inf"])]
+    exponents = [_parse_exponent(p)
+                 for p in _list(cfg.get("exponents", [1, 4 / 3, 2, 4, "inf"]), "exponents")]
     cache = kernels.NormCache(dom)
     tables = [cache.table(seq[i], exponents).to_json() for i in range(len(seq))]
     return {"tables": tables, "engine": cache.report()}, None
@@ -151,9 +160,10 @@ def _run_sh(cfg: dict):
     cache = kernels.NormCache(dom)
     grid, note = _scan_grid(cfg, dom), str(cfg.get("grid", "radial"))
     scans = [kernels.sh_q_scan(dom, _parse_exponent(q), grid, cache, note)
-             for q in cfg.get("q", [4 / 3, 2.0, 4.0])]
+             for q in _list(cfg.get("q", [4 / 3, 2.0, 4.0]), "q")]
+    pairs = [_list(ps, "ps entry", 2) for ps in _list(cfg.get("ps", [[2.0, 1.0]]), "ps")]
     scans += [kernels.sh_ps_scan(dom, _parse_exponent(p), _parse_exponent(s), grid, cache, note)
-              for p, s in cfg.get("ps", [[2.0, 1.0]])]
+              for p, s in pairs]
     rows = [row for scan in scans for row in scan.csv_rows()]
     return {"scans": [scan.to_json() for scan in scans], "engine": cache.report()}, rows
 
@@ -164,13 +174,14 @@ def _run_carleson(cfg: dict):
     rule = _rule(cfg, dom)
     q = _parse_exponent(cfg.get("q", 2.0))
     seed = cfg.get("seed")
+    weak, remark_2q = _flag(cfg, "weak", True), _flag(cfg, "remark_2q", False)
     kwargs = {"restarts": _number(cfg.get("restarts", 32), "restarts"),
               "seed": None if seed is None else _number(seed, "seed")}
     report = sequences.carleson_constant(seq, q, rule, method=cfg.get("method", "auto"), **kwargs)
     out = {"carleson": report.to_json()}
-    if q >= 2 and cfg.get("weak", True):
+    if q >= 2 and weak:
         out["weak"] = sequences.weak_carleson_constant(seq, q, rule, **kwargs).to_json()
-    if cfg.get("remark_2q", False):
+    if remark_2q:
         # side-by-side estimators for the q-Carleson vs weakly-2q-Carleson
         # comparison; the ratio is reported, never asserted
         weak2q = sequences.weak_carleson_constant(seq, 2.0 * q, rule, **kwargs)
@@ -186,7 +197,7 @@ def _run_dual(cfg: dict):
     rule = _rule(cfg, dom)
     p = _parse_exponent(cfg.get("p", 2.0))
     dual = sequences.dual_system(seq, p, cfg.get("method", "gram2"),
-                                 tikhonov=bool(cfg.get("tikhonov", False)))
+                                 tikhonov=_flag(cfg, "tikhonov", False))
     out = dual.to_json()
     out["delta_residual"] = _delta_residual(dual)
     out["dual_bound"] = sequences.dual_bound(dual, rule)
@@ -237,7 +248,7 @@ def _run_extend(cfg: dict):
 
 
 def _run_khintchine(cfg: dict):
-    qs = [_parse_exponent(q) for q in cfg.get("q", [1.0, 2.0, 4.0])]
+    qs = [_parse_exponent(q) for q in _list(cfg.get("q", [1.0, 2.0, 4.0]), "q")]
     method = cfg.get("method", "exact")
     samples = _number(cfg.get("samples") or 0, "samples")
     seed = None

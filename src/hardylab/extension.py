@@ -370,7 +370,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
         f = sign_moments(rho_vals, split.lam * coeffs.values, w, p)
         g = sign_moments(kq_vals, split.mu, w, q)
         if p == INF:
-            bound = f.best * g.value ** (1.0 / q)
+            bound = float(np.max(f.nodes)) * g.value ** (1.0 / q)
         else:
             bound = f.value ** (1.0 / p) * g.value ** (1.0 / q)
             khin_f = max(khin_f, f.khintchine_factor())

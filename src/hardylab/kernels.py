@@ -431,7 +431,7 @@ def stein_weiss_weight_check(a, p: float, q: float, norms) -> tuple:
     theta = interpolation_theta(p, q)
     t = norms.table(a, [2.0, 2.0 * p, 2.0 * q])
     omega_interp = t.norm(2.0) ** (-2.0 * p * (1.0 - theta)) * t.norm(2.0 * q) ** (-2.0 * p * theta)
-    omega_direct = t.norm(2.0 * p) ** (-2.0 * p)
+    omega_direct = t.omega(p)
     if omega_interp > omega_direct * (1.0 + 1e-10):
         raise InvariantViolation(
             f"weight comparison failed at {t.point}: {omega_interp} > {omega_direct}")

@@ -2,7 +2,9 @@
 
 ``sign_moments`` is the only code that turns sign patterns into moments of
 f(eps) = sum_a eps_a c_a R_a, where R_a are rows sampled on boundary nodes:
-by exact enumeration (N <= 20) or by seeded Monte Carlo.
+by exact enumeration (N <= 20) or by seeded Monte Carlo.  It returns
+per-node moments only, E|f|^p or, at p = inf, the max of |f|; no figure
+of a single pattern is kept.
 
 Exact enumeration uses |f(-eps)| = |f(eps)|: it fixes eps_0 = +1 and
 visits only the 2^(N-1) patterns that have it.  The other N - 1 signs
@@ -28,23 +30,19 @@ from .geometry import QuadratureRule, rule_power, seq_norm
 from .sequences import PointSequence, normalized_kernel_matrix
 
 EXACT_CAP = 20
+_CHUNK = 1 << 14
 
 
-def sign_matrix_chunks(n: int, chunk: int = 1 << 14):
-    """Yield (C, n) blocks of all 2^n sign patterns in index order."""
+def sign_matrix_chunks(n: int):
+    """Yield (C, n) blocks, C <= _CHUNK, of all 2^n sign patterns in index order."""
     if n > EXACT_CAP:
         raise CapacityError(f"exact enumeration capped at {EXACT_CAP} signs, got {n}")
     total = 1 << n
     shifts = np.arange(n, dtype=np.uint64)
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
         bits = (idx[:, None] >> shifts[None, :]) & 1
         yield bits.astype(float) * 2.0 - 1.0
-
-
-def sampled_sign_matrix(n: int, samples: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=(samples, n)).astype(float) * 2.0 - 1.0
 
 
 @dataclass(frozen=True)
@@ -52,16 +50,14 @@ class SignMoments:
     """Moments of f(eps) = sum_a eps_a c_a R_a over the sign patterns.
 
     ``nodes`` is the per-node E|f|^p (the max of |f| over patterns when
-    p = inf), ``value`` is sum w * nodes, ``best`` the largest per-pattern
-    sum w |f|^p (largest max |f| when p = inf), ``stderr`` the standard
-    error of ``value`` (0 when exact), and ``square`` the per-node square
-    function sum_a |c_a R_a|^2.
+    p = inf, so its max is the sup of |f|), ``value`` is sum w * nodes,
+    ``stderr`` the standard error of ``value`` (0 when exact), and
+    ``square`` the per-node square function sum_a |c_a R_a|^2.
     """
 
     p: float
     nodes: np.ndarray
     value: float
-    best: float
     stderr: float
     square: np.ndarray
 
@@ -75,16 +71,15 @@ class SignMoments:
 def _pattern_table(terms: np.ndarray) -> tuple:
     """Real and imaginary parts of sum_k eps_k terms_k for every pattern of
     the K = len(terms) signs, in index order: two (2^K, M) float tables."""
-    signs = next(sign_matrix_chunks(len(terms), chunk=1 << len(terms)))
+    signs = next(sign_matrix_chunks(len(terms)))  # K <= EXACT_CAP // 2, one block
     return signs @ terms.real, signs @ terms.imag
 
 
-def _half_enumeration(terms: np.ndarray, w: np.ndarray, p: float) -> tuple:
-    """Moments of f(eps) = sum_a eps_a terms_a from the patterns with eps_0 = +1.
+def _half_enumeration(terms: np.ndarray, p: float) -> np.ndarray:
+    """Per-node mean of |f|^p (max of |f| when p = inf) for
+    f(eps) = sum_a eps_a terms_a, from the patterns with eps_0 = +1.
 
-    Returns the per-node mean of |f|^p and the largest per-pattern sum
-    w |f|^p; when p = inf, the per-node max of |f| and the largest of
-    those.  The tables A and B are described in the module docstring.
+    The tables A and B are described in the module docstring.
     """
     n, m = terms.shape
     rest = terms[1:]
@@ -97,7 +92,6 @@ def _half_enumeration(terms: np.ndarray, w: np.ndarray, p: float) -> tuple:
     mag2 = np.empty_like(a_re)
     im2 = np.empty_like(a_im)
     nodes = np.zeros(m)
-    best = 0.0
     for j in range(len(b_re)):
         np.add(a_re, b_re[j], out=mag2)
         np.multiply(mag2, mag2, out=mag2)
@@ -110,12 +104,10 @@ def _half_enumeration(terms: np.ndarray, w: np.ndarray, p: float) -> tuple:
         if p != 2.0:
             np.power(mag2, p / 2.0, out=mag2)
         nodes += np.sum(mag2, axis=0)
-        best = max(best, float(np.max(mag2 @ w)))
     if p == np.inf:
-        np.sqrt(nodes, out=nodes)
-        return nodes, float(np.max(nodes, initial=0.0))
+        return np.sqrt(nodes, out=nodes)
     nodes /= len(a_re) * len(b_re)
-    return nodes, best
+    return nodes
 
 
 def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
@@ -139,7 +131,7 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
     if method == "exact":
         if n > EXACT_CAP:
             raise CapacityError(f"exact enumeration capped at {EXACT_CAP} signs, got {n}")
-        nodes, best = _half_enumeration(coeffs[:, None] * rows, w, p)
+        nodes = _half_enumeration(coeffs[:, None] * rows, p)
     elif method == "monte-carlo":
         if samples is None or samples < 1:
             raise ParameterError("Monte Carlo needs samples >= 1")
@@ -147,15 +139,15 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
             raise ParameterError("Monte Carlo needs an explicit seed")
         if p == np.inf:
             raise ParameterError("a sampled sup over signs is no bound; use exact enumeration")
-        mag = np.abs((sampled_sign_matrix(n, samples, seed) * coeffs[None, :]) @ rows) ** p
+        eps = 2.0 * np.random.default_rng(seed).integers(0, 2, size=(samples, n)) - 1.0
+        mag = np.abs((eps * coeffs[None, :]) @ rows) ** p
         nodes = np.sum(mag, axis=0) / samples
         norms = mag @ w
-        best = float(np.max(norms))
         stderr = float(np.std(norms, ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
     else:
         raise ParameterError(f"unknown expectation method {method!r}")
     square = np.sum((np.abs(coeffs)[:, None] * np.abs(rows)) ** 2, axis=0)
-    return SignMoments(p, nodes, float(np.sum(w * nodes)), best, stderr, square)
+    return SignMoments(p, nodes, float(np.sum(w * nodes)), stderr, square)
 
 
 def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = None,
@@ -184,10 +176,9 @@ def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureR
       right  = D^q ||mu||_q^q,  D = d_q as supplied
 
     ``right_ok`` records whether the supplied d_q dominates the average; a
-    d_q below the true constant can fail it.  ``d_q_local`` is the best
-    per-pattern synthesis ratio seen here, a lower bound for the constant.
-    The left/middle comparison carries the Khintchine constant, so only
-    finiteness and positivity are asserted for it.
+    d_q below the true constant can fail it.  The left/middle comparison
+    carries the Khintchine constant, so only finiteness and positivity are
+    asserted for it.
     """
     if q < 2:
         raise ParameterError("the sign-averaging chain needs q >= 2")
@@ -198,11 +189,9 @@ def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureR
         raise ParameterError("the sign-averaging chain needs a nonzero coefficient vector")
     w = rule.weights
     mom = sign_moments(normalized_kernel_matrix(seq, q, rule).T, mu, w, q, method, samples, seed)
-    mu_norm_q = seq_norm(mu, q)
     left = float(rule_power(mom.square, w, q / 2.0))
-    middle, best_q, stderr = mom.value, mom.best, mom.stderr
-    d_local = best_q ** (1.0 / q) / mu_norm_q
-    right = d_q**q * mu_norm_q**q
+    middle, stderr = mom.value, mom.stderr
+    right = d_q**q * seq_norm(mu, q)**q
     slack = 1e-8 * right + 4.0 * stderr
     right_ok = middle <= right + slack
     left_factor = left / middle if middle > 0 else np.inf
@@ -217,7 +206,6 @@ def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureR
         "right_factor": middle / right,
         "right_ok": bool(right_ok),
         "d_q_given": d_q,
-        "d_q_local": d_local,
         "method": method,
         "stderr": stderr,
     }

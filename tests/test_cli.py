@@ -266,12 +266,23 @@ _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8
     ("khintchine", {"q": [2], "vectors": [[[1.0]]]}),
     ("khintchine", {"q": [2], "lengths": ["x"], "seed": 1}),
     ("bergman", {**_BERGMAN, "weight": "heavy"}),
+    ("norms", {"domain": "disc", "points": DISC_POINTS, "exponents": 2}),
+    ("sh", {"domain": "disc", "q": 5, "ps": [], "grid": [[0.5, 0.0]]}),
+    ("sh", {"domain": "disc", "q": [], "ps": [2.0], "grid": [[0.5, 0.0]]}),
+    ("khintchine", {"q": 4, "vectors": [[[1.0, 0.0], [1.0, 0.0]]]}),
+    ("dual", {"domain": "disc", "points": [[0.5, 0.0], [0.5, 1e-9]], "tikhonov": "false"}),
+    ("carleson", {"domain": "disc", "points": DISC_POINTS, "q": 2, "resolution": 64,
+                  "weak": "false"}),
+    ("carleson", {"domain": "disc", "points": DISC_POINTS, "q": 2, "resolution": 64,
+                  "seed": 1, "remark_2q": 1}),
 ], ids=["sh-disc-short-row", "sh-ball-short-row", "extend-short-pair", "extend-text",
         "bergman-short-pair", "bergman-text", "bergman-no-points",
         "extend-batch-text", "extend-seed-text", "carleson-restarts-text",
         "carleson-resolution-text", "gleason-points-number", "sh-grid-number",
         "sh-grid-rmax-text", "khintchine-short-entry", "khintchine-lengths-text",
-        "bergman-weight-text"])
+        "bergman-weight-text", "norms-exponents-number", "sh-q-number", "sh-ps-not-pair",
+        "khintchine-q-number", "dual-tikhonov-text", "carleson-weak-text",
+        "carleson-remark-number"])
 def test_malformed_input_is_config_error(tmp_path, capsys, sub, cfg):
     path = _write(tmp_path, "c.json", cfg)
     assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
