@@ -133,6 +133,8 @@ def _scan_grid(cfg: dict, dom: geometry.Domain):
         raise ParameterError(f"grid must be a list of points or a dict, got {grid_cfg!r}")
     rmax = _number(grid_cfg.get("rmax", 0.95), "grid rmax", float)
     count = _number(grid_cfg.get("count", 20), "grid count")
+    if count < 1:
+        raise ParameterError(f"grid count must be at least 1, got {count}")
     radii = np.linspace(0.0, rmax, count)
     if dom.kind == geometry.DISC:
         return [np.array([r], dtype=complex) for r in radii]
@@ -303,8 +305,10 @@ def _run_report(cfg: dict):
     def section(name: str, **extra) -> dict:
         sub = {k: cfg[k] for k in _REPORT_COMMON if k in cfg}
         sub.update(extra)
-        if isinstance(cfg.get(name), dict):
-            sub.update(cfg[name])
+        override = cfg.get(name, {})
+        if not isinstance(override, dict):
+            raise ParameterError(f"report section {name!r} must be a dict, got {override!r}")
+        sub.update(override)
         return sub
 
     bundle = {}

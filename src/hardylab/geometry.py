@@ -5,7 +5,8 @@ and the bidisc.  The boundary carries the normalized rotation-invariant
 probability measure; a QuadratureRule is a finite node/weight realization
 of it.  All integration, L^p norms and inner products in the package go
 through the helpers here: ``rule_power`` and ``rule_norm`` are the one home
-of rule integrals of |v|^p, on boundary and Bergman volume rules alike.
+of rule integrals of |v|^p, on boundary and Bergman volume rules alike, and
+one row rounds the same alone as inside a batch.
 
 Conventions: an interior point is a complex vector of length n (a bare
 complex number is accepted for the disc); quadrature nodes are stored as
@@ -191,7 +192,7 @@ def lp_norm(f: BoundarySamples, p: float) -> float:
     """
     if p != np.inf and p < 1:
         raise ParameterError("lp_norm requires p >= 1 or p = inf")
-    return float(rule_norm(f.values[None, :], f.rule.weights, p)[0])
+    return float(rule_norm(f.values, f.rule.weights, p))
 
 
 def rule_power(values, weights: np.ndarray | float, p: float) -> np.ndarray:
@@ -203,12 +204,13 @@ def rule_power(values, weights: np.ndarray | float, p: float) -> np.ndarray:
 def rule_norm(values, weights: np.ndarray | float, p: float) -> np.ndarray:
     """(integral |values|^p)^(1/p) along the last axis; max |values| at p = inf.
 
-    A 1-D input is rooted as a numpy scalar, which can differ in the last bit
-    from the rows of a 2-D input; ``lp_norm`` passes its samples as one row.
+    The root is ``np.power`` for every input shape (the ``**`` of a numpy
+    scalar can differ in the last bit), so a 1-D input gives exactly its row
+    of a 2-D batch.
     """
     if p == np.inf:
         return np.max(np.abs(values), axis=-1)
-    return rule_power(values, weights, p) ** (1.0 / p)
+    return np.power(rule_power(values, weights, p), 1.0 / p)
 
 
 def inner_product(f: BoundarySamples, g: BoundarySamples) -> complex:

@@ -301,12 +301,10 @@ class NormCache:
 
 def reproducing_check(f, a, rule: QuadratureRule) -> float:
     """|<f, k_a> - f(a)| for a vectorized evaluator f((M, n)) -> (M,)."""
-    dom = rule.domain
-    a = dom.point(a)
+    a = rule.domain.point(a)
     samples = BoundarySamples(np.asarray(f(rule.nodes), dtype=complex), rule)
-    paired = inner_product(samples, kernel_samples(a, rule))
     value = complex(np.asarray(f(a.reshape(1, -1)), dtype=complex)[0])
-    return abs(paired - value)
+    return abs(analytic_projection_eval(samples, a) - value)
 
 
 def poisson_kernel(a, rule: QuadratureRule) -> BoundarySamples:
@@ -334,7 +332,6 @@ class SHConstants:
     exponents: dict
     extremum: float                  # alpha-hat (min) or beta-hat (max)
     ratios: list                     # [(point key, ratio)]
-    flagged: list                    # points excluded for non-convergence
     worst_residual: float
     grid_note: str = ""
 
@@ -348,7 +345,6 @@ class SHConstants:
                 {"point_re": [c.real for c in pt], "point_im": [c.imag for c in pt], "ratio": r}
                 for pt, r in self.ratios
             ],
-            "flagged": [[c.real for c in pt] + [c.imag for c in pt] for pt in self.flagged],
             "worst_residual": self.worst_residual,
             "grid_note": self.grid_note,
         }
@@ -358,24 +354,22 @@ class SHConstants:
                 for pt, r in self.ratios]
 
 
-_FLAG_RESIDUAL = 1e-8
-
-
 def _sh_scan(dom: Domain, hypothesis: str, exponents: dict, grid, norms, wanted: list,
              ratio, extremum, grid_note: str) -> SHConstants:
-    """ratio(table) at every grid point whose series residual passes the filter."""
-    ratios, flagged, worst = [], [], 0.0
+    """ratio(table) at every grid point, with the worst series residual of the tables.
+
+    Every table is converged: the series behind it stops below 2^-60 relative
+    or raises ``NumericError``, so no grid point needs filtering.
+    """
+    ratios, worst = [], 0.0
     for a in grid:
         t = norms.table(a, wanted)
-        if t.residual > _FLAG_RESIDUAL:
-            flagged.append(t.point)
-            continue
         worst = max(worst, t.residual)
         ratios.append((t.point, ratio(t)))
     if not ratios:
-        raise ParameterError("no grid point survived the convergence filter")
+        raise ParameterError("the scan grid is empty")
     return SHConstants(dom, hypothesis, exponents, extremum(r for _, r in ratios), ratios,
-                       flagged, worst, grid_note)
+                       worst, grid_note)
 
 
 def sh_q_scan(dom: Domain, q: float, grid, norms, grid_note: str = "") -> SHConstants:

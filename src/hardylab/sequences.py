@@ -338,18 +338,16 @@ def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *
     if q < 2:
         raise ParameterError("weak Carleson constants need q >= 2")
     A = normalized_kernel_matrix(seq, q, rule)
-    B = np.abs(A) ** 2
     w = rule.weights
-    r = q / 2.0
-    n = len(seq)
     if q == 2:
-        mass, cert = _heaviest_column(B.T @ w)
+        mass, cert = _heaviest_column(rule_power(A.T, w, 2.0))
         if mass > 1.0 + 1e-10:
             raise InvariantViolation(f"weak 2-Carleson mass exceeded 1: {mass}")
         return CarlesonReport(q=q, weak_d_q=mass, method="column-mass", certificate=cert,
                               details={"resolution": rule.resolution})
     ratio, t, iters, converged = _power_iteration_lq(
-        B, w, r, _default_starts(n, restarts, seed, positive=True), max_iter)
+        np.abs(A) ** 2, w, q / 2.0, _default_starts(len(seq), restarts, seed, positive=True),
+        max_iter)
     return CarlesonReport(q=q, weak_d_q=ratio, method="power-iteration",
                           certificate=np.sqrt(np.abs(t)).astype(complex),
                           details=_power_details(restarts, seed, iters, converged,

@@ -140,14 +140,14 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
         if p == np.inf:
             raise ParameterError("a sampled sup over signs is no bound; use exact enumeration")
         eps = 2.0 * np.random.default_rng(seed).integers(0, 2, size=(samples, n)) - 1.0
-        mag = np.abs((eps * coeffs[None, :]) @ rows) ** p
-        nodes = np.sum(mag, axis=0) / samples
-        norms = mag @ w
+        f = (eps * coeffs[None, :]) @ rows
+        nodes = np.sum(np.abs(f) ** p, axis=0) / samples
+        norms = rule_power(f, w, p)
         stderr = float(np.std(norms, ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
     else:
         raise ParameterError(f"unknown expectation method {method!r}")
     square = np.sum((np.abs(coeffs)[:, None] * np.abs(rows)) ** 2, axis=0)
-    return SignMoments(p, nodes, float(np.sum(w * nodes)), stderr, square)
+    return SignMoments(p, nodes, float(rule_power(nodes, w, 1.0)), stderr, square)
 
 
 def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = None,

@@ -275,6 +275,10 @@ _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8
                   "weak": "false"}),
     ("carleson", {"domain": "disc", "points": DISC_POINTS, "q": 2, "resolution": 64,
                   "seed": 1, "remark_2q": 1}),
+    ("sh", {"domain": "disc", "grid": {"rmax": 0.5, "count": -1}}),
+    ("sh", {"domain": "disc", "q": [], "ps": [], "grid": {"rmax": 0.5, "count": 0}}),
+    ("report", {"domain": "disc", "points": [[0.5, 0.0], [-0.5, 0.0]], "resolution": 64,
+                "batch": 1, "seed": 1, "norms": 5}),
 ], ids=["sh-disc-short-row", "sh-ball-short-row", "extend-short-pair", "extend-text",
         "bergman-short-pair", "bergman-text", "bergman-no-points",
         "extend-batch-text", "extend-seed-text", "carleson-restarts-text",
@@ -282,7 +286,8 @@ _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8
         "sh-grid-rmax-text", "khintchine-short-entry", "khintchine-lengths-text",
         "bergman-weight-text", "norms-exponents-number", "sh-q-number", "sh-ps-not-pair",
         "khintchine-q-number", "dual-tikhonov-text", "carleson-weak-text",
-        "carleson-remark-number"])
+        "carleson-remark-number", "sh-grid-count-negative", "sh-grid-count-zero",
+        "report-section-number"])
 def test_malformed_input_is_config_error(tmp_path, capsys, sub, cfg):
     path = _write(tmp_path, "c.json", cfg)
     assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

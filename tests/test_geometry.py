@@ -192,6 +192,7 @@ def test_rule_norm_rows_match_lp_norm(seed, rows, m, p, real):
     assert norms.shape == powers.shape == (rows,)
     for row, norm, power in zip(vals, norms, powers):
         assert norm == hl.lp_norm(hl.BoundarySamples(row, rule), p)
+        assert norm == hl.rule_norm(row, rule.weights, p)
         if p == np.inf:
             assert norm == np.max(np.abs(row))
         else:

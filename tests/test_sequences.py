@@ -285,8 +285,11 @@ def test_column_mass_certificates_take_the_first_tied_column(ball):
 
 def test_weak_carleson_q2_is_contractive(disc_rule):
     for pts in ([0.5], [0.9, -0.9], [0.3, 0.6j, -0.7]):
-        rep = hl.weak_carleson_constant(_disc_seq(*pts), 2.0, disc_rule)
+        seq = _disc_seq(*pts)
+        rep = hl.weak_carleson_constant(seq, 2.0, disc_rule)
         assert rep.weak_d_q <= 1.0 + 1e-10
+        # the column mass is the weak ratio at its coordinate certificate, bit for bit
+        assert rep.weak_d_q == hl.weak_ratio_at(seq, 2.0, rep.certificate, disc_rule)
 
 
 def test_weak_carleson_two_point_grid_oracle(disc_rule):
