@@ -360,6 +360,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
     khin_g = 0.0
     weak_inst = 0.0
     worst_chain_margin = np.inf
+    patterns = 0
     for nu in targets:
         split = split_target(nu, s, p)
         h_vals = (split.nu * coeffs.values) @ prod_vals
@@ -369,6 +370,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
 
         f = sign_moments(rho_vals, split.lam * coeffs.values, w, p)
         g = sign_moments(kq_vals, split.mu, w, q)
+        patterns = max(patterns, f.patterns, g.patterns)
         if p == INF:
             bound = float(np.max(f.nodes)) * g.value ** (1.0 / q)
         else:
@@ -397,7 +399,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
             "s": s, "p": "inf" if p == INF else p, "q": q,
             "batch": batch, "seed": seed,
             "targets_tested": len(targets),
-            "sign_patterns": 1 << (n - 1),
+            "sign_patterns": patterns,
             "sup_rho_p": sup_rho,
             "khintchine_factor_f": khin_f if p != INF else None,
             "khintchine_factor_g": khin_g,

@@ -6,15 +6,20 @@ by exact enumeration (N <= 20) or by seeded Monte Carlo.  It returns
 per-node moments only, E|f|^p or, at p = inf, the max of |f|; no figure
 of a single pattern is kept.
 
-Exact enumeration uses |f(-eps)| = |f(eps)|: it fixes eps_0 = +1 and
-visits only the 2^(N-1) patterns that have it.  The other N - 1 signs
-split into a first half of (N - 1) // 2 signs and a second half.  The
-partial sums of each half over all its patterns form a table A (with the
-eps_0 term added in) and a table B, each kept as separate real and
-imaginary float tables; within a table, sign k of row i is read off bit
-k of i.  f at pattern (i, j) is row i of A plus row j of B, and the loop
-runs over j, each step covering every i at once.  The order and every
-reduction are fixed, so every figure is reproducible.
+Exact enumeration runs over the support only: a term with c_a = 0 is zero
+under every sign, so it changes no moment and is left out.  Over the K
+nonzero terms it uses |f(-eps)| = |f(eps)|: it fixes the first sign to +1
+and visits only the 2^(K-1) patterns that have it (one, the empty sum,
+when K = 0).  The other K - 1 signs split into a first half of
+(K - 1) // 2 signs and a second half.  The partial sums of each half over
+all its patterns form a table A (with the first term added in) and a
+table B, each kept as separate real and imaginary float tables; within a
+table, sign k of row i is read off bit k of i.  f at pattern (i, j) is
+row i of A plus row j of B, and the loop runs over j, each step covering
+every i at once.  Nodes are independent, so the engine runs over blocks of
+``_NODE_BLOCK`` of them: the tables and temporaries of one call stay
+bounded however fine the rule is.  The order and every reduction are
+fixed, so every figure is reproducible.
 
 Khintchine-type comparability constants are never hard-coded anywhere in
 the package: ratios are measured per instance and reported.
@@ -31,6 +36,7 @@ from .sequences import PointSequence, normalized_kernel_matrix
 
 EXACT_CAP = 20
 _CHUNK = 1 << 14
+_NODE_BLOCK = 1 << 12
 
 
 def sign_matrix_chunks(n: int):
@@ -51,8 +57,11 @@ class SignMoments:
 
     ``nodes`` is the per-node E|f|^p (the max of |f| over patterns when
     p = inf, so its max is the sup of |f|), ``value`` is sum w * nodes,
-    ``stderr`` the standard error of ``value`` (0 when exact), and
-    ``square`` the per-node square function sum_a |c_a R_a|^2.
+    ``stderr`` the standard error of ``value`` (0 when exact), ``square``
+    the per-node square function sum_a |c_a R_a|^2, and ``patterns`` the
+    number of sign patterns evaluated: 2^(K-1) over the K nonzero
+    coefficients when exact (1 for the empty sum), ``samples`` for Monte
+    Carlo.
     """
 
     p: float
@@ -60,6 +69,7 @@ class SignMoments:
     value: float
     stderr: float
     square: np.ndarray
+    patterns: int
 
     def khintchine_factor(self) -> float:
         """Largest per-node E|f|^p / (sum_a |c_a R_a|^2)^{p/2}; 0 if that vanishes."""
@@ -115,10 +125,11 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
     """Moments of f(eps) = sum_a eps_a coeffs_a rows_a, weighted by w.
 
     ``rows`` is (N, M), ``coeffs`` (N,) and ``w`` (M,).  With
-    ``method="exact"`` the 2^(N-1) patterns with eps_0 = +1 are enumerated,
-    which gives the moments over all 2^N; with ``method="monte-carlo"``
-    ``samples`` seeded patterns are drawn.  A sampled sup is no bound, so
-    p = inf is exact only.
+    ``method="exact"`` only the K nonzero coefficients and their rows are
+    enumerated, over the 2^(K-1) patterns whose first sign is +1, which
+    gives the moments over all 2^N; the cap still applies to N.  With
+    ``method="monte-carlo"`` ``samples`` seeded patterns are drawn.  A
+    sampled sup is no bound, so p = inf is exact only.
     """
     rows = np.asarray(rows)
     coeffs = np.asarray(coeffs)
@@ -131,7 +142,14 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
     if method == "exact":
         if n > EXACT_CAP:
             raise CapacityError(f"exact enumeration capped at {EXACT_CAP} signs, got {n}")
-        nodes = _half_enumeration(coeffs[:, None] * rows, p)
+        support = np.flatnonzero(coeffs)
+        if support.size < n:  # index only then: a full-support copy costs (N, M) per call
+            rows, coeffs = rows[support], coeffs[support]
+        nodes = np.empty(rows.shape[1])
+        for lo in range(0, nodes.size, _NODE_BLOCK):
+            hi = lo + _NODE_BLOCK
+            nodes[lo:hi] = _half_enumeration(coeffs[:, None] * rows[:, lo:hi], p)
+        patterns = 1 << max(support.size - 1, 0)
     elif method == "monte-carlo":
         if samples is None or samples < 1:
             raise ParameterError("Monte Carlo needs samples >= 1")
@@ -144,10 +162,11 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
         nodes = np.sum(np.abs(f) ** p, axis=0) / samples
         norms = rule_power(f, w, p)
         stderr = float(np.std(norms, ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
+        patterns = samples
     else:
         raise ParameterError(f"unknown expectation method {method!r}")
     square = np.sum((np.abs(coeffs)[:, None] * np.abs(rows)) ** 2, axis=0)
-    return SignMoments(p, nodes, float(rule_power(nodes, w, 1.0)), stderr, square)
+    return SignMoments(p, nodes, float(rule_power(nodes, w, 1.0)), stderr, square, patterns)
 
 
 def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = None,
@@ -158,7 +177,7 @@ def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = N
         raise ParameterError("khintchine_ratio needs a nonzero vector")
     if not 1 <= q < np.inf:
         raise ParameterError("khintchine_ratio needs a finite q >= 1")
-    mom = sign_moments(x[:, None], np.ones(x.size), np.ones(1), q, method, samples, seed)
+    mom = sign_moments(np.ones((x.size, 1)), x, np.ones(1), q, method, samples, seed)
     denom = float(mom.square[0]) ** (q / 2.0)
     return mom.value / denom, mom.stderr / denom
 

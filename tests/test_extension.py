@@ -205,6 +205,24 @@ def test_verify_norm_bound_antipodal(disc, disc_rule):
     assert rep.details["sign_patterns"] == 2  # 2^(N-1): eps_0 = +1
 
 
+def test_unit_targets_enumerate_one_term(disc, disc_rule, monkeypatch):
+    # the N coordinate targets have one nonzero coefficient in f and in g,
+    # so only the random targets reach the enumeration with every term
+    terms = []
+    half_enumeration = hl.signs._half_enumeration
+
+    def spy(t, p):
+        terms.append(len(t))
+        return half_enumeration(t, p)
+
+    monkeypatch.setattr(hl.signs, "_half_enumeration", spy)
+    seq = _seq(disc, 0.5, -0.4j, -0.3 + 0.2j, 0.6 + 0.3j)
+    dual = hl.dual_system(seq, 1.5, "collocation")
+    rep = hl.verify_norm_bound(dual, 1.2, disc_rule, batch=2, seed=3)
+    assert terms == [1, 1] * 4 + [4, 4] * 2
+    assert rep.details["sign_patterns"] == 8
+
+
 def test_verify_norm_bound_needs_seed(disc, disc_rule):
     seq = _seq(disc, 0.5)
     dual = hl.dual_system(seq, 2.0, "gram2")

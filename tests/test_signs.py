@@ -45,6 +45,8 @@ def test_expect_capacity_and_mc_validation():
     one = np.ones(1)
     with pytest.raises(hl.CapacityError):
         hl.sign_moments(np.ones((21, 1)), np.ones(21), one, 2.0)
+    with pytest.raises(hl.CapacityError):  # the cap counts the zeros too
+        hl.sign_moments(np.ones((21, 1)), np.eye(21)[3], one, 2.0)
     with pytest.raises(hl.ParameterError):
         hl.sign_moments(np.ones((4, 1)), np.ones(4), one, 2.0, method="monte-carlo",
                         samples=100)  # no seed
@@ -108,6 +110,24 @@ def test_khintchine_validation():
         hl.khintchine_ratio(np.array([1.0]), 0.5)
     with pytest.raises(hl.ParameterError):
         hl.khintchine_ratio(np.array([1.0]), np.inf)
+
+
+def test_khintchine_zero_entries_are_not_enumerated(monkeypatch):
+    seen = []
+    sign_moments = hl.signs.sign_moments
+
+    def spy(*args):
+        mom = sign_moments(*args)
+        seen.append(mom.patterns)
+        return mom
+
+    monkeypatch.setattr(hl.signs, "sign_moments", spy)
+    x = np.array([1.0, -0.5j, 0.25 + 0.75j])
+    for q in (1.0, 3.0, 5.999999999999997):
+        base, _ = hl.khintchine_ratio(x, q)
+        padded, _ = hl.khintchine_ratio(np.concatenate([x, np.zeros(9)]), q)
+        assert padded == base
+        assert seen[-2:] == [4, 4]  # 2^(3-1), not the 2^(12-1) of twelve entries
 
 
 def test_khintchine_mc_close_to_exact():
@@ -225,12 +245,24 @@ def test_sign_moments_match_gemm_enumeration(n, p):
     rows, coeffs, w = _random_instance(n, 9, 100 + n)
     nodes, value = _gemm_enumeration(rows, coeffs, w, p)
     mom = hl.sign_moments(rows, coeffs, w, p)
+    assert mom.patterns == 1 << max(n - 1, 0)
     assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
     assert abs(mom.value - value) <= 1e-13 * value
     if p == np.inf:
         assert abs(max(mom.nodes) - max(nodes)) <= 1e-13 * max(nodes)
     if n == 0:
         assert not np.any(mom.nodes)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, np.inf])
+def test_node_blocks_match_one_pass(p):
+    # two full blocks of 4096 nodes and a short third one
+    rows, coeffs, w = _random_instance(5, 2 * 4096 + 3, 17)
+    mom = hl.sign_moments(rows, coeffs, w, p)
+    assert np.array_equal(mom.nodes, hl.signs._half_enumeration(coeffs[:, None] * rows, p))
+    nodes, value = _gemm_enumeration(rows, coeffs, w, p)
+    assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
+    assert abs(mom.value - value) <= 1e-13 * value
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -246,10 +278,45 @@ def test_zero_coefficients_leave_the_moments_unchanged(n, m, zero_bits, p, seed)
     keep = coeffs != 0
     full = hl.sign_moments(rows, coeffs, w, p)
     kept = hl.sign_moments(rows[keep], coeffs[keep], w, p)
-    assert np.allclose(full.nodes, kept.nodes, rtol=1e-13, atol=0.0)
-    assert abs(full.value - kept.value) <= 1e-13 * kept.value
+    # the engine itself drops the zero terms, so the figures agree bit for bit
+    assert np.array_equal(full.nodes, kept.nodes)
+    assert np.array_equal(full.square, kept.square)
+    assert full.value == kept.value
+    assert full.patterns == kept.patterns == 1 << max(int(keep.sum()) - 1, 0)
     if not np.any(keep):
         assert not np.any(full.nodes) and not np.any(kept.nodes)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(support=st.lists(st.integers(0, 19), min_size=3, max_size=3, unique=True),
+       m=st.integers(1, 5), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, np.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_moments_at_the_cap_match_brute_force_over_the_support(support, m, p, seed):
+    # N = 20 would be 2^19 patterns; three nonzero coefficients leave four
+    rows, coeffs, w = _random_instance(20, m, seed)
+    sparse = np.zeros(20, dtype=complex)
+    sparse[support] = coeffs[support]
+    mag = np.abs([(np.array(eps) * sparse[support]) @ rows[support]
+                  for eps in itertools.product((-1.0, 1.0), repeat=3)])
+    nodes = mag.max(axis=0) if p == np.inf else (mag**p).mean(axis=0)
+    mom = hl.sign_moments(rows, sparse, w, p)
+    assert mom.patterns == 4
+    assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
+    # the dropped terms add only exact zeros to the square function; at one
+    # node (M = 1) numpy sums the column pairwise, so there the association
+    # of the terms changes with their count and only the value agrees
+    square = np.sum((np.abs(sparse)[:, None] * np.abs(rows)) ** 2, axis=0)
+    assert np.allclose(mom.square, square, rtol=1e-15, atol=0.0)
+    if m > 1:
+        assert np.array_equal(mom.square, square)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_all_zero_coefficients_at_the_cap_leave_the_empty_sum(p):
+    rows, _, w = _random_instance(20, 7, 11)
+    mom = hl.sign_moments(rows, np.zeros(20), w, p)
+    assert mom.patterns == 1
+    assert not np.any(mom.nodes) and mom.value == 0.0 and not np.any(mom.square)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -259,6 +326,7 @@ def test_sign_moments_mc_reproducible_and_near_exact(m, p, seed):
     rows, coeffs, w = _random_instance(12, m, seed)
     runs = [hl.sign_moments(rows, coeffs, w, p, method="monte-carlo", samples=2000, seed=seed)
             for _ in range(2)]
+    assert runs[0].patterns == 2000
     assert np.array_equal(runs[0].nodes, runs[1].nodes)
     assert (runs[0].value, runs[0].stderr) == (runs[1].value, runs[1].stderr)
     exact = hl.sign_moments(rows, coeffs, w, p)
