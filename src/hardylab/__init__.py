@@ -75,9 +75,7 @@ from .signs import (
     EXACT_CAP,
     SignMoments,
     khintchine_ratio,
-    sign_matrix_chunks,
     sign_moments,
-    weak_from_carleson_check,
 )
 from .extension import (
     ExtensionCoeffs,
@@ -86,11 +84,11 @@ from .extension import (
     build_extension,
     coeff_c,
     dual_expectation_bound_infty,
-    dual_expectation_bound_p_le_2,
     interior_panel,
     randomized_factorization,
     split_target,
     verify_norm_bound,
+    weak_from_carleson_check,
 )
 from .bergman import (
     BergmanSpec,

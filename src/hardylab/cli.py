@@ -103,10 +103,8 @@ def _rule(cfg: dict, dom: geometry.Domain) -> geometry.QuadratureRule:
     default = 256 if dom.kind == geometry.DISC else 16
     resolution = _number(cfg.get("resolution", default), "resolution")
     angular = cfg.get("angular")
-    if dom.kind == geometry.BALL2:
-        return geometry.build_quadrature(
-            dom, resolution, angular=_number(angular, "angular") if angular else None)
-    return geometry.build_quadrature(dom, resolution)
+    return geometry.build_quadrature(
+        dom, resolution, angular=None if angular is None else _number(angular, "angular"))
 
 
 def _need_seed(cfg: dict) -> int:

@@ -14,11 +14,12 @@ randomized factorization h = E[f g] with Bernoulli signs,
     g(eps) = sum_a mu_a eps_a k_{q,a},     nu_a = lambda_a mu_a,
 
 and the generalized Hoelder inequality on the product of the boundary
-measure with the sign space.  With exact sign enumeration every step of
-that chain is a finite inequality, so the bounds asserted here are exact
-up to rounding; comparability constants that the theory leaves implicit
-(Khintchine factors, structural-hypothesis extrema) are measured per
-instance and reported, never hard-coded.
+measure with the sign space.  Every sign expectation comes from the exact
+engine ``signs.sign_moments``, so each step of that chain is a finite
+inequality, asserted here up to rounding; ``verify_norm_bound`` is the one
+place that checks it, the p <= 2 dual factor included.  Constants the
+theory leaves implicit (Khintchine factors, structural-hypothesis extrema)
+are measured per instance and reported, never hard-coded.
 
 h, f(eps) and g(eps) are finite combinations of the N functions rho_a and
 k_{q,a}.  They are returned as plain vectorized evaluators zs (M, n) ->
@@ -31,16 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ContractError,
-    InvariantViolation,
-    ParameterError,
-)
+from .errors import ContractError, InvariantViolation, ParameterError
 from .geometry import BALL2, DISC, Domain, QuadratureRule, rule_norm, rule_power, seq_norm
 from .kernels import INF, conjugate_exponent, exponent_from_split, kernel_diag, kernel_matrix
-from .sequences import DualSystem, normalized_kernel_matrix, weak_ratio_at
-from .signs import EXACT_CAP, sign_matrix_chunks, sign_moments
+from .sequences import DualSystem, PointSequence, _weak_ratio, normalized_kernel_matrix
+from .signs import SignMoments, sign_moments
 
 _CHAIN_SLACK = 1e-8
 
@@ -273,13 +269,12 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
     and g_of(eps) return vectorized evaluators zs (M, n) -> (M,).  The
     identity is exact because E[eps_j eps_k] = delta_jk kills every cross
     term; it is verified pointwise on a fixed panel of interior and boundary
-    points by exact enumeration of the 2^(N-1) patterns with eps_0 = +1
-    (N <= 20).
+    points with exact sign moments (N <= 20): by polarization,
+    f g = (1/4) sum_{k=0..3} i^k |f + i^k conj(g)|^2, and for real signs each
+    term is the p = 2 moment of the sign sum with unit coefficients and rows
+    lambda_a c_a rho_a + i^k conj(mu_a k_{q,a}).
     """
     seq = dual.sequence
-    n = len(seq)
-    if n > EXACT_CAP:
-        raise CapacityError(f"exact factorization check capped at {EXACT_CAP} points")
     split = split_target(nu, s, dual.p)
     coeffs = coeff_c(dual, s)
     q = split.q
@@ -301,14 +296,11 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
     kq_at = normalized_kernel_rows(dual, q, panel)
     h_at = (split.nu * coeffs.values) @ (rho_at * kq_at)
 
-    # f(eps) g(eps) is even in eps, so the patterns with eps_0 = +1 suffice
-    acc = np.zeros(panel.shape[0], dtype=complex)
-    for block in sign_matrix_chunks(n - 1):
-        block = np.hstack([np.ones((len(block), 1)), block])
-        f_vals = (block * lc[None, :]) @ rho_at
-        g_vals = (block * split.mu[None, :]) @ kq_at
-        acc += np.sum(f_vals * g_vals, axis=0)
-    expectation = acc / (1 << (n - 1))
+    f_rows = lc[:, None] * rho_at
+    g_bar = np.conj(split.mu[:, None] * kq_at)
+    unit, panel_w = np.ones(len(seq)), np.ones(len(panel))
+    expectation = sum(i_k * sign_moments(f_rows + i_k * g_bar, unit, panel_w, 2.0).nodes
+                      for i_k in (1, 1j, -1, -1j)) / 4.0
 
     err = np.max(np.abs(h_at - expectation) / (1.0 + np.abs(h_at)))
     report = {
@@ -317,6 +309,23 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
         "panel_seed": _PANEL_SEED,
     }
     return f_of, g_of, report
+
+
+def _check_dual_factor(f: SignMoments, x, rho_pow, rho_norms, k_f: float) -> None:
+    """Assert the p <= 2 dual factor of f = sum_a eps_a x_a rho_a from |rho_a|^p and ||rho_a||_p^p:
+    l2 <= lp at every node, E||f||_p^p <= K_f sum_a |x_a|^p ||rho_a||_p^p (equal at p = 2)."""
+    p = f.p
+    x_pow = np.abs(x) ** p
+    l2, lp = f.square, x_pow @ rho_pow
+    if p != 2.0:  # at p = 2 both sides are the same sum of squares
+        l2, lp = np.sqrt(l2), lp ** (1.0 / p)
+    if np.any(l2 > lp * (1.0 + 1e-12)):
+        raise InvariantViolation("pointwise l2 <= lp comparison failed at a node")
+    diagonal = float(x_pow @ rho_norms)
+    if f.value > k_f * diagonal * (1.0 + _CHAIN_SLACK):
+        raise InvariantViolation(f"E||f||_p^p = {f.value} exceeded its bound {k_f * diagonal}")
+    if p == 2.0 and abs(f.value - diagonal) > 1e-10 * diagonal:
+        raise InvariantViolation(f"sign orthogonality failed: {f.value} != {diagonal}")
 
 
 def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
@@ -330,8 +339,9 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
         ||h||_s <= (E ||f||_p^p)^{1/p} (E ||g||_q^q)^{1/q}
 
     is asserted with exact sign expectations (sup over patterns and nodes
-    of |f| replaces the first factor when p = inf).  For p <= 2 the full
-    measured budget  K_f^{1/p} (alpha^{-1} beta) sup_a ||rho_a||_p
+    of |f| replaces the first factor when p = inf).  For p <= 2 the dual
+    factor of every target is checked as well (``_check_dual_factor``), and
+    the full measured budget  K_f^{1/p} (alpha^{-1} beta) sup_a ||rho_a||_p
     K_g^{1/q} D_weak^{1/2}  is assembled and asserted as an upper bound
     for the estimate.
     """
@@ -348,6 +358,8 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
     kq_vals = normalized_kernel_rows(dual, q, rule.nodes)
     prod_vals = rho_vals * kq_vals
     sup_rho = float(np.max(rule_norm(rho_vals, w, p)))
+    if p <= 2.0:
+        rho_norms, rho_pow = rule_power(rho_vals, w, p), np.abs(rho_vals) ** p
 
     rng = np.random.default_rng(seed)
     targets = [np.eye(n, dtype=complex)[i] for i in range(n)]
@@ -368,14 +380,21 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
         nu_norm = seq_norm(nu, s)
         ci = max(ci, h_norm / nu_norm)
 
-        f = sign_moments(rho_vals, split.lam * coeffs.values, w, p)
-        g = sign_moments(kq_vals, split.mu, w, q)
-        patterns = max(patterns, f.patterns, g.patterns)
+        x = split.lam * coeffs.values
+        f = sign_moments(rho_vals, x, w, p)
         if p == INF:
-            bound = float(np.max(f.nodes)) * g.value ** (1.0 / q)
+            f_factor = float(np.max(f.nodes))
         else:
-            bound = f.value ** (1.0 / p) * g.value ** (1.0 / q)
-            khin_f = max(khin_f, f.khintchine_factor())
+            f_factor = f.value ** (1.0 / p)
+            k_f = f.khintchine_factor()
+            khin_f = max(khin_f, k_f)
+            if p <= 2.0:
+                _check_dual_factor(f, x, rho_pow, rho_norms, k_f)
+        patterns = max(patterns, f.patterns)
+        del f  # its per-node arrays need not coexist with the g moment's temporaries
+        g = sign_moments(kq_vals, split.mu, w, q)
+        patterns = max(patterns, g.patterns)
+        bound = f_factor * g.value ** (1.0 / q)
         khin_g = max(khin_g, g.khintchine_factor())
         mu_norm = seq_norm(split.mu, q)
         if mu_norm > 0:
@@ -412,60 +431,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
 
 
 # ---------------------------------------------------------------------------
-# expectation bounds for the two dual routes
-
-
-def dual_expectation_bound_p_le_2(dual: DualSystem, lam, rule: QuadratureRule) -> dict:
-    """Sign-averaged dual-sum bound for a dual system with p <= 2.
-
-    Verifies the pointwise l^2 <= l^p comparison at every node, measures
-    the Khintchine factor of this instance, and asserts
-
-        E||sum lam_a eps_a rho_a||_p^p <= K * sup_a ||rho_a||_p^p * ||lam||_p^p.
-    """
-    p = dual.p
-    if p == INF or not (1.0 <= p <= 2.0):
-        raise ParameterError("this route needs a dual system with 1 <= p <= 2")
-    lam = np.asarray(lam, dtype=complex)
-    if not np.any(lam):
-        raise ParameterError("the expectation bound needs a nonzero coefficient vector")
-    w = rule.weights
-    rho_vals = dual.values(rule.nodes)
-    mom = sign_moments(rho_vals, lam, w, p)
-
-    lp_nodes = np.sum((np.abs(lam)[:, None] * np.abs(rho_vals)) ** p, axis=0) ** (1.0 / p)
-    pointwise_gap = float(np.max(np.sqrt(mom.square) - lp_nodes * (1.0 + 1e-12)))
-    if pointwise_gap > 0:
-        raise InvariantViolation("pointwise l2 <= lp comparison failed at a node")
-
-    expectation = mom.value
-    lam_p = seq_norm(lam, p)
-    ratio = expectation / lam_p**p
-    khin = mom.khintchine_factor()
-    rho_norms_p = rule_power(rho_vals, w, p)
-    sup_rho_p = float(np.max(rho_norms_p))
-    bound = khin * sup_rho_p
-    if ratio > bound * (1.0 + _CHAIN_SLACK):
-        raise InvariantViolation(f"expectation ratio {ratio} exceeded measured bound {bound}")
-
-    # sum_a |lam_a|^p ||rho_a||_p^p: the type-p denominator, and at p = 2
-    # the exact value of the expectation by sign orthogonality
-    diagonal = float(np.abs(lam) ** p @ rho_norms_p)
-    out = {
-        "p": p,
-        "ratio": ratio,
-        "khintchine_factor": khin,
-        "sup_rho_p_pow": sup_rho_p,
-        "bound": bound,
-        "pointwise_ok": True,
-        "type_p_ratio": expectation / diagonal,
-    }
-    if p == 2.0:
-        gap = abs(expectation - diagonal) / max(diagonal, 1e-300)
-        if gap > 1e-10:
-            raise InvariantViolation(f"sign orthogonality identity failed: gap {gap}")
-        out["orthogonality_gap"] = gap
-    return out
+# sign-averaged routes that verify_norm_bound does not compose
 
 
 def dual_expectation_bound_infty(inf_dual: DualSystem, p: float, lam, rule: QuadratureRule, *,
@@ -504,7 +470,7 @@ def dual_expectation_bound_infty(inf_dual: DualSystem, p: float, lam, rule: Quad
     ratio = mom.value / lam_p**p
     khin = mom.khintchine_factor()
 
-    weak_inst = weak_ratio_at(inf_dual.sequence, p, lam, rule)
+    weak_inst = _weak_ratio(kp.T, w, p, lam)
     weak_eff = max(weak_inst, weak_d or 0.0)
     budget = khin * c_hat**p * weak_eff ** (p / 2.0)
     if ratio > budget * (1.0 + _CHAIN_SLACK):
@@ -518,4 +484,52 @@ def dual_expectation_bound_infty(inf_dual: DualSystem, p: float, lam, rule: Quad
         "weak_d_used": weak_eff,
         "budget": budget,
         "per_point_sup": per_point_sup.tolist(),
+    }
+
+
+def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureRule,
+                             d_q: float, method: str = "exact",
+                             samples: int | None = None, seed: int | None = None) -> dict:
+    """Verify the sign-averaging route from the synthesis bound to the
+    squared-modulus bound for one coefficient vector.
+
+    Computes, with k_{q,a} normalized on the rule,
+
+      left   = || sum |mu_a|^2 |k_{q,a}|^2 ||_{q/2}^{q/2}
+      middle = E || sum mu_a eps_a k_{q,a} ||_q^q
+      right  = D^q ||mu||_q^q,  D = d_q as supplied
+
+    ``right_ok`` records whether the supplied d_q dominates the average; a
+    d_q below the true constant can fail it.  The left/middle comparison
+    carries the Khintchine constant, so only finiteness and positivity are
+    asserted for it.
+    """
+    if q < 2:
+        raise ParameterError("the sign-averaging chain needs q >= 2")
+    if not d_q > 0:
+        raise ParameterError(f"the synthesis constant d_q must be positive, got {d_q}")
+    mu = np.asarray(mu, dtype=complex)
+    if not np.any(mu):
+        raise ParameterError("the sign-averaging chain needs a nonzero coefficient vector")
+    w = rule.weights
+    mom = sign_moments(normalized_kernel_matrix(seq, q, rule).T, mu, w, q, method, samples, seed)
+    left = float(rule_power(mom.square, w, q / 2.0))
+    middle, stderr = mom.value, mom.stderr
+    right = d_q**q * seq_norm(mu, q)**q
+    slack = 1e-8 * right + 4.0 * stderr
+    right_ok = middle <= right + slack
+    left_factor = left / middle if middle > 0 else np.inf
+    if not (np.isfinite(left_factor) and left_factor > 0):
+        raise ParameterError("degenerate instance: the averaged synthesis norm vanished")
+    return {
+        "q": q,
+        "left": left,
+        "middle": middle,
+        "right": right,
+        "left_factor": left_factor,
+        "right_factor": middle / right,
+        "right_ok": bool(right_ok),
+        "d_q_given": d_q,
+        "method": method,
+        "stderr": stderr,
     }

@@ -90,19 +90,21 @@ class PointSequence:
 
     @classmethod
     def from_csv(cls, dom: Domain, path) -> "PointSequence":
+        """Points from a CSV of re/im columns; only the first non-empty row may be a header."""
         pts = []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                try:
-                    vals = [float(x) for x in row]
-                except ValueError:
+            rows = [(i, row) for i, row in enumerate(csv.reader(fh), 1) if row]
+        for k, (line, row) in enumerate(rows):
+            try:
+                vals = [float(x) for x in row]
+            except ValueError as exc:
+                if k == 0:
                     continue  # header line
-                if len(vals) != 2 * dom.n:
-                    raise ParameterError(
-                        f"{dom.kind} CSV rows need {2 * dom.n} columns (re/im per coordinate)")
-                pts.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dom.n)])
+                raise ParameterError(f"{path} row {line}: bad number in {row!r}") from exc
+            if len(vals) != 2 * dom.n:
+                raise ParameterError(
+                    f"{dom.kind} CSV rows need {2 * dom.n} columns (re/im per coordinate)")
+            pts.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dom.n)])
         if not pts:
             raise ParameterError(f"no points parsed from {path}")
         return cls.create(dom, pts)
@@ -274,6 +276,8 @@ def _heaviest_column(masses: np.ndarray) -> tuple:
 def _default_starts(n: int, restarts: int, seed: int | None, positive: bool = False):
     if seed is None:
         raise ParameterError("the power iteration is stochastic: an explicit seed is required")
+    if restarts < 0:
+        raise ParameterError(f"restarts must be at least 0, got {restarts}")
     starts = [np.ones(n)]
     starts.extend(np.eye(n))
     rng = np.random.default_rng(seed)
@@ -361,8 +365,13 @@ def weak_ratio_at(seq: PointSequence, q: float, mu, rule: QuadratureRule) -> flo
     mu = np.asarray(mu, dtype=complex)
     if not np.any(mu):
         raise ParameterError("weak_ratio_at needs a nonzero coefficient vector")
-    dens = (np.abs(normalized_kernel_matrix(seq, q, rule)) ** 2) @ (np.abs(mu) ** 2)
-    return float(rule_norm(dens, rule.weights, q / 2.0)) / seq_norm(mu, q) ** 2
+    return _weak_ratio(normalized_kernel_matrix(seq, q, rule), rule.weights, q, mu)
+
+
+def _weak_ratio(A: np.ndarray, w: np.ndarray, q: float, mu: np.ndarray) -> float:
+    """weak_ratio_at on the normalized kernel matrix A (M, N) with rule weights w."""
+    dens = (np.abs(A) ** 2) @ (np.abs(mu) ** 2)
+    return float(rule_norm(dens, w, q / 2.0)) / seq_norm(mu, q) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Bernoulli sign machinery: one sign-moment engine, exact or seeded Monte Carlo.
+"""The Bernoulli sign-moment engine, exact or seeded Monte Carlo.
 
-``sign_moments`` is the only code that turns sign patterns into moments of
-f(eps) = sum_a eps_a c_a R_a, where R_a are rows sampled on boundary nodes:
-by exact enumeration (N <= 20) or by seeded Monte Carlo.  It returns
-per-node moments only, E|f|^p or, at p = inf, the max of |f|; no figure
-of a single pattern is kept.
+``sign_moments`` is the only code in the package that turns sign patterns
+into moments of f(eps) = sum_a eps_a c_a R_a, where R_a are rows sampled on
+boundary nodes: by exact enumeration (N <= 20) or by seeded Monte Carlo.
+It returns per-node moments only, E|f|^p or, at p = inf, the max of |f|;
+no figure of a single pattern is kept.  The chain steps live in ``extension``.
 
 Exact enumeration runs over the support only: a term with c_a = 0 is zero
 under every sign, so it changes no moment and is left out.  Over the K
@@ -31,24 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ShapeError
-from .geometry import QuadratureRule, rule_power, seq_norm
-from .sequences import PointSequence, normalized_kernel_matrix
+from .geometry import rule_power
 
 EXACT_CAP = 20
-_CHUNK = 1 << 14
 _NODE_BLOCK = 1 << 12
 
 
-def sign_matrix_chunks(n: int):
-    """Yield (C, n) blocks, C <= _CHUNK, of all 2^n sign patterns in index order."""
-    if n > EXACT_CAP:
-        raise CapacityError(f"exact enumeration capped at {EXACT_CAP} signs, got {n}")
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-        bits = (idx[:, None] >> shifts[None, :]) & 1
-        yield bits.astype(float) * 2.0 - 1.0
+def _sign_matrix(k: int) -> np.ndarray:
+    """All 2^k sign patterns as a (2^k, k) +-1 matrix: sign j of row i is bit j of i."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return bits * 2.0 - 1.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,7 @@ class SignMoments:
 def _pattern_table(terms: np.ndarray) -> tuple:
     """Real and imaginary parts of sum_k eps_k terms_k for every pattern of
     the K = len(terms) signs, in index order: two (2^K, M) float tables."""
-    signs = next(sign_matrix_chunks(len(terms)))  # K <= EXACT_CAP // 2, one block
+    signs = _sign_matrix(len(terms))  # K <= EXACT_CAP // 2
     return signs @ terms.real, signs @ terms.imag
 
 
@@ -165,8 +157,10 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
         patterns = samples
     else:
         raise ParameterError(f"unknown expectation method {method!r}")
-    square = np.sum((np.abs(coeffs)[:, None] * np.abs(rows)) ** 2, axis=0)
-    return SignMoments(p, nodes, float(rule_power(nodes, w, 1.0)), stderr, square, patterns)
+    value = float(rule_power(nodes, w, 1.0))
+    mag = np.abs(rows)  # squared in place, so the square function needs one (K, M) temporary
+    mag *= np.abs(coeffs)[:, None]
+    return SignMoments(p, nodes, value, stderr, np.sum(np.square(mag, out=mag), axis=0), patterns)
 
 
 def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = None,
@@ -181,50 +175,3 @@ def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = N
     denom = float(mom.square[0]) ** (q / 2.0)
     return mom.value / denom, mom.stderr / denom
 
-
-def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureRule,
-                             d_q: float, method: str = "exact",
-                             samples: int | None = None, seed: int | None = None) -> dict:
-    """Verify the sign-averaging route from the synthesis bound to the
-    squared-modulus bound for one coefficient vector.
-
-    Computes, with k_{q,a} normalized on the rule,
-
-      left   = || sum |mu_a|^2 |k_{q,a}|^2 ||_{q/2}^{q/2}
-      middle = E || sum mu_a eps_a k_{q,a} ||_q^q
-      right  = D^q ||mu||_q^q,  D = d_q as supplied
-
-    ``right_ok`` records whether the supplied d_q dominates the average; a
-    d_q below the true constant can fail it.  The left/middle comparison
-    carries the Khintchine constant, so only finiteness and positivity are
-    asserted for it.
-    """
-    if q < 2:
-        raise ParameterError("the sign-averaging chain needs q >= 2")
-    if not d_q > 0:
-        raise ParameterError(f"the synthesis constant d_q must be positive, got {d_q}")
-    mu = np.asarray(mu, dtype=complex)
-    if not np.any(mu):
-        raise ParameterError("the sign-averaging chain needs a nonzero coefficient vector")
-    w = rule.weights
-    mom = sign_moments(normalized_kernel_matrix(seq, q, rule).T, mu, w, q, method, samples, seed)
-    left = float(rule_power(mom.square, w, q / 2.0))
-    middle, stderr = mom.value, mom.stderr
-    right = d_q**q * seq_norm(mu, q)**q
-    slack = 1e-8 * right + 4.0 * stderr
-    right_ok = middle <= right + slack
-    left_factor = left / middle if middle > 0 else np.inf
-    if not (np.isfinite(left_factor) and left_factor > 0):
-        raise ParameterError("degenerate instance: the averaged synthesis norm vanished")
-    return {
-        "q": q,
-        "left": left,
-        "middle": middle,
-        "right": right,
-        "left_factor": left_factor,
-        "right_factor": middle / right,
-        "right_ok": bool(right_ok),
-        "d_q_given": d_q,
-        "method": method,
-        "stderr": stderr,
-    }

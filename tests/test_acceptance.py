@@ -246,18 +246,21 @@ def test_criterion_08_carleson_consistency():
 
 
 def test_criterion_09_p_le_2_expectation_bound():
+    # verify_norm_bound asserts on every target: l2 <= lp at every node (slack
+    # 1e-12), E||f||_p^p <= K_f sum_a |x_a|^p ||rho_a||_p^p (slack 1e-8) and,
+    # at p = 2, the orthogonality identity within 1e-10; returning is passing
     disc = hl.Domain(hl.DISC)
     rule = hl.build_quadrature(disc, 512)
     seq = hl.PointSequence.create(disc, [0.6, -0.6])
-    dual2 = hl.dual_system(seq, 2.0, "gram2")
-    out2 = hl.dual_expectation_bound_p_le_2(dual2, np.array([1.0, 0.5j]), rule)
-    dual15 = hl.dual_system(seq, 1.5, "collocation")
-    out15 = hl.dual_expectation_bound_p_le_2(dual15, np.array([1.0, 1.0 + 0.5j]), rule)
+    rep2 = hl.verify_norm_bound(hl.dual_system(seq, 2.0, "gram2"), 1.0, rule, batch=8, seed=9)
+    rep15 = hl.verify_norm_bound(hl.dual_system(seq, 1.5, "collocation"), 1.0, rule,
+                                 batch=8, seed=9)
+    k2, k15 = rep2.details["khintchine_factor_f"], rep15.details["khintchine_factor_f"]
     _criterion(9, "p <= 2 expectation bound", [
-        (out2["orthogonality_gap"] < 1e-10, f"p=2 orthogonality gap {out2['orthogonality_gap']:.2e}"),
-        (out15["pointwise_ok"], "p=1.5 pointwise l2 <= lp at every node"),
-        (out15["ratio"] <= out15["bound"] * (1 + 1e-8),
-         f"p=1.5 ratio {out15['ratio']:.6f} <= bound {out15['bound']:.6f}"),
+        (abs(k2 - 1.0) <= 1e-12, f"p=2, {rep2.details['targets_tested']} targets: "
+                                 f"K_f - 1 = {k2 - 1.0:.2e} (orthogonality at every node)"),
+        (k15 <= 1.0 + 1e-12, f"p=1.5, {rep15.details['targets_tested']} targets: "
+                             f"K_f = {k15:.15f} <= 1 (Jensen)"),
     ])
 
 

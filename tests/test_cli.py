@@ -279,6 +279,10 @@ _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8
     ("sh", {"domain": "disc", "q": [], "ps": [], "grid": {"rmax": 0.5, "count": 0}}),
     ("report", {"domain": "disc", "points": [[0.5, 0.0], [-0.5, 0.0]], "resolution": 64,
                 "batch": 1, "seed": 1, "norms": 5}),
+    ("carleson", {"domain": "disc", "points": DISC_POINTS, "q": 4, "seed": 1, "restarts": -3}),
+    ("extend", {**_EXTEND, "angular": 32}),
+    ("extend", {**_EXTEND, "domain": "ball2", "points": [[0.5, 0, 0, 0], [-0.5, 0, 0, 0]],
+                "resolution": 8, "angular": 0}),
 ], ids=["sh-disc-short-row", "sh-ball-short-row", "extend-short-pair", "extend-text",
         "bergman-short-pair", "bergman-text", "bergman-no-points",
         "extend-batch-text", "extend-seed-text", "carleson-restarts-text",
@@ -287,9 +291,18 @@ _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8
         "bergman-weight-text", "norms-exponents-number", "sh-q-number", "sh-ps-not-pair",
         "khintchine-q-number", "dual-tikhonov-text", "carleson-weak-text",
         "carleson-remark-number", "sh-grid-count-negative", "sh-grid-count-zero",
-        "report-section-number"])
+        "report-section-number", "carleson-restarts-negative", "extend-disc-angular",
+        "extend-ball-angular-zero"])
 def test_malformed_input_is_config_error(tmp_path, capsys, sub, cfg):
     path = _write(tmp_path, "c.json", cfg)
     assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert not (tmp_path / "o").exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_points_csv_bad_row_is_config_error(tmp_path, capsys):
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("re,im\n0.5,0.0\n0.3,abc\n-0.5,0.1\n")
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points_csv": str(csv_path)})
+    assert cli.main(["gleason", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "row 3" in capsys.readouterr().err

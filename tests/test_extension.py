@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +188,14 @@ def test_randomized_factorization_two_points(disc, disc_rule):
     assert abs(acc / 4.0 - h(z)[0]) < 1e-12
 
 
+def test_randomized_factorization_capacity(disc, disc_rule):
+    # the sign engine caps the exact check at EXACT_CAP = 20 points
+    seq = hl.PointSequence.create(disc, list(0.5 * np.exp(2j * np.pi * np.arange(21) / 21)))
+    dual = hl.dual_system(seq, np.inf, "blaschke")
+    with pytest.raises(hl.CapacityError, match="capped at 20 signs"):
+        hl.randomized_factorization(dual, np.ones(21), 1.0, disc_rule)
+
+
 def test_verify_norm_bound_trivial(disc, disc_rule):
     seq = _seq(disc, 0.0)
     dual = hl.dual_system(seq, 2.0, "gram2")
@@ -242,50 +252,38 @@ def test_verify_norm_bound_inf_route(disc, disc_rule):
 # expectation bounds
 
 
-def test_p_le_2_bound_single_point(disc, disc_rule):
-    seq = _seq(disc, 0.5)
-    dual = hl.dual_system(seq, 1.5, "collocation")
-    out = hl.dual_expectation_bound_p_le_2(dual, np.array([2.0]), disc_rule)
-    rho_p = hl.lp_norm(hl.BoundarySamples(dual.values(disc_rule.nodes)[0], disc_rule), 1.5) ** 1.5
-    assert abs(out["ratio"] - rho_p) < 1e-10 * rho_p
-
-
 def test_p2_orthogonality_identity(disc, disc_rule):
+    # verify_norm_bound asserts E||f||_2^2 = sum_a |x_a|^2 ||rho_a||_2^2 on every target
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system(seq, 2.0, "gram2")
-    out = hl.dual_expectation_bound_p_le_2(dual, np.array([1.0, 0.5j]), disc_rule)
-    assert out["orthogonality_gap"] < 1e-10
+    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=8, seed=4)
+    assert abs(rep.details["khintchine_factor_f"] - 1.0) <= 1e-12
 
 
 def test_p_1_5_bound_and_pointwise(disc, disc_rule):
+    # l2 <= l1.5 at every node and E||f||_p^p <= K_f sum_a |x_a|^p ||rho_a||_p^p
+    # are asserted on every target; K_f <= 1 by Jensen
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system(seq, 1.5, "collocation")
-    out = hl.dual_expectation_bound_p_le_2(dual, np.array([1.0, 1.0 + 0.5j]),
-                                           disc_rule)
-    assert out["pointwise_ok"]
-    assert out["ratio"] <= out["bound"] * (1.0 + 1e-8)
+    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=8, seed=4)
+    assert 0.0 < rep.details["khintchine_factor_f"] <= 1.0 + 1e-12
 
 
-def test_p_le_2_rejects_large_p(disc, disc_rule):
-    seq = _seq(disc, 0.5, -0.5)
-    dual = hl.dual_system(seq, 4.0, "collocation")
-    with pytest.raises(hl.ParameterError):
-        hl.dual_expectation_bound_p_le_2(dual, np.ones(2), disc_rule)
+def test_perturbed_p2_moment_breaks_orthogonality(disc, disc_rule, monkeypatch):
+    sign_moments = hl.extension.sign_moments
 
+    def perturbed(rows, coeffs, w, p, *args):
+        mom = sign_moments(rows, coeffs, w, p, *args)
+        if p != 2.0:
+            return mom
+        return dataclasses.replace(mom, nodes=mom.nodes * (1.0 + 1e-6),
+                                   value=mom.value * (1.0 + 1e-6))
 
-def test_type_p_examples(disc, disc_rule):
+    monkeypatch.setattr(hl.extension, "sign_moments", perturbed)
     seq = _seq(disc, 0.6, -0.6)
-    dual2 = hl.dual_system(seq, 2.0, "gram2")
-    out = hl.dual_expectation_bound_p_le_2(dual2, np.array([1.0, 1.0j]), disc_rule)
-    assert abs(out["type_p_ratio"] - 1.0) < 1e-10
-    single = _seq(disc, 0.4)
-    duals = hl.dual_system(single, 1.5, "collocation")
-    outs = hl.dual_expectation_bound_p_le_2(duals, np.array([1.5]), disc_rule)
-    assert abs(outs["type_p_ratio"] - 1.0) < 1e-10
-    dual15 = hl.dual_system(seq, 1.5, "collocation")
-    out15 = hl.dual_expectation_bound_p_le_2(dual15, np.array([1.0, 1.0 + 0.5j]),
-                                             disc_rule)
-    assert np.isfinite(out15["type_p_ratio"]) and out15["type_p_ratio"] > 0
+    dual = hl.dual_system(seq, 2.0, "gram2")
+    with pytest.raises(hl.InvariantViolation, match="orthogonality"):
+        hl.verify_norm_bound(dual, 1.0, disc_rule, batch=2, seed=4)
 
 
 def test_inf_route_two_points(disc, disc_rule):
@@ -381,14 +379,12 @@ def test_holder_chain_property(kind, method, seed, n, p, t):
         assert rep.ci_estimate <= rep.constant_budget * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("route", ["weak_ratio_at", "p_le_2", "infty", "weak_from_carleson"])
+@pytest.mark.parametrize("route", ["weak_ratio_at", "infty", "weak_from_carleson"])
 def test_zero_coefficient_vector_is_parameter_error(disc, disc_rule, route):
     seq = _seq(disc, 0.0, 0.5)
     zero = np.zeros(2, dtype=complex)
     calls = {
         "weak_ratio_at": lambda: hl.weak_ratio_at(seq, 4.0, zero, disc_rule),
-        "p_le_2": lambda: hl.dual_expectation_bound_p_le_2(
-            hl.dual_system(seq, 1.5, "collocation"), zero, disc_rule),
         "infty": lambda: hl.dual_expectation_bound_infty(
             hl.dual_system(seq, np.inf, "blaschke"), 2.0, zero, disc_rule),
         "weak_from_carleson": lambda: hl.weak_from_carleson_check(seq, 4.0, zero, disc_rule, 1.0),

@@ -34,6 +34,13 @@ def test_point_sequence_io(tmp_path, disc, ball):
     assert got[1][0] == complex(-0.25, 0.1)
     with pytest.raises(hl.ParameterError):
         hl.PointSequence.from_csv(ball, csv_path)  # wrong column count
+    # only the first non-empty row may be a header; a later bad row is an error
+    csv_path.write_text("\nre,im\n0.5,0.0\n0.3,abc\n-0.5,0.1\n")
+    with pytest.raises(hl.ParameterError, match="row 4"):
+        hl.PointSequence.from_csv(disc, csv_path)
+    csv_path.write_text("0.5,0.0\nre,im\n")
+    with pytest.raises(hl.ParameterError, match="row 2"):
+        hl.PointSequence.from_csv(disc, csv_path)
 
 
 def test_gleason_distance_examples(disc, ball, bidisc):
@@ -146,6 +153,12 @@ def test_carleson_parameter_errors(disc_rule):
         hl.carleson_constant(seq, 2.0, disc_rule, method="power-iteration")
     with pytest.raises(hl.ParameterError, match="seed"):
         hl.weak_carleson_constant(seq, 4.0, disc_rule)
+    # a negative restart count is an error; 0 runs the deterministic starts only
+    for run in (hl.carleson_constant, hl.weak_carleson_constant):
+        with pytest.raises(hl.ParameterError, match="restarts"):
+            run(seq, 4.0, disc_rule, restarts=-3, seed=1)
+        rep = run(seq, 4.0, disc_rule, restarts=0, seed=1)
+        assert len(rep.details["restart_iterations"]) == 1 + len(seq)
 
 
 @pytest.mark.parametrize("method,q", [("spectral", 2.0), ("gram_spectral", 2.0),

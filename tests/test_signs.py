@@ -16,27 +16,29 @@ def _random_instance(n, m, seed):
     return rows, coeffs, w / w.sum()
 
 
+def _all_patterns(n):
+    """Every +-1 pattern of n signs, one per row (one empty pattern at n = 0)."""
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=n))).reshape(1 << n, n)
+
+
 def test_sign_matrix_enumeration():
-    # 2^15 patterns cross the boundary between two blocks of 2^14
-    blocks = list(hl.sign_matrix_chunks(15))
-    all_rows = np.vstack(blocks)
-    assert all_rows.shape == (1 << 15, 15)
+    # the largest table the engine builds: 2^10 patterns of K <= EXACT_CAP // 2 signs
+    k = 10
+    all_rows = hl.signs._sign_matrix(k)
+    assert all_rows.shape == (1 << k, k) and all_rows.dtype == float
     assert set(np.unique(all_rows)) == {-1.0, 1.0}
-    assert len({tuple(r) for r in all_rows}) == 1 << 15
+    assert len({tuple(r) for r in all_rows}) == 1 << k
     # fixed order: sign j of pattern i is bit j of i
-    assert tuple(all_rows[0]) == (-1.0,) * 15
-    assert tuple(all_rows[1]) == (1.0,) + (-1.0,) * 14
+    for i in (0, 1, 2, 5, 1000, (1 << k) - 1):
+        assert tuple(all_rows[i]) == tuple(1.0 if i >> j & 1 else -1.0 for j in range(k))
+    assert hl.signs._sign_matrix(0).shape == (1, 0)
 
 
 def test_first_and_second_moments():
     n = 6
-    total = np.zeros(n)
-    cross = np.zeros((n, n))
-    for block in hl.sign_matrix_chunks(n):
-        total += block.sum(axis=0)
-        cross += block.T @ block
-    total /= 1 << n
-    cross /= 1 << n
+    block = _all_patterns(n)
+    total = block.sum(axis=0) / (1 << n)
+    cross = block.T @ block / (1 << n)
     assert np.max(np.abs(total)) < 1e-15
     assert np.max(np.abs(cross - np.eye(n))) < 1e-15
 
@@ -224,16 +226,8 @@ def test_sign_moments_match_brute_force(n, m, p, seed):
 def _gemm_enumeration(rows, coeffs, w, p):
     """The full 2^N enumeration by one GEMM per block of patterns."""
     n = coeffs.size
-    nodes = np.zeros(rows.shape[1])
-    for block in hl.sign_matrix_chunks(n):
-        mag = np.abs((block * coeffs[None, :]) @ rows)
-        if p == np.inf:
-            np.maximum(nodes, np.max(mag, axis=0), out=nodes)
-            continue
-        mag **= p
-        nodes += np.sum(mag, axis=0)
-    if p != np.inf:
-        nodes /= 1 << n
+    mag = np.abs((_all_patterns(n) * coeffs[None, :]) @ rows)
+    nodes = np.max(mag, axis=0) if p == np.inf else np.sum(mag**p, axis=0) / (1 << n)
     return nodes, float(w @ nodes)
 
 
