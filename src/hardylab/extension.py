@@ -269,10 +269,14 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
     and g_of(eps) return vectorized evaluators zs (M, n) -> (M,).  The
     identity is exact because E[eps_j eps_k] = delta_jk kills every cross
     term; it is verified pointwise on a fixed panel of interior and boundary
-    points with exact sign moments (N <= 20): by polarization,
+    points with exact sign moments, at any N: by polarization,
     f g = (1/4) sum_{k=0..3} i^k |f + i^k conj(g)|^2, and for real signs each
     term is the p = 2 moment of the sign sum with unit coefficients and rows
-    lambda_a c_a rho_a + i^k conj(mu_a k_{q,a}).
+    lambda_a c_a rho_a + i^k conj(mu_a k_{q,a}).  The engine's p = 2 moment
+    is the square function, so this compares sum_a lambda_a c_a rho_a mu_a
+    k_{q,a} with its own polarized terms: the same sum in two orders, which
+    checks the split and the panel but no longer witnesses sign
+    orthogonality; the tests compare the p = 2 moments with enumeration.
     """
     seq = dual.sequence
     split = split_target(nu, s, dual.p)
@@ -313,7 +317,12 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
 
 def _check_dual_factor(f: SignMoments, x, rho_pow, rho_norms, k_f: float) -> None:
     """Assert the p <= 2 dual factor of f = sum_a eps_a x_a rho_a from |rho_a|^p and ||rho_a||_p^p:
-    l2 <= lp at every node, E||f||_p^p <= K_f sum_a |x_a|^p ||rho_a||_p^p (equal at p = 2)."""
+    l2 <= lp at every node, E||f||_p^p <= K_f sum_a |x_a|^p ||rho_a||_p^p (equal at p = 2).
+
+    At p = 2 the engine's moment is the square function, so the equality
+    compares sum_m w_m sum_a |x_a rho_a(m)|^2 with sum_a |x_a|^2 ||rho_a||_2^2,
+    the same sum in two orders; it guards the rule and the normalization,
+    not sign orthogonality, which the tests check against enumeration."""
     p = f.p
     x_pow = np.abs(x) ** p
     l2, lp = f.square, x_pow @ rho_pow
@@ -344,6 +353,11 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
     the full measured budget  K_f^{1/p} (alpha^{-1} beta) sup_a ||rho_a||_p
     K_g^{1/q} D_weak^{1/2}  is assembled and asserted as an upper bound
     for the estimate.
+
+    The details record the route of each sign moment (``sign_routes``; one
+    per exponent, so the same for every target) and, where an exponent was
+    snapped to an even integer for the closed form, the snapped value next
+    to the computed one (``p_snapped``, ``q_snapped``).
     """
     if seed is None:
         raise ParameterError("verify_norm_bound needs an explicit seed")
@@ -373,6 +387,7 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
     weak_inst = 0.0
     worst_chain_margin = np.inf
     patterns = 0
+    routes, snapped = {}, {}
     for nu in targets:
         split = split_target(nu, s, p)
         h_vals = (split.nu * coeffs.values) @ prod_vals
@@ -391,9 +406,15 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
             if p <= 2.0:
                 _check_dual_factor(f, x, rho_pow, rho_norms, k_f)
         patterns = max(patterns, f.patterns)
+        routes["f"] = f.route
+        if f.p != p:
+            snapped["p_snapped"] = f.p
         del f  # its per-node arrays need not coexist with the g moment's temporaries
         g = sign_moments(kq_vals, split.mu, w, q)
         patterns = max(patterns, g.patterns)
+        routes["g"] = g.route
+        if g.p != q:
+            snapped["q_snapped"] = g.p
         bound = f_factor * g.value ** (1.0 / q)
         khin_g = max(khin_g, g.khintchine_factor())
         mu_norm = seq_norm(split.mu, q)
@@ -419,6 +440,8 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
             "batch": batch, "seed": seed,
             "targets_tested": len(targets),
             "sign_patterns": patterns,
+            "sign_routes": routes,
+            **snapped,
             "sup_rho_p": sup_rho,
             "khintchine_factor_f": khin_f if p != INF else None,
             "khintchine_factor_g": khin_g,

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .geometry import (
     BALL2,
-    BIDISC,
     DISC,
     BoundarySamples,
     Domain,

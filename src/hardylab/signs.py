@@ -2,24 +2,46 @@
 
 ``sign_moments`` is the only code in the package that turns sign patterns
 into moments of f(eps) = sum_a eps_a c_a R_a, where R_a are rows sampled on
-boundary nodes: by exact enumeration (N <= 20) or by seeded Monte Carlo.
-It returns per-node moments only, E|f|^p or, at p = inf, the max of |f|;
-no figure of a single pattern is kept.  The chain steps live in ``extension``.
+boundary nodes: exactly (by a closed form at even p, by enumeration
+otherwise) or by seeded Monte Carlo.  It returns per-node moments only,
+E|f|^p or, at p = inf, the max of |f|; no figure of a single pattern is
+kept.  The chain steps live in ``extension``.
 
-Exact enumeration runs over the support only: a term with c_a = 0 is zero
-under every sign, so it changes no moment and is left out.  Over the K
-nonzero terms it uses |f(-eps)| = |f(eps)|: it fixes the first sign to +1
-and visits only the 2^(K-1) patterns that have it (one, the empty sum,
-when K = 0).  The other K - 1 signs split into a first half of
-(K - 1) // 2 signs and a second half.  The partial sums of each half over
-all its patterns form a table A (with the first term added in) and a
-table B, each kept as separate real and imaginary float tables; within a
-table, sign k of row i is read off bit k of i.  f at pattern (i, j) is
-row i of A plus row j of B, and the loop runs over j, each step covering
-every i at once.  Nodes are independent, so the engine runs over blocks of
-``_NODE_BLOCK`` of them: the tables and temporaries of one call stay
-bounded however fine the rule is.  The order and every reduction are
-fixed, so every figure is reproducible.
+Both exact routes run over the support only: a term with c_a = 0 is zero
+under every sign, so it changes no moment and is left out.  Nodes are
+independent, so both run over blocks of ``_NODE_BLOCK`` of them: the
+tables and temporaries of one call stay bounded however fine the rule is.
+The order and every reduction are fixed, so every figure is reproducible.
+
+Closed form, p = 2k with 1 <= k <= ``_EVEN_MAX_K``.  With x_a = c_a R_a(m),
+
+    E|sum_a eps_a x_a|^{2k} = (k!)^2 [t^k u^k] prod_a cosh(x_a t + conj(x_a) u),
+
+since E exp(f t + conj(f) u) is that product and [t^k u^k] of
+exp(f t + conj(f) u) is |f|^{2k} / (k!)^2.  The product is carried as a
+polynomial truncated to degree k in t and in u, one factor at a time:
+O(K k^4) per node over K terms, and no pattern is visited.  At k = 1 the
+moment is the square function sum_a |x_a|^2 (sign orthogonality), which
+the engine forms anyway, so ``nodes`` is that array.  An exponent within
+``_SNAP_ULPS`` * np.spacing(2k) of 2k takes this route at exactly 2k: an
+exponent computed from 1/s = 1/p + 1/q may land a few ulps off
+(q = 5.999999999999997 for s = 1.2, p = 1.5), and the moment moves by
+rounding only.  The terms of the expansion cancel between complex
+coefficients: at x = (1, i) their absolute sum is 2^(k-1) times the
+moment, and the closed form loses about that many ulps.  So higher even
+orders, with their (k+1)^4 cost, enumerate.
+
+Enumeration, every other exponent and p = inf.  It uses
+|f(-eps)| = |f(eps)|: it fixes the first sign to +1 and visits only the
+2^(K-1) patterns that have it (one, the empty sum, when K = 0).  The other
+K - 1 signs split into a first half of (K - 1) // 2 signs and a second
+half.  The partial sums of each half over all its patterns form a table A
+(with the first term added in) and a table B, each kept as separate real
+and imaginary float tables; within a table, sign k of row i is read off
+bit k of i.  f at pattern (i, j) is row i of A plus row j of B, and the
+loop runs over j, each step covering every i at once.  ``EXACT_CAP``
+bounds the N signs of this route only, counted before the zeros are
+dropped; the closed form takes any N.
 
 Khintchine-type comparability constants are never hard-coded anywhere in
 the package: ratios are measured per instance and reported.
@@ -27,6 +49,7 @@ the package: ratios are measured per instance and reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -35,6 +58,8 @@ from .geometry import rule_power
 
 EXACT_CAP = 20
 _NODE_BLOCK = 1 << 12
+_EVEN_MAX_K = 8
+_SNAP_ULPS = 8
 
 
 def _sign_matrix(k: int) -> np.ndarray:
@@ -47,13 +72,16 @@ def _sign_matrix(k: int) -> np.ndarray:
 class SignMoments:
     """Moments of f(eps) = sum_a eps_a c_a R_a over the sign patterns.
 
-    ``nodes`` is the per-node E|f|^p (the max of |f| over patterns when
-    p = inf, so its max is the sup of |f|), ``value`` is sum w * nodes,
-    ``stderr`` the standard error of ``value`` (0 when exact), ``square``
-    the per-node square function sum_a |c_a R_a|^2, and ``patterns`` the
-    number of sign patterns evaluated: 2^(K-1) over the K nonzero
-    coefficients when exact (1 for the empty sum), ``samples`` for Monte
-    Carlo.
+    ``p`` is the exponent the moments are of (2k where an exponent within
+    the snap tolerance of 2k took the closed form), ``nodes`` the per-node
+    E|f|^p (the max of |f| over patterns when p = inf, so its max is the
+    sup of |f|), ``value`` is sum w * nodes, ``stderr`` the standard error
+    of ``value`` (0 when exact), ``square`` the per-node square function
+    sum_a |c_a R_a|^2 (the very array ``nodes`` is at p = 2), ``patterns``
+    the number of sign patterns evaluated: 2^(K-1) over the K nonzero
+    coefficients when enumerated (1 for the empty sum), 0 on the closed
+    form, ``samples`` for Monte Carlo; and ``route`` is "closed-form",
+    "enumeration" or "monte-carlo".
     """
 
     p: float
@@ -62,12 +90,46 @@ class SignMoments:
     stderr: float
     square: np.ndarray
     patterns: int
+    route: str
 
     def khintchine_factor(self) -> float:
         """Largest per-node E|f|^p / (sum_a |c_a R_a|^2)^{p/2}; 0 if that vanishes."""
         den = self.square ** (self.p / 2.0)
         ok = den > 0
         return float(np.max(self.nodes[ok] / den[ok])) if np.any(ok) else 0.0
+
+
+def _even_order(p: float) -> int:
+    """k if p is within _SNAP_ULPS * np.spacing(2k) of 2k, 1 <= k <= _EVEN_MAX_K; else 0."""
+    if not np.isfinite(p):
+        return 0
+    k = round(p / 2.0)
+    return k if 1 <= k <= _EVEN_MAX_K and abs(p - 2 * k) <= _SNAP_ULPS * np.spacing(2.0 * k) else 0
+
+
+def _even_moment(terms: np.ndarray, k: int) -> np.ndarray:
+    """Per-node E|f|^{2k} for f(eps) = sum_a eps_a terms_a, k >= 1, by the
+    closed form of the module docstring.
+
+    poly[i, l] is the coefficient of t^i u^l of the product so far; the
+    factor cosh(x t + conj(x) u) has coefficient x^i conj(x)^l / (i! l!)
+    where i + l is even and 0 elsewhere.
+    """
+    poly = np.zeros((k + 1, k + 1, terms.shape[1]), dtype=complex)
+    poly[0, 0] = 1.0
+    up = np.empty((k + 1, terms.shape[1]), dtype=complex)  # x^j / j!
+    up[0] = 1.0
+    for x in terms:
+        for j in range(1, k + 1):
+            np.multiply(up[j - 1], x / j, out=up[j])
+        down = up.conj()
+        new = poly.copy()  # the constant term of the factor
+        for di in range(k + 1):
+            for dl in range(di % 2, k + 1, 2):
+                if di or dl:
+                    new[di:, dl:] += (up[di] * down[dl]) * poly[:k + 1 - di, :k + 1 - dl]
+        poly = new
+    return factorial(k) ** 2 * poly[k, k].real
 
 
 def _pattern_table(terms: np.ndarray) -> tuple:
@@ -103,8 +165,7 @@ def _half_enumeration(terms: np.ndarray, p: float) -> np.ndarray:
         if p == np.inf:
             np.maximum(nodes, np.max(mag2, axis=0), out=nodes)
             continue
-        if p != 2.0:
-            np.power(mag2, p / 2.0, out=mag2)
+        np.power(mag2, p / 2.0, out=mag2)
         nodes += np.sum(mag2, axis=0)
     if p == np.inf:
         return np.sqrt(nodes, out=nodes)
@@ -112,14 +173,24 @@ def _half_enumeration(terms: np.ndarray, p: float) -> np.ndarray:
     return nodes
 
 
+def _square_function(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per-node sum_a |coeffs_a rows_a|^2, with one (N, M) temporary."""
+    mag = np.abs(rows)
+    mag *= np.abs(coeffs)[:, None]
+    return np.sum(np.square(mag, out=mag), axis=0)
+
+
 def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
                  samples: int | None = None, seed: int | None = None) -> SignMoments:
     """Moments of f(eps) = sum_a eps_a coeffs_a rows_a, weighted by w.
 
     ``rows`` is (N, M), ``coeffs`` (N,) and ``w`` (M,).  With
-    ``method="exact"`` only the K nonzero coefficients and their rows are
-    enumerated, over the 2^(K-1) patterns whose first sign is +1, which
-    gives the moments over all 2^N; the cap still applies to N.  With
+    ``method="exact"`` only the K nonzero coefficients and their rows
+    enter.  An exponent within 8 * np.spacing(2k) of an even 2k, 2 <= 2k <= 16,
+    takes the closed form at exactly 2k, for any N, and evaluates no
+    pattern; every other exponent, p = inf included, enumerates the
+    2^(K-1) patterns whose first sign is +1, which gives the moments over
+    all 2^N, and is capped at N = ``EXACT_CAP``.  With
     ``method="monte-carlo"`` ``samples`` seeded patterns are drawn.  A
     sampled sup is no bound, so p = inf is exact only.
     """
@@ -132,16 +203,25 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
     n = coeffs.size
     stderr = 0.0
     if method == "exact":
-        if n > EXACT_CAP:
+        k = _even_order(p)
+        if not k and n > EXACT_CAP:
             raise CapacityError(f"exact enumeration capped at {EXACT_CAP} signs, got {n}")
         support = np.flatnonzero(coeffs)
         if support.size < n:  # index only then: a full-support copy costs (N, M) per call
             rows, coeffs = rows[support], coeffs[support]
-        nodes = np.empty(rows.shape[1])
-        for lo in range(0, nodes.size, _NODE_BLOCK):
-            hi = lo + _NODE_BLOCK
-            nodes[lo:hi] = _half_enumeration(coeffs[:, None] * rows[:, lo:hi], p)
-        patterns = 1 << max(support.size - 1, 0)
+        square = _square_function(rows, coeffs)
+        if k == 1:
+            nodes = square
+        else:
+            nodes = np.empty(rows.shape[1])
+            for lo in range(0, nodes.size, _NODE_BLOCK):
+                hi = lo + _NODE_BLOCK
+                terms = coeffs[:, None] * rows[:, lo:hi]
+                nodes[lo:hi] = _even_moment(terms, k) if k else _half_enumeration(terms, p)
+        if k:
+            p, patterns, route = 2.0 * k, 0, "closed-form"
+        else:
+            patterns, route = 1 << max(support.size - 1, 0), "enumeration"
     elif method == "monte-carlo":
         if samples is None or samples < 1:
             raise ParameterError("Monte Carlo needs samples >= 1")
@@ -154,13 +234,12 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
         nodes = np.sum(np.abs(f) ** p, axis=0) / samples
         norms = rule_power(f, w, p)
         stderr = float(np.std(norms, ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
-        patterns = samples
+        square = _square_function(rows, coeffs)
+        patterns, route = samples, "monte-carlo"
     else:
         raise ParameterError(f"unknown expectation method {method!r}")
     value = float(rule_power(nodes, w, 1.0))
-    mag = np.abs(rows)  # squared in place, so the square function needs one (K, M) temporary
-    mag *= np.abs(coeffs)[:, None]
-    return SignMoments(p, nodes, value, stderr, np.sum(np.square(mag, out=mag), axis=0), patterns)
+    return SignMoments(p, nodes, value, stderr, square, patterns, route)
 
 
 def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = None,

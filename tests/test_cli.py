@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from hardylab import cli
@@ -143,7 +145,8 @@ def test_khintchine_subcommand(tmp_path):
 
 
 def test_khintchine_capacity_exit(tmp_path):
-    cfg = _write(tmp_path, "c.json", {"q": [2], "vectors": [[[1, 0]] * 25]})
+    # q = 3 enumerates, so 25 entries pass the cap; q = 2 would take the closed form
+    cfg = _write(tmp_path, "c.json", {"q": [3], "vectors": [[[1, 0]] * 25]})
     assert cli.main(["khintchine", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CAPACITY
 
 
@@ -306,3 +309,30 @@ def test_points_csv_bad_row_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"domain": "disc", "points_csv": str(csv_path)})
     assert cli.main(["gleason", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "row 3" in capsys.readouterr().err
+
+
+def _sparse_lattice(levels):
+    """Rings r_k = 1 - 2^-k with 2 ceil(2^(k/2)) equispaced points each."""
+    points = []
+    for k in levels:
+        count = 2 * math.ceil(2 ** (k / 2))
+        phases = 2.0 * math.pi * (np.arange(count) + 0.5 * (k % 2)) / count
+        points += [[(1 - 2.0**-k) * math.cos(t), (1 - 2.0**-k) * math.sin(t)] for t in phases]
+    return points
+
+
+def test_extend_past_the_enumeration_cap(tmp_path):
+    # N = 74 signs at p = 2, q = 4: both moments take the closed form, so
+    # EXACT_CAP = 20 does not bind and no pattern is evaluated
+    points = _sparse_lattice(range(1, 8))
+    assert len(points) == 74
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": points,
+                                      "s": 4 / 3, "p": 2, "dual_method": "gram2",
+                                      "resolution": 1024, "batch": 4, "seed": 5})
+    assert cli.main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    ext = _load(tmp_path / "o", "extend")["results"]["extension"]
+    ver = ext["details"]["verification"]
+    assert ver["sign_patterns"] == 0
+    assert ver["sign_routes"] == {"f": "closed-form", "g": "closed-form"}
+    assert math.isfinite(ext["constant_budget"])
+    assert ext["ci_estimate"] <= ext["constant_budget"]

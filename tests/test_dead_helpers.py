@@ -1,9 +1,11 @@
 """Every module-level private name in ``src`` is used somewhere in ``src``
-besides its own definition, so a helper whose last caller went away fails here."""
+besides its own definition, so a helper whose last caller went away fails here;
+and every name a module of ``src`` or ``tests`` imports is read in that module."""
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hardylab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hardylab"
 
 
 def _private_definitions(tree: ast.Module):
@@ -44,3 +46,28 @@ def test_every_private_module_name_is_used():
             if not any(n == name and id(sub) not in inside for n, sub in reads):
                 unused.append(f"{fname}:{node.lineno} {name}")
     assert not unused, f"private module-level names nothing in src uses: {unused}"
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for every import in the module; ``__future__`` flags bind nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_read():
+    # the package's __init__ imports to re-export, so its names are read by callers
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        loads = {sub.id for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}"
+                   for name, line in _imported_names(tree) if name not in loads]
+    assert not unused, f"imported names the module never reads: {unused}"

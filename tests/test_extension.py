@@ -189,11 +189,16 @@ def test_randomized_factorization_two_points(disc, disc_rule):
 
 
 def test_randomized_factorization_capacity(disc, disc_rule):
-    # the sign engine caps the exact check at EXACT_CAP = 20 points
-    seq = hl.PointSequence.create(disc, list(0.5 * np.exp(2j * np.pi * np.arange(21) / 21)))
+    # the factorization check takes p = 2 moments only, which the closed
+    # form gives past EXACT_CAP = 20 points; an enumerated exponent on the
+    # same dual (p = 3) is still capped.  The ring has radius 0.8: at 0.5 the
+    # dual reaches 6.7e4 on the circle and the polarization loses 1e-5
+    seq = hl.PointSequence.create(disc, list(0.8 * np.exp(2j * np.pi * np.arange(21) / 21)))
     dual = hl.dual_system(seq, np.inf, "blaschke")
+    _, _, rep = hl.randomized_factorization(dual, np.ones(21), 1.0, disc_rule)
+    assert rep["max_pointwise_error"] < 1e-10
     with pytest.raises(hl.CapacityError, match="capped at 20 signs"):
-        hl.randomized_factorization(dual, np.ones(21), 1.0, disc_rule)
+        hl.dual_expectation_bound_infty(dual, 3.0, np.ones(21), disc_rule)
 
 
 def test_verify_norm_bound_trivial(disc, disc_rule):
@@ -202,7 +207,9 @@ def test_verify_norm_bound_trivial(disc, disc_rule):
     rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=4, seed=0)
     assert abs(rep.ci_estimate - 1.0) < 1e-10
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-10)
-    assert rep.details["sign_patterns"] == 1
+    # p = q = 2: both moments are square functions, no pattern is evaluated
+    assert rep.details["sign_patterns"] == 0
+    assert rep.details["sign_routes"] == {"f": "closed-form", "g": "closed-form"}
 
 
 def test_verify_norm_bound_antipodal(disc, disc_rule):
@@ -212,25 +219,34 @@ def test_verify_norm_bound_antipodal(disc, disc_rule):
     assert np.isfinite(rep.ci_estimate) and rep.ci_estimate >= 1.0 - 1e-9
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-8)
     assert rep.details["worst_chain_margin"] >= -1e-12
-    assert rep.details["sign_patterns"] == 2  # 2^(N-1): eps_0 = +1
+    assert rep.details["sign_patterns"] == 0  # p = q = 2 take the closed form
 
 
 def test_unit_targets_enumerate_one_term(disc, disc_rule, monkeypatch):
     # the N coordinate targets have one nonzero coefficient in f and in g,
-    # so only the random targets reach the enumeration with every term
-    terms = []
-    half_enumeration = hl.signs._half_enumeration
+    # so only the random targets reach either exact route with every term:
+    # f at p = 1.5 enumerates, g at the computed q = 6 - 3 ulps takes the
+    # closed form at q = 6
+    calls = []
+    half_enumeration, even_moment = hl.signs._half_enumeration, hl.signs._even_moment
 
-    def spy(t, p):
-        terms.append(len(t))
+    def spy_enumeration(t, p):
+        calls.append(("f", len(t)))
         return half_enumeration(t, p)
 
-    monkeypatch.setattr(hl.signs, "_half_enumeration", spy)
+    def spy_even(t, k):
+        calls.append(("g", len(t)))
+        return even_moment(t, k)
+
+    monkeypatch.setattr(hl.signs, "_half_enumeration", spy_enumeration)
+    monkeypatch.setattr(hl.signs, "_even_moment", spy_even)
     seq = _seq(disc, 0.5, -0.4j, -0.3 + 0.2j, 0.6 + 0.3j)
     dual = hl.dual_system(seq, 1.5, "collocation")
     rep = hl.verify_norm_bound(dual, 1.2, disc_rule, batch=2, seed=3)
-    assert terms == [1, 1] * 4 + [4, 4] * 2
-    assert rep.details["sign_patterns"] == 8
+    assert calls == [("f", 1), ("g", 1)] * 4 + [("f", 4), ("g", 4)] * 2
+    assert rep.details["sign_patterns"] == 8  # 2^(4-1), all from f
+    assert rep.details["sign_routes"] == {"f": "enumeration", "g": "closed-form"}
+    assert rep.details["q"] == 5.999999999999997 and rep.details["q_snapped"] == 6.0
 
 
 def test_verify_norm_bound_needs_seed(disc, disc_rule):

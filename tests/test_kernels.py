@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
-from conftest import disc_kernel_norm
 
 
 def test_kernel_eval_examples(disc, ball, bidisc):

@@ -44,11 +44,12 @@ def test_first_and_second_moments():
 
 
 def test_expect_capacity_and_mc_validation():
+    # the cap binds the enumerated exponents (p = 3 here) only
     one = np.ones(1)
     with pytest.raises(hl.CapacityError):
-        hl.sign_moments(np.ones((21, 1)), np.ones(21), one, 2.0)
+        hl.sign_moments(np.ones((21, 1)), np.ones(21), one, 3.0)
     with pytest.raises(hl.CapacityError):  # the cap counts the zeros too
-        hl.sign_moments(np.ones((21, 1)), np.eye(21)[3], one, 2.0)
+        hl.sign_moments(np.ones((21, 1)), np.eye(21)[3], one, 3.0)
     with pytest.raises(hl.ParameterError):
         hl.sign_moments(np.ones((4, 1)), np.ones(4), one, 2.0, method="monte-carlo",
                         samples=100)  # no seed
@@ -125,11 +126,12 @@ def test_khintchine_zero_entries_are_not_enumerated(monkeypatch):
 
     monkeypatch.setattr(hl.signs, "sign_moments", spy)
     x = np.array([1.0, -0.5j, 0.25 + 0.75j])
-    for q in (1.0, 3.0, 5.999999999999997):
+    for q, patterns in ((1.0, 4), (3.0, 4), (5.999999999999997, 0)):
         base, _ = hl.khintchine_ratio(x, q)
         padded, _ = hl.khintchine_ratio(np.concatenate([x, np.zeros(9)]), q)
         assert padded == base
-        assert seen[-2:] == [4, 4]  # 2^(3-1), not the 2^(12-1) of twelve entries
+        # 2^(3-1), not the 2^(12-1) of twelve entries; none on the closed form at q = 6
+        assert seen[-2:] == [patterns, patterns]
 
 
 def test_khintchine_mc_close_to_exact():
@@ -239,7 +241,9 @@ def test_sign_moments_match_gemm_enumeration(n, p):
     rows, coeffs, w = _random_instance(n, 9, 100 + n)
     nodes, value = _gemm_enumeration(rows, coeffs, w, p)
     mom = hl.sign_moments(rows, coeffs, w, p)
-    assert mom.patterns == 1 << max(n - 1, 0)
+    closed = p in (2.0, 5.999999999999997)  # even exponents take the closed form
+    assert mom.patterns == (0 if closed else 1 << max(n - 1, 0))
+    assert mom.route == ("closed-form" if closed else "enumeration")
     assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
     assert abs(mom.value - value) <= 1e-13 * value
     if p == np.inf:
@@ -248,12 +252,18 @@ def test_sign_moments_match_gemm_enumeration(n, p):
         assert not np.any(mom.nodes)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, np.inf])
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, np.inf])
 def test_node_blocks_match_one_pass(p):
-    # two full blocks of 4096 nodes and a short third one
+    # two full blocks of 4096 nodes and a short third one; p = 2 runs no
+    # blocks, its moment is the square function of all nodes at once
     rows, coeffs, w = _random_instance(5, 2 * 4096 + 3, 17)
     mom = hl.sign_moments(rows, coeffs, w, p)
-    assert np.array_equal(mom.nodes, hl.signs._half_enumeration(coeffs[:, None] * rows, p))
+    terms = coeffs[:, None] * rows
+    one_pass = {1.5: lambda: hl.signs._half_enumeration(terms, p),
+                2.0: lambda: hl.signs._square_function(rows, coeffs),
+                4.0: lambda: hl.signs._even_moment(terms, 2),
+                np.inf: lambda: hl.signs._half_enumeration(terms, p)}[p]()
+    assert np.array_equal(mom.nodes, one_pass)
     nodes, value = _gemm_enumeration(rows, coeffs, w, p)
     assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
     assert abs(mom.value - value) <= 1e-13 * value
@@ -276,7 +286,8 @@ def test_zero_coefficients_leave_the_moments_unchanged(n, m, zero_bits, p, seed)
     assert np.array_equal(full.nodes, kept.nodes)
     assert np.array_equal(full.square, kept.square)
     assert full.value == kept.value
-    assert full.patterns == kept.patterns == 1 << max(int(keep.sum()) - 1, 0)
+    closed = p in (2.0, 5.999999999999997)  # no pattern is evaluated on the closed form
+    assert full.patterns == kept.patterns == (0 if closed else 1 << max(int(keep.sum()) - 1, 0))
     if not np.any(keep):
         assert not np.any(full.nodes) and not np.any(kept.nodes)
 
@@ -294,7 +305,7 @@ def test_sparse_moments_at_the_cap_match_brute_force_over_the_support(support, m
                   for eps in itertools.product((-1.0, 1.0), repeat=3)])
     nodes = mag.max(axis=0) if p == np.inf else (mag**p).mean(axis=0)
     mom = hl.sign_moments(rows, sparse, w, p)
-    assert mom.patterns == 4
+    assert mom.patterns == (0 if p == 2.0 else 4)  # p = 2 takes the closed form
     assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
     # the dropped terms add only exact zeros to the square function; at one
     # node (M = 1) numpy sums the column pairwise, so there the association
@@ -309,7 +320,7 @@ def test_sparse_moments_at_the_cap_match_brute_force_over_the_support(support, m
 def test_all_zero_coefficients_at_the_cap_leave_the_empty_sum(p):
     rows, _, w = _random_instance(20, 7, 11)
     mom = hl.sign_moments(rows, np.zeros(20), w, p)
-    assert mom.patterns == 1
+    assert mom.patterns == (0 if p == 2.0 else 1)  # p = 2 takes the closed form
     assert not np.any(mom.nodes) and mom.value == 0.0 and not np.any(mom.square)
 
 
@@ -347,3 +358,61 @@ def test_misspelled_method_is_rejected(method, disc_rule):
     with pytest.raises(hl.ParameterError, match="unknown expectation method"):
         hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, 1.2,
                                     method=method, samples=50, seed=1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), n=st.integers(0, 12), m=st.integers(1, 5),
+       zero_bits=st.integers(0, 2**12 - 1), seed=st.integers(0, 2**32 - 1))
+def test_even_closed_form_matches_enumeration(k, n, m, zero_bits, seed):
+    # E|f|^{2k} by the closed form against the 2^(N-1) enumeration over every
+    # term, zero coefficients included; the expansion cancels between complex
+    # terms by at most a factor 2^(k-1), so a few hundred ulps is ample
+    rows, coeffs, w = _random_instance(n, m, seed)
+    coeffs[[j for j in range(n) if zero_bits >> j & 1]] = 0.0
+    mom = hl.sign_moments(rows, coeffs, w, 2.0 * k)
+    assert (mom.route, mom.patterns, mom.p) == ("closed-form", 0, 2.0 * k)
+    nodes = hl.signs._half_enumeration(coeffs[:, None] * rows, 2.0 * k)
+    assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
+    if not np.any(coeffs):
+        assert not np.any(mom.nodes)
+
+
+def test_even_exponent_snap_boundary():
+    # within 8 ulps of 6 an exponent takes the closed form at exactly 6;
+    # anything farther, odd or infinite enumerates at the exponent given
+    rows, coeffs, w = _random_instance(6, 4, 3)
+    exact_six = hl.sign_moments(rows, coeffs, w, 6.0)
+    below, above = 6.0, 6.0
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+    for p in (below, above):
+        mom = hl.sign_moments(rows, coeffs, w, p)
+        assert (mom.route, mom.p, mom.patterns) == ("closed-form", 6.0, 0)
+        assert np.array_equal(mom.nodes, exact_six.nodes)
+    for p in (6.0 + 1e-9, 5.0, 7.0, np.inf):
+        mom = hl.sign_moments(rows, coeffs, w, p)
+        assert (mom.route, mom.p, mom.patterns) == ("enumeration", p, 32)
+    assert hl.sign_moments(rows, coeffs, w, 2.0 * hl.signs._EVEN_MAX_K + 2.0).route == "enumeration"
+
+
+def test_p2_moments_on_a_ball_dual_match_enumeration(ball):
+    # the engine's p = 2 moment is the square function, which sign
+    # orthogonality makes the mean of |f|^2 over every pattern: checked on
+    # the gram2 ball dual of the report battery, |a| up to 0.99, 64^2 x 16 nodes
+    rng = np.random.default_rng(7)
+    pts = []
+    for r in (0.0, 0.5, 0.9, 0.99):
+        v = rng.standard_normal(4)
+        v = r * v / np.linalg.norm(v)
+        pts.append([v[0] + 1j * v[1], v[2] + 1j * v[3]])
+    dual = hl.dual_system(hl.PointSequence.create(ball, pts), 2.0, "gram2")
+    rule = hl.build_quadrature(ball, 16, angular=64)
+    rows = [dual.values(rule.nodes), hl.extension.normalized_kernel_rows(dual, 2.0, rule.nodes)]
+    for vals in rows:
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        mom = hl.sign_moments(vals, coeffs, rule.weights, 2.0)
+        assert mom.route == "closed-form" and mom.nodes is mom.square
+        nodes = hl.signs._half_enumeration(coeffs[:, None] * vals, 2.0)
+        assert np.allclose(mom.nodes, nodes, rtol=1e-14, atol=0.0)
+        value = float(rule.weights @ nodes)
+        assert abs(mom.value - value) <= 1e-14 * value
