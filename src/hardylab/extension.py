@@ -272,7 +272,9 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
     points with exact sign moments, at any N: by polarization,
     f g = (1/4) sum_{k=0..3} i^k |f + i^k conj(g)|^2, and for real signs each
     term is the p = 2 moment of the sign sum with unit coefficients and rows
-    lambda_a c_a rho_a + i^k conj(mu_a k_{q,a}).  The engine's p = 2 moment
+    t_a lambda_a c_a rho_a + i^k conj(mu_a k_{q,a}) / t_a, where t_a > 0 is
+    chosen at each node so that both parts have the same modulus (the cross
+    terms vanish, so any t_a keeps the identity).  The engine's p = 2 moment
     is the square function, so this compares sum_a lambda_a c_a rho_a mu_a
     k_{q,a} with its own polarized terms: the same sum in two orders, which
     checks the split and the panel but no longer witnesses sign
@@ -302,6 +304,12 @@ def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRul
 
     f_rows = lc[:, None] * rho_at
     g_bar = np.conj(split.mu[:, None] * kq_at)
+    # cross terms vanish, so each term may be rescaled at each node: t f_a and
+    # conj(g_a) / t with t^2 = |g_a| / |f_a| keep f_a g_a and round at the scale
+    # of |f_a g_a| instead of |f_a|^2 + |g_a|^2
+    f_abs, g_abs = np.abs(f_rows), np.abs(g_bar)
+    t = np.sqrt(np.divide(g_abs, f_abs, out=np.ones_like(f_abs), where=(f_abs > 0) & (g_abs > 0)))
+    f_rows, g_bar = f_rows * t, g_bar / t
     unit, panel_w = np.ones(len(seq)), np.ones(len(panel))
     expectation = sum(i_k * sign_moments(f_rows + i_k * g_bar, unit, panel_w, 2.0).nodes
                       for i_k in (1, 1j, -1, -1j)) / 4.0

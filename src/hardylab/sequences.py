@@ -20,10 +20,13 @@ Tikhonov shift, if one was applied, in its report.
 Operator norms away from q = 2 are nonconvex; the estimates here are
 certified lower bounds from a duality-map power iteration with seeded
 restarts, and every report carries the maximizing certificate and the
-steps and converged flag of each restart.  The iteration forms the
-conjugate transpose once per call and runs in real arithmetic when the
-matrix and the start are real, as for the weak constant, whose matrix is
-|A|^2 and whose starts are positive.
+steps and converged flag of each restart.  The restarts run in lockstep as
+one batch: each step is a single pass over the kernel matrix in blocks of
+rows, which gives every candidate's ratio and its next gradient together.
+The batch runs in real arithmetic when the matrix and the starts are real,
+as for the weak constant, whose matrix is |A|^2 and whose starts are
+positive.  Of restarts that reach the same maximum up to rounding, the
+first supplies the constant and the certificate.
 """
 from __future__ import annotations
 
@@ -207,56 +210,89 @@ def normalized_kernel_matrix(seq: PointSequence, q: float, rule: QuadratureRule)
     return (K / rule_norm(K, rule.weights, q)[:, None]).T
 
 
+def _duality_weight(mag: np.ndarray, r: float) -> np.ndarray:
+    """|x|^(r-2) from mag = |x|, with 0 where x is 0 (for r < 2 the power would be inf)."""
+    return np.power(mag, r - 2.0, out=np.zeros_like(mag), where=mag > 0)
+
+
 def _duality_map(x: np.ndarray, r: float) -> np.ndarray:
     """|x|^(r-2) x entrywise, in the dtype of x; zero entries map to 0 for every r."""
-    mag = np.abs(x)
-    return np.power(mag, r - 2.0, out=np.zeros_like(mag), where=mag > 0) * x
+    return _duality_weight(np.abs(x), r) * x
+
+
+_ROW_BLOCK = 1024  # rows of A per block of a pass: keeps each (rows, restarts) temporary small
+
+
+def _lq_pass(A: np.ndarray, wAH: np.ndarray, w: np.ndarray, q: float, mu: np.ndarray):
+    """||A mu_r||_{L^q} and the gradient A^H (w |A mu_r|^(q-2) A mu_r) of every row mu_r of mu.
+
+    One pass over A in blocks of ``_ROW_BLOCK`` rows; ``wAH`` is the
+    conjugate transpose of A with its columns scaled by the weights w.  The
+    factor |A mu_r|^(q-2) is the masked ``_duality_weight`` of
+    ``_duality_map``, and the same factor times |A mu_r|^2 gives the
+    integral of |A mu_r|^q.
+    """
+    power = np.zeros(len(mu))
+    grad = np.zeros(mu.shape, np.result_type(A, mu))
+    for lo in range(0, len(A), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        Y = A[rows] @ mu.T
+        mag = np.abs(Y)
+        dm = _duality_weight(mag, q)
+        power += w[rows] @ (dm * mag * mag)
+        grad += (dm * Y).T @ wAH[:, rows].T
+    return np.power(power, 1.0 / q), grad
+
+
+def _first_near_max(values: np.ndarray) -> int:
+    """Index of the first value within 1e-12 relative of the largest (ties are rounding)."""
+    return int(np.flatnonzero(values >= np.max(values) * (1.0 - 1e-12))[0])
 
 
 def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter: int,
                         rtol: float = 1e-13):
     """Best ratio ||A mu||_{L^q} / ||mu||_{l^q} over duality-map iterations.
 
-    Each restart runs in ``np.result_type(A, start)``: real arithmetic when
-    the matrix and the start are real, complex otherwise.  The conjugate
-    transpose of A is formed once, and A mu is carried from the accepted
-    candidate of one step to the next.  Returns (ratio, maximizer, steps of
-    each restart, converged flag of each restart), in start order; a restart
-    has not converged when it used up ``max_iter`` before its relative
-    progress fell below ``rtol``.  The first restart with the largest ratio
-    supplies the maximizer.
+    All restarts run in lockstep as the rows of one batch, in
+    ``np.result_type`` of A and the starts: real arithmetic when the matrix
+    and every start are real, complex otherwise.  The weighted conjugate
+    transpose w A^H is formed once, and each step is one row-blocked pass
+    over A (``_lq_pass``) that gives every candidate's ratio together with
+    its gradient; a restart only steps on from a candidate it accepted, so
+    that gradient is the next one.  A restart drops out of the batch once it
+    stops progressing or its gradient is zero.  Returns (ratio, maximizer,
+    steps of each restart, converged flag of each restart), in start order;
+    a restart has not converged when it used up ``max_iter`` before its
+    relative progress fell below ``rtol``.  The first restart within 1e-12
+    relative of the largest ratio supplies the ratio and the maximizer.
     """
     qc = conjugate_exponent(q)
-    AH = A.conj().T
-    best_ratio, best_mu, iterations, converged = -np.inf, None, [], []
-    for start in starts:
-        start = np.asarray(start)
-        mu = start.astype(np.result_type(A, start))
-        mu = mu / seq_norm(mu, q)
-        Amu = A @ mu
-        ratio = float(rule_norm(Amu, w, q))
-        steps, done = 0, True
-        for it in range(max_iter):
-            grad = AH @ (w * _duality_map(Amu, q))
-            if not np.any(grad):
-                break
-            cand = _duality_map(grad, qc)
-            cand = cand / seq_norm(cand, q)
-            Acand = A @ cand
-            cand_ratio = float(rule_norm(Acand, w, q))
-            progressed = cand_ratio > ratio * (1.0 + rtol)
-            if cand_ratio > ratio:
-                mu, Amu, ratio = cand, Acand, cand_ratio
-            steps = it + 1
-            if not progressed:
-                break
-        else:
-            done = False
-        iterations.append(steps)
-        converged.append(done)
-        if ratio > best_ratio:
-            best_ratio, best_mu = ratio, mu
-    return best_ratio, best_mu, iterations, converged
+    wAH = A.T * w
+    np.conjugate(wAH, out=wAH)  # in place: one copy of A, not two
+    mu = np.array(starts)
+    mu = mu.astype(np.result_type(A, mu))
+    mu /= rule_norm(mu, 1.0, q)[:, None]
+    ratio, grad = _lq_pass(A, wAH, w, q, mu)
+    steps = np.zeros(len(mu), dtype=int)
+    converged = np.ones(len(mu), dtype=bool)
+    live = np.arange(len(mu))
+    for it in range(max_iter):
+        live = live[np.any(grad[live], axis=1)]
+        if not live.size:
+            break
+        cand = _duality_map(grad[live], qc)
+        cand /= rule_norm(cand, 1.0, q)[:, None]
+        cand_ratio, cand_grad = _lq_pass(A, wAH, w, q, cand)
+        better = cand_ratio > ratio[live]
+        progressed = cand_ratio > ratio[live] * (1.0 + rtol)
+        took = live[better]
+        mu[took], ratio[took], grad[took] = cand[better], cand_ratio[better], cand_grad[better]
+        steps[live] = it + 1
+        live = live[progressed]
+    else:
+        converged[live] = False
+    best = _first_near_max(ratio)
+    return float(ratio[best]), mu[best], steps.tolist(), converged.tolist()
 
 
 def _power_details(restarts: int, seed: int, iterations: list, converged: list,
@@ -269,7 +305,7 @@ def _power_details(restarts: int, seed: int, iterations: list, converged: list,
 
 def _heaviest_column(masses: np.ndarray) -> tuple:
     """(mass, e_i) of the first column within 1e-12 relative of the heaviest (ties are rounding)."""
-    i = int(np.flatnonzero(masses >= np.max(masses) * (1.0 - 1e-12))[0])
+    i = _first_near_max(masses)
     return float(masses[i]), np.eye(len(masses))[i].astype(complex)
 
 

@@ -192,13 +192,24 @@ def test_randomized_factorization_capacity(disc, disc_rule):
     # the factorization check takes p = 2 moments only, which the closed
     # form gives past EXACT_CAP = 20 points; an enumerated exponent on the
     # same dual (p = 3) is still capped.  The ring has radius 0.8: at 0.5 the
-    # dual reaches 6.7e4 on the circle and the polarization loses 1e-5
+    # dual reaches 6.7e4 on the circle and the polarization loses 2e-10
     seq = hl.PointSequence.create(disc, list(0.8 * np.exp(2j * np.pi * np.arange(21) / 21)))
     dual = hl.dual_system(seq, np.inf, "blaschke")
     _, _, rep = hl.randomized_factorization(dual, np.ones(21), 1.0, disc_rule)
     assert rep["max_pointwise_error"] < 1e-10
     with pytest.raises(hl.CapacityError, match="capped at 20 signs"):
         hl.dual_expectation_bound_infty(dual, 3.0, np.ones(21), disc_rule)
+
+
+@pytest.mark.parametrize("s", [1.1, 1.2, 2.0, 4.0])
+def test_randomized_factorization_balances_large_duals(disc, s):
+    # 16 points on the ring of radius 0.5: the p = inf Blaschke dual reaches
+    # 6.7e4 on the circle while the normalized kernels stay of order 1, so an
+    # unbalanced polarization rounds at the scale of |f|^2 and loses 8e-9
+    seq = hl.PointSequence.create(disc, list(0.5 * np.exp(2j * np.pi * np.arange(16) / 16)))
+    dual = hl.dual_system(seq, np.inf, "blaschke")
+    _, _, rep = hl.randomized_factorization(dual, np.ones(16), s, hl.build_quadrature(disc, 256))
+    assert rep["max_pointwise_error"] < 1e-10
 
 
 def test_verify_norm_bound_trivial(disc, disc_rule):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
-from hardylab.sequences import _default_starts, _duality_map
+from hardylab import sequences
+from hardylab.sequences import _default_starts, _duality_map, _power_iteration_lq
 from conftest import DUAL_CASES, separated_points
 
 
@@ -274,6 +276,98 @@ def test_power_iteration_matches_pre_change_loop(kind, weak, q):
     assert abs(value - ratio) <= 1e-13 * ratio
     assert (rep.details["iterations"], rep.details["converged"]) == (iterations, converged)
     assert abs(own - value) <= 1e-12 * value
+
+
+def _batch_with_ratios(monkeypatch, A, w, q, starts, max_iter):
+    """_power_iteration_lq's result and the final ratio of every restart in its batch."""
+    seen = []
+    pick = sequences._first_near_max
+    monkeypatch.setattr(sequences, "_first_near_max", lambda v: seen.append(v.copy()) or pick(v))
+    return _power_iteration_lq(A, w, q, starts, max_iter), seen[-1]
+
+
+def _disc_problem(m, weak, q):
+    """(matrix, weights, exponent, starts) of the iteration for D_q or weak D_q on m circle nodes."""
+    dom = hl.Domain(hl.DISC)
+    rule = hl.build_quadrature(dom, m)
+    seq = separated_points(dom, 5, seed=41)
+    A = hl.normalized_kernel_matrix(seq, q, rule)
+    if weak:
+        return np.abs(A) ** 2, rule.weights, q / 2.0, _default_starts(5, 6, 7, positive=True)
+    return A, rule.weights, q, _default_starts(5, 6, 7)
+
+
+# below one row block of the batched pass, exactly one block, one block plus one row
+_BLOCK_EDGES = [256, 1024, 1025]
+
+
+@pytest.mark.parametrize("m", _BLOCK_EDGES)
+@pytest.mark.parametrize("weak,q", [(False, 1.5), (False, 4.0), (True, 3.0), (True, 4.0)])
+def test_batched_restarts_match_each_start_run_alone(monkeypatch, m, weak, q):
+    A, w, r, starts = _disc_problem(m, weak, q)
+    (ratio, mu, _, _), ratios = _batch_with_ratios(monkeypatch, A, w, r, starts, 5000)
+    assert ratios.shape == (len(starts),)
+    for i, start in enumerate(starts):
+        alone = _pre_change_power_iteration(A, w, r, [start], 5000)[0]
+        assert abs(ratios[i] - alone) <= 1e-13 * alone
+    assert ratio == ratios[sequences._first_near_max(ratios)]
+    assert abs(_weighted_lq(A @ mu, w, r) / hl.seq_norm(mu, r) - ratio) <= 1e-12 * ratio
+    # two steps are far from convergence: every restart still progresses in both
+    _, _, steps, converged = _power_iteration_lq(A, w, r, starts, 2)
+    for i, start in enumerate(starts):
+        _, _, alone_steps, alone_converged = _pre_change_power_iteration(A, w, r, [start], 2)
+        assert (steps[i], converged[i]) == (alone_steps, alone_converged)
+
+
+@pytest.mark.parametrize("m", _BLOCK_EDGES)
+@pytest.mark.parametrize("weak", [False, True])
+def test_zero_column_restart_stops_at_once(monkeypatch, m, weak):
+    A, w, r, starts = _disc_problem(m, weak, 4.0)
+    A[:, 2] = 0.0
+    with np.errstate(all="raise"):
+        (ratio, mu, steps, converged), ratios = _batch_with_ratios(monkeypatch, A, w, r,
+                                                                   starts, 5000)
+    zero = 1 + 2  # the start e_2, after the all-ones start
+    assert np.array_equal(starts[zero], np.eye(5)[2])
+    assert (steps[zero], converged[zero], ratios[zero]) == (0, True, 0.0)
+    assert np.all(np.isfinite(ratios)) and np.all(np.isfinite(mu))
+    assert all(converged) and min(s for i, s in enumerate(steps) if i != zero) > 0
+    oracle = _pre_change_power_iteration(A, w, r, starts, 5000)[0]
+    assert abs(ratio - oracle) <= 1e-13 * oracle
+
+
+def test_first_of_tied_restarts_supplies_the_certificate():
+    # the all-ones start and the fourth seeded start reach the same maximum up
+    # to rounding, with certificates of different phase; in either order the
+    # earlier of the two supplies the ratio and the certificate
+    A, w, q, starts = _disc_problem(256, False, 4.0)
+    tied = [starts[0], starts[9]]
+    for pair in (tied, tied[::-1]):
+        alone = [_power_iteration_lq(A, w, q, [start], 5000) for start in pair]
+        assert abs(alone[0][0] - alone[1][0]) <= 1e-14 * alone[0][0]
+        assert not np.allclose(alone[0][1], alone[1][1], rtol=0.0, atol=1e-3)
+        ratio, mu, _, _ = _power_iteration_lq(A, w, q, pair, 5000)
+        assert abs(ratio - alone[0][0]) <= 1e-13 * ratio
+        assert np.allclose(mu, alone[0][1], rtol=0.0, atol=1e-9)
+
+
+def test_power_iteration_memory_stays_row_blocked():
+    # the benchmark's ball size: 27648 nodes, 16 points, 1 + 16 + 32 starts.
+    # A batch held at once would need several (27648 x 49) complex temporaries
+    # of 21 MiB each; row blocks keep the extra memory to one weighted
+    # conjugate transpose of A plus a few MiB
+    rng = np.random.default_rng(3)
+    A = (rng.standard_normal((16, 27648)) + 1j * rng.standard_normal((16, 27648))).T
+    w = np.full(27648, 1.0 / 27648)
+    starts = _default_starts(16, 32, 1)
+    assert len(starts) == 49
+    tracemalloc.start()
+    try:
+        _power_iteration_lq(A, w, 4.0, starts, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nbytes + 4 * 2**20
 
 
 def test_column_mass_certificates_take_the_first_tied_column(ball):
