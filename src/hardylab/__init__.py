@@ -23,16 +23,11 @@ from .geometry import (
     BALL2,
     BIDISC,
     DISC,
-    BoundarySamples,
     Domain,
     QuadratureRule,
     build_quadrature,
-    inner_product,
-    integrate,
-    lp_norm,
     rule_norm,
     rule_power,
-    sample_function,
     seq_norm,
 )
 from .kernels import (
@@ -40,22 +35,14 @@ from .kernels import (
     NormCache,
     NormTable,
     SHConstants,
-    analytic_projection_eval,
     conjugate_exponent,
     exponent_from_split,
-    holder_interp_check,
-    interpolation_theta,
     kernel_diag,
     kernel_eval,
     kernel_matrix,
-    kernel_norm,
-    kernel_samples,
     kernel_values,
-    poisson_kernel,
-    reproducing_check,
     sh_ps_scan,
     sh_q_scan,
-    stein_weiss_weight_check,
 )
 from .sequences import (
     CarlesonReport,
@@ -93,12 +80,8 @@ from .extension import (
 from .bergman import (
     BergmanSpec,
     bergman_extension,
-    bergman_kernel_eval,
     bergman_norm,
-    kernel_norm_link_residual,
-    lift,
     restrict,
-    subordination_check,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedDomainError
-from .geometry import BALL2, BoundarySamples, Domain, QuadratureRule, build_quadrature, lp_norm, rule_norm
-from .kernels import INF, conjugate_exponent, kernel_norm, kernel_values
+from .geometry import BALL2, Domain, QuadratureRule, build_quadrature, rule_norm
+from .kernels import INF
 from .sequences import PointSequence, dual_system
 from .extension import build_extension
 
@@ -45,6 +45,9 @@ class BergmanSpec:
             raise UnsupportedDomainError("volume rules are built for base dimension 1 or 2")
         if self.weight < 0:
             raise ParameterError("the weight power must be a nonnegative integer")
+        if self.radial < 1 or self.angular < 1:
+            raise ParameterError(f"the volume rule needs at least one radial and one angular "
+                                 f"node, got radial {self.radial}, angular {self.angular}")
         x, w = np.polynomial.legendre.leggauss(self.radial)
         u, wu = (x + 1.0) / 2.0, w / 2.0
         dens = u ** (self.n - 1) * (1.0 - u) ** self.weight
@@ -70,18 +73,6 @@ def _beta_int(n: int, k: int) -> float:
     return math.factorial(n - 1) * math.factorial(k) / math.factorial(n + k)
 
 
-def lift(f):
-    """f~(z, w) = f(z): evaluator on points with extra trailing coordinates."""
-
-    def lifted(zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        if zs.ndim == 1:
-            zs = zs.reshape(1, -1)
-        return np.asarray(f(zs[:, :-1]), dtype=complex)
-
-    return lifted
-
-
 def restrict(F, extra: int = 1):
     """z -> F(z, 0, ..., 0): section of a function of ``extra`` more coordinates."""
 
@@ -100,57 +91,6 @@ def bergman_norm(f, p: float, spec: BergmanSpec) -> float:
     if p != INF and p < 1:
         raise ParameterError("bergman_norm requires p >= 1 or p = inf")
     return float(rule_norm(np.asarray(f(spec.nodes), dtype=complex), spec.weights, p))
-
-
-def subordination_check(f, p: float, spec: BergmanSpec,
-                        rule: QuadratureRule | None = None) -> float:
-    """Relative residual between ||f||_{A^p(B_n)} and ||f~||_{H^p(B_{n+1})}.
-
-    Only the unweighted disc case lifts into a domain this package can
-    integrate on (the ball of C^2); weighted cases are covered by the
-    closed-form monomial identities exercised in the tests.
-    """
-    if spec.n != 1 or spec.weight != 0:
-        raise UnsupportedDomainError("quadrature-based subordination needs n = 1, weight 0")
-    if rule is None:
-        rule = build_quadrature(Domain(BALL2), 16, angular=64)
-    a_side = bergman_norm(f, p, spec)
-    lifted = lift(f)
-    h_side = lp_norm(BoundarySamples(lifted(rule.nodes), rule), p)
-    return abs(a_side - h_side) / max(abs(h_side), 1e-300)
-
-
-def bergman_kernel_eval(a, z, p: float, spec: BergmanSpec) -> complex:
-    """Normalized Bergman kernel (1-|a|^2)^{m/p'} / (1 - <z, a>)^m, m = n+k+1."""
-    a = np.atleast_1d(np.asarray(a, dtype=complex))
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if a.shape != (spec.n,) or z.shape != (spec.n,):
-        raise ParameterError(f"points need {spec.n} coordinate(s)")
-    if np.linalg.norm(a) >= 1.0:
-        raise ParameterError("the base point must be interior")
-    m = spec.lift_dimension
-    pc = conjugate_exponent(p)
-    exponent = 0.0 if pc == INF else m / pc
-    pairing = complex(np.sum(z * np.conj(a)))
-    return complex((1.0 - np.linalg.norm(a) ** 2) ** exponent / (1.0 - pairing) ** m)
-
-
-def kernel_norm_link_residual(a: complex, p: float, spec: BergmanSpec,
-                              rule: QuadratureRule | None = None) -> float:
-    """Residual of ||k_{(a,0)}||_{H^p(B_2)} = ||(1 - conj(a) z)^{-2}||_{A^p(D)}.
-
-    Both sides are the same function through the lift, so this is a
-    two-quadrature consistency check (unweighted disc case).
-    """
-    if spec.n != 1 or spec.weight != 0:
-        raise UnsupportedDomainError("the norm link check needs n = 1, weight 0")
-    ball = Domain(BALL2)
-    if rule is None:
-        rule = build_quadrature(ball, 16, angular=64)
-    point = (complex(a), 0.0)
-    a_side = bergman_norm(restrict(lambda zs: kernel_values(point, zs, ball)), p, spec)
-    h_side = kernel_norm(point, p, rule)
-    return abs(a_side - h_side) / max(h_side, 1e-300)
 
 
 def bergman_extension(points, nu, s: float, p: float, spec: BergmanSpec, *,

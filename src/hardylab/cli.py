@@ -32,12 +32,16 @@ _DELTA_LIMIT = 1e-8
 
 
 def _parse_exponent(v):
+    """A float or ``"inf"``; NaN and -inf are config errors, not exponents."""
     if isinstance(v, str) and v.lower() == "inf":
         return np.inf
     try:
-        return float(v)
+        p = float(v)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad exponent {v!r}") from exc
+    if np.isnan(p) or p == -np.inf:
+        raise ParameterError(f"bad exponent {v!r}")
+    return p
 
 
 def _number(value, what: str, kind=int):
@@ -151,8 +155,10 @@ def _run_norms(cfg: dict):
     exponents = [_parse_exponent(p)
                  for p in _list(cfg.get("exponents", [1, 4 / 3, 2, 4, "inf"]), "exponents")]
     cache = kernels.NormCache(dom)
-    tables = [cache.table(seq[i], exponents).to_json() for i in range(len(seq))]
-    return {"tables": tables, "engine": cache.report()}, None
+    tables = [cache.table(seq[i], exponents) for i in range(len(seq))]
+    for t in tables:
+        t.check_monotone()
+    return {"tables": [t.to_json() for t in tables], "engine": cache.report()}, None
 
 
 def _run_sh(cfg: dict):
@@ -260,6 +266,9 @@ def _run_khintchine(cfg: dict):
         seed = _need_seed(cfg)
         rng = np.random.default_rng(seed)
         lengths = [_number(n, "length") for n in _list(cfg.get("lengths", [2, 4, 8]), "lengths")]
+        for n in lengths:
+            if n < 1:
+                raise ParameterError(f"khintchine lengths must be at least 1, got {n}")
         vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in lengths]
     mc_seed = _need_seed(cfg) if method == "monte-carlo" else None
     for q in qs:
@@ -400,7 +409,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             try:
                 cfg = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParameterError(f"cannot read config {args.config}: {exc}") from exc
         if args.seed is not None:
             cfg["seed"] = args.seed

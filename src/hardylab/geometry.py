@@ -3,10 +3,11 @@
 Three domains are supported: the unit disc (n=1), the unit ball of C^2,
 and the bidisc.  The boundary carries the normalized rotation-invariant
 probability measure; a QuadratureRule is a finite node/weight realization
-of it.  All integration, L^p norms and inner products in the package go
-through the helpers here: ``rule_power`` and ``rule_norm`` are the one home
-of rule integrals of |v|^p, on boundary and Bergman volume rules alike, and
-one row rounds the same alone as inside a batch.
+of it.  A function sampled on a rule is a plain array of values at
+``rule.nodes``, integrated against ``rule.weights``: ``rule_power`` and
+``rule_norm`` are the one home of rule integrals of |v|^p, on boundary and
+Bergman volume rules alike, and one row rounds the same alone as inside a
+batch.
 
 Conventions: an interior point is a complex vector of length n (a bare
 complex number is accepted for the disc); quadrature nodes are stored as
@@ -15,7 +16,7 @@ an (M, n) complex array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -101,21 +102,6 @@ class QuadratureRule:
     def __len__(self) -> int:
         return self.nodes.shape[0]
 
-    def to_json(self) -> dict:
-        return {
-            "domain": self.domain.kind,
-            "resolution": self.resolution,
-            "nodes_re": self.nodes.real.tolist(),
-            "nodes_im": self.nodes.imag.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuadratureRule":
-        nodes = np.asarray(data["nodes_re"], dtype=float) + 1j * np.asarray(data["nodes_im"], dtype=float)
-        return cls(Domain(data["domain"]), nodes, np.asarray(data["weights"], dtype=float),
-                   int(data["resolution"]))
-
 
 def build_quadrature(dom: Domain, resolution: int, angular: int | None = None) -> QuadratureRule:
     """Standard boundary rule at the given resolution.
@@ -153,48 +139,6 @@ def build_quadrature(dom: Domain, resolution: int, angular: int | None = None) -
     return QuadratureRule(dom, nodes, weights, resolution)
 
 
-@dataclass
-class BoundarySamples:
-    """Values of a boundary function at the nodes of a rule."""
-
-    values: np.ndarray
-    rule: QuadratureRule
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
-        if self.values.shape != (len(self.rule),):
-            raise ShapeError("one sample value per quadrature node is required")
-
-
-def sample_function(fn: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> BoundarySamples:
-    """Sample a vectorized function fn((M, n) nodes) -> (M,) on the rule."""
-    return BoundarySamples(np.asarray(fn(rule.nodes), dtype=complex), rule)
-
-
-def _same_rule(a: QuadratureRule, b: QuadratureRule) -> bool:
-    return a is b or (
-        a.domain.kind == b.domain.kind
-        and np.array_equal(a.nodes, b.nodes)
-        and np.array_equal(a.weights, b.weights)
-    )
-
-
-def integrate(f: BoundarySamples) -> complex:
-    """Integral of the sampled function against the rule's measure."""
-    return complex(np.sum(f.rule.weights * f.values))
-
-
-def lp_norm(f: BoundarySamples, p: float) -> float:
-    """(integral |f|^p)^(1/p); for p = inf, the max over nodes.
-
-    The p = inf value is a certified lower bound of the essential sup
-    (max of finitely many samples), not the sup itself.
-    """
-    if p != np.inf and p < 1:
-        raise ParameterError("lp_norm requires p >= 1 or p = inf")
-    return float(rule_norm(f.values, f.rule.weights, p))
-
-
 def rule_power(values, weights: np.ndarray | float, p: float) -> np.ndarray:
     """Row-wise integral of |values|^p against ``weights`` (last axis), for any p > 0:
     the weak ratios of the p = inf extension route integrate at q/2 = 1/2."""
@@ -211,13 +155,6 @@ def rule_norm(values, weights: np.ndarray | float, p: float) -> np.ndarray:
     if p == np.inf:
         return np.max(np.abs(values), axis=-1)
     return np.power(rule_power(values, weights, p), 1.0 / p)
-
-
-def inner_product(f: BoundarySamples, g: BoundarySamples) -> complex:
-    """<f, g> = integral of f * conj(g); conjugate-symmetric."""
-    if not _same_rule(f.rule, g.rule):
-        raise ShapeError("inner_product requires samples on the same rule")
-    return complex(np.sum(f.rule.weights * f.values * np.conj(g.values)))
 
 
 def seq_norm(x: Iterable[complex], p: float) -> float:

@@ -10,9 +10,9 @@ broadcast, and the single-point helpers are its one-row cases.
 
 Kernel norms are closed forms: ||k_a||_p^p is a hypergeometric value of
 |a|^2 (see ``NormCache``), summed with an explicit tail bound that every
-table carries as its residual.  ``kernel_norm(a, p, rule)`` samples the
-kernel on an explicit rule instead; tests use it as the quadrature
-reference for the closed forms.
+table carries as its residual.  ``NormCache`` is the one kernel-norm
+evaluator; a norm on an explicit rule is ``geometry.rule_norm`` of
+``kernel_values`` at the rule's nodes.
 
 p = inf norms are the maximum of |k_a| over an evaluation set that
 includes the boundary point a/|a| where the sup is attained; they are
@@ -33,16 +33,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .geometry import (
-    BALL2,
-    DISC,
-    BoundarySamples,
-    Domain,
-    QuadratureRule,
-    inner_product,
-    lp_norm,
-    rule_power,
-)
+from .geometry import BALL2, DISC, Domain
 
 INF = np.inf
 
@@ -69,16 +60,6 @@ def exponent_from_split(s: float, p: float) -> float:
     if p == INF:
         return float(s)
     return 1.0 / (1.0 / s - 1.0 / p)
-
-
-def interpolation_theta(p: float, q: float) -> float:
-    """theta solving 1/p = (1 - theta) + theta/q."""
-    if p < 1 or q < 1:
-        raise ParameterError("exponents must be >= 1")
-    denom = 1.0 - (0.0 if q == INF else 1.0 / q)
-    if denom == 0.0:
-        raise ParameterError("q = 1 leaves theta undetermined")
-    return (1.0 - 1.0 / p) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +113,6 @@ def kernel_eval(a, z, dom: Domain) -> complex:
     return complex(kernel_values(a, np.atleast_2d(np.atleast_1d(np.asarray(z, dtype=complex))), dom)[0])
 
 
-def kernel_samples(a, rule: QuadratureRule) -> BoundarySamples:
-    return BoundarySamples(kernel_values(a, rule.nodes, rule.domain), rule)
-
-
 def kernel_diag(a, dom: Domain) -> float:
     """k_a(a), always real and >= 1."""
     return float(kernel_eval(a, dom.point(a), dom).real)
@@ -160,10 +137,6 @@ class NormTable:
             raise DependencyError(f"no cached norm for exponent {p}")
         return self.entries[key]
 
-    def omega(self, q: float) -> float:
-        """Stein-Weiss style weight ||k_a||_{2q}^{-2q}."""
-        return self.norm(2.0 * q) ** (-2.0 * q)
-
     def check_monotone(self, tol: float = 1e-10) -> None:
         ps = sorted(self.entries, key=lambda p: (p == INF, p))
         vals = [self.entries[p] for p in ps]
@@ -179,11 +152,6 @@ class NormTable:
             "norms": {("inf" if p == INF else repr(p)): v for p, v in self.entries.items()},
             "residual": self.residual,
         }
-
-
-def kernel_norm(a, p: float, rule: QuadratureRule) -> float:
-    """||k_a||_p from samples on an explicit rule."""
-    return lp_norm(kernel_samples(a, rule), p)
 
 
 _SERIES_BLOCK = 4096
@@ -295,30 +263,6 @@ class NormCache:
 
 
 # ---------------------------------------------------------------------------
-# reproducing property, Poisson kernel, projection
-
-
-def reproducing_check(f, a, rule: QuadratureRule) -> float:
-    """|<f, k_a> - f(a)| for a vectorized evaluator f((M, n)) -> (M,)."""
-    a = rule.domain.point(a)
-    samples = BoundarySamples(np.asarray(f(rule.nodes), dtype=complex), rule)
-    value = complex(np.asarray(f(a.reshape(1, -1)), dtype=complex)[0])
-    return abs(analytic_projection_eval(samples, a) - value)
-
-
-def poisson_kernel(a, rule: QuadratureRule) -> BoundarySamples:
-    """P_a = |k_a|^2 / ||k_a||_2^2, normalized on the rule itself."""
-    k = kernel_samples(a, rule)
-    mass = float(rule_power(k.values, rule.weights, 2.0))
-    return BoundarySamples(np.abs(k.values) ** 2 / mass, rule)
-
-
-def analytic_projection_eval(f: BoundarySamples, a) -> complex:
-    """Value at a of the analytic projection of f: <f, k_a>."""
-    return inner_product(f, kernel_samples(a, f.rule))
-
-
-# ---------------------------------------------------------------------------
 # structural-hypothesis constants
 
 
@@ -397,35 +341,3 @@ def sh_ps_scan(dom: Domain, p: float, s: float, grid, norms, grid_note: str = ""
     sc, pc, qc = conjugate_exponent(s), conjugate_exponent(p), conjugate_exponent(q)
     return _sh_scan(dom, "sh_ps", {"p": p, "s": s, "q": q}, grid, norms, [sc, pc, qc],
                     lambda t: t.norm(sc) / (t.norm(pc) * t.norm(qc)), max, grid_note)
-
-
-def holder_interp_check(a, p: float, q: float, norms) -> tuple:
-    """(lhs, rhs) of ||k_a||_{2p} <= ||k_a||_2^{1-theta} ||k_a||_{2q}^theta."""
-    theta = interpolation_theta(p, q)
-    if not (0.0 < theta <= 1.0):
-        raise ParameterError(f"interpolation parameter theta = {theta} outside (0, 1]")
-    t = norms.table(a, [2.0, 2.0 * p, 2.0 * q])
-    lhs = t.norm(2.0 * p)
-    rhs = t.norm(2.0) ** (1.0 - theta) * t.norm(2.0 * q) ** theta
-    if lhs > rhs * (1.0 + 1e-10):
-        raise InvariantViolation(f"interpolation inequality failed at {t.point}: {lhs} > {rhs}")
-    return lhs, rhs
-
-
-def stein_weiss_weight_check(a, p: float, q: float, norms) -> tuple:
-    """(omega'_p(a), omega_p(a)) with the guaranteed omega'_p <= omega_p.
-
-    Raising the interpolation inequality to the power -2p flips it, so the
-    interpolated weight omega'_p = ||k||_2^{-2p(1-theta)} ||k||_{2q}^{-2p theta}
-    sits below omega_p = ||k||_{2p}^{-2p}.
-    """
-    if not (1.0 < p < q):
-        raise ParameterError("stein_weiss_weight_check needs 1 < p < q")
-    theta = interpolation_theta(p, q)
-    t = norms.table(a, [2.0, 2.0 * p, 2.0 * q])
-    omega_interp = t.norm(2.0) ** (-2.0 * p * (1.0 - theta)) * t.norm(2.0 * q) ** (-2.0 * p * theta)
-    omega_direct = t.omega(p)
-    if omega_interp > omega_direct * (1.0 + 1e-10):
-        raise InvariantViolation(
-            f"weight comparison failed at {t.point}: {omega_interp} > {omega_direct}")
-    return omega_interp, omega_direct

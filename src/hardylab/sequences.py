@@ -95,8 +95,11 @@ class PointSequence:
     def from_csv(cls, dom: Domain, path) -> "PointSequence":
         """Points from a CSV of re/im columns; only the first non-empty row may be a header."""
         pts = []
-        with open(path, newline="") as fh:
-            rows = [(i, row) for i, row in enumerate(csv.reader(fh), 1) if row]
+        try:
+            with open(path, newline="") as fh:
+                rows = [(i, row) for i, row in enumerate(csv.reader(fh), 1) if row]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"cannot read points from {path}: {exc}") from exc
         for k, (line, row) in enumerate(rows):
             try:
                 vals = [float(x) for x in row]

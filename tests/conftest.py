@@ -94,3 +94,20 @@ def disc_kernel_norm(r: float, p: float) -> float:
     if p == np.inf:
         return 1.0 / (1.0 - r)
     raise ValueError("no closed form used for this exponent")
+
+
+def lp_norm(values, rule, p: float) -> float:
+    """L^p norm on ``rule`` of values sampled at its nodes (max |values| at p = inf)."""
+    if p != np.inf and p < 1:
+        raise hl.ParameterError("lp_norm requires p >= 1 or p = inf")
+    return float(hl.rule_norm(values, rule.weights, p))
+
+
+def kernel_norm(a, p: float, rule) -> float:
+    """||k_a||_p sampled on ``rule``: the quadrature reference for the closed forms."""
+    return lp_norm(hl.kernel_values(a, rule.nodes, rule.domain), rule, p)
+
+
+def inner_product(f, g, rule) -> complex:
+    """<f, g> = integral of f conj(g) on ``rule``, for values sampled at its nodes."""
+    return complex(np.sum(rule.weights * f * np.conj(g)))

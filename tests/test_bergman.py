@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from conftest import sphere_moment
+from conftest import kernel_norm, lp_norm, sphere_moment
 
 
 def weighted_monomial_normsq(m: int, k: int) -> float:
@@ -15,9 +15,14 @@ def weighted_monomial_normsq(m: int, k: int) -> float:
     return (k + 1) * math.factorial(m) * math.factorial(k) / math.factorial(m + k + 1)
 
 
+def _lift(f):
+    """f~(z, w) = f(z): an evaluator on points with one more trailing coordinate."""
+    return lambda zs: f(zs[:, :-1])
+
+
 def test_lift_and_restrict():
     f = lambda zs: zs[:, 0] ** 2 + 1.0
-    lifted = hl.lift(f)
+    lifted = _lift(f)
     zs = np.array([[0.3 + 0.1j, 0.5j], [0.0, 0.2]])
     assert np.allclose(lifted(zs), f(zs[:, :1]))
     rng = np.random.default_rng(4)
@@ -51,13 +56,13 @@ def test_bergman_norm_two_dim_base():
 
 
 def test_subordination_checks():
+    # ||f||_{A^p(D)} against the Hardy norm of the lift f~(z, w) = f(z) on the ball of C^2
     spec = hl.BergmanSpec(n=1, weight=0)
-    assert hl.subordination_check(lambda zs: np.ones(zs.shape[0], dtype=complex), 2.0, spec) < 1e-14
-    assert hl.subordination_check(lambda zs: zs[:, 0] ** 2, 2.0, spec) < 1e-10
-    assert hl.subordination_check(lambda zs: zs[:, 0], 4.0, spec) < 1e-8
-    weighted = hl.BergmanSpec(n=1, weight=1)
-    with pytest.raises(hl.UnsupportedDomainError):
-        hl.subordination_check(lambda zs: zs[:, 0], 2.0, weighted)
+    rule = hl.build_quadrature(hl.Domain(hl.BALL2), 16, angular=64)
+    for f, p, tol in [(lambda zs: np.ones(zs.shape[0], dtype=complex), 2.0, 1e-14),
+                      (lambda zs: zs[:, 0] ** 2, 2.0, 1e-10), (lambda zs: zs[:, 0], 4.0, 1e-8)]:
+        h_side = lp_norm(_lift(f)(rule.nodes), rule, p)
+        assert abs(hl.bergman_norm(f, p, spec) - h_side) / h_side < tol
 
 
 def test_monomial_norm_equality_via_moments():
@@ -76,20 +81,16 @@ def test_monomial_norm_equality_via_moments():
             assert abs(want - hardy) < 1e-15 * hardy
 
 
-def test_bergman_kernel_eval():
-    spec = hl.BergmanSpec(n=1, weight=0)
-    assert abs(hl.bergman_kernel_eval([0.0], [0.3], 2.0, spec) - 1.0) < 1e-15
-    assert abs(hl.bergman_kernel_eval([0.5], [0.0], 2.0, spec) - 0.75) < 1e-15
-    with pytest.raises(hl.ParameterError):
-        hl.bergman_kernel_eval([1.0], [0.0], 2.0, spec)
-
-
 def test_kernel_norm_link():
     spec = hl.BergmanSpec(n=1, weight=0, radial=48, angular=128)
     ball = hl.Domain(hl.BALL2)
     rule = hl.build_quadrature(ball, 24, angular=96)
+    # ||k_{(a,0)}||_{H^p(B_2)} = ||(1 - conj(a) z)^{-2}||_{A^p(D)}: one function through the lift
     for a, p in [(0.5, 2.0), (0.3 + 0.2j, 2.0), (0.5, 4.0)]:
-        assert hl.kernel_norm_link_residual(a, p, spec, rule) < 1e-8
+        point = (a, 0.0)
+        a_side = hl.bergman_norm(hl.restrict(lambda zs: hl.kernel_values(point, zs, ball)), p, spec)
+        h_side = kernel_norm(point, p, rule)
+        assert abs(a_side - h_side) / h_side < 1e-8
 
 
 def test_bergman_extension_single_point():
@@ -125,7 +126,7 @@ def test_restriction_contraction_polynomial_panel():
                     out += coeffs[i, j] * zs[:, 0] ** i * zs[:, 1] ** j
             return out
 
-        h_norm = hl.lp_norm(hl.BoundarySamples(F(rule.nodes), rule), 2.0)
+        h_norm = lp_norm(F(rule.nodes), rule, 2.0)
         a_norm = hl.bergman_norm(hl.restrict(F), 2.0, spec)
         assert a_norm <= h_norm * (1.0 + 1e-8)
 
@@ -135,6 +136,9 @@ def test_spec_validation():
         hl.BergmanSpec(n=3)
     with pytest.raises(hl.ParameterError):
         hl.BergmanSpec(n=1, weight=-1)
+    for sizes in ({"radial": 0}, {"radial": -3}, {"angular": 0}, {"n": 2, "angular": 0}):
+        with pytest.raises(hl.ParameterError):
+            hl.BergmanSpec(**sizes)
     spec = hl.BergmanSpec(n=1, weight=2)
     assert spec.lift_dimension == 4
     assert abs(spec.weights.sum() - 1.0) < 1e-14
@@ -152,8 +156,7 @@ def test_norm_equality_under_lift_all_exponents():
         for m in range(0, 7):
             exact = (1.0 / (p * m / 2.0 + 1.0)) ** (1.0 / p)
             a_side = hl.bergman_norm(lambda zs, m=m: zs[:, 0] ** m, p, spec)
-            lifted = hl.lift(lambda zs, m=m: zs[:, 0] ** m)
-            h_side = hl.lp_norm(hl.BoundarySamples(lifted(ball_rule.nodes), ball_rule), p)
+            h_side = lp_norm(_lift(lambda zs, m=m: zs[:, 0] ** m)(ball_rule.nodes), ball_rule, p)
             worst = max(worst, abs(a_side - h_side) / exact,
                         abs(a_side - exact) / exact, abs(h_side - exact) / exact)
     assert worst < 1e-8

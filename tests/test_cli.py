@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hardylab import cli
+from hardylab import cli, kernels
 from hardylab.errors import EXIT_CAPACITY, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERIC
 
 
@@ -199,6 +199,9 @@ def test_report_dual_method_reaches_both_sections(tmp_path):
 def test_missing_config_is_config_error(tmp_path):
     assert cli.main(["norms", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    assert cli.main(["norms", "--config", str(binary), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_cli_determinism(tmp_path):
@@ -246,6 +249,40 @@ def test_bad_exponent_is_config_error(tmp_path):
     assert cli.main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("bad", ["nan", "-inf", float("nan")])
+@pytest.mark.parametrize("sub,cfg", [
+    ("norms", {"domain": "disc", "points": DISC_POINTS, "exponents": [1, "X"]}),
+    ("sh", {"domain": "disc", "q": ["X"], "ps": [], "grid": [[0.5, 0.0]]}),
+    ("sh", {"domain": "disc", "q": [], "ps": [[2.0, "X"]], "grid": [[0.5, 0.0]]}),
+    ("carleson", {"domain": "disc", "points": DISC_POINTS, "q": "X", "resolution": 64, "seed": 1}),
+    ("dual", {"domain": "disc", "points": DISC_POINTS, "method": "collocation", "p": "X"}),
+    ("extend", {"domain": "disc", "points": DISC_POINTS, "s": 1, "p": "X", "seed": 1}),
+    ("khintchine", {"q": ["X"], "vectors": [[[1.0, 0.0], [1.0, 0.0]]]}),
+], ids=["norms", "sh-q", "sh-ps", "carleson", "dual", "extend", "khintchine"])
+def test_nan_or_negative_infinite_exponent_is_config_error(tmp_path, capsys, sub, cfg, bad):
+    text = json.dumps(cfg).replace('"X"', json.dumps(bad))
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "bad exponent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", [0, -1])
+def test_khintchine_length_below_one_is_config_error(tmp_path, capsys, length):
+    cfg = _write(tmp_path, "c.json", {"q": [2], "lengths": [2, length], "seed": 1})
+    assert cli.main(["khintchine", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"at least 1, got {length}" in capsys.readouterr().err
+
+
+def test_norms_checks_monotonicity(tmp_path, monkeypatch):
+    # a table whose norms fall as p grows breaks the run
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
+                                      "exponents": [1, 2, 4]})
+    monkeypatch.setattr(kernels.NormCache, "_finite_norm", lambda self, a, p: (1.0 / p, 0.0))
+    assert cli.main(["norms", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INVARIANT
+    assert not (tmp_path / "o").exists()
+
+
 _EXTEND = {"domain": "disc", "points": DISC_POINTS, "s": 1, "p": 2, "batch": 1, "seed": 1,
            "resolution": 64}
 _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8, "angular": 32}
@@ -286,6 +323,9 @@ _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8
     ("extend", {**_EXTEND, "angular": 32}),
     ("extend", {**_EXTEND, "domain": "ball2", "points": [[0.5, 0, 0, 0], [-0.5, 0, 0, 0]],
                 "resolution": 8, "angular": 0}),
+    ("bergman", {**_BERGMAN, "radial": 0}),
+    ("bergman", {**_BERGMAN, "radial": -3}),
+    ("bergman", {**_BERGMAN, "angular_volume": 0}),
 ], ids=["sh-disc-short-row", "sh-ball-short-row", "extend-short-pair", "extend-text",
         "bergman-short-pair", "bergman-text", "bergman-no-points",
         "extend-batch-text", "extend-seed-text", "carleson-restarts-text",
@@ -295,7 +335,8 @@ _BERGMAN = {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8
         "khintchine-q-number", "dual-tikhonov-text", "carleson-weak-text",
         "carleson-remark-number", "sh-grid-count-negative", "sh-grid-count-zero",
         "report-section-number", "carleson-restarts-negative", "extend-disc-angular",
-        "extend-ball-angular-zero"])
+        "extend-ball-angular-zero", "bergman-radial-zero", "bergman-radial-negative",
+        "bergman-angular-volume-zero"])
 def test_malformed_input_is_config_error(tmp_path, capsys, sub, cfg):
     path = _write(tmp_path, "c.json", cfg)
     assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -309,6 +350,16 @@ def test_points_csv_bad_row_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"domain": "disc", "points_csv": str(csv_path)})
     assert cli.main(["gleason", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "row 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00\x81"], ids=["missing", "not-utf8"])
+def test_unreadable_points_csv_is_config_error(tmp_path, capsys, content):
+    path = tmp_path / "points.csv"
+    if content is not None:
+        path.write_bytes(content)
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points_csv": str(path)})
+    assert cli.main(["gleason", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
 
 
 def _sparse_lattice(levels):

@@ -1,6 +1,7 @@
-"""Every module-level private name in ``src`` is used somewhere in ``src``
-besides its own definition, so a helper whose last caller went away fails here;
-and every name a module of ``src`` or ``tests`` imports is read in that module."""
+"""Every module-level private name, and every public function or class, in
+``src`` is used somewhere in ``src`` besides its own definition, so a helper
+whose last caller went away fails here; and every name a module of ``src`` or
+``tests`` imports is read in that module."""
 import ast
 from pathlib import Path
 
@@ -8,8 +9,14 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hardylab"
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, defining node) for every module-level private function, class or assignment."""
+# public names nothing in src calls yet, kept for the certified Carleson and
+# budget bounds and the p = inf budget (ROADMAP items 2 and 7)
+KEPT_FOR_LATER = {"randomized_factorization", "weak_from_carleson_check",
+                  "dual_expectation_bound_infty", "weak_ratio_at"}
+
+
+def _definitions(tree: ast.Module):
+    """(name, defining node) for every module-level function, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -20,8 +27,7 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
 
 
 def _reads(node: ast.AST) -> list:
@@ -35,17 +41,36 @@ def _reads(node: ast.AST) -> list:
     return out
 
 
-def test_every_private_module_name_is_used():
+def _unused_in_src(wanted) -> list:
+    """Module-level definitions for which ``wanted(name, node)`` holds and that
+    nothing in ``src`` reads outside the definition itself."""
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     assert trees
     reads = [pair for tree in trees.values() for pair in _reads(tree)]
     unused = []
     for fname, tree in trees.items():
-        for name, node in _private_definitions(tree):
+        for name, node in _definitions(tree):
+            if not wanted(name, node):
+                continue
             inside = {id(sub) for sub in ast.walk(node)}
             if not any(n == name and id(sub) not in inside for n, sub in reads):
                 unused.append(f"{fname}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_private_module_name_is_used():
+    unused = _unused_in_src(lambda name, node: name.startswith("_") and not name.startswith("__"))
     assert not unused, f"private module-level names nothing in src uses: {unused}"
+
+
+def test_every_public_function_and_class_is_used():
+    # the package's re-exports are imports, not reads, so a name only the
+    # tests call fails here; the CLI counts as a caller
+    unused = _unused_in_src(lambda name, node: not name.startswith("_")
+                            and name not in KEPT_FOR_LATER
+                            and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                  ast.ClassDef)))
+    assert not unused, f"public functions and classes nothing in src uses: {unused}"
 
 
 def _imported_names(tree: ast.Module):

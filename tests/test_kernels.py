@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
+from conftest import inner_product, kernel_norm, lp_norm
 
 
 def test_kernel_eval_examples(disc, ball, bidisc):
@@ -86,7 +87,7 @@ def test_conjugate_exponent():
 
 def test_kernel_norm_closed_forms(disc, ball, disc_rule, disc_norms, ball_norms):
     a = np.array([0.5 + 0j])
-    assert abs(hl.kernel_norm(a, 2.0, disc_rule) - (4.0 / 3.0) ** 0.5) < 1e-12
+    assert abs(kernel_norm(a, 2.0, disc_rule) - (4.0 / 3.0) ** 0.5) < 1e-12
     assert abs(disc_norms.norm(a, 2.0) - (4.0 / 3.0) ** 0.5) < 1e-12
     assert abs(ball_norms.norm(np.array([0.6, 0.0]), 2.0) - 1.5625) < 1e-10
     zero = np.zeros(2)
@@ -97,7 +98,7 @@ def test_kernel_norm_closed_forms(disc, ball, disc_rule, disc_norms, ball_norms)
 def test_rule_norms_matches_cache(disc, disc_rule, disc_norms):
     a = np.array([0.3 - 0.4j])
     for p in (1.0, 2.0, 4.0):
-        assert abs(hl.kernel_norm(a, p, disc_rule) - disc_norms.norm(a, p)) < 1e-10
+        assert abs(kernel_norm(a, p, disc_rule) - disc_norms.norm(a, p)) < 1e-10
 
 
 def test_norm_cache_overflow_is_numeric_error(ball_norms):
@@ -119,7 +120,7 @@ def test_kernel_norm_quadrature_matches_cache(disc_rule, ball_rule, bidisc_rule,
             a = rng.uniform(0.1, rmax) * v / scale
             for p in (1.0, 4.0 / 3.0, 2.0, 4.0):
                 want = cache.norm(a, p)
-                assert abs(hl.kernel_norm(a, p, rule) - want) / want < 1e-10
+                assert abs(kernel_norm(a, p, rule) - want) / want < 1e-10
 
 
 def _oracle_norm(kind: str, radii, p: float):
@@ -185,23 +186,32 @@ def test_norm_monotonicity(disc_norms, ball_norms, bidisc_norms):
         t.check_monotone()
 
 
-def test_norm_table_omega_and_json(disc_norms):
+def test_norm_table_json(disc_norms):
     t = disc_norms.table(np.array([0.4 + 0j]), [2.0, 4.0])
-    assert abs(t.omega(2.0) - t.norm(4.0) ** -4.0) < 1e-14
     data = t.to_json()
     assert "norms" in data and 0.0 <= data["residual"] <= 2.0**-60
     with pytest.raises(hl.DependencyError):
         t.norm(8.0)
 
 
+def _projection(f, a, rule) -> complex:
+    """<f, k_a> on ``rule`` for f sampled at its nodes: the analytic projection of f at a."""
+    return inner_product(f, hl.kernel_values(a, rule.nodes, rule.domain), rule)
+
+
+def _reproducing_residual(f, a, rule) -> float:
+    """|<f, k_a> - f(a)| for a vectorized evaluator f((M, n)) -> (M,)."""
+    a = rule.domain.point(a)
+    return abs(_projection(f(rule.nodes), a, rule) - f(a.reshape(1, -1))[0])
+
+
 def test_reproducing_property(disc, ball, disc_rule, ball_rule):
     rule128 = hl.build_quadrature(disc, 128)
-    assert hl.reproducing_check(lambda zs: np.ones(zs.shape[0], dtype=complex),
-                                np.array([0.3 + 0.2j]), rule128) < 1e-14
+    assert _reproducing_residual(lambda zs: np.ones(zs.shape[0], dtype=complex),
+                                 np.array([0.3 + 0.2j]), rule128) < 1e-14
     # trapezoid aliasing leaves ~|a|^(M+3); at M = 128 this is far below 1e-10
-    assert hl.reproducing_check(lambda zs: zs[:, 0] ** 3, np.array([0.7 + 0j]), rule128) < 1e-10
-    res = hl.reproducing_check(lambda zs: zs[:, 0] * zs[:, 1],
-                               np.array([0.3, 0.4j]), ball_rule)
+    assert _reproducing_residual(lambda zs: zs[:, 0] ** 3, np.array([0.7 + 0j]), rule128) < 1e-10
+    res = _reproducing_residual(lambda zs: zs[:, 0] * zs[:, 1], np.array([0.3, 0.4j]), ball_rule)
     assert res < 1e-10
 
 
@@ -230,16 +240,21 @@ def test_reproducing_property_at_random_points(kind, seed, r):
     def f(zs):
         return sum(ck * np.prod(zs ** np.array(al), axis=1) for ck, al in zip(c, powers))
 
-    assert hl.reproducing_check(f, a, _repro_rule(kind)) <= 1e-12 * np.sum(np.abs(c))
+    assert _reproducing_residual(f, a, _repro_rule(kind)) <= 1e-12 * np.sum(np.abs(c))
+
+
+def _poisson(a, rule) -> np.ndarray:
+    """P_a = |k_a|^2 / ||k_a||_2^2 at the nodes of ``rule``, normalized on the rule itself."""
+    k = hl.kernel_values(a, rule.nodes, rule.domain)
+    return np.abs(k) ** 2 / hl.rule_power(k, rule.weights, 2.0)
 
 
 def test_poisson_kernel(disc, ball, bidisc, disc_rule, ball_rule, bidisc_rule):
-    pz = hl.poisson_kernel(np.zeros(1), disc_rule)
-    assert np.max(np.abs(pz.values - 1.0)) < 1e-12
-    pa = hl.poisson_kernel(np.array([0.5 + 0j]), disc_rule)
-    assert abs(hl.lp_norm(pa, 1.0) - 1.0) < 1e-12
-    z = hl.sample_function(lambda zs: zs[:, 0], disc_rule)
-    assert abs(hl.inner_product(z, hl.BoundarySamples(np.conj(pa.values), disc_rule)) - 0.5) < 1e-12
+    pz = _poisson(np.zeros(1), disc_rule)
+    assert np.max(np.abs(pz - 1.0)) < 1e-12
+    pa = _poisson(np.array([0.5 + 0j]), disc_rule)
+    assert abs(lp_norm(pa, disc_rule, 1.0) - 1.0) < 1e-12
+    assert abs(inner_product(disc_rule.nodes[:, 0], pa, disc_rule) - 0.5) < 1e-12
 
     # reproduction of monomials of degree <= 8 on all three domains
     rng = np.random.default_rng(11)
@@ -247,27 +262,24 @@ def test_poisson_kernel(disc, ball, bidisc, disc_rule, ball_rule, bidisc_rule):
         v = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
         scale = np.max(np.abs(v)) if dom.kind == "bidisc" else np.linalg.norm(v)
         a = radius * v / scale
-        kernel = hl.poisson_kernel(a, rule)
+        kernel = _poisson(a, rule)
         for degs in ([3], [8], [2]) if dom.n == 1 else ([1, 2], [4, 4], [8, 0]):
             def mono(zs, degs=degs):
                 out = np.ones(zs.shape[0], dtype=complex)
                 for j, d in enumerate(degs):
                     out = out * zs[:, j] ** d
                 return out
-            f = hl.sample_function(mono, rule)
             want = np.prod([a[j] ** d for j, d in enumerate(degs)])
-            got = hl.inner_product(f, hl.BoundarySamples(np.conj(kernel.values), rule))
+            got = inner_product(mono(rule.nodes), kernel, rule)
             assert abs(got - want) < 1e-10
 
 
 def test_analytic_projection(disc, disc_rule):
-    zbar = hl.sample_function(lambda zs: np.conj(zs[:, 0]), disc_rule)
-    assert abs(hl.analytic_projection_eval(zbar, np.array([0.5 + 0j]))) < 1e-13
-    poly = hl.sample_function(lambda zs: 2.0 * zs[:, 0] ** 2 - 1.0j, disc_rule)
+    z = disc_rule.nodes[:, 0]
+    assert abs(_projection(np.conj(z), np.array([0.5 + 0j]), disc_rule)) < 1e-13
     a = np.array([0.4 - 0.3j])
-    assert abs(hl.analytic_projection_eval(poly, a) - (2.0 * a[0] ** 2 - 1.0j)) < 1e-12
-    one = hl.sample_function(lambda zs: np.ones(zs.shape[0], dtype=complex), disc_rule)
-    assert abs(hl.analytic_projection_eval(one, a) - 1.0) < 1e-13
+    assert abs(_projection(2.0 * z**2 - 1.0j, a, disc_rule) - (2.0 * a[0] ** 2 - 1.0j)) < 1e-12
+    assert abs(_projection(np.ones_like(z), a, disc_rule) - 1.0) < 1e-13
 
 
 def test_sh_q_scan(disc, disc_norms):
@@ -298,29 +310,28 @@ def test_sh_ps_scan_bidisc(bidisc, bidisc_norms):
     assert np.isfinite(scan.extremum) and scan.extremum >= 1.0 - 1e-12
 
 
-def test_holder_interp_check(disc, disc_norms, ball_norms):
-    lhs, rhs = hl.holder_interp_check(np.zeros(1), 2.0, 3.0, disc_norms)
-    assert abs(lhs - 1.0) < 1e-12 and abs(rhs - 1.0) < 1e-12
-    lhs, rhs = hl.holder_interp_check(np.array([0.8 + 0j]), 2.0, 3.0, disc_norms)
-    assert lhs <= rhs * (1.0 + 1e-10)
-    lhs, rhs = hl.holder_interp_check(np.array([0.8 + 0j]), 3.0, 3.0, disc_norms)
-    assert abs(lhs - rhs) < 1e-12  # theta = 1 degenerate
-    lhs, rhs = hl.holder_interp_check(np.array([0.4, 0.5j]), 2.0, 4.0, ball_norms)
-    assert lhs <= rhs * (1.0 + 1e-10)
-    with pytest.raises(hl.ParameterError):
-        hl.holder_interp_check(np.array([0.5 + 0j]), 3.0, 2.0, disc_norms)  # theta > 1
+def _interpolation_sides(a, p: float, q: float, norms) -> tuple:
+    """(lhs, rhs) of ||k_a||_{2p} <= ||k_a||_2^{1-theta} ||k_a||_{2q}^theta, 1/p = 1 - theta + theta/q."""
+    theta = (1.0 - 1.0 / p) / (1.0 - 1.0 / q)
+    t = norms.table(a, [2.0, 2.0 * p, 2.0 * q])
+    return t.norm(2.0 * p), t.norm(2.0) ** (1.0 - theta) * t.norm(2.0 * q) ** theta
 
 
-def test_stein_weiss_weights(disc, disc_norms, ball_norms):
-    w_interp, w_direct = hl.stein_weiss_weight_check(np.zeros(1), 2.0, 4.0, disc_norms)
-    assert abs(w_interp - 1.0) < 1e-12 and abs(w_direct - 1.0) < 1e-12
-    w_interp, w_direct = hl.stein_weiss_weight_check(np.array([0.7 + 0j]), 2.0, 4.0, disc_norms)
-    assert w_interp <= w_direct * (1.0 + 1e-10)
-    a = np.array([0.5, 0.5j]) / np.sqrt(2.0) * 0.9
-    w_interp, w_direct = hl.stein_weiss_weight_check(a, 2.0, 3.0, ball_norms)
-    assert w_interp <= w_direct * (1.0 + 1e-10)
-    with pytest.raises(hl.ParameterError):
-        hl.stein_weiss_weight_check(np.array([0.5 + 0j]), 4.0, 2.0, disc_norms)
+def test_holder_interp_check(disc_norms, ball_norms):
+    # raised to the power -2p the inequality flips into the Stein-Weiss weight
+    # comparison ||k||_2^{-2p(1-theta)} ||k||_{2q}^{-2p theta} <= ||k||_{2p}^{-2p}
+    cases = [(disc_norms, [0.0], 2.0, 3.0), (disc_norms, [0.8], 2.0, 3.0),
+             (disc_norms, [0.8], 3.0, 3.0), (disc_norms, [0.0], 2.0, 4.0),
+             (disc_norms, [0.7], 2.0, 4.0), (ball_norms, [0.4, 0.5j], 2.0, 4.0),
+             (ball_norms, [0.45 / 2**0.5, 0.45j / 2**0.5], 2.0, 3.0)]
+    for norms, a, p, q in cases:
+        lhs, rhs = _interpolation_sides(np.array(a, dtype=complex), p, q, norms)
+        assert lhs <= rhs * (1.0 + 1e-10)
+        assert rhs ** (-2.0 * p) <= lhs ** (-2.0 * p) * (1.0 + 1e-10)
+        if a[0] == 0.0:
+            assert abs(lhs - 1.0) < 1e-12 and abs(rhs - 1.0) < 1e-12
+        if p == q:  # theta = 1 degenerate
+            assert abs(lhs - rhs) < 1e-12
 
 
 def test_blaschke_factor_unimodular_on_boundary(disc, disc_rule):
