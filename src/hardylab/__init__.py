@@ -3,7 +3,7 @@
 Kernels and their norms on the disc, the ball of C^2 and the bidisc;
 Carleson-type constants and dual systems of finite point sequences;
 Bernoulli-sign expectations and Khintchine ratios; the linear extension
-operator with its randomized factorization; and the Bergman lift.
+operator and its norm-bound chain; and the Bergman lift.
 """
 
 from .errors import (
@@ -37,10 +37,7 @@ from .kernels import (
     SHConstants,
     conjugate_exponent,
     exponent_from_split,
-    kernel_diag,
-    kernel_eval,
     kernel_matrix,
-    kernel_values,
     sh_ps_scan,
     sh_q_scan,
 )
@@ -71,8 +68,6 @@ from .extension import (
     build_extension,
     coeff_c,
     dual_expectation_bound_infty,
-    interior_panel,
-    randomized_factorization,
     split_target,
     verify_norm_bound,
     weak_from_carleson_check,

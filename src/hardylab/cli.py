@@ -45,8 +45,15 @@ def _parse_exponent(v):
 
 
 def _number(value, what: str, kind=int):
-    """``kind(value)`` for a numeric config value; a malformed one is a ParameterError."""
+    """``kind(value)`` for a numeric config value; a malformed one is a ParameterError.
+
+    A boolean is not a number, and an integer setting refuses a fractional
+    float instead of truncating it; integral floats and numeric strings pass.
+    """
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError("not a number of the right kind")
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad {what} {value!r}") from exc
@@ -89,12 +96,15 @@ def _parse_points(cfg: dict, dom: geometry.Domain) -> sequences.PointSequence:
 
 
 def _parse_target(cfg: dict, n: int) -> np.ndarray:
-    """Target values nu_a, each a number or an [re, im] pair; all ones by default."""
+    """Target values nu_a, each a finite number or an [re, im] pair; all ones by default."""
     try:
-        return np.array([_complex_row(v, 1, "target pairs")[0] if isinstance(v, (list, tuple))
-                         else complex(v) for v in cfg.get("target", [1.0] * n)])
+        nu = np.array([_complex_row(v, 1, "target pairs")[0] if isinstance(v, (list, tuple))
+                       else complex(v) for v in cfg.get("target", [1.0] * n)])
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad target entry: {exc}") from exc
+    if not np.all(np.isfinite(nu)):
+        raise ParameterError(f"target entries must be finite, got {cfg['target']!r}")
+    return nu
 
 
 def _domain(cfg: dict) -> geometry.Domain:
@@ -111,10 +121,18 @@ def _rule(cfg: dict, dom: geometry.Domain) -> geometry.QuadratureRule:
         dom, resolution, angular=None if angular is None else _number(angular, "angular"))
 
 
+def _seed(value) -> int:
+    """A config seed: numpy's generators take integers from 0 up."""
+    seed = _number(value, "seed")
+    if seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {value!r}")
+    return seed
+
+
 def _need_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ParameterError("this subcommand is stochastic: an explicit 'seed' is required")
-    return _number(cfg["seed"], "seed")
+    return _seed(cfg["seed"])
 
 
 def _delta_residual(dual: sequences.DualSystem) -> float:
@@ -182,7 +200,7 @@ def _run_carleson(cfg: dict):
     seed = cfg.get("seed")
     weak, remark_2q = _flag(cfg, "weak", True), _flag(cfg, "remark_2q", False)
     kwargs = {"restarts": _number(cfg.get("restarts", 32), "restarts"),
-              "seed": None if seed is None else _number(seed, "seed")}
+              "seed": None if seed is None else _seed(seed)}
     report = sequences.carleson_constant(seq, q, rule, method=cfg.get("method", "auto"), **kwargs)
     out = {"carleson": report.to_json()}
     if q >= 2 and weak:

@@ -14,17 +14,19 @@ randomized factorization h = E[f g] with Bernoulli signs,
     g(eps) = sum_a mu_a eps_a k_{q,a},     nu_a = lambda_a mu_a,
 
 and the generalized Hoelder inequality on the product of the boundary
-measure with the sign space.  Every sign expectation comes from the exact
-engine ``signs.sign_moments``, so each step of that chain is a finite
-inequality, asserted here up to rounding; ``verify_norm_bound`` is the one
-place that checks it, the p <= 2 dual factor included.  Constants the
-theory leaves implicit (Khintchine factors, structural-hypothesis extrema)
-are measured per instance and reported, never hard-coded.
+measure with the sign space.  The identity itself holds because
+E[eps_j eps_k] = delta_jk; the test suite checks it by enumerating every
+sign pattern.  Every sign expectation of the chain comes from the exact
+engine ``signs.sign_moments``, so each step is a finite inequality,
+asserted here up to rounding; ``verify_norm_bound`` is the one place that
+checks it, the p <= 2 dual factor included.  Constants the theory leaves
+implicit (Khintchine factors, structural-hypothesis extrema) are measured
+per instance and reported, never hard-coded.
 
-h, f(eps) and g(eps) are finite combinations of the N functions rho_a and
-k_{q,a}.  They are returned as plain vectorized evaluators zs (M, n) ->
-(M,) built on ``DualSystem.values`` and ``kernel_matrix``, and every check
-here works on those (N, M) sample matrices.
+Every check here works on (N, M) sample matrices from
+``DualSystem.values`` and ``kernel_matrix``; the one evaluator returned is
+h itself, a vectorized zs (M, n) -> (M,) that the Bergman lift needs at
+interior points.
 """
 from __future__ import annotations
 
@@ -33,17 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InvariantViolation, ParameterError
-from .geometry import BALL2, DISC, Domain, QuadratureRule, rule_norm, rule_power, seq_norm
-from .kernels import INF, conjugate_exponent, exponent_from_split, kernel_diag, kernel_matrix
+from .geometry import QuadratureRule, rule_norm, rule_power, seq_norm
+from .kernels import (INF, conjugate_exponent, exponent_from_split, kernel_matrix, sh_ps_scan,
+                      sh_q_scan)
 from .sequences import DualSystem, PointSequence, _weak_ratio, normalized_kernel_matrix
 from .signs import SignMoments, sign_moments
 
 _CHAIN_SLACK = 1e-8
-
-# the fixed panel on which randomized_factorization checks h = E[f g]
-_PANEL_INTERIOR = 20
-_PANEL_BOUNDARY = 20
-_PANEL_SEED = 2024
 
 
 # ---------------------------------------------------------------------------
@@ -131,28 +129,23 @@ class ExtensionCoeffs:
 def coeff_c(dual: DualSystem, s: float) -> ExtensionCoeffs:
     """c_a = ||k_a||_{s'} ||k_a||_q / (scale_a k_a(a)) with the dual's scales, 1/s = 1/p + 1/q.
 
-    The hypothesis extrema are evaluated at the sequence points themselves,
-    so the recorded budget genuinely dominates the coefficients it is
-    compared against.
+    alpha-hat and beta-hat are the ``sh_q_scan`` and ``sh_ps_scan`` extrema
+    over the sequence points themselves, so the recorded budget genuinely
+    dominates the coefficients it is compared against.
     """
-    seq = dual.sequence
+    seq, norms = dual.sequence, dual.norms
     q = exponent_from_split(s, dual.p)
-    sc, pc, qc = conjugate_exponent(s), conjugate_exponent(dual.p), conjugate_exponent(q)
-    n = len(seq)
-    values = np.empty(n)
-    paper = np.empty(n)
-    ratios_q, ratios_ps = [], []
-    for i in range(n):
-        a = seq[i]
-        t = dual.norms.table(a, [sc, pc, qc, q, 2.0])
-        diag = kernel_diag(a, seq.domain)
-        if diag <= 0:
-            raise ParameterError("kernel diagonal must be positive")
-        values[i] = t.norm(sc) * t.norm(q) / (dual.scales[i] * diag)
-        paper[i] = t.norm(sc) * t.norm(q) / (t.norm(pc) * diag)
-        ratios_q.append(t.norm(2.0) ** 2 / (t.norm(q) * t.norm(qc)))
-        ratios_ps.append(t.norm(sc) / (t.norm(pc) * t.norm(qc)))
-    return ExtensionCoeffs(values, paper, min(ratios_q), max(ratios_ps))
+    sc, pc = conjugate_exponent(s), conjugate_exponent(dual.p)
+    diag = np.diagonal(kernel_matrix(seq.arrays(), seq.arrays(), seq.domain)).real
+    if np.any(diag <= 0):
+        raise ParameterError("kernel diagonal must be positive")
+    points = [seq[i] for i in range(len(seq))]
+    top = np.array([norms.norm(a, sc) * norms.norm(a, q) for a in points])
+    values = top / (dual.scales * diag)
+    paper = top / (np.array([norms.norm(a, pc) for a in points]) * diag)
+    alpha = sh_q_scan(seq.domain, q, points, norms).extremum
+    beta = sh_ps_scan(seq.domain, dual.p, s, points, norms).extremum
+    return ExtensionCoeffs(values, paper, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +184,6 @@ def normalized_kernel_rows(dual: DualSystem, q: float, zs: np.ndarray) -> np.nda
     seq = dual.sequence
     scale = np.array([dual.norms.norm(seq[i], q) for i in range(len(seq))])
     return kernel_matrix(seq.arrays(), zs, seq.domain) / scale[:, None]
-
-
-def interior_panel(dom: Domain, count: int, seed: int, rmax: float = 0.8) -> np.ndarray:
-    """Deterministic batch of interior test points with radius <= rmax."""
-    rng = np.random.default_rng(seed)
-    pts = np.empty((count, dom.n), dtype=complex)
-    for i in range(count):
-        if dom.kind == DISC:
-            pts[i, 0] = rmax * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        elif dom.kind == BALL2:
-            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            v = v / np.linalg.norm(v)
-            pts[i] = rmax * rng.uniform() ** 0.25 * v
-        else:
-            for j in range(2):
-                pts[i, j] = rmax * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -260,67 +236,6 @@ def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule) -> tup
         },
     )
     return h, report
-
-
-def randomized_factorization(dual: DualSystem, nu, s: float, rule: QuadratureRule) -> tuple:
-    """Builders for f(eps), g(eps) and the identity check h = E[f g].
-
-    nu is split along 1/s = 1/p + 1/q with the dual's exponent p.  f_of(eps)
-    and g_of(eps) return vectorized evaluators zs (M, n) -> (M,).  The
-    identity is exact because E[eps_j eps_k] = delta_jk kills every cross
-    term; it is verified pointwise on a fixed panel of interior and boundary
-    points with exact sign moments, at any N: by polarization,
-    f g = (1/4) sum_{k=0..3} i^k |f + i^k conj(g)|^2, and for real signs each
-    term is the p = 2 moment of the sign sum with unit coefficients and rows
-    t_a lambda_a c_a rho_a + i^k conj(mu_a k_{q,a}) / t_a, where t_a > 0 is
-    chosen at each node so that both parts have the same modulus (the cross
-    terms vanish, so any t_a keeps the identity).  The engine's p = 2 moment
-    is the square function, so this compares sum_a lambda_a c_a rho_a mu_a
-    k_{q,a} with its own polarized terms: the same sum in two orders, which
-    checks the split and the panel but no longer witnesses sign
-    orthogonality; the tests compare the p = 2 moments with enumeration.
-    """
-    seq = dual.sequence
-    split = split_target(nu, s, dual.p)
-    coeffs = coeff_c(dual, s)
-    q = split.q
-    lc = split.lam * coeffs.values
-
-    def f_of(eps):
-        w = lc * np.asarray(eps, dtype=float)
-        return lambda zs: w @ dual.values(zs)
-
-    def g_of(eps):
-        w = split.mu * np.asarray(eps, dtype=float)
-        return lambda zs: w @ normalized_kernel_rows(dual, q, zs)
-
-    panel = np.vstack([
-        interior_panel(seq.domain, _PANEL_INTERIOR, _PANEL_SEED),
-        rule.nodes[np.linspace(0, len(rule) - 1, _PANEL_BOUNDARY, dtype=int)],
-    ])
-    rho_at = dual.values(panel)
-    kq_at = normalized_kernel_rows(dual, q, panel)
-    h_at = (split.nu * coeffs.values) @ (rho_at * kq_at)
-
-    f_rows = lc[:, None] * rho_at
-    g_bar = np.conj(split.mu[:, None] * kq_at)
-    # cross terms vanish, so each term may be rescaled at each node: t f_a and
-    # conj(g_a) / t with t^2 = |g_a| / |f_a| keep f_a g_a and round at the scale
-    # of |f_a g_a| instead of |f_a|^2 + |g_a|^2
-    f_abs, g_abs = np.abs(f_rows), np.abs(g_bar)
-    t = np.sqrt(np.divide(g_abs, f_abs, out=np.ones_like(f_abs), where=(f_abs > 0) & (g_abs > 0)))
-    f_rows, g_bar = f_rows * t, g_bar / t
-    unit, panel_w = np.ones(len(seq)), np.ones(len(panel))
-    expectation = sum(i_k * sign_moments(f_rows + i_k * g_bar, unit, panel_w, 2.0).nodes
-                      for i_k in (1, 1j, -1, -1j)) / 4.0
-
-    err = np.max(np.abs(h_at - expectation) / (1.0 + np.abs(h_at)))
-    report = {
-        "max_pointwise_error": float(err),
-        "panel_size": int(panel.shape[0]),
-        "panel_seed": _PANEL_SEED,
-    }
-    return f_of, g_of, report
 
 
 def _check_dual_factor(f: SignMoments, x, rho_pow, rho_norms, k_f: float) -> None:

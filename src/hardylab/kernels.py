@@ -6,13 +6,13 @@ disc kernels on the bidisc.  Everything downstream (Carleson constants,
 dual systems, extension operators) consumes kernels through this module,
 and ``kernel_matrix`` is the only code that evaluates those formulas: it
 returns the (N, M) values of the kernels of N points at M points in one
-broadcast, and the single-point helpers are its one-row cases.
+broadcast, and k_a(a) is the diagonal of the points against themselves.
 
 Kernel norms are closed forms: ||k_a||_p^p is a hypergeometric value of
 |a|^2 (see ``NormCache``), summed with an explicit tail bound that every
 table carries as its residual.  ``NormCache`` is the one kernel-norm
-evaluator; a norm on an explicit rule is ``geometry.rule_norm`` of
-``kernel_values`` at the rule's nodes.
+evaluator; a norm on an explicit rule is ``geometry.rule_norm`` of the
+``kernel_matrix`` rows at the rule's nodes.
 
 p = inf norms are the maximum of |k_a| over an evaluation set that
 includes the boundary point a/|a| where the sup is attained; they are
@@ -54,8 +54,8 @@ def conjugate_exponent(p: float) -> float:
 
 
 def exponent_from_split(s: float, p: float) -> float:
-    """q solving 1/s = 1/p + 1/q (q = s when p = inf)."""
-    if s < 1 or (p != INF and s >= p):
+    """q solving 1/s = 1/p + 1/q (q = s when p = inf); s = p = inf has no finite q."""
+    if s < 1 or s >= p:
         raise ParameterError("need 1 <= s < p")
     if p == INF:
         return float(s)
@@ -96,26 +96,11 @@ def kernel_matrix(points, zs: np.ndarray, dom: Domain) -> np.ndarray:
     return 1.0 / (denom1 * denom2)
 
 
-def kernel_values(a, zs: np.ndarray, dom: Domain) -> np.ndarray:
-    """k_a at an (M, n) array of points: the one-row case of ``kernel_matrix``."""
-    return kernel_matrix([a], zs, dom)[0]
-
-
 def _check_branch(denom: np.ndarray) -> None:
     # 1 - <z, a> stays in the right half plane for |a| < 1, |z| <= 1;
     # anything else means a point escaped the closed domain.
     if np.min(denom.real) <= 0.0:
         raise DomainError("kernel evaluation left the principal branch; point outside the closed domain?")
-
-
-def kernel_eval(a, z, dom: Domain) -> complex:
-    """k_a(z) at a single point z."""
-    return complex(kernel_values(a, np.atleast_2d(np.atleast_1d(np.asarray(z, dtype=complex))), dom)[0])
-
-
-def kernel_diag(a, dom: Domain) -> float:
-    """k_a(a), always real and >= 1."""
-    return float(kernel_eval(a, dom.point(a), dom).real)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +305,11 @@ def sh_q_scan(dom: Domain, q: float, grid, norms, grid_note: str = "") -> SHCons
 
     Hoelder's inequality makes each ratio <= 1, and the closed-form norms
     keep it to rounding; a ratio beyond 1 + 1e-10 is treated as a broken
-    invariant rather than a data point.
+    invariant rather than a data point.  q = 1 is the L^1-L^inf pair, which
+    the extension reaches at p = inf, s = 1.
     """
-    if not (1.0 < q < INF):
-        raise ParameterError("sh_q_scan needs 1 < q < inf")
+    if not (1.0 <= q < INF):
+        raise ParameterError("sh_q_scan needs 1 <= q < inf")
     qc = conjugate_exponent(q)
 
     def ratio(t: NormTable) -> float:

@@ -58,10 +58,27 @@ DUAL_CASES = [("disc", "gram2"), ("disc", "collocation"), ("disc", "blaschke"),
               ("bidisc", "gram2"), ("bidisc", "collocation")]
 
 
+def interior_panel(dom, count: int, seed: int, rmax: float = 0.8) -> np.ndarray:
+    """Deterministic batch of interior test points with radius <= rmax."""
+    rng = np.random.default_rng(seed)
+    pts = np.empty((count, dom.n), dtype=complex)
+    for i in range(count):
+        if dom.kind == hl.DISC:
+            pts[i, 0] = rmax * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        elif dom.kind == hl.BALL2:
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v = v / np.linalg.norm(v)
+            pts[i] = rmax * rng.uniform() ** 0.25 * v
+        else:
+            for j in range(2):
+                pts[i, j] = rmax * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    return pts
+
+
 def separated_points(dom, n, seed, sep=0.3):
     """Up to n seeded interior points, pairwise Gleason distance >= sep."""
     pts = []
-    for z in hl.interior_panel(dom, 50, seed, rmax=0.85):
+    for z in interior_panel(dom, 50, seed, rmax=0.85):
         if all(hl.gleason_distance(z, w, dom) >= sep for w in pts):
             pts.append(z)
         if len(pts) == n:
@@ -105,9 +122,30 @@ def lp_norm(values, rule, p: float) -> float:
 
 def kernel_norm(a, p: float, rule) -> float:
     """||k_a||_p sampled on ``rule``: the quadrature reference for the closed forms."""
-    return lp_norm(hl.kernel_values(a, rule.nodes, rule.domain), rule, p)
+    return lp_norm(hl.kernel_matrix([a], rule.nodes, rule.domain)[0], rule, p)
 
 
 def inner_product(f, g, rule) -> complex:
     """<f, g> = integral of f conj(g) on ``rule``, for values sampled at its nodes."""
     return complex(np.sum(rule.weights * f * np.conj(g)))
+
+
+def factorization_error(dual, nu, s: float, rule) -> float:
+    """max over a fixed panel of |h - E[f(eps) g(eps)]| / (1 + |h|), with E taken
+    exactly as the mean over all 2^N sign patterns.
+
+    h is ``build_extension``'s evaluator; f(eps) = sum_a eps_a lambda_a c_a rho_a
+    and g(eps) = sum_a eps_a mu_a k_{q,a} come from the split of nu.  The panel
+    is 20 seeded interior points and 20 evenly spaced nodes of ``rule``.
+    """
+    n = len(dual.sequence)
+    assert n <= 16, "the 2^N x 40 pattern products are held in memory at once"
+    panel = np.vstack([interior_panel(dual.sequence.domain, 20, 2024),
+                       rule.nodes[np.linspace(0, len(rule) - 1, 20, dtype=int)]])
+    h_at = hl.build_extension(dual, nu, s, rule)[0](panel)
+    split = hl.split_target(nu, s, dual.p)
+    f_rows = (split.lam * hl.coeff_c(dual, s).values)[:, None] * dual.values(panel)
+    g_rows = split.mu[:, None] * hl.extension.normalized_kernel_rows(dual, split.q, panel)
+    eps = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    expectation = np.mean((eps @ f_rows) * (eps @ g_rows), axis=0)
+    return float(np.max(np.abs(h_at - expectation) / (1.0 + np.abs(h_at))))

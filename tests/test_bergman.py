@@ -88,7 +88,7 @@ def test_kernel_norm_link():
     # ||k_{(a,0)}||_{H^p(B_2)} = ||(1 - conj(a) z)^{-2}||_{A^p(D)}: one function through the lift
     for a, p in [(0.5, 2.0), (0.3 + 0.2j, 2.0), (0.5, 4.0)]:
         point = (a, 0.0)
-        a_side = hl.bergman_norm(hl.restrict(lambda zs: hl.kernel_values(point, zs, ball)), p, spec)
+        a_side = hl.bergman_norm(hl.restrict(lambda zs: hl.kernel_matrix([point], zs, ball)[0]), p, spec)
         h_side = kernel_norm(point, p, rule)
         assert abs(a_side - h_side) / h_side < 1e-8
 

@@ -127,10 +127,12 @@ def test_extend_subcommand_and_csv(tmp_path):
     assert len((out / "extend.csv").read_text().strip().splitlines()) == 3
 
 
-def test_extend_validates_exponents(tmp_path):
-    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
-                                      "s": 2, "p": 2, "seed": 1})
-    assert cli.main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+def test_extend_validates_exponents(tmp_path, capsys):
+    for s, p in [(2, 2), ("inf", "inf")]:
+        cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
+                                          "s": s, "p": p, "seed": 1})
+        assert cli.main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "need 1 <= s < p" in capsys.readouterr().err
 
 
 def test_khintchine_subcommand(tmp_path):
@@ -272,6 +274,59 @@ def test_khintchine_length_below_one_is_config_error(tmp_path, capsys, length):
     cfg = _write(tmp_path, "c.json", {"q": [2], "lengths": [2, length], "seed": 1})
     assert cli.main(["khintchine", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"at least 1, got {length}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,cfg", [
+    ("extend", {"domain": "disc", "points": DISC_POINTS, "batch": 1, "resolution": 64}),
+    ("carleson", {"domain": "disc", "points": DISC_POINTS, "q": 4, "resolution": 64}),
+    ("khintchine", {"q": [2], "lengths": [2]}),
+], ids=["extend", "carleson", "khintchine"])
+def test_negative_seed_is_config_error(tmp_path, capsys, sub, cfg):
+    path = _write(tmp_path, "c.json", {**cfg, "seed": -1})
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
+
+_SMALL_EXTEND = {"domain": "disc", "points": DISC_POINTS[:2], "s": 1, "p": 2, "batch": 1,
+                 "seed": 1, "resolution": 64}
+_SMALL_CARLESON = {"domain": "disc", "points": DISC_POINTS[:2], "q": 4, "seed": 1,
+                   "restarts": 2, "resolution": 64}
+
+
+@pytest.mark.parametrize("sub,cfg,key", [
+    ("extend", {**_SMALL_EXTEND, "batch": 4.7}, "batch"),
+    ("extend", {**_SMALL_EXTEND, "batch": True}, "batch"),
+    ("extend", {**_SMALL_EXTEND, "seed": 1.9}, "seed"),
+    ("extend", {**_SMALL_EXTEND, "resolution": 64.9}, "resolution"),
+    ("carleson", {**_SMALL_CARLESON, "restarts": 2.5}, "restarts"),
+], ids=["batch-fraction", "batch-true", "seed-fraction", "resolution-fraction",
+        "restarts-fraction"])
+def test_fractional_or_boolean_integer_setting_is_config_error(tmp_path, capsys, sub, cfg, key):
+    path = _write(tmp_path, "c.json", cfg)
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"bad {key} {cfg[key]!r}" in capsys.readouterr().err
+
+
+def test_integral_float_and_numeric_string_settings_still_run():
+    for batch in (2.0, "2"):
+        rep = cli.run("extend", {**_SMALL_EXTEND, "batch": batch})
+        assert rep["results"]["extension"]["details"]["verification"]["batch"] == 2
+
+
+@pytest.mark.parametrize("sub,text", [
+    ("extend", '"target": ["nan", 1]'),
+    ("extend", '"target": ["inf", 1]'),
+    ("extend", '"target": [[1e400, 0], 1]'),
+    ("bergman", '"target": ["nan", 1]'),
+], ids=["extend-nan", "extend-inf", "extend-overflow", "bergman-nan"])
+def test_non_finite_target_is_config_error(tmp_path, capsys, sub, text):
+    base = _SMALL_EXTEND if sub == "extend" else {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1,
+                                                   "p": 2, "resolution": 8, "angular": 32}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(base)[:-1] + ", " + text + "}")
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+    assert "target entries must be finite" in capsys.readouterr().err
 
 
 def test_norms_checks_monotonicity(tmp_path, monkeypatch):

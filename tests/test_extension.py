@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
-from conftest import DUAL_CASES, separated_points
+from conftest import DUAL_CASES, factorization_error, interior_panel, separated_points
 
 
 def _seq(disc, *pts):
@@ -99,15 +99,15 @@ def test_build_extension_two_points_end_to_end(disc, disc_rule, disc_norms):
     h, rep = hl.build_extension(dual, nu, 1.0, disc_rule)
     assert rep.max_rel_residual < 1e-8
 
-    K = np.array([[hl.kernel_eval(np.array([b]), np.array([a]), disc)
-                   for b in (0.5, -0.5)] for a in (0.5, -0.5)])
+    pts = np.array([[0.5], [-0.5]])
+    K = hl.kernel_matrix(pts, pts, disc).T  # K[a, b] = k_b(a)
     n2 = np.array([disc_norms.norm(np.array([a]), 2.0) for a in (0.5, -0.5)])
     ninf = np.array([disc_norms.norm(np.array([a]), np.inf) for a in (0.5, -0.5)])
     X = np.linalg.solve(K, np.diag(n2)).T
     c = ninf * n2 / (n2 * np.diag(K).real)  # ||k||_inf ||k||_q / (||k||_p' k_a(a)), p = q = 2
 
     def oracle(z):
-        ks = np.array([hl.kernel_eval(np.array([b]), z, disc) for b in (0.5, -0.5)])
+        ks = hl.kernel_matrix(pts, z, disc)[:, 0]
         rho = X @ ks
         kq = ks / n2
         return np.sum(nu * c * rho * kq)
@@ -126,7 +126,7 @@ def test_extension_linearity(disc, disc_rule):
     h2, _ = hl.build_extension(dual, nu2, 1.0, disc_rule)
     h12, _ = hl.build_extension(dual, nu1 + nu2, 1.0, disc_rule)
     hc, _ = hl.build_extension(dual, (2.0 - 1.0j) * nu1, 1.0, disc_rule)
-    pts = hl.interior_panel(disc, 20, 42)
+    pts = interior_panel(disc, 20, 42)
     scale = np.max(np.abs(h1(pts))) + np.max(np.abs(h2(pts)))
     add_gap = np.max(np.abs(h12(pts) - h1(pts) - h2(pts)))
     hom_gap = np.max(np.abs(hc(pts) - (2.0 - 1.0j) * h1(pts)))
@@ -160,56 +160,23 @@ def test_build_extension_blaschke_inf_dual(disc, disc_rule):
 
 
 def test_randomized_factorization_single_point(disc, disc_rule):
-    seq = _seq(disc, 0.5)
-    dual = hl.dual_system(seq, 2.0, "gram2")
-    f_of, g_of, rep = hl.randomized_factorization(dual, np.array([2.0 - 1.0j]), 1.0, disc_rule)
-    assert rep["max_pointwise_error"] < 1e-12
-    # f g is independent of the sign for one point
-    z = np.array([0.2 + 0.2j])
-    up = f_of(np.array([1.0]))(z)[0] * g_of(np.array([1.0]))(z)[0]
-    dn = f_of(np.array([-1.0]))(z)[0] * g_of(np.array([-1.0]))(z)[0]
-    assert abs(up - dn) < 1e-13
+    dual = hl.dual_system(_seq(disc, 0.5), 2.0, "gram2")
+    assert factorization_error(dual, np.array([2.0 - 1.0j]), 1.0, disc_rule) < 1e-12
 
 
 def test_randomized_factorization_two_points(disc, disc_rule):
-    seq = _seq(disc, 0.5, -0.5)
-    dual = hl.dual_system(seq, 2.0, "gram2")
-    nu = np.array([1.0, 1.0], dtype=complex)
-    f_of, g_of, rep = hl.randomized_factorization(dual, nu, 1.0, disc_rule)
-    assert rep["max_pointwise_error"] < 1e-10
-    # direct enumeration over the four patterns at a fresh point
-    h, _ = hl.build_extension(dual, nu, 1.0, disc_rule)
-    z = np.array([0.1 - 0.4j])
-    acc = 0.0
-    for e1 in (-1.0, 1.0):
-        for e2 in (-1.0, 1.0):
-            eps = np.array([e1, e2])
-            acc += f_of(eps)(z)[0] * g_of(eps)(z)[0]
-    assert abs(acc / 4.0 - h(z)[0]) < 1e-12
-
-
-def test_randomized_factorization_capacity(disc, disc_rule):
-    # the factorization check takes p = 2 moments only, which the closed
-    # form gives past EXACT_CAP = 20 points; an enumerated exponent on the
-    # same dual (p = 3) is still capped.  The ring has radius 0.8: at 0.5 the
-    # dual reaches 6.7e4 on the circle and the polarization loses 2e-10
-    seq = hl.PointSequence.create(disc, list(0.8 * np.exp(2j * np.pi * np.arange(21) / 21)))
-    dual = hl.dual_system(seq, np.inf, "blaschke")
-    _, _, rep = hl.randomized_factorization(dual, np.ones(21), 1.0, disc_rule)
-    assert rep["max_pointwise_error"] < 1e-10
-    with pytest.raises(hl.CapacityError, match="capped at 20 signs"):
-        hl.dual_expectation_bound_infty(dual, 3.0, np.ones(21), disc_rule)
+    dual = hl.dual_system(_seq(disc, 0.5, -0.5), 2.0, "gram2")
+    assert factorization_error(dual, np.array([1.0, 1.0], dtype=complex), 1.0, disc_rule) < 1e-12
 
 
 @pytest.mark.parametrize("s", [1.1, 1.2, 2.0, 4.0])
-def test_randomized_factorization_balances_large_duals(disc, s):
+def test_factorization_identity_blaschke_ring(disc, s):
     # 16 points on the ring of radius 0.5: the p = inf Blaschke dual reaches
-    # 6.7e4 on the circle while the normalized kernels stay of order 1, so an
-    # unbalanced polarization rounds at the scale of |f|^2 and loses 8e-9
+    # 6.7e4 on the circle while the normalized kernels stay of order 1, so the
+    # mean over the 2^16 patterns cancels terms far larger than h
     seq = hl.PointSequence.create(disc, list(0.5 * np.exp(2j * np.pi * np.arange(16) / 16)))
     dual = hl.dual_system(seq, np.inf, "blaschke")
-    _, _, rep = hl.randomized_factorization(dual, np.ones(16), s, hl.build_quadrature(disc, 256))
-    assert rep["max_pointwise_error"] < 1e-10
+    assert factorization_error(dual, np.ones(16), s, hl.build_quadrature(disc, 256)) < 1e-10
 
 
 def test_verify_norm_bound_trivial(disc, disc_rule):
@@ -322,6 +289,14 @@ def test_inf_route_two_points(disc, disc_rule):
     assert out["ratio"] <= out["budget"] * (1.0 + 1e-8)
 
 
+def test_inf_route_capacity(disc, disc_rule):
+    # p = 3 is enumerated, so 21 points are past EXACT_CAP = 20
+    seq = hl.PointSequence.create(disc, list(0.8 * np.exp(2j * np.pi * np.arange(21) / 21)))
+    dual = hl.dual_system(seq, np.inf, "blaschke")
+    with pytest.raises(hl.CapacityError, match="capped at 20 signs"):
+        hl.dual_expectation_bound_infty(dual, 3.0, np.ones(21), disc_rule)
+
+
 def test_inf_route_validation(disc, disc_rule):
     seq = _seq(disc, 0.0, 0.5)
     with pytest.raises(hl.ContractError):
@@ -341,7 +316,7 @@ def test_inf_route_coefficient_length_is_shape_error(disc, disc_rule):
 
 def test_interior_panel_inside(disc, ball, bidisc):
     for dom in (disc, ball, bidisc):
-        pts = hl.interior_panel(dom, 30, 3)
+        pts = interior_panel(dom, 30, 3)
         for row in pts:
             assert dom.is_interior(row)
 
@@ -361,8 +336,7 @@ def test_extension_pipeline_other_domains(kind, pts):
     assert rep.max_rel_residual < 1e-8
     vrep = hl.verify_norm_bound(dual, 1.0, rule, batch=8, seed=3)
     assert vrep.ci_estimate <= vrep.constant_budget * (1.0 + 1e-8)
-    _, _, fr = hl.randomized_factorization(dual, nu, 1.0, rule)
-    assert fr["max_pointwise_error"] < 1e-10
+    assert factorization_error(dual, nu, 1.0, rule) < 1e-10
 
 
 @pytest.mark.parametrize("kind,method", DUAL_CASES)
@@ -370,7 +344,7 @@ def test_extension_pipeline_other_domains(kind, pts):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
        p=st.sampled_from([1.5, 4.0, np.inf]), t=st.sampled_from([0.0, 0.25, 0.5, 0.75]))
 def test_factorization_identity_property(kind, method, seed, n, p, t):
-    # h = E[f(eps) g(eps)] pointwise, for every dual kind, with 1 <= s < p;
+    # h = E[f(eps) g(eps)] pointwise over all sign patterns, for every dual kind, with 1 <= s < p;
     # s stays away from 1+ because s' -> inf overflows the kernel-norm series
     dom = hl.Domain(kind)
     seq = separated_points(dom, n, seed)
@@ -381,8 +355,7 @@ def test_factorization_identity_property(kind, method, seed, n, p, t):
             else hl.build_quadrature(dom, 64))
     rng = np.random.default_rng(seed)
     nu = rng.standard_normal(len(seq)) + 1j * rng.standard_normal(len(seq))
-    _, _, rep = hl.randomized_factorization(dual, nu, s, rule)
-    assert rep["max_pointwise_error"] <= 1e-10
+    assert factorization_error(dual, nu, s, rule) <= 1e-10
 
 
 @pytest.mark.parametrize("kind,method", DUAL_CASES)

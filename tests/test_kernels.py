@@ -10,20 +10,23 @@ import hardylab as hl
 from conftest import inner_product, kernel_norm, lp_norm
 
 
+def _kernel_at(a, z, dom) -> complex:
+    """k_a(z) as the one entry of a 1 x 1 kernel matrix."""
+    return complex(hl.kernel_matrix([a], [z], dom)[0, 0])
+
+
 def test_kernel_eval_examples(disc, ball, bidisc):
     for dom, a, z in [(disc, [0.0], [0.7j]), (ball, [0.0, 0.0], [0.1, 0.2]),
                       (bidisc, [0.0, 0.0], [0.3, 0.4])]:
-        assert hl.kernel_eval(np.array(a), np.array(z), dom) == 1.0
-    assert abs(hl.kernel_eval(np.array([0.5]), np.array([0.5]), disc) - 4.0 / 3.0) < 1e-15
-    v = hl.kernel_eval(np.array([0.5, 0.0]), np.array([0.5, 0.0]), ball)
-    assert abs(v - 16.0 / 9.0) < 1e-15
-    w = hl.kernel_eval(np.array([0.5, 0.5]), np.array([0.5, 0.5]), bidisc)
-    assert abs(w - 16.0 / 9.0) < 1e-15
+        assert _kernel_at(a, z, dom) == 1.0
+    assert abs(_kernel_at([0.5], [0.5], disc) - 4.0 / 3.0) < 1e-15
+    assert abs(_kernel_at([0.5, 0.0], [0.5, 0.0], ball) - 16.0 / 9.0) < 1e-15
+    assert abs(_kernel_at([0.5, 0.5], [0.5, 0.5], bidisc) - 16.0 / 9.0) < 1e-15
 
 
 def test_kernel_eval_boundary_point_rejected(disc):
     with pytest.raises(hl.DomainError):
-        hl.kernel_eval(np.array([1.0]), np.array([0.0]), disc)
+        _kernel_at([1.0], [0.0], disc)
 
 
 def _kernel_oracle(kind, a, z):
@@ -62,18 +65,20 @@ def test_kernel_matrix_matches_kernel_eval(kind, a_raw, z_raw):
     A, Z = _polar_points(kind, a_raw), _polar_points(kind, z_raw)
     K = hl.kernel_matrix(A, Z, dom)
     assert K.shape == (len(A), len(Z))
-    single = np.array([[hl.kernel_eval(a, z, dom) for z in Z] for a in A])
     oracle = np.array([[_kernel_oracle(kind, a, z) for z in Z] for a in A])
-    if kind == "ball2":
-        assert np.max(np.abs(K - single) / np.abs(single)) <= 1e-14
-    else:
-        assert np.array_equal(K, single)
     assert np.max(np.abs(K - oracle) / np.abs(oracle)) <= 1e-12
+    # every entry is the same broadcast formula whatever the shape, so one point's
+    # row, and k_a(a) alone, equal the full matrix's bit for bit (coeff_c reads
+    # k_a(a) off the diagonal of the points against themselves)
+    for i, a in enumerate(A):
+        assert np.array_equal(hl.kernel_matrix([a], Z, dom)[0], K[i])
+    diag = np.diagonal(hl.kernel_matrix(A, A, dom))
+    assert np.array_equal(diag, [_kernel_at(a, a, dom) for a in A])
 
 
 def test_branch_check_outside_closed_domain(disc):
     with pytest.raises(hl.DomainError):
-        hl.kernel_values(np.array([0.9]), np.array([[1.2 + 0j]]), disc)
+        hl.kernel_matrix([[0.9]], np.array([[1.2 + 0j]]), disc)
 
 
 def test_conjugate_exponent():
@@ -171,7 +176,7 @@ def test_l2_norm_equals_kernel_diagonal(domkind):
         else:
             a = 0.9 * rng.uniform(0.1, 1.0) * v / np.linalg.norm(v)
         n2 = cache.norm(a, 2.0)
-        diag = hl.kernel_diag(a, dom)
+        diag = _kernel_at(a, a, dom).real
         assert abs(n2**2 - diag) / diag < 1e-10
 
 
@@ -196,7 +201,7 @@ def test_norm_table_json(disc_norms):
 
 def _projection(f, a, rule) -> complex:
     """<f, k_a> on ``rule`` for f sampled at its nodes: the analytic projection of f at a."""
-    return inner_product(f, hl.kernel_values(a, rule.nodes, rule.domain), rule)
+    return inner_product(f, hl.kernel_matrix([a], rule.nodes, rule.domain)[0], rule)
 
 
 def _reproducing_residual(f, a, rule) -> float:
@@ -245,7 +250,7 @@ def test_reproducing_property_at_random_points(kind, seed, r):
 
 def _poisson(a, rule) -> np.ndarray:
     """P_a = |k_a|^2 / ||k_a||_2^2 at the nodes of ``rule``, normalized on the rule itself."""
-    k = hl.kernel_values(a, rule.nodes, rule.domain)
+    k = hl.kernel_matrix([a], rule.nodes, rule.domain)[0]
     return np.abs(k) ** 2 / hl.rule_power(k, rule.weights, 2.0)
 
 
@@ -291,8 +296,12 @@ def test_sh_q_scan(disc, disc_norms):
     assert scan4.extremum > 0
     assert abs(scan4.ratios[0][1] - 1.0) < 1e-12  # a = 0
     assert scan4.worst_residual < 1e-8
-    with pytest.raises(hl.ParameterError):
-        hl.sh_q_scan(disc, 1.0, grid, disc_norms)
+    # q = 1 is the L^1-L^inf pair, which the extension reaches at p = inf, s = 1
+    scan1 = hl.sh_q_scan(disc, 1.0, grid, disc_norms)
+    assert all(0.0 < r <= 1.0 + 1e-10 for _, r in scan1.ratios)
+    for q in (0.5, np.inf):
+        with pytest.raises(hl.ParameterError):
+            hl.sh_q_scan(disc, q, grid, disc_norms)
 
 
 def test_sh_ps_scan_disc_closed_form(disc, disc_norms):
