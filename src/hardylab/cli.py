@@ -31,16 +31,16 @@ SUBCOMMANDS = ("norms", "sh", "carleson", "dual", "gleason", "extend",
 _DELTA_LIMIT = 1e-8
 
 
-def _parse_exponent(v):
-    """A float or ``"inf"``; NaN and -inf are config errors, not exponents."""
+def _parse_exponent(v, what: str):
+    """A float or ``"inf"``; booleans, NaN and -inf are config errors, not exponents."""
     if isinstance(v, str) and v.lower() == "inf":
         return np.inf
     try:
         p = float(v)
     except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad exponent {v!r}") from exc
-    if np.isnan(p) or p == -np.inf:
-        raise ParameterError(f"bad exponent {v!r}")
+        raise ParameterError(f"bad exponent {v!r} for {what}") from exc
+    if isinstance(v, bool) or np.isnan(p) or p == -np.inf:
+        raise ParameterError(f"bad exponent {v!r} for {what}")
     return p
 
 
@@ -59,10 +59,12 @@ def _number(value, what: str, kind=int):
         raise ParameterError(f"bad {what} {value!r}") from exc
 
 
-def _list(value, what: str, size: int | None = None) -> list:
-    """A list-valued config entry, of ``size`` entries if given; else a ParameterError."""
+def _list(value, what: str, size: int | None = None, *, empty_ok: bool = False) -> list:
+    """A list-valued config entry, of ``size`` entries if given, empty only if ``empty_ok``."""
     if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
         raise ParameterError(f"{what} must be a list{f' of {size}' if size else ''}, got {value!r}")
+    if not value and not empty_ok:
+        raise ParameterError(f"{what} must not be empty")
     return value
 
 
@@ -97,9 +99,10 @@ def _parse_points(cfg: dict, dom: geometry.Domain) -> sequences.PointSequence:
 
 def _parse_target(cfg: dict, n: int) -> np.ndarray:
     """Target values nu_a, each a finite number or an [re, im] pair; all ones by default."""
+    entries = _list(cfg.get("target", [1.0] * n), "target")
     try:
         nu = np.array([_complex_row(v, 1, "target pairs")[0] if isinstance(v, (list, tuple))
-                       else complex(v) for v in cfg.get("target", [1.0] * n)])
+                       else complex(v) for v in entries])
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad target entry: {exc}") from exc
     if not np.all(np.isfinite(nu)):
@@ -170,7 +173,7 @@ def _scan_grid(cfg: dict, dom: geometry.Domain):
 def _run_norms(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
-    exponents = [_parse_exponent(p)
+    exponents = [_parse_exponent(p, "exponents")
                  for p in _list(cfg.get("exponents", [1, 4 / 3, 2, 4, "inf"]), "exponents")]
     cache = kernels.NormCache(dom)
     tables = [cache.table(seq[i], exponents) for i in range(len(seq))]
@@ -183,11 +186,14 @@ def _run_sh(cfg: dict):
     dom = _domain(cfg)
     cache = kernels.NormCache(dom)
     grid, note = _scan_grid(cfg, dom), str(cfg.get("grid", "radial"))
-    scans = [kernels.sh_q_scan(dom, _parse_exponent(q), grid, cache, note)
-             for q in _list(cfg.get("q", [4 / 3, 2.0, 4.0]), "q")]
-    pairs = [_list(ps, "ps entry", 2) for ps in _list(cfg.get("ps", [[2.0, 1.0]]), "ps")]
-    scans += [kernels.sh_ps_scan(dom, _parse_exponent(p), _parse_exponent(s), grid, cache, note)
-              for p, s in pairs]
+    scans = [kernels.sh_q_scan(dom, _parse_exponent(q, "q"), grid, cache, note)
+             for q in _list(cfg.get("q", [4 / 3, 2.0, 4.0]), "q", empty_ok=True)]
+    pairs = [_list(ps, "ps entry", 2)
+             for ps in _list(cfg.get("ps", [[2.0, 1.0]]), "ps", empty_ok=True)]
+    scans += [kernels.sh_ps_scan(dom, _parse_exponent(p, "ps"), _parse_exponent(s, "ps"), grid,
+                                 cache, note) for p, s in pairs]
+    if not scans:
+        raise ParameterError("sh needs at least one entry in q or ps")
     rows = [row for scan in scans for row in scan.csv_rows()]
     return {"scans": [scan.to_json() for scan in scans], "engine": cache.report()}, rows
 
@@ -196,7 +202,7 @@ def _run_carleson(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
-    q = _parse_exponent(cfg.get("q", 2.0))
+    q = _parse_exponent(cfg.get("q", 2.0), "q")
     seed = cfg.get("seed")
     weak, remark_2q = _flag(cfg, "weak", True), _flag(cfg, "remark_2q", False)
     kwargs = {"restarts": _number(cfg.get("restarts", 32), "restarts"),
@@ -219,7 +225,7 @@ def _run_dual(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
-    p = _parse_exponent(cfg.get("p", 2.0))
+    p = _parse_exponent(cfg.get("p", 2.0), "p")
     dual = sequences.dual_system(seq, p, cfg.get("method", "gram2"),
                                  tikhonov=_flag(cfg, "tikhonov", False))
     out = dual.to_json()
@@ -254,8 +260,8 @@ def _run_extend(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
-    s = _parse_exponent(cfg.get("s", 1.0))
-    p = _parse_exponent(cfg.get("p", 2.0))
+    s = _parse_exponent(cfg.get("s", 1.0), "s")
+    p = _parse_exponent(cfg.get("p", 2.0), "p")
     kernels.exponent_from_split(s, p)  # validates the identity at parse time
     seed = _need_seed(cfg)
     dual = sequences.dual_system(seq, p, cfg.get("dual_method", "gram2"))
@@ -272,7 +278,7 @@ def _run_extend(cfg: dict):
 
 
 def _run_khintchine(cfg: dict):
-    qs = [_parse_exponent(q) for q in _list(cfg.get("q", [1.0, 2.0, 4.0]), "q")]
+    qs = [_parse_exponent(q, "q") for q in _list(cfg.get("q", [1.0, 2.0, 4.0]), "q")]
     method = cfg.get("method", "exact")
     samples = _number(cfg.get("samples") or 0, "samples")
     seed = None
@@ -298,9 +304,15 @@ def _run_khintchine(cfg: dict):
 
 
 def _run_bergman(cfg: dict):
+    for key, only in (("base_dim", 1), ("weight", 0)):
+        try:
+            value = _number(cfg.get(key, only), key)
+        except ParameterError:
+            value = None
+        if value != only:
+            raise ParameterError(f"bergman runs on the unweighted disc: {key} must be {only}, "
+                                 f"got {cfg[key]!r}")
     spec = bergman_mod.BergmanSpec(
-        n=_number(cfg.get("base_dim", 1), "base_dim"),
-        weight=_number(cfg.get("weight", 0), "weight"),
         radial=_number(cfg.get("radial", 32), "radial"),
         angular=_number(cfg.get("angular_volume", 64), "angular_volume"),
     )
@@ -308,8 +320,8 @@ def _run_bergman(cfg: dict):
         raise ParameterError("a bergman config needs 'points' (re/im pairs in the disc)")
     pts = [_complex_row(row, 1, "bergman points")[0] for row in _list(cfg["points"], "points")]
     nu = _parse_target(cfg, len(pts))
-    s = _parse_exponent(cfg.get("s", 1.0))
-    p = _parse_exponent(cfg.get("p", 2.0))
+    s = _parse_exponent(cfg.get("s", 1.0), "s")
+    p = _parse_exponent(cfg.get("p", 2.0), "p")
     kernels.exponent_from_split(s, p)
     ball = geometry.Domain(geometry.BALL2)
     rule = geometry.build_quadrature(ball, _number(cfg.get("resolution", 16), "resolution"),
@@ -317,7 +329,7 @@ def _run_bergman(cfg: dict):
     _, rep = bergman_mod.bergman_extension(pts, nu, s, p, spec, rule=rule,
                                            dual_method=cfg.get("dual_method", "collocation"))
     rows = [[i, r] for i, r in enumerate(rep.residuals)]
-    return {"bergman_extension": rep.to_json(), "weight": spec.weight}, rows
+    return {"bergman_extension": rep.to_json(), "weight": 0}, rows
 
 
 _REPORT_COMMON = ("domain", "points", "points_csv", "resolution", "angular", "seed",

@@ -106,6 +106,8 @@ def _check_branch(denom: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # norm tables
 
+_MONOTONE_TOL = 1e-10  # relative fall of a norm as p grows that counts as rounding
+
 
 @dataclass
 class NormTable:
@@ -122,11 +124,11 @@ class NormTable:
             raise DependencyError(f"no cached norm for exponent {p}")
         return self.entries[key]
 
-    def check_monotone(self, tol: float = 1e-10) -> None:
+    def check_monotone(self) -> None:
         ps = sorted(self.entries, key=lambda p: (p == INF, p))
         vals = [self.entries[p] for p in ps]
         for lo, hi in zip(vals, vals[1:]):
-            if lo > hi * (1.0 + tol):
+            if lo > hi * (1.0 + _MONOTONE_TOL):
                 raise InvariantViolation(
                     f"norm monotonicity violated at point {self.point}: {lo} > {hi}")
 

@@ -87,11 +87,6 @@ class PointSequence:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "PointSequence":
-        pts = np.asarray(data["points_re"], dtype=float) + 1j * np.asarray(data["points_im"], dtype=float)
-        return cls.create(Domain(data["domain"]), list(np.atleast_2d(pts)))
-
-    @classmethod
     def from_csv(cls, dom: Domain, path) -> "PointSequence":
         """Points from a CSV of re/im columns; only the first non-empty row may be a header."""
         pts = []
@@ -224,6 +219,7 @@ def _duality_map(x: np.ndarray, r: float) -> np.ndarray:
 
 
 _ROW_BLOCK = 1024  # rows of A per block of a pass: keeps each (rows, restarts) temporary small
+_POWER_RTOL = 1e-13  # a restart whose ratio gains less than this, relatively, has converged
 
 
 def _lq_pass(A: np.ndarray, wAH: np.ndarray, w: np.ndarray, q: float, mu: np.ndarray):
@@ -252,8 +248,7 @@ def _first_near_max(values: np.ndarray) -> int:
     return int(np.flatnonzero(values >= np.max(values) * (1.0 - 1e-12))[0])
 
 
-def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter: int,
-                        rtol: float = 1e-13):
+def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter: int):
     """Best ratio ||A mu||_{L^q} / ||mu||_{l^q} over duality-map iterations.
 
     All restarts run in lockstep as the rows of one batch, in
@@ -266,7 +261,7 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
     stops progressing or its gradient is zero.  Returns (ratio, maximizer,
     steps of each restart, converged flag of each restart), in start order;
     a restart has not converged when it used up ``max_iter`` before its
-    relative progress fell below ``rtol``.  The first restart within 1e-12
+    relative progress fell below ``_POWER_RTOL``.  The first restart within 1e-12
     relative of the largest ratio supplies the ratio and the maximizer.
     """
     qc = conjugate_exponent(q)
@@ -287,7 +282,7 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
         cand /= rule_norm(cand, 1.0, q)[:, None]
         cand_ratio, cand_grad = _lq_pass(A, wAH, w, q, cand)
         better = cand_ratio > ratio[live]
-        progressed = cand_ratio > ratio[live] * (1.0 + rtol)
+        progressed = cand_ratio > ratio[live] * (1.0 + _POWER_RTOL)
         took = live[better]
         mu[took], ratio[took], grad[took] = cand[better], cand_ratio[better], cand_grad[better]
         steps[live] = it + 1
@@ -336,7 +331,7 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
     q = 2 is solved exactly (up to the eigensolve) through the Gram matrix
     of the normalized kernels; q = 1 is attained at a coordinate vector;
     other q use the seeded power iteration and give certified lower bounds.
-    ``method`` is "auto", "gram-spectral" (q = 2 only) or "power-iteration".
+    ``method`` is "auto", "gram-spectral" (q = 2 only) or "power-iteration" (q > 1).
     """
     if q == INF or q < 1:
         raise ParameterError("carleson_constant needs 1 <= q < inf")
@@ -344,6 +339,8 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
         raise ParameterError(f"unknown Carleson method {method!r}")
     if method == "gram-spectral" and q != 2:
         raise ParameterError("the gram-spectral method needs q = 2")
+    if method == "power-iteration" and q == 1:
+        raise ParameterError("the power-iteration method needs q > 1 (q' = inf at q = 1)")
     A = normalized_kernel_matrix(seq, q, rule)
     w = rule.weights
     n = len(seq)

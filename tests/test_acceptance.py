@@ -287,7 +287,7 @@ def test_criterion_10_inf_route():
 
 
 def test_criterion_11_subordination():
-    spec = hl.BergmanSpec(n=1, weight=0, radial=48, angular=128)
+    spec = hl.BergmanSpec(radial=48, angular=128)
     ball = hl.Domain(hl.BALL2)
     rule = hl.build_quadrature(ball, 24, angular=96)
     worst = 0.0

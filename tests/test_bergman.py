@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from conftest import kernel_norm, lp_norm, sphere_moment
-
-
-def weighted_monomial_normsq(m: int, k: int) -> float:
-    """Oracle: ||z^m||^2 in the normalized weighted Bergman space of the disc.
-
-    (k+1) * integral u^m (1-u)^k du = (k+1) m! k! / (m+k+1)!.
-    """
-    return (k + 1) * math.factorial(m) * math.factorial(k) / math.factorial(m + k + 1)
+from conftest import kernel_norm, lp_norm
 
 
 def _lift(f):
@@ -29,10 +21,12 @@ def test_lift_and_restrict():
     pts = (0.7 * rng.uniform(size=50) * np.exp(2j * np.pi * rng.uniform(size=50))).reshape(-1, 1)
     back = hl.restrict(lifted)
     assert np.max(np.abs(back(pts) - f(pts))) < 1e-15
+    # a flat array holds consecutive disc points, as in kernel_matrix
+    assert np.array_equal(back(pts.ravel()), back(pts))
 
 
 def test_bergman_norm_examples():
-    spec = hl.BergmanSpec(n=1, weight=0)
+    spec = hl.BergmanSpec()
     const = lambda zs: np.full(zs.shape[0], 2.0 - 1.0j)
     for p in (1.0, 2.0, 4.0, np.inf):
         assert abs(hl.bergman_norm(const, p, spec) - abs(2.0 - 1.0j)) < 1e-12
@@ -46,18 +40,9 @@ def test_bergman_norm_examples():
         hl.bergman_norm(const, 0.5, spec)
 
 
-def test_bergman_norm_two_dim_base():
-    spec = hl.BergmanSpec(n=2, weight=0, radial=24, angular=32)
-    got = hl.bergman_norm(lambda zs: zs[:, 0], 2.0, spec) ** 2
-    # oracle: |z1|^2 = u |zeta1|^2 with radial density 2u du, so the
-    # integral is (integral 2u^2 du) * (sphere moment of |zeta1|^2)
-    want = (2.0 / 3.0) * sphere_moment(1, 0)
-    assert abs(got - want) < 1e-12
-
-
 def test_subordination_checks():
     # ||f||_{A^p(D)} against the Hardy norm of the lift f~(z, w) = f(z) on the ball of C^2
-    spec = hl.BergmanSpec(n=1, weight=0)
+    spec = hl.BergmanSpec()
     rule = hl.build_quadrature(hl.Domain(hl.BALL2), 16, angular=64)
     for f, p, tol in [(lambda zs: np.ones(zs.shape[0], dtype=complex), 2.0, 1e-14),
                       (lambda zs: zs[:, 0] ** 2, 2.0, 1e-10), (lambda zs: zs[:, 0], 4.0, 1e-8)]:
@@ -66,23 +51,21 @@ def test_subordination_checks():
 
 
 def test_monomial_norm_equality_via_moments():
-    # ||z^m||_{A^2_k(D)} equals the Hardy norm of the lift to the ball of
-    # C^{k+2}, both given by the same factorial moments; quadrature side
-    # must match the closed form for k in {0, 1, 2}.
-    for k in (0, 1, 2):
-        spec = hl.BergmanSpec(n=1, weight=k)
-        for m in range(0, 7):
-            got = hl.bergman_norm(lambda zs, m=m: zs[:, 0] ** m, 2.0, spec) ** 2
-            want = weighted_monomial_normsq(m, k)
-            assert abs(got - want) < 1e-8 * want
-            # Hardy-side moment formula on B_{k+2}: (n'-1)! m! / (n'-1+m)!
-            hardy = (math.factorial(k + 1) * math.factorial(m)
-                     / math.factorial(k + 1 + m))
-            assert abs(want - hardy) < 1e-15 * hardy
+    # ||z^m||_{A^2(D)} equals the Hardy norm of the lift to the ball of C^2,
+    # both given by the same factorial moments; the quadrature side must
+    # match the closed form m! / (m+1)!.
+    spec = hl.BergmanSpec()
+    for m in range(0, 7):
+        got = hl.bergman_norm(lambda zs, m=m: zs[:, 0] ** m, 2.0, spec) ** 2
+        want = math.factorial(m) / math.factorial(m + 1)
+        assert abs(got - want) < 1e-8 * want
+        # Hardy-side moment formula on B_{n'} at n' = 2: (n'-1)! m! / (n'-1+m)!
+        hardy = math.factorial(1) * math.factorial(m) / math.factorial(1 + m)
+        assert abs(want - hardy) < 1e-15 * hardy
 
 
 def test_kernel_norm_link():
-    spec = hl.BergmanSpec(n=1, weight=0, radial=48, angular=128)
+    spec = hl.BergmanSpec(radial=48, angular=128)
     ball = hl.Domain(hl.BALL2)
     rule = hl.build_quadrature(ball, 24, angular=96)
     # ||k_{(a,0)}||_{H^p(B_2)} = ||(1 - conj(a) z)^{-2}||_{A^p(D)}: one function through the lift
@@ -93,26 +76,29 @@ def test_kernel_norm_link():
         assert abs(a_side - h_side) / h_side < 1e-8
 
 
+def _ball_rule():
+    return hl.build_quadrature(hl.Domain(hl.BALL2), 16, angular=64)
+
+
 def test_bergman_extension_single_point():
-    spec = hl.BergmanSpec(n=1, weight=0)
-    U, rep = hl.bergman_extension([0.0], np.array([1.0 + 0j]), 1.0, 2.0, spec)
+    spec = hl.BergmanSpec()
+    U, rep = hl.bergman_extension([0.0], np.array([1.0 + 0j]), 1.0, 2.0, spec, rule=_ball_rule())
     assert rep.residuals[0] < 1e-10
     vals = U(np.array([[0.1 + 0.1j], [0.0]]))
     assert np.max(np.abs(vals - vals[0])) < 1e-10  # constant extension
 
 
 def test_bergman_extension_two_points():
-    spec = hl.BergmanSpec(n=1, weight=0)
-    U, rep = hl.bergman_extension([0.5, -0.5], np.array([1.0, 1.0], dtype=complex), 1.0, 2.0, spec)
+    spec = hl.BergmanSpec()
+    U, rep = hl.bergman_extension([0.5, -0.5], np.array([1.0, 1.0], dtype=complex), 1.0, 2.0, spec,
+                                  rule=_ball_rule())
     assert rep.max_rel_residual < 1e-8
     assert rep.details["restriction_contraction_ok"]
     assert rep.details["bergman_norm"] <= rep.details["h_norm"] * (1.0 + 1e-8)
-    with pytest.raises(hl.UnsupportedDomainError):
-        hl.bergman_extension([0.5], np.array([1.0]), 1.0, 2.0, hl.BergmanSpec(n=1, weight=1))
 
 
 def test_restriction_contraction_polynomial_panel():
-    spec = hl.BergmanSpec(n=1, weight=0, radial=48, angular=128)
+    spec = hl.BergmanSpec(radial=48, angular=128)
     ball = hl.Domain(hl.BALL2)
     rule = hl.build_quadrature(ball, 24, angular=96)
     rng = np.random.default_rng(12)
@@ -132,16 +118,10 @@ def test_restriction_contraction_polynomial_panel():
 
 
 def test_spec_validation():
-    with pytest.raises(hl.UnsupportedDomainError):
-        hl.BergmanSpec(n=3)
-    with pytest.raises(hl.ParameterError):
-        hl.BergmanSpec(n=1, weight=-1)
-    for sizes in ({"radial": 0}, {"radial": -3}, {"angular": 0}, {"n": 2, "angular": 0}):
+    for sizes in ({"radial": 0}, {"radial": -3}, {"angular": 0}):
         with pytest.raises(hl.ParameterError):
             hl.BergmanSpec(**sizes)
-    spec = hl.BergmanSpec(n=1, weight=2)
-    assert spec.lift_dimension == 4
-    assert abs(spec.weights.sum() - 1.0) < 1e-14
+    assert abs(hl.BergmanSpec().weights.sum() - 1.0) < 1e-14
 
 
 def test_norm_equality_under_lift_all_exponents():
@@ -149,7 +129,7 @@ def test_norm_equality_under_lift_all_exponents():
     # form 1/(pm/2 + 1) for the p-th power of the norm.  Odd pm gives
     # half-integer radial powers where Gauss-Legendre converges only
     # algebraically, hence the high radial resolution.
-    spec = hl.BergmanSpec(n=1, weight=0, radial=512, angular=16)
+    spec = hl.BergmanSpec(radial=512, angular=16)
     ball_rule = hl.build_quadrature(hl.Domain(hl.BALL2), 512, angular=4)
     worst = 0.0
     for p in (1.0, 2.0, 4.0):

@@ -66,8 +66,9 @@ def test_carleson_needs_seed_for_power_iteration(tmp_path):
                      "--seed", "3"]) == 0
 
 
+# power-iteration at q = 1 would need the duality map at q' = inf
 @pytest.mark.parametrize("method,q,seed", [("spectral", 2, None), ("gram-spectral", 4, 1),
-                                           ("spectral", 4, None)])
+                                           ("spectral", 4, None), ("power-iteration", 1, 1)])
 def test_carleson_unknown_method_is_config_error(tmp_path, capsys, method, q, seed):
     cfg = {"domain": "disc", "points": DISC_POINTS, "q": q, "method": method, "resolution": 256}
     if seed is not None:
@@ -158,6 +159,23 @@ def test_bergman_subcommand(tmp_path):
     assert cli.main(["bergman", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rep = _load(tmp_path / "o", "bergman")
     assert rep["results"]["bergman_extension"]["max_rel_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("key,value,runs", [
+    ("base_dim", 1, True), ("weight", 0, True), ("weight", 0.0, True),
+    ("base_dim", 2, False), ("weight", 1, False), ("weight", -1, False),
+    ("weight", True, False), ("weight", "heavy", False),
+])
+def test_bergman_runs_on_the_unweighted_disc_only(tmp_path, capsys, key, value, runs):
+    path = _write(tmp_path, "c.json", {**_BERGMAN, key: value})
+    code = cli.main(["bergman", "--config", str(path), "--out", str(tmp_path / "o")])
+    if runs:
+        assert code == 0
+        assert _load(tmp_path / "o", "bergman")["results"]["weight"] == 0
+    else:
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unweighted disc" in err and key in err
 
 
 def test_extend_ball_edge_line(tmp_path):
@@ -327,6 +345,55 @@ def test_non_finite_target_is_config_error(tmp_path, capsys, sub, text):
     assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert not (tmp_path / "o").exists()
     assert "target entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,cfg,key", [
+    ("carleson", {**_SMALL_CARLESON, "q": True}, "q"),
+    ("sh", {"domain": "disc", "q": [True], "ps": [], "grid": [[0.5, 0.0]]}, "q"),
+    ("sh", {"domain": "disc", "q": [], "ps": [[2.0, True]], "grid": [[0.5, 0.0]]}, "ps"),
+    ("extend", {**_SMALL_EXTEND, "s": True}, "s"),
+    ("extend", {**_SMALL_EXTEND, "p": False}, "p"),
+    ("norms", {"domain": "disc", "points": DISC_POINTS, "exponents": [1, True]}, "exponents"),
+    ("khintchine", {"q": [True], "vectors": [[[1.0, 0.0], [1.0, 0.0]]]}, "q"),
+], ids=["carleson-q", "sh-q", "sh-ps", "extend-s", "extend-p", "norms", "khintchine"])
+def test_boolean_exponent_is_config_error(tmp_path, capsys, sub, cfg, key):
+    path = _write(tmp_path, "c.json", cfg)
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+    assert f"for {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["123", {"a": 1, "b": 2, "c": 3}, 1.0],
+                         ids=["string", "dict", "number"])
+def test_non_list_target_is_config_error(tmp_path, capsys, target):
+    path = _write(tmp_path, "c.json", {**_SMALL_EXTEND, "points": DISC_POINTS, "target": target})
+    assert cli.main(["extend", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "target must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,cfg,key", [
+    ("khintchine", {"q": [], "vectors": [[[1.0, 0.0]]]}, "q"),
+    ("khintchine", {"q": [], "vectors": [[[1.0, 0.0]]], "method": "montecarlo"}, "q"),
+    ("khintchine", {"q": [2], "vectors": []}, "vectors"),
+    ("khintchine", {"q": [2], "lengths": [], "seed": 1}, "lengths"),
+    ("norms", {"domain": "disc", "points": DISC_POINTS, "exponents": []}, "exponents"),
+], ids=["khintchine-q", "khintchine-q-bad-method", "khintchine-vectors", "khintchine-lengths",
+        "norms-exponents"])
+def test_empty_list_is_config_error(tmp_path, capsys, sub, cfg, key):
+    path = _write(tmp_path, "c.json", cfg)
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+    assert key in capsys.readouterr().err
+
+
+def test_sh_needs_q_or_ps(tmp_path, capsys):
+    # either list alone may be empty, not both
+    for lists in ({"q": [2], "ps": []}, {"q": [], "ps": [[2, 1]]}):
+        rep = cli.run("sh", {"domain": "disc", "grid": [[0.5, 0.0]], **lists})
+        assert len(rep["results"]["scans"]) == 1
+    path = _write(tmp_path, "c.json", {"domain": "disc", "q": [], "ps": [], "grid": [[0.5, 0.0]]})
+    assert cli.main(["sh", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "q or ps" in capsys.readouterr().err
 
 
 def test_norms_checks_monotonicity(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
-"""Every module-level private name, and every public function or class, in
-``src`` is used somewhere in ``src`` besides its own definition, so a helper
-whose last caller went away fails here; and every name a module of ``src`` or
-``tests`` imports is read in that module."""
+"""Every module-level private name, every public function or class, and every
+public method of a class in ``src`` is used somewhere in ``src`` besides its own
+definition, so a helper whose last caller went away fails here; and every name
+a module of ``src`` or ``tests`` imports is read in that module."""
 import ast
 from pathlib import Path
 
@@ -29,6 +29,15 @@ def _definitions(tree: ast.Module):
             yield name, node
 
 
+def _methods(tree: ast.Module):
+    """(name, defining node) for every method of every module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, node
+
+
 def _reads(node: ast.AST) -> list:
     """Name loads and attribute names below ``node``, as (name, ast node) pairs."""
     out = []
@@ -40,15 +49,16 @@ def _reads(node: ast.AST) -> list:
     return out
 
 
-def _unused_in_src(wanted) -> list:
-    """Module-level definitions for which ``wanted(name, node)`` holds and that
-    nothing in ``src`` reads outside the definition itself."""
+def _unused_in_src(wanted, definitions=_definitions) -> list:
+    """Definitions (module-level unless ``definitions`` says otherwise) for which
+    ``wanted(name, node)`` holds and that nothing in ``src`` reads outside the
+    definition itself."""
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     assert trees
     reads = [pair for tree in trees.values() for pair in _reads(tree)]
     unused = []
     for fname, tree in trees.items():
-        for name, node in _definitions(tree):
+        for name, node in definitions(tree):
             if not wanted(name, node):
                 continue
             inside = {id(sub) for sub in ast.walk(node)}
@@ -72,6 +82,12 @@ def test_every_public_function_and_class_is_used():
     unused = _unused_in_src(lambda name, node: not name.startswith("_")
                             and name not in KEPT_FOR_LATER and _function_or_class(node))
     assert not unused, f"public functions and classes nothing in src uses: {unused}"
+
+
+def test_every_public_method_is_used():
+    # a method counts as used when any attribute of its name is read in src
+    unused = _unused_in_src(lambda name, node: not name.startswith("_"), _methods)
+    assert not unused, f"public methods nothing in src uses: {unused}"
 
 
 def test_kept_for_later_names_are_defined_and_unread():
