@@ -32,6 +32,7 @@ from .errors import (
     InvariantViolation,
     NumericError,
     ParameterError,
+    ShapeError,
 )
 from .geometry import BALL2, DISC, Domain
 
@@ -70,17 +71,26 @@ def _point_key(a: np.ndarray) -> tuple:
     return tuple(complex(v) for v in np.atleast_1d(a))
 
 
+def _point_array(zs, dom: Domain) -> np.ndarray:
+    """zs as a complex (M, n) array of points of dom; a flat array holds consecutive points."""
+    zs = np.asarray(zs, dtype=complex)
+    if zs.ndim == 1 and zs.size % dom.n == 0:
+        zs = zs.reshape(-1, dom.n)
+    if zs.ndim != 2 or zs.shape[1] != dom.n:
+        raise ShapeError(f"{dom.kind} points need shape (M, {dom.n}), got {zs.shape}")
+    return zs
+
+
 def kernel_matrix(points, zs: np.ndarray, dom: Domain) -> np.ndarray:
     """(N, M) values k_a(z) for N interior points a and M points z.
 
     ``zs`` is an (M, n) array of interior or boundary points (a flat array
-    is read as consecutive points).  This is the one place a kernel
-    formula is evaluated: one broadcast over (a, z) per domain.
+    is read as consecutive points); any other shape is a ``ShapeError``.
+    This is the one place a kernel formula is evaluated: one broadcast over
+    (a, z) per domain.
     """
     ca = np.conj([dom.point(a) for a in points]).reshape(-1, dom.n)[:, None, :]
-    zs = np.asarray(zs, dtype=complex)
-    if zs.ndim == 1:
-        zs = zs.reshape(-1, dom.n)
+    zs = _point_array(zs, dom)
     if dom.kind == DISC:
         denom = 1.0 - ca[:, :, 0] * zs[None, :, 0]
         _check_branch(denom)

@@ -21,8 +21,11 @@ Operator norms away from q = 2 are nonconvex; the estimates here are
 certified lower bounds from a duality-map power iteration with seeded
 restarts, and every report carries the maximizing certificate and the
 steps and converged flag of each restart.  The restarts run in lockstep as
-one batch: each step is a single pass over the kernel matrix in blocks of
-rows, which gives every candidate's ratio and its next gradient together.
+one batch: each step is a single pass that gives every candidate's ratio
+and its next gradient together.  At the iteration's exponent 2 (the weak
+constant at q = 4, the strong one at q = 2 when the power iteration is
+asked for) the pass needs only the N x N Gram matrix A^H W A, formed once;
+at every other exponent it runs over the kernel matrix in blocks of rows.
 The batch runs in real arithmetic when the matrix and the starts are real,
 as for the weak constant, whose matrix is |A|^2 and whose starts are
 positive.  Of restarts that reach the same maximum up to rounding, the
@@ -33,6 +36,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +48,7 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .geometry import BALL2, DISC, Domain, QuadratureRule, rule_norm, rule_power, seq_norm
-from .kernels import INF, NormCache, conjugate_exponent, kernel_matrix, _point_key
+from .kernels import INF, NormCache, conjugate_exponent, kernel_matrix, _point_array, _point_key
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,13 @@ def normalized_kernel_matrix(seq: PointSequence, q: float, rule: QuadratureRule)
 
 
 def _duality_weight(mag: np.ndarray, r: float) -> np.ndarray:
-    """|x|^(r-2) from mag = |x|, with 0 where x is 0 (for r < 2 the power would be inf)."""
+    """|x|^(r-2) from mag = |x|; for r < 2, 0 where x is 0 (the power would be inf).
+
+    At r >= 2 the power is finite at 0 and runs unmasked, which lets numpy
+    take its fast paths (a square at r = 4).
+    """
+    if r >= 2.0:
+        return np.power(mag, r - 2.0)
     return np.power(mag, r - 2.0, out=np.zeros_like(mag), where=mag > 0)
 
 
@@ -227,9 +237,9 @@ def _lq_pass(A: np.ndarray, wAH: np.ndarray, w: np.ndarray, q: float, mu: np.nda
 
     One pass over A in blocks of ``_ROW_BLOCK`` rows; ``wAH`` is the
     conjugate transpose of A with its columns scaled by the weights w.  The
-    factor |A mu_r|^(q-2) is the masked ``_duality_weight`` of
-    ``_duality_map``, and the same factor times |A mu_r|^2 gives the
-    integral of |A mu_r|^q.
+    factor |A mu_r|^(q-2) is the ``_duality_weight`` of ``_duality_map``;
+    each block's values are scaled by it in place, and the same factor,
+    times |A mu_r| twice in that order, gives the integral of |A mu_r|^q.
     """
     power = np.zeros(len(mu))
     grad = np.zeros(mu.shape, np.result_type(A, mu))
@@ -238,9 +248,23 @@ def _lq_pass(A: np.ndarray, wAH: np.ndarray, w: np.ndarray, q: float, mu: np.nda
         Y = A[rows] @ mu.T
         mag = np.abs(Y)
         dm = _duality_weight(mag, q)
-        power += w[rows] @ (dm * mag * mag)
-        grad += (dm * Y).T @ wAH[:, rows].T
+        Y *= dm
+        dm *= mag
+        dm *= mag
+        power += w[rows] @ dm
+        grad += Y.T @ wAH[:, rows].T
     return np.power(power, 1.0 / q), grad
+
+
+def _gram_pass(G: np.ndarray, mu: np.ndarray):
+    """``_lq_pass`` at q = 2 from the Gram matrix G = A^H W A alone.
+
+    The gradient A^H (w A mu_r) is G mu_r, and ||A mu_r||_{L^2}^2 is
+    Re <G mu_r, mu_r>, clipped at 0 against rounding.
+    """
+    grad = mu @ G.T
+    power = np.sum(np.conj(mu) * grad, axis=1).real
+    return np.power(np.maximum(power, 0.0), 0.5), grad
 
 
 def _first_near_max(values: np.ndarray) -> int:
@@ -254,15 +278,17 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
     All restarts run in lockstep as the rows of one batch, in
     ``np.result_type`` of A and the starts: real arithmetic when the matrix
     and every start are real, complex otherwise.  The weighted conjugate
-    transpose w A^H is formed once, and each step is one row-blocked pass
-    over A (``_lq_pass``) that gives every candidate's ratio together with
-    its gradient; a restart only steps on from a candidate it accepted, so
-    that gradient is the next one.  A restart drops out of the batch once it
-    stops progressing or its gradient is zero.  Returns (ratio, maximizer,
-    steps of each restart, converged flag of each restart), in start order;
-    a restart has not converged when it used up ``max_iter`` before its
-    relative progress fell below ``_POWER_RTOL``.  The first restart within 1e-12
-    relative of the largest ratio supplies the ratio and the maximizer.
+    transpose w A^H is formed once, and each step is one pass that gives
+    every candidate's ratio together with its gradient: at q = 2 from the
+    N x N Gram matrix (w A^H) A, formed once (``_gram_pass``), at every
+    other q a row-blocked pass over A (``_lq_pass``).  A restart only steps
+    on from a candidate it accepted, so that gradient is the next one.  A
+    restart drops out of the batch once it stops progressing or its
+    gradient is zero.  Returns (ratio, maximizer, steps of each restart,
+    converged flag of each restart), in start order; a restart has not
+    converged when it used up ``max_iter`` before its relative progress
+    fell below ``_POWER_RTOL``.  The first restart within 1e-12 relative of
+    the largest ratio supplies the ratio and the maximizer.
     """
     qc = conjugate_exponent(q)
     wAH = A.T * w
@@ -270,7 +296,8 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
     mu = np.array(starts)
     mu = mu.astype(np.result_type(A, mu))
     mu /= rule_norm(mu, 1.0, q)[:, None]
-    ratio, grad = _lq_pass(A, wAH, w, q, mu)
+    step = partial(_gram_pass, wAH @ A) if q == 2.0 else partial(_lq_pass, A, wAH, w, q)
+    ratio, grad = step(mu)
     steps = np.zeros(len(mu), dtype=int)
     converged = np.ones(len(mu), dtype=bool)
     live = np.arange(len(mu))
@@ -280,7 +307,7 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
             break
         cand = _duality_map(grad[live], qc)
         cand /= rule_norm(cand, 1.0, q)[:, None]
-        cand_ratio, cand_grad = _lq_pass(A, wAH, w, q, cand)
+        cand_ratio, cand_grad = step(cand)
         better = cand_ratio > ratio[live]
         progressed = cand_ratio > ratio[live] * (1.0 + _POWER_RTOL)
         took = live[better]
@@ -446,7 +473,7 @@ class DualSystem:
             return self.coefficients @ kernel_matrix(pts, zs, self.sequence.domain)
         zeros = pts[:, 0]
         at_points = np.diag(_blaschke_others(zeros, zeros))
-        rows = _blaschke_others(zeros, np.asarray(zs, dtype=complex).reshape(-1))
+        rows = _blaschke_others(zeros, _point_array(zs, self.sequence.domain)[:, 0])
         return (self.scales / at_points)[:, None] * rows
 
     def delta_residual(self) -> float:

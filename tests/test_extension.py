@@ -155,6 +155,27 @@ def test_build_extension_blaschke_inf_dual(disc, disc_rule):
     assert rep.max_rel_residual < 1e-10
 
 
+@pytest.mark.parametrize("kind,method,pts", [
+    ("disc", "gram2", [0.0, 0.5]),
+    ("disc", "blaschke", [0.0, 0.5]),
+    ("ball2", "gram2", [[0.3, 0.0], [-0.2, 0.4j]]),
+])
+def test_dual_values_and_extension_reject_points_of_the_wrong_width(kind, method, pts):
+    # both were read by the leading columns of a wider array (a Blaschke dual
+    # by every entry of it, as consecutive disc points)
+    dom = hl.Domain(kind)
+    rule = (hl.build_quadrature(dom, 8, angular=16) if kind == "ball2"
+            else hl.build_quadrature(dom, 64))
+    dual = hl.dual_system(hl.PointSequence.create(dom, pts),
+                          np.inf if method == "blaschke" else 2.0, method)
+    h, _ = hl.build_extension(dual, np.array([1.0, -0.5j]), 1.0, rule)
+    wide = np.zeros((3, dom.n + 1), dtype=complex)
+    for f in (dual.values, h):
+        with pytest.raises(hl.ShapeError):
+            f(wide)
+        assert f(np.zeros((3, dom.n), dtype=complex)).shape[-1] == 3
+
+
 # ---------------------------------------------------------------------------
 # factorization and the norm-bound chain
 

@@ -81,6 +81,21 @@ def test_branch_check_outside_closed_domain(disc):
         hl.kernel_matrix([[0.9]], np.array([[1.2 + 0j]]), disc)
 
 
+def test_kernel_matrix_rejects_points_of_the_wrong_width(disc, ball):
+    # a wrong-width array was read by its first columns: k_a(0.1) on the disc
+    for dom, a, zs in ((disc, [[0.5]], [[0.1, 0.9]]),
+                       (disc, [[0.5]], np.zeros((1, 1, 1))),
+                       (ball, [[0.5, 0.0]], np.zeros((4, 3))),
+                       (ball, [[0.5, 0.0]], np.zeros(3))):
+        with pytest.raises(hl.ShapeError, match=rf"\(M, {dom.n}\)"):
+            hl.kernel_matrix(a, zs, dom)
+    # (M, n) arrays and flat arrays of consecutive points still evaluate
+    flat = np.array([0.1, 0.2j, -0.3, 0.0])
+    assert np.array_equal(hl.kernel_matrix([[0.5, 0.0]], flat, ball),
+                          hl.kernel_matrix([[0.5, 0.0]], flat.reshape(2, 2), ball))
+    assert hl.kernel_matrix([[0.5]], [0.1, 0.2], disc).shape == (1, 2)
+
+
 def test_conjugate_exponent():
     assert hl.conjugate_exponent(1.0) == np.inf
     assert hl.conjugate_exponent(np.inf) == 1.0

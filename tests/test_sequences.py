@@ -304,7 +304,8 @@ _BLOCK_EDGES = [256, 1024, 1025]
 
 
 @pytest.mark.parametrize("m", _BLOCK_EDGES)
-@pytest.mark.parametrize("weak,q", [(False, 1.5), (False, 4.0), (True, 3.0), (True, 4.0)])
+@pytest.mark.parametrize("weak,q", [(False, 1.5), (False, 2.0), (False, 4.0), (True, 3.0),
+                                    (True, 4.0)])
 def test_batched_restarts_match_each_start_run_alone(monkeypatch, m, weak, q):
     A, w, r, starts = _disc_problem(m, weak, q)
     (ratio, mu, _, _), ratios = _batch_with_ratios(monkeypatch, A, w, r, starts, 5000)
@@ -353,23 +354,71 @@ def test_first_of_tied_restarts_supplies_the_certificate():
         assert np.allclose(mu, alone[0][1], rtol=0.0, atol=1e-9)
 
 
+def test_exponent_two_runs_on_the_gram_matrix(monkeypatch, disc):
+    # the weak constant at q = 4 and the strong one at q = 2 by power iteration
+    # both iterate at exponent 2, where every pass comes from the N x N Gram
+    # matrix; every other exponent keeps the row-blocked pass over A
+    seq = separated_points(disc, 5, seed=41)
+    rule = hl.build_quadrature(disc, 1025)
+    exponents = []
+    lq_pass = sequences._lq_pass
+    monkeypatch.setattr(sequences, "_lq_pass",
+                        lambda A, wAH, w, q, mu: exponents.append(q) or lq_pass(A, wAH, w, q, mu))
+    weak = hl.weak_carleson_constant(seq, 4.0, rule, restarts=6, seed=7)
+    strong = hl.carleson_constant(seq, 2.0, rule, method="power-iteration", restarts=6, seed=7)
+    assert exponents == []
+    assert abs(weak.weak_d_q - hl.weak_ratio_at(seq, 4.0, weak.certificate, rule)) \
+        <= 1e-13 * weak.weak_d_q
+    exact = hl.carleson_constant(seq, 2.0, rule)
+    assert exact.method == "gram-spectral"
+    assert abs(strong.d_q - exact.d_q) <= 1e-12 * exact.d_q
+    assert weak.details["converged"] and strong.details["converged"]
+    hl.carleson_constant(seq, 3.0, rule, restarts=6, seed=7)
+    hl.weak_carleson_constant(seq, 6.0, rule, restarts=6, seed=7)
+    assert set(exponents) == {3.0}
+
+
+@pytest.mark.parametrize("r", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_unmasked_duality_weight_matches_the_masked_form(r):
+    # at r >= 2 the weight runs without the zero mask; off zero it is the
+    # masked power bit for bit, and times |x| it is bit for bit everywhere
+    rng = np.random.default_rng(5)
+    scale = 10.0 ** rng.uniform(-30.0, 30.0, (1024, 49))
+    z = scale * (rng.standard_normal((1024, 49)) + 1j * rng.standard_normal((1024, 49)))
+    z[rng.random(z.shape) < 0.1] = 0.0
+    for x in (z, z.real.copy()):
+        mag = np.abs(x)
+        masked = np.power(mag, r - 2.0, out=np.zeros_like(mag), where=mag > 0)
+        with np.errstate(all="raise"):
+            weight = sequences._duality_weight(mag, r)
+            out = _duality_map(x, r)
+        nz = mag > 0
+        assert 0 < np.count_nonzero(nz) < x.size
+        assert np.array_equal(weight[nz].view(np.uint64), masked[nz].view(np.uint64))
+        assert np.array_equal((weight * mag).view(np.uint64), (masked * mag).view(np.uint64))
+        assert out.dtype == x.dtype and np.all(out[~nz] == 0.0)
+        assert np.array_equal(out, masked * x)
+
+
 def test_power_iteration_memory_stays_row_blocked():
     # the benchmark's ball size: 27648 nodes, 16 points, 1 + 16 + 32 starts.
     # A batch held at once would need several (27648 x 49) complex temporaries
     # of 21 MiB each; row blocks keep the extra memory to one weighted
-    # conjugate transpose of A plus a few MiB
+    # conjugate transpose of A plus a few MiB, and at q = 2 the passes run on
+    # the 16 x 16 Gram matrix
     rng = np.random.default_rng(3)
     A = (rng.standard_normal((16, 27648)) + 1j * rng.standard_normal((16, 27648))).T
     w = np.full(27648, 1.0 / 27648)
     starts = _default_starts(16, 32, 1)
     assert len(starts) == 49
-    tracemalloc.start()
-    try:
-        _power_iteration_lq(A, w, 4.0, starts, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < A.nbytes + 4 * 2**20
+    for q in (4.0, 2.0):
+        tracemalloc.start()
+        try:
+            _power_iteration_lq(A, w, q, starts, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes + 4 * 2**20
 
 
 def test_column_mass_certificates_take_the_first_tied_column(ball):
