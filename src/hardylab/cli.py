@@ -144,7 +144,7 @@ def _delta_residual(dual: sequences.DualSystem) -> float:
     if residual > _DELTA_LIMIT:
         raise InvariantViolation(
             f"dual delta residual {residual:.3e} exceeds {_DELTA_LIMIT:.0e} "
-            f"(condition {dual.condition}, tikhonov_eps {dual.tikhonov_eps})")
+            f"(condition {dual.condition})")
     return residual
 
 
@@ -201,13 +201,16 @@ def _run_sh(cfg: dict):
 def _run_carleson(cfg: dict):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
-    rule = _rule(cfg, dom)
     q = _parse_exponent(cfg.get("q", 2.0), "q")
+    route = sequences._carleson_route(q)
+    if cfg.get("method", "auto") not in ("auto", route):
+        raise ParameterError(f"method must be 'auto' or {route!r} at q = {q:g}: {cfg['method']!r}")
+    rule = _rule(cfg, dom)
     seed = cfg.get("seed")
     weak, remark_2q = _flag(cfg, "weak", True), _flag(cfg, "remark_2q", False)
     kwargs = {"restarts": _number(cfg.get("restarts", 32), "restarts"),
               "seed": None if seed is None else _seed(seed)}
-    report = sequences.carleson_constant(seq, q, rule, method=cfg.get("method", "auto"), **kwargs)
+    report = sequences.carleson_constant(seq, q, rule, **kwargs)
     out = {"carleson": report.to_json()}
     if q >= 2 and weak:
         out["weak"] = sequences.weak_carleson_constant(seq, q, rule, **kwargs).to_json()
@@ -226,8 +229,9 @@ def _run_dual(cfg: dict):
     seq = _parse_points(cfg, dom)
     rule = _rule(cfg, dom)
     p = _parse_exponent(cfg.get("p", 2.0), "p")
-    dual = sequences.dual_system(seq, p, cfg.get("method", "gram2"),
-                                 tikhonov=_flag(cfg, "tikhonov", False))
+    if _flag(cfg, "tikhonov", False):
+        raise ParameterError("tikhonov must be false: a shifted dual loses rho_a(b) = delta_ab")
+    dual = sequences.dual_system(seq, p, cfg.get("method", "gram2"))
     out = dual.to_json()
     out["delta_residual"] = _delta_residual(dual)
     out["dual_bound"] = sequences.dual_bound(dual, rule)
@@ -316,9 +320,7 @@ def _run_bergman(cfg: dict):
         radial=_number(cfg.get("radial", 32), "radial"),
         angular=_number(cfg.get("angular_volume", 64), "angular_volume"),
     )
-    if "points" not in cfg:
-        raise ParameterError("a bergman config needs 'points' (re/im pairs in the disc)")
-    pts = [_complex_row(row, 1, "bergman points")[0] for row in _list(cfg["points"], "points")]
+    pts = _parse_points(cfg, geometry.Domain(geometry.DISC)).arrays()[:, 0]
     nu = _parse_target(cfg, len(pts))
     s = _parse_exponent(cfg.get("s", 1.0), "s")
     p = _parse_exponent(cfg.get("p", 2.0), "p")

@@ -130,8 +130,8 @@ def coeff_c(dual: DualSystem, s: float) -> ExtensionCoeffs:
     """c_a = ||k_a||_{s'} ||k_a||_q / (scale_a k_a(a)) with the dual's scales, 1/s = 1/p + 1/q.
 
     alpha-hat and beta-hat are the ``sh_q_scan`` and ``sh_ps_scan`` extrema
-    over the sequence points themselves, so the recorded budget genuinely
-    dominates the coefficients it is compared against.
+    over the sequence points themselves, and c_a is the beta-ratio at a over
+    the alpha-ratio at a, so a c_a past the budget is an InvariantViolation.
     """
     seq, norms = dual.sequence, dual.norms
     q = exponent_from_split(s, dual.p)
@@ -145,7 +145,10 @@ def coeff_c(dual: DualSystem, s: float) -> ExtensionCoeffs:
     paper = top / (np.array([norms.norm(a, pc) for a in points]) * diag)
     alpha = sh_q_scan(seq.domain, q, points, norms).extremum
     beta = sh_ps_scan(seq.domain, dual.p, s, points, norms).extremum
-    return ExtensionCoeffs(values, paper, alpha, beta)
+    coeffs = ExtensionCoeffs(values, paper, alpha, beta)
+    if not coeffs.within_budget:
+        raise InvariantViolation(f"c_a {np.max(paper)} exceeds its budget {coeffs.budget}")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,6 @@ def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule) -> tup
             "s": s, "p": "inf" if p == INF else p, "q": q,
             "dual_method": dual.method,
             "dual_condition": dual.condition,
-            "dual_tikhonov_eps": dual.tikhonov_eps,
             "coeffs": coeffs.to_json(),
             "h_norm": h_norm,
             "target_scale": target_scale.tolist(),

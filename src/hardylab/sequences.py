@@ -14,8 +14,8 @@ kernel-norm cache it read its scales from, and every chain step in
 Kernels and duals are only ever needed as sample matrices: the kernels of
 a sequence at M points are one ``kernel_matrix`` call, and
 ``DualSystem.values`` gives every rho_a at M points as one (N, M) array.
-A collocation dual records the condition number of its solve and the
-Tikhonov shift, if one was applied, in its report.
+A collocation dual records the condition number of its solve in its
+report; past ``_COND_LIMIT`` it is not built at all.
 
 Operator norms away from q = 2 are nonconvex; the estimates here are
 certified lower bounds from a duality-map power iteration with seeded
@@ -23,9 +23,9 @@ restarts, and every report carries the maximizing certificate and the
 steps and converged flag of each restart.  The restarts run in lockstep as
 one batch: each step is a single pass that gives every candidate's ratio
 and its next gradient together.  At the iteration's exponent 2 (the weak
-constant at q = 4, the strong one at q = 2 when the power iteration is
-asked for) the pass needs only the N x N Gram matrix A^H W A, formed once;
-at every other exponent it runs over the kernel matrix in blocks of rows.
+constant at q = 4) the pass needs only the N x N Gram matrix A^H W A,
+formed once; at every other exponent it runs over the kernel matrix in
+blocks of rows.
 The batch runs in real arithmetic when the matrix and the starts are real,
 as for the weak constant, whose matrix is |A|^2 and whose starts are
 positive.  Of restarts that reach the same maximum up to rounding, the
@@ -34,7 +34,6 @@ first supplies the constant and the certificate.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -230,6 +229,7 @@ def _duality_map(x: np.ndarray, r: float) -> np.ndarray:
 
 _ROW_BLOCK = 1024  # rows of A per block of a pass: keeps each (rows, restarts) temporary small
 _POWER_RTOL = 1e-13  # a restart whose ratio gains less than this, relatively, has converged
+_POWER_MAX_ITER = 5000  # steps a restart may take before it is reported as not converged
 
 
 def _lq_pass(A: np.ndarray, wAH: np.ndarray, w: np.ndarray, q: float, mu: np.ndarray):
@@ -257,7 +257,7 @@ def _lq_pass(A: np.ndarray, wAH: np.ndarray, w: np.ndarray, q: float, mu: np.nda
 
 
 def _gram_pass(G: np.ndarray, mu: np.ndarray):
-    """``_lq_pass`` at q = 2 from the Gram matrix G = A^H W A alone.
+    """``_lq_pass`` at q = 2 (the weak constant at q = 4) from G = A^H W A alone.
 
     The gradient A^H (w A mu_r) is G mu_r, and ||A mu_r||_{L^2}^2 is
     Re <G mu_r, mu_r>, clipped at 0 against rounding.
@@ -350,32 +350,31 @@ def _default_starts(n: int, restarts: int, seed: int | None, positive: bool = Fa
     return starts
 
 
+def _carleson_route(q: float) -> str:
+    """The method ``carleson_constant`` takes at exponent q, the name its report carries."""
+    if q == INF or q < 1:
+        raise ParameterError("carleson_constant needs 1 <= q < inf")
+    if q == 1:
+        return "coordinate-extreme"
+    return "gram-spectral" if q == 2 else "power-iteration"
+
+
 def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
-                      method: str = "auto", restarts: int = 32, seed: int | None = None,
-                      max_iter: int = 5000) -> CarlesonReport:
+                      restarts: int = 32, seed: int | None = None) -> CarlesonReport:
     """Least D with ||sum mu_a k_{q,a}||_q <= D ||mu||_q, at desk scale.
 
     q = 2 is solved exactly (up to the eigensolve) through the Gram matrix
     of the normalized kernels; q = 1 is attained at a coordinate vector;
     other q use the seeded power iteration and give certified lower bounds.
-    ``method`` is "auto", "gram-spectral" (q = 2 only) or "power-iteration" (q > 1).
     """
-    if q == INF or q < 1:
-        raise ParameterError("carleson_constant needs 1 <= q < inf")
-    if method not in ("auto", "gram-spectral", "power-iteration"):
-        raise ParameterError(f"unknown Carleson method {method!r}")
-    if method == "gram-spectral" and q != 2:
-        raise ParameterError("the gram-spectral method needs q = 2")
-    if method == "power-iteration" and q == 1:
-        raise ParameterError("the power-iteration method needs q > 1 (q' = inf at q = 1)")
+    route = _carleson_route(q)
     A = normalized_kernel_matrix(seq, q, rule)
     w = rule.weights
-    n = len(seq)
-    if q == 1:
+    if route == "coordinate-extreme":
         mass, cert = _heaviest_column(rule_power(A.T, w, 1.0))
-        return CarlesonReport(q=q, d_q=mass, method="coordinate-extreme", certificate=cert,
+        return CarlesonReport(q=q, d_q=mass, method=route, certificate=cert,
                               details={"resolution": rule.resolution})
-    if q == 2 and method != "power-iteration":
+    if route == "gram-spectral":
         gram = A.conj().T @ (w[:, None] * A)
         try:
             evals, evecs = np.linalg.eigh(gram)
@@ -383,18 +382,17 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
             raise NumericError(f"Gram eigensolve failed: {exc}") from exc
         top = int(np.argmax(evals))
         return CarlesonReport(q=q, d_q=float(np.sqrt(max(evals[top], 0.0))),
-                              method="gram-spectral", certificate=evecs[:, top],
+                              method=route, certificate=evecs[:, top],
                               details={"resolution": rule.resolution})
     ratio, mu, iters, converged = _power_iteration_lq(
-        A, w, q, _default_starts(n, restarts, seed), max_iter)
-    return CarlesonReport(q=q, d_q=ratio, method="power-iteration", certificate=mu,
+        A, w, q, _default_starts(len(seq), restarts, seed), _POWER_MAX_ITER)
+    return CarlesonReport(q=q, d_q=ratio, method=route, certificate=mu,
                           details=_power_details(restarts, seed, iters, converged,
                                                  rule.resolution))
 
 
 def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
-                           restarts: int = 32, seed: int | None = None,
-                           max_iter: int = 5000) -> CarlesonReport:
+                           restarts: int = 32, seed: int | None = None) -> CarlesonReport:
     """Least D with ||sum |mu_a|^2 |k_{q,a}|^2||_{q/2} <= D ||mu||_q^2.
 
     Only |mu_a|^2 enters, so the search runs over nonnegative t on the
@@ -414,7 +412,7 @@ def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *
                               details={"resolution": rule.resolution})
     ratio, t, iters, converged = _power_iteration_lq(
         np.abs(A) ** 2, w, q / 2.0, _default_starts(len(seq), restarts, seed, positive=True),
-        max_iter)
+        _POWER_MAX_ITER)
     return CarlesonReport(q=q, weak_d_q=ratio, method="power-iteration",
                           certificate=np.sqrt(np.abs(t)).astype(complex),
                           details=_power_details(restarts, seed, iters, converged,
@@ -447,10 +445,10 @@ class DualSystem:
 
     ``scales`` is ||k_b||_{p'} for finite target exponents and 1 for the
     p = inf convention.  Matrix-based systems store rho_a = sum_c X[a, c] k_c
-    together with the condition number of the collocation matrix and the
-    Tikhonov shift added to it (0 when none was); Blaschke systems are
-    closed form and exact on the disc.  ``norms`` is the kernel-norm cache of
-    the sequence's domain that every chain step reads; reports leave it out.
+    together with the condition number of the collocation matrix; Blaschke
+    systems are closed form and exact on the disc.  ``norms`` is the
+    kernel-norm cache of the sequence's domain that every chain step reads;
+    reports leave it out.
     """
 
     sequence: PointSequence
@@ -459,7 +457,6 @@ class DualSystem:
     scales: np.ndarray
     coefficients: np.ndarray | None = None
     condition: float | None = None
-    tikhonov_eps: float = 0.0
     norms: NormCache = field(kw_only=True, repr=False, compare=False)
 
     @property
@@ -488,7 +485,6 @@ class DualSystem:
             "scales": self.scales.tolist(),
             "sequence": self.sequence.to_json(),
             "condition": self.condition,
-            "tikhonov_eps": self.tikhonov_eps,
         }
         if self.coefficients is not None:
             out["coefficients_re"] = self.coefficients.real.tolist()
@@ -509,14 +505,14 @@ def _blaschke_others(zeros: np.ndarray, z: np.ndarray) -> np.ndarray:
 _COND_LIMIT = 1e12
 
 
-def dual_system(seq: PointSequence, p: float, method: str, *,
-                tikhonov: bool = False) -> DualSystem:
+def dual_system(seq: PointSequence, p: float, method: str) -> DualSystem:
     """The "gram2" (p = 2 only), "collocation" or "blaschke" (disc only) dual for exponent p.
 
     scale_b is 1 at p = inf and ||k_b||_{p'} otherwise, read from a new
     NormCache of the sequence's domain that the dual keeps.  Collocation
     (gram2 is its p = 2 case) solves K X^T = diag(scales) in span{k_c};
     Blaschke is rho_a = scale_a B_a / B_a(a), B_a the product over b != a.
+    A condition number past ``_COND_LIMIT`` is an IllConditionedError.
     """
     if method not in ("gram2", "collocation", "blaschke"):
         raise ParameterError(f"unknown dual method {method!r}")
@@ -535,21 +531,14 @@ def dual_system(seq: PointSequence, p: float, method: str, *,
     pts = seq.arrays()
     K = kernel_matrix(pts, pts, seq.domain).T  # K[b, c] = k_c(b)
     cond = float(np.linalg.cond(K))
-    eps = 0.0
     if cond > _COND_LIMIT:
-        if not tikhonov:
-            raise IllConditionedError(
-                f"collocation matrix condition {cond:.3e} beyond {_COND_LIMIT:.0e}; "
-                "points too close -- consider tikhonov=True")
-        eps = 1e-12 * float(np.trace(K).real)
-        K = K + eps * np.eye(len(seq))
-        warnings.warn(f"Tikhonov regularization applied (eps = {eps:.3e}); "
-                      "re-check the delta residual", stacklevel=2)
+        raise IllConditionedError(
+            f"collocation matrix condition {cond:.3e} beyond {_COND_LIMIT:.0e}; points too close")
     try:
         X = np.linalg.solve(K, np.diag(scales.astype(complex))).T
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"dual system solve failed: {exc}") from exc
-    return DualSystem(seq, float(p), method, scales, X, cond, eps, norms=norms)
+    return DualSystem(seq, float(p), method, scales, X, cond, norms=norms)
 
 
 def dual_bound(dual: DualSystem, rule: QuadratureRule) -> float:

@@ -66,9 +66,11 @@ def test_carleson_needs_seed_for_power_iteration(tmp_path):
                      "--seed", "3"]) == 0
 
 
-# power-iteration at q = 1 would need the duality map at q' = inf
+# method names the route q takes or is "auto": at q = 2 the power iteration would
+# only bound the exact Gram eigenvalue from below, at q = 1 it would need q' = inf
 @pytest.mark.parametrize("method,q,seed", [("spectral", 2, None), ("gram-spectral", 4, 1),
-                                           ("spectral", 4, None), ("power-iteration", 1, 1)])
+                                           ("spectral", 4, None), ("power-iteration", 1, 1),
+                                           ("power-iteration", 2, 1)])
 def test_carleson_unknown_method_is_config_error(tmp_path, capsys, method, q, seed):
     cfg = {"domain": "disc", "points": DISC_POINTS, "q": q, "method": method, "resolution": 256}
     if seed is not None:
@@ -76,6 +78,40 @@ def test_carleson_unknown_method_is_config_error(tmp_path, capsys, method, q, se
     path = _write(tmp_path, "c.json", cfg)
     assert cli.main(["carleson", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,q", [("coordinate-extreme", 1), ("gram-spectral", 2),
+                                      ("power-iteration", 4)])
+def test_carleson_method_naming_the_route_reports_as_auto(method, q):
+    cfg = {"domain": "disc", "points": DISC_POINTS, "q": q, "seed": 1, "restarts": 4,
+           "resolution": 256}
+    named, auto = cli.run("carleson", {**cfg, "method": method}), cli.run("carleson", cfg)
+    assert named["results"] == auto["results"]
+    assert named["results"]["carleson"]["method"] == method
+
+
+def test_dual_tikhonov_true_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS, "tikhonov": True})
+    assert cli.main(["dual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "tikhonov" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_dual_tikhonov_false_reports_as_omitted():
+    cfg = {"domain": "disc", "points": DISC_POINTS, "resolution": 256}
+    plain, explicit = cli.run("dual", cfg), cli.run("dual", {**cfg, "tikhonov": False})
+    assert explicit["results"] == plain["results"]
+    assert "tikhonov_eps" not in plain["results"]["dual"]
+
+
+def test_ill_conditioned_dual_is_numeric_error(tmp_path, capsys):
+    # a pair 1e-9 apart: the collocation matrix has condition 1.7e16
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": [[0.5, 0.0], [0.5 + 1e-9, 0.0]],
+                                      "resolution": 256})
+    assert cli.main(["dual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "condition" in err and "tikhonov" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_dual_and_gleason_subcommands(tmp_path):
@@ -99,19 +135,17 @@ def test_gram2_needs_p2(tmp_path, capsys, sub):
     assert "gram2" in capsys.readouterr().err
 
 
-# two duals whose delta property is broken: a Tikhonov-regularized pair 1e-9
-# apart (condition 1.7e16) and an unregularized pair 1e-7 apart near the
-# boundary (condition 1.6e11, below the regularization threshold)
+# a dual whose delta property is broken: a pair 1e-7 apart near the boundary
+# (condition 1.6e11, below the limit that refuses the solve)
 @pytest.mark.parametrize("sub,cfg", [
-    ("dual", {"points": [[0.5, 0.0], [0.5 + 1e-9, 0.0]], "tikhonov": True}),
     ("dual", {"points": [[0.99, 0.0], [0.99, 1e-7]]}),
     ("extend", {"points": [[0.99, 0.0], [0.99, 1e-7]], "s": 1, "seed": 1, "batch": 2}),
-], ids=["dual-tikhonov", "dual-near-pair", "extend-near-pair"])
+], ids=["dual-near-pair", "extend-near-pair"])
 def test_broken_delta_property_is_invariant_violation(tmp_path, capsys, sub, cfg):
     path = _write(tmp_path, "c.json", {"domain": "disc", "p": 2, "resolution": 256, **cfg})
     assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVARIANT
     err = capsys.readouterr().err
-    assert "delta residual" in err and "condition" in err and "tikhonov_eps" in err
+    assert "delta residual" in err and "condition" in err
     assert not (tmp_path / "o" / f"{sub}.json").exists()
 
 
@@ -159,6 +193,14 @@ def test_bergman_subcommand(tmp_path):
     assert cli.main(["bergman", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rep = _load(tmp_path / "o", "bergman")
     assert rep["results"]["bergman_extension"]["max_rel_residual"] < 1e-8
+
+
+def test_bergman_reads_points_csv(tmp_path):
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("re,im\n0.5,0.0\n-0.5,0.0\n")
+    cfg = {k: v for k, v in _BERGMAN.items() if k != "points"}
+    from_csv = cli.run("bergman", {**cfg, "points_csv": str(csv_path)})
+    assert from_csv["results"] == cli.run("bergman", _BERGMAN)["results"]
 
 
 @pytest.mark.parametrize("key,value,runs", [

@@ -1,10 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
+from hardylab import cli, extension
+from hardylab.errors import EXIT_INVARIANT
 from conftest import DUAL_CASES, factorization_error, interior_panel, separated_points
 
 
@@ -76,6 +79,26 @@ def test_coeff_positivity_and_budget(disc):
     assert np.all(co.values > 0)
     assert co.within_budget
     assert co.budget >= 1.0 - 1e-10
+
+
+def test_coefficient_past_budget_is_invariant_violation(disc, tmp_path, monkeypatch):
+    # c_a <= alpha^-1 beta holds at every point, so a beta-hat scan extremum
+    # pushed below the true one must stop coeff_c and the extend subcommand
+    scan = extension.sh_ps_scan
+
+    def halved(*args):
+        beta = scan(*args)
+        return dataclasses.replace(beta, extremum=0.5 * beta.extremum)
+
+    monkeypatch.setattr(extension, "sh_ps_scan", halved)
+    with pytest.raises(hl.InvariantViolation, match="budget"):
+        hl.coeff_c(_gram(_seq(disc, 0.5)), 1.0)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domain": "disc", "points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1,
+                               "p": 2, "batch": 1, "seed": 1, "resolution": 64}))
+    assert cli.main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) \
+        == EXIT_INVARIANT
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

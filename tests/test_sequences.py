@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -129,10 +128,11 @@ def test_power_iteration_agrees_with_gram(disc, disc_rule):
                 pts.append(z)
         seq = _disc_seq(*pts)
         spectral = hl.carleson_constant(seq, 2.0, disc_rule)
-        power = hl.carleson_constant(seq, 2.0, disc_rule, method="power-iteration",
-                                     restarts=8, seed=trial)
-        assert power.d_q <= spectral.d_q + 1e-12
-        assert spectral.d_q - power.d_q < 1e-8
+        power, _, _, _ = _power_iteration_lq(hl.normalized_kernel_matrix(seq, 2.0, disc_rule),
+                                             disc_rule.weights, 2.0,
+                                             _default_starts(len(seq), 8, trial), 5000)
+        assert power <= spectral.d_q + 1e-12
+        assert spectral.d_q - power < 1e-8
 
 
 def test_carleson_certificate_consistency(disc_rule):
@@ -154,8 +154,6 @@ def test_carleson_parameter_errors(disc_rule):
     with pytest.raises(hl.ParameterError, match="seed"):
         hl.carleson_constant(seq, 4.0, disc_rule)
     with pytest.raises(hl.ParameterError, match="seed"):
-        hl.carleson_constant(seq, 2.0, disc_rule, method="power-iteration")
-    with pytest.raises(hl.ParameterError, match="seed"):
         hl.weak_carleson_constant(seq, 4.0, disc_rule)
     # a negative restart count is an error; 0 runs the deterministic starts only
     for run in (hl.carleson_constant, hl.weak_carleson_constant):
@@ -165,18 +163,13 @@ def test_carleson_parameter_errors(disc_rule):
         assert len(rep.details["restart_iterations"]) == 1 + len(seq)
 
 
-@pytest.mark.parametrize("method,q", [("spectral", 2.0), ("gram_spectral", 2.0),
-                                      ("bogus", 2.0), ("gram-spectral", 4.0)])
-def test_carleson_rejects_unknown_method(disc_rule, method, q):
-    with pytest.raises(hl.ParameterError):
-        hl.carleson_constant(_disc_seq(0.5, -0.3j), q, disc_rule, method=method)
-
-
-def test_power_iteration_reports_convergence(disc_rule):
+def test_power_iteration_reports_convergence(monkeypatch, disc_rule):
     seq = _disc_seq(0.5, -0.3j, 0.6j)
     starts = 1 + len(seq) + 32  # ones, coordinate vectors, seeded restarts
     for estimate in (hl.carleson_constant, hl.weak_carleson_constant):
-        capped = estimate(seq, 4.0, disc_rule, seed=0, max_iter=1).details
+        with monkeypatch.context() as m:
+            m.setattr(sequences, "_POWER_MAX_ITER", 1)
+            capped = estimate(seq, 4.0, disc_rule, seed=0).details
         assert capped["converged"] is False and capped["iterations"] == 1
         # every restart still progresses after its one step
         assert capped["restart_iterations"] == [1] * starts
@@ -355,9 +348,9 @@ def test_first_of_tied_restarts_supplies_the_certificate():
 
 
 def test_exponent_two_runs_on_the_gram_matrix(monkeypatch, disc):
-    # the weak constant at q = 4 and the strong one at q = 2 by power iteration
-    # both iterate at exponent 2, where every pass comes from the N x N Gram
-    # matrix; every other exponent keeps the row-blocked pass over A
+    # the weak constant at q = 4 and a direct power iteration on the q = 2 kernel
+    # matrix both iterate at exponent 2, where every pass comes from the N x N
+    # Gram matrix; every other exponent keeps the row-blocked pass over A
     seq = separated_points(disc, 5, seed=41)
     rule = hl.build_quadrature(disc, 1025)
     exponents = []
@@ -365,14 +358,16 @@ def test_exponent_two_runs_on_the_gram_matrix(monkeypatch, disc):
     monkeypatch.setattr(sequences, "_lq_pass",
                         lambda A, wAH, w, q, mu: exponents.append(q) or lq_pass(A, wAH, w, q, mu))
     weak = hl.weak_carleson_constant(seq, 4.0, rule, restarts=6, seed=7)
-    strong = hl.carleson_constant(seq, 2.0, rule, method="power-iteration", restarts=6, seed=7)
+    strong, _, _, strong_converged = _power_iteration_lq(
+        hl.normalized_kernel_matrix(seq, 2.0, rule), rule.weights, 2.0,
+        _default_starts(len(seq), 6, 7), 5000)
     assert exponents == []
     assert abs(weak.weak_d_q - hl.weak_ratio_at(seq, 4.0, weak.certificate, rule)) \
         <= 1e-13 * weak.weak_d_q
     exact = hl.carleson_constant(seq, 2.0, rule)
     assert exact.method == "gram-spectral"
-    assert abs(strong.d_q - exact.d_q) <= 1e-12 * exact.d_q
-    assert weak.details["converged"] and strong.details["converged"]
+    assert abs(strong - exact.d_q) <= 1e-12 * exact.d_q
+    assert weak.details["converged"] and all(strong_converged)
     hl.carleson_constant(seq, 3.0, rule, restarts=6, seed=7)
     hl.weak_carleson_constant(seq, 6.0, rule, restarts=6, seed=7)
     assert set(exponents) == {3.0}
@@ -548,15 +543,8 @@ def test_ill_conditioned_dual(disc):
     seq = _disc_seq(0.5, 0.5 + 1e-9)
     with pytest.raises(hl.IllConditionedError):
         hl.dual_system(seq, 2.0, "gram2")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dual = hl.dual_system(seq, 2.0, "gram2", tikhonov=True)
-    assert any("Tikhonov" in str(w.message) for w in caught)
-    assert dual.delta_residual() < 1.0  # re-measured, reported, large but finite
-    data = dual.to_json()
-    assert data["tikhonov_eps"] > 0 and data["condition"] > 1e12
     well = hl.dual_system(_disc_seq(0.5, -0.5), 2.0, "gram2").to_json()
-    assert well["tikhonov_eps"] == 0.0 and 1.0 <= well["condition"] < 1e12
+    assert 1.0 <= well["condition"] < 1e12
 
 
 def test_dual_system_json(disc):
