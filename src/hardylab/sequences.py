@@ -24,8 +24,10 @@ steps and converged flag of each restart.  The restarts run in lockstep as
 one batch: each step is a single pass that gives every candidate's ratio
 and its next gradient together.  At the iteration's exponent 2 (the weak
 constant at q = 4) the pass needs only the N x N Gram matrix A^H W A,
-formed once; at every other exponent it runs over the kernel matrix in
-blocks of rows.
+formed once; at exponent 4 (the strong constant at q = 4, the weak one at
+q = 8) and up to ``_QUARTIC_MAX_N`` points, only the quartic Gram matrix
+over the pairs of columns, formed once; at every other exponent it runs
+over the kernel matrix in blocks of rows.
 The batch runs in real arithmetic when the matrix and the starts are real,
 as for the weak constant, whose matrix is |A|^2 and whose starts are
 positive.  Of restarts that reach the same maximum up to rounding, the
@@ -205,7 +207,9 @@ def normalized_kernel_matrix(seq: PointSequence, q: float, rule: QuadratureRule)
     """(M, N) columns k_{q,a} sampled on the rule, normalized on the rule itself.
 
     The result is the transpose of a row-major (N, M) array; the power
-    iteration runs faster on that column-major layout than on a copy.
+    iteration runs faster on that column-major layout than on a copy: the
+    row-blocked pass multiplies by its row blocks, and the quartic Gram
+    matrix gathers its products from the rows of the transpose.
     """
     K = kernel_matrix(seq.arrays(), rule.nodes, seq.domain)
     return (K / rule_norm(K, rule.weights, q)[:, None]).T
@@ -228,6 +232,10 @@ def _duality_map(x: np.ndarray, r: float) -> np.ndarray:
 
 
 _ROW_BLOCK = 1024  # rows of A per block of a pass: keeps each (rows, restarts) temporary small
+_QUARTIC_BLOCK = 256  # rows of A per block while the quartic Gram matrix is formed
+# columns of A up to which r = 4 runs on the quartic Gram matrix: forming it costs
+# O(M D^2), and past N = 24 that outweighs 17 row-blocked passes on 27648 rows
+_QUARTIC_MAX_N = 24
 _POWER_RTOL = 1e-13  # a restart whose ratio gains less than this, relatively, has converged
 _POWER_MAX_ITER = 5000  # steps a restart may take before it is reported as not converged
 
@@ -267,6 +275,46 @@ def _gram_pass(G: np.ndarray, mu: np.ndarray):
     return np.power(np.maximum(power, 0.0), 0.5), grad
 
 
+def _quartic_gram(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H = P^H W P over the pairs a <= b, where P[m, ab] = A_ma A_mb (D = N(N+1)/2 columns).
+
+    For v = sym(mu (x) mu), which carries a factor 2 off the diagonal,
+    (P v)_m = (A mu)_m^2, so ||A mu||_{L^4}^4 = v^H H v.  Formed in blocks of
+    ``_QUARTIC_BLOCK`` rows of A, so no (M, D) array is ever held.
+    """
+    cols = A.T
+    ia, ib = np.triu_indices(len(cols))
+    H = np.zeros((len(ia), len(ia)), A.dtype)
+    for lo in range(0, A.shape[0], _QUARTIC_BLOCK):
+        rows = slice(lo, lo + _QUARTIC_BLOCK)
+        PT = cols[ia, rows]
+        PT *= cols[ib, rows]
+        PHW = PT * w[rows]
+        H += np.conjugate(PHW, out=PHW) @ PT.T
+    return H
+
+
+def _quartic_pass(H: np.ndarray, mu: np.ndarray):
+    """``_lq_pass`` at q = 4 from the quartic Gram matrix H of ``_quartic_gram`` alone.
+
+    With v_r = sym(mu_r (x) mu_r), the gradient A^H (w |A mu_r|^2 A mu_r) is
+    U_r conj(mu_r), where U_r is the symmetric N x N unpacking of H v_r, and
+    ||A mu_r||_{L^4}^4 is Re <U_r conj(mu_r), mu_r>, clipped at 0 against
+    rounding.  No step touches A: a pass costs O(restarts D^2).
+    """
+    n = mu.shape[1]
+    ia, ib = np.triu_indices(n)
+    v = mu[:, ia] * mu[:, ib]
+    v[:, ia != ib] *= 2.0
+    Hv = v @ H.T
+    U = np.empty((len(mu), n, n), Hv.dtype)
+    U[:, ia, ib] = Hv
+    U[:, ib, ia] = Hv
+    grad = np.matmul(U, np.conj(mu)[:, :, None])[:, :, 0]
+    power = np.sum(np.conj(mu) * grad, axis=1).real
+    return np.power(np.maximum(power, 0.0), 0.25), grad
+
+
 def _first_near_max(values: np.ndarray) -> int:
     """Index of the first value within 1e-12 relative of the largest (ties are rounding)."""
     return int(np.flatnonzero(values >= np.max(values) * (1.0 - 1e-12))[0])
@@ -277,13 +325,16 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
 
     All restarts run in lockstep as the rows of one batch, in
     ``np.result_type`` of A and the starts: real arithmetic when the matrix
-    and every start are real, complex otherwise.  The weighted conjugate
-    transpose w A^H is formed once, and each step is one pass that gives
-    every candidate's ratio together with its gradient: at q = 2 from the
-    N x N Gram matrix (w A^H) A, formed once (``_gram_pass``), at every
-    other q a row-blocked pass over A (``_lq_pass``).  A restart only steps
-    on from a candidate it accepted, so that gradient is the next one.  A
-    restart drops out of the batch once it stops progressing or its
+    and every start are real, complex otherwise.  The route is chosen once
+    per call, and each step is one pass that gives every candidate's ratio
+    together with its gradient: at q = 2 from the N x N Gram matrix
+    (w A^H) A (``_gram_pass``), at q = 4 with N <= ``_QUARTIC_MAX_N`` from the
+    D x D quartic Gram matrix over the pairs of columns, D = N(N+1)/2
+    (``_quartic_pass``), each formed once; at every other q a row-blocked
+    pass over A and the weighted conjugate transpose w A^H, formed once
+    (``_lq_pass``).  The quartic route never forms w A^H.  A restart only
+    steps on from a candidate it accepted, so that gradient is the next
+    one.  A restart drops out of the batch once it stops progressing or its
     gradient is zero.  Returns (ratio, maximizer, steps of each restart,
     converged flag of each restart), in start order; a restart has not
     converged when it used up ``max_iter`` before its relative progress
@@ -291,12 +342,15 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
     the largest ratio supplies the ratio and the maximizer.
     """
     qc = conjugate_exponent(q)
-    wAH = A.T * w
-    np.conjugate(wAH, out=wAH)  # in place: one copy of A, not two
     mu = np.array(starts)
     mu = mu.astype(np.result_type(A, mu))
     mu /= rule_norm(mu, 1.0, q)[:, None]
-    step = partial(_gram_pass, wAH @ A) if q == 2.0 else partial(_lq_pass, A, wAH, w, q)
+    if q == 4.0 and A.shape[1] <= _QUARTIC_MAX_N:
+        step = partial(_quartic_pass, _quartic_gram(A, w))
+    else:
+        wAH = A.T * w
+        np.conjugate(wAH, out=wAH)  # in place: one copy of A, not two
+        step = partial(_gram_pass, wAH @ A) if q == 2.0 else partial(_lq_pass, A, wAH, w, q)
     ratio, grad = step(mu)
     steps = np.zeros(len(mu), dtype=int)
     converged = np.ones(len(mu), dtype=bool)

@@ -373,6 +373,66 @@ def test_exponent_two_runs_on_the_gram_matrix(monkeypatch, disc):
     assert set(exponents) == {3.0}
 
 
+# below one block of the quartic Gram matrix, exactly one, one plus a row, past a pass block
+_QUARTIC_EDGES = [255, 256, 257, 1025]
+
+
+@pytest.mark.parametrize("m", _QUARTIC_EDGES)
+@pytest.mark.parametrize("weak", [False, True])
+def test_quartic_pass_matches_the_row_blocked_pass(m, weak):
+    # r = 4 is the strong constant at q = 4 (complex A) and the weak one at
+    # q = 8 (real |A|^2); a zero column and a zero start give exact zeros
+    A, w, r, starts = _disc_problem(m, weak, 8.0 if weak else 4.0)
+    assert r == 4.0 and np.iscomplexobj(A) != weak
+    A[:, 2] = 0.0
+    mu = np.array(starts + [np.zeros(5)]).astype(A.dtype)
+    mu[:-1] /= hl.rule_norm(mu[:-1], 1.0, 4.0)[:, None]
+    with np.errstate(all="raise"):
+        H = sequences._quartic_gram(A, w)
+        ratio, grad = sequences._quartic_pass(H, mu)
+        blocked_ratio, blocked_grad = sequences._lq_pass(A, np.conj(A.T * w), w, 4.0, mu)
+    assert H.dtype == A.dtype and grad.dtype == blocked_grad.dtype
+    assert np.all(np.abs(ratio - blocked_ratio) <= 1e-14 * blocked_ratio)
+    scale = np.max(np.abs(blocked_grad), axis=1)
+    assert np.all(np.max(np.abs(grad - blocked_grad), axis=1) <= 1e-14 * scale)
+    zero = np.isin(np.arange(len(mu)), [1 + 2, len(mu) - 1])  # the start e_2 and the zero start
+    assert np.all(ratio[zero] == 0.0) and not np.any(grad[zero]) and np.all(ratio[~zero] > 0.0)
+
+
+def test_exponent_four_runs_on_the_quartic_gram_matrix(monkeypatch, disc):
+    # the strong constant at q = 4 and the weak one at q = 8 iterate at
+    # exponent 4, where up to _QUARTIC_MAX_N points every pass comes from the
+    # quartic Gram matrix, real for the weak constant; past it, and at every
+    # exponent but 2 and 4, the row-blocked pass over A runs
+    exponents, grams = [], []
+    lq_pass, quartic_gram = sequences._lq_pass, sequences._quartic_gram
+    monkeypatch.setattr(sequences, "_lq_pass",
+                        lambda A, wAH, w, q, mu: exponents.append(q) or lq_pass(A, wAH, w, q, mu))
+    monkeypatch.setattr(sequences, "_quartic_gram",
+                        lambda A, w: grams.append(quartic_gram(A, w)) or grams[-1])
+    seq = separated_points(disc, 5, seed=41)
+    rule = hl.build_quadrature(disc, 1025)
+    strong = hl.carleson_constant(seq, 4.0, rule, restarts=6, seed=7)
+    weak = hl.weak_carleson_constant(seq, 8.0, rule, restarts=6, seed=7)
+    assert exponents == [] and [H.dtype for H in grams] == [np.complex128, np.float64]
+    A = hl.normalized_kernel_matrix(seq, 4.0, rule)
+    cert = strong.certificate
+    own = _weighted_lq(A @ cert, rule.weights, 4.0) / hl.seq_norm(cert, 4.0)
+    assert abs(own - strong.d_q) <= 1e-13 * strong.d_q
+    assert abs(weak.weak_d_q - hl.weak_ratio_at(seq, 8.0, weak.certificate, rule)) \
+        <= 1e-13 * weak.weak_d_q
+    assert strong.details["converged"] and weak.details["converged"]
+    rng = np.random.default_rng(9)
+    for n in (sequences._QUARTIC_MAX_N, sequences._QUARTIC_MAX_N + 1):
+        B = (rng.standard_normal((n, 300)) + 1j * rng.standard_normal((n, 300))).T
+        _power_iteration_lq(B, rule.weights[:300], 4.0, _default_starts(n, 2, 7), 2)
+    assert exponents == [4.0] * 3
+    exponents.clear()
+    hl.carleson_constant(seq, 3.0, rule, restarts=6, seed=7)
+    hl.weak_carleson_constant(seq, 6.0, rule, restarts=6, seed=7)
+    assert set(exponents) == {3.0} and len(grams) == 3
+
+
 @pytest.mark.parametrize("r", [2.0, 2.5, 3.0, 4.0, 6.0])
 def test_unmasked_duality_weight_matches_the_masked_form(r):
     # at r >= 2 the weight runs without the zero mask; off zero it is the
@@ -400,20 +460,21 @@ def test_power_iteration_memory_stays_row_blocked():
     # A batch held at once would need several (27648 x 49) complex temporaries
     # of 21 MiB each; row blocks keep the extra memory to one weighted
     # conjugate transpose of A plus a few MiB, and at q = 2 the passes run on
-    # the 16 x 16 Gram matrix
+    # the 16 x 16 Gram matrix.  At q = 4 no weighted copy of A is made: the
+    # 136 x 136 quartic Gram matrix is formed from blocks of 256 rows
     rng = np.random.default_rng(3)
     A = (rng.standard_normal((16, 27648)) + 1j * rng.standard_normal((16, 27648))).T
     w = np.full(27648, 1.0 / 27648)
     starts = _default_starts(16, 32, 1)
     assert len(starts) == 49
-    for q in (4.0, 2.0):
+    for q, bound in ((4.0, A.nbytes - 4 * 2**20), (2.0, A.nbytes + 4 * 2**20)):
         tracemalloc.start()
         try:
             _power_iteration_lq(A, w, q, starts, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < A.nbytes + 4 * 2**20
+        assert peak < bound
 
 
 def test_column_mass_certificates_take_the_first_tied_column(ball):
