@@ -62,10 +62,12 @@ from .signs import (
     sign_moments,
 )
 from .extension import (
+    ChainSamples,
     ExtensionCoeffs,
     ExtensionReport,
     SplitData,
     build_extension,
+    chain_samples,
     coeff_c,
     dual_expectation_bound_infty,
     split_target,

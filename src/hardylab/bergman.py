@@ -16,7 +16,7 @@ from .errors import ParameterError
 from .geometry import BALL2, Domain, QuadratureRule, _gauss01, rule_norm
 from .kernels import INF
 from .sequences import PointSequence, dual_system
-from .extension import build_extension
+from .extension import build_extension, chain_samples
 
 
 @dataclass
@@ -68,7 +68,8 @@ def bergman_extension(points, nu, s: float, p: float, spec: BergmanSpec, *,
     """
     ball = Domain(BALL2)
     embedded = PointSequence.create(ball, [(complex(a), 0.0) for a in np.atleast_1d(points)])
-    h, report = build_extension(dual_system(embedded, p, dual_method), nu, s, rule)
+    dual = dual_system(embedded, p, dual_method)
+    h, report = build_extension(chain_samples(dual, s, rule), nu)
     U = restrict(h)
     h_norm = report.details["h_norm"]
     u_norm = bergman_norm(U, s, spec)

@@ -210,14 +210,17 @@ def _run_carleson(cfg: dict):
     weak, remark_2q = _flag(cfg, "weak", True), _flag(cfg, "remark_2q", False)
     kwargs = {"restarts": _number(cfg.get("restarts", 32), "restarts"),
               "seed": None if seed is None else _seed(seed)}
-    report = sequences.carleson_constant(seq, q, rule, **kwargs)
+    A = sequences.normalized_kernel_matrix(seq, q, rule)  # the strong and weak estimates share it
+    report = sequences.carleson_constant(A, q, rule, **kwargs)
     out = {"carleson": report.to_json()}
     if q >= 2 and weak:
-        out["weak"] = sequences.weak_carleson_constant(seq, q, rule, **kwargs).to_json()
+        out["weak"] = sequences.weak_carleson_constant(A, q, rule, **kwargs).to_json()
+    del A  # the matrix at 2q below need not coexist with it
     if remark_2q:
         # side-by-side estimators for the q-Carleson vs weakly-2q-Carleson
         # comparison; the ratio is reported, never asserted
-        weak2q = sequences.weak_carleson_constant(seq, 2.0 * q, rule, **kwargs)
+        weak2q = sequences.weak_carleson_constant(
+            sequences.normalized_kernel_matrix(seq, 2.0 * q, rule), 2.0 * q, rule, **kwargs)
         out["weak_2q"] = weak2q.to_json()
         if report.d_q:
             out["remark_ratio_weak2q_over_dq"] = weak2q.weak_d_q / report.d_q
@@ -270,8 +273,9 @@ def _run_extend(cfg: dict):
     seed = _need_seed(cfg)
     dual = sequences.dual_system(seq, p, cfg.get("dual_method", "gram2"))
     delta_residual = _delta_residual(dual)
-    _, rep = ext.build_extension(dual, _parse_target(cfg, len(seq)), s, rule)
-    bound_rep = ext.verify_norm_bound(dual, s, rule, batch=_number(cfg.get("batch", 64), "batch"),
+    samples = ext.chain_samples(dual, s, rule)
+    _, rep = ext.build_extension(samples, _parse_target(cfg, len(seq)))
+    bound_rep = ext.verify_norm_bound(samples, batch=_number(cfg.get("batch", 64), "batch"),
                                       seed=seed)
     rep.ci_estimate = bound_rep.ci_estimate
     rep.constant_budget = bound_rep.constant_budget

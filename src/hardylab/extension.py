@@ -23,10 +23,11 @@ checks it, the p <= 2 dual factor included.  Constants the theory leaves
 implicit (Khintchine factors, structural-hypothesis extrema) are measured
 per instance and reported, never hard-coded.
 
-Every check here works on (N, M) sample matrices from
-``DualSystem.values`` and ``kernel_matrix``; the one evaluator returned is
-h itself, a vectorized zs (M, n) -> (M,) that the Bergman lift needs at
-interior points.
+Every check here works on the (N, M) sample matrices of ``chain_samples``,
+which derives rho_a, k_{q,a} and their products at the nodes of a rule
+from one ``kernel_matrix``; the one evaluator returned is h itself, a
+vectorized zs (M, n) -> (M,) for points off the rule: the sequence points
+and the interior points of the Bergman lift.
 """
 from __future__ import annotations
 
@@ -179,36 +180,73 @@ class ExtensionReport:
 
 
 # ---------------------------------------------------------------------------
-# sample-matrix helpers
+# sample matrices
+
+
+def _kernel_norms(dual: DualSystem, q: float) -> np.ndarray:
+    """||k_a||_q at the dual's points, from its norm cache."""
+    seq = dual.sequence
+    return np.array([dual.norms.norm(seq[i], q) for i in range(len(seq))])
 
 
 def normalized_kernel_rows(dual: DualSystem, q: float, zs: np.ndarray) -> np.ndarray:
     """(N, len(zs)) values of k_{q,a} at the dual's points, normalized with its norm cache."""
     seq = dual.sequence
-    scale = np.array([dual.norms.norm(seq[i], q) for i in range(len(seq))])
-    return kernel_matrix(seq.arrays(), zs, seq.domain) / scale[:, None]
+    return kernel_matrix(seq.arrays(), zs, seq.domain) / _kernel_norms(dual, q)[:, None]
+
+
+@dataclass
+class ChainSamples:
+    """The chain of a dual at exponent s, 1/s = 1/p + 1/q, sampled at the nodes of a rule.
+
+    ``rho`` holds the rho_a, ``kq`` the k_{q,a} and ``prod`` the terms
+    rho_a k_{q,a} of h, each an (N, M) array.
+    """
+
+    dual: DualSystem
+    s: float
+    q: float
+    rule: QuadratureRule
+    rho: np.ndarray
+    kq: np.ndarray
+    prod: np.ndarray
+
+
+def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule) -> ChainSamples:
+    """Every sample matrix of the chain on ``rule``, from one ``kernel_matrix`` at its nodes.
+
+    rho = X K for a dual in the kernel span (a Blaschke dual keeps its
+    closed form), then K is divided in place by ||k_a||_q into the k_{q,a},
+    so it is never held beside its images.  Each array has the bits of
+    ``DualSystem.values`` and ``normalized_kernel_rows`` at the nodes.
+    """
+    seq = dual.sequence
+    q = exponent_from_split(s, dual.p)
+    K = kernel_matrix(seq.arrays(), rule.nodes, seq.domain)
+    rho = dual.values(rule.nodes) if dual.blaschke else dual.coefficients @ K
+    K /= _kernel_norms(dual, q)[:, None]
+    return ChainSamples(dual, s, q, rule, rho, K, rho * K)
 
 
 # ---------------------------------------------------------------------------
 # the extension itself
 
 
-def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule) -> tuple:
+def build_extension(samples: ChainSamples, nu) -> tuple:
     """h = sum_a nu_a c_a rho_a k_{q,a} plus its interpolation report.
 
-    h is a vectorized evaluator zs (M, n) -> (M,) that holds on to ``dual``.
+    h is a vectorized evaluator zs (M, n) -> (M,) that holds on to the dual.
     h(a) = nu_a ||k_a||_{s'} holds by construction up to the dual system's
     delta residual; the report carries per-point residuals and the ratio
-    ||h||_s / ||nu||_s measured on the rule.
+    ||h||_s / ||nu||_s measured on the rule, from the samples of h there.
     """
+    dual, s, q, rule = samples.dual, samples.s, samples.q, samples.rule
     seq, p = dual.sequence, dual.p
-    q = exponent_from_split(s, p)
     nu = np.asarray(nu, dtype=complex)
     if nu.shape != (len(seq),):
         raise ParameterError("one target value per sequence point is required")
     coeffs = coeff_c(dual, s)
-    sc = conjugate_exponent(s)
-    target_scale = np.array([dual.norms.norm(seq[i], sc) for i in range(len(seq))])
+    target_scale = _kernel_norms(dual, conjugate_exponent(s))
 
     weights = nu * coeffs.values
 
@@ -221,7 +259,7 @@ def build_extension(dual: DualSystem, nu, s: float, rule: QuadratureRule) -> tup
     denom = float(np.max(np.abs(targets)))
     max_rel = float(np.max(residuals) / denom) if denom > 0 else float(np.max(residuals, initial=0.0))
 
-    h_norm = float(rule_norm(h(rule.nodes), rule.weights, s))
+    h_norm = float(rule_norm(weights @ samples.prod, rule.weights, s))
     nu_norm = seq_norm(nu, s)
     report = ExtensionReport(
         residuals=residuals.tolist(),
@@ -262,8 +300,8 @@ def _check_dual_factor(f: SignMoments, x, rho_pow, rho_norms, k_f: float) -> Non
         raise InvariantViolation(f"sign orthogonality failed: {f.value} != {diagonal}")
 
 
-def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
-                      batch: int = 64, seed: int | None = None) -> ExtensionReport:
+def verify_norm_bound(samples: ChainSamples, batch: int = 64,
+                      seed: int | None = None) -> ExtensionReport:
     """Estimate the operator norm from below and bound it from above.
 
     Every coordinate unit vector plus ``batch`` seeded random targets on
@@ -288,14 +326,12 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
         raise ParameterError("verify_norm_bound needs an explicit seed")
     if batch < 1:
         raise ParameterError("batch must be at least 1")
+    dual, s, q, rule = samples.dual, samples.s, samples.q, samples.rule
     seq, p = dual.sequence, dual.p
     n = len(seq)
-    q = exponent_from_split(s, p)
     coeffs = coeff_c(dual, s)
     w = rule.weights
-    rho_vals = dual.values(rule.nodes)
-    kq_vals = normalized_kernel_rows(dual, q, rule.nodes)
-    prod_vals = rho_vals * kq_vals
+    rho_vals, kq_vals, prod_vals = samples.rho, samples.kq, samples.prod
     sup_rho = float(np.max(rule_norm(rho_vals, w, p)))
     if p <= 2.0:
         rho_norms, rho_pow = rule_power(rho_vals, w, p), np.abs(rho_vals) ** p
@@ -315,8 +351,8 @@ def verify_norm_bound(dual: DualSystem, s: float, rule: QuadratureRule,
     routes, snapped = {}, {}
     for nu in targets:
         split = split_target(nu, s, p)
-        h_vals = (split.nu * coeffs.values) @ prod_vals
-        h_norm = float(rule_norm(h_vals, w, s))
+        # h's samples are not held beside the sign moments' temporaries
+        h_norm = float(rule_norm((split.nu * coeffs.values) @ prod_vals, w, s))
         nu_norm = seq_norm(nu, s)
         ci = max(ci, h_norm / nu_norm)
 

@@ -132,9 +132,11 @@ def build_quadrature(dom: Domain, resolution: int, angular: int | None = None) -
             raise ParameterError("angular resolution must be at least 4")
         t, wt = _gauss01(resolution)
         c = _circle_nodes(m)
-        tt, c1, c2 = np.meshgrid(t, c, c, indexing="ij")
-        nodes = np.column_stack([(np.sqrt(tt) * c1).ravel(), (np.sqrt(1.0 - tt) * c2).ravel()])
-        weights = np.broadcast_to((wt / m**2)[:, None, None], (resolution, m, m)).ravel().copy()
+        nodes = np.empty((resolution, m, m, 2), dtype=complex)  # node (t, th1, th2), coordinate
+        nodes[..., 0] = np.sqrt(t)[:, None, None] * c[:, None]
+        nodes[..., 1] = np.sqrt(1.0 - t)[:, None, None] * c
+        nodes = nodes.reshape(-1, 2)
+        weights = np.repeat(wt / m**2, m * m)
     weights = weights / weights.sum()
     return QuadratureRule(dom, nodes, weights, resolution)
 

@@ -413,16 +413,17 @@ def _carleson_route(q: float) -> str:
     return "gram-spectral" if q == 2 else "power-iteration"
 
 
-def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
+def carleson_constant(A: np.ndarray, q: float, rule: QuadratureRule, *,
                       restarts: int = 32, seed: int | None = None) -> CarlesonReport:
     """Least D with ||sum mu_a k_{q,a}||_q <= D ||mu||_q, at desk scale.
 
-    q = 2 is solved exactly (up to the eigensolve) through the Gram matrix
-    of the normalized kernels; q = 1 is attained at a coordinate vector;
-    other q use the seeded power iteration and give certified lower bounds.
+    A is ``normalized_kernel_matrix(seq, q, rule)``, which the weak constant
+    at the same q reads as well.  q = 2 is solved exactly (up to the
+    eigensolve) through the Gram matrix of the normalized kernels; q = 1 is
+    attained at a coordinate vector; other q use the seeded power iteration
+    and give certified lower bounds.
     """
     route = _carleson_route(q)
-    A = normalized_kernel_matrix(seq, q, rule)
     w = rule.weights
     if route == "coordinate-extreme":
         mass, cert = _heaviest_column(rule_power(A.T, w, 1.0))
@@ -439,24 +440,25 @@ def carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
                               method=route, certificate=evecs[:, top],
                               details={"resolution": rule.resolution})
     ratio, mu, iters, converged = _power_iteration_lq(
-        A, w, q, _default_starts(len(seq), restarts, seed), _POWER_MAX_ITER)
+        A, w, q, _default_starts(A.shape[1], restarts, seed), _POWER_MAX_ITER)
     return CarlesonReport(q=q, d_q=ratio, method=route, certificate=mu,
                           details=_power_details(restarts, seed, iters, converged,
                                                  rule.resolution))
 
 
-def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *,
+def weak_carleson_constant(A: np.ndarray, q: float, rule: QuadratureRule, *,
                            restarts: int = 32, seed: int | None = None) -> CarlesonReport:
     """Least D with ||sum |mu_a|^2 |k_{q,a}|^2||_{q/2} <= D ||mu||_q^2.
 
-    Only |mu_a|^2 enters, so the search runs over nonnegative t on the
-    l^{q/2} sphere.  q = 2 is exact: positivity makes the L^1 norm of the
-    sum additive, so the best constant is the largest column mass (1 by
-    normalization).  Other q run the power iteration, which needs a ``seed``.
+    A is ``normalized_kernel_matrix(seq, q, rule)``, as for
+    ``carleson_constant``.  Only |mu_a|^2 enters, so the search runs over
+    nonnegative t on the l^{q/2} sphere.  q = 2 is exact: positivity makes
+    the L^1 norm of the sum additive, so the best constant is the largest
+    column mass (1 by normalization).  Other q run the power iteration,
+    which needs a ``seed``.
     """
     if q < 2:
         raise ParameterError("weak Carleson constants need q >= 2")
-    A = normalized_kernel_matrix(seq, q, rule)
     w = rule.weights
     if q == 2:
         mass, cert = _heaviest_column(rule_power(A.T, w, 2.0))
@@ -465,7 +467,7 @@ def weak_carleson_constant(seq: PointSequence, q: float, rule: QuadratureRule, *
         return CarlesonReport(q=q, weak_d_q=mass, method="column-mass", certificate=cert,
                               details={"resolution": rule.resolution})
     ratio, t, iters, converged = _power_iteration_lq(
-        np.abs(A) ** 2, w, q / 2.0, _default_starts(len(seq), restarts, seed, positive=True),
+        np.abs(A) ** 2, w, q / 2.0, _default_starts(A.shape[1], restarts, seed, positive=True),
         _POWER_MAX_ITER)
     return CarlesonReport(q=q, weak_d_q=ratio, method="power-iteration",
                           certificate=np.sqrt(np.abs(t)).astype(complex),

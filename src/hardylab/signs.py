@@ -94,6 +94,9 @@ class SignMoments:
 
     def khintchine_factor(self) -> float:
         """Largest per-node E|f|^p / (sum_a |c_a R_a|^2)^{p/2}; 0 if that vanishes."""
+        if self.nodes is self.square:  # p = 2: x / x**1.0 is 1 at finite x > 0, nan at inf
+            top = np.fmax.reduce(self.square)  # squares are >= 0; fmax skips nan, as den > 0 does
+            return float(top / top) if top > 0 else 0.0
         den = self.square ** (self.p / 2.0)
         ok = den > 0
         return float(np.max(self.nodes[ok] / den[ok])) if np.any(ok) else 0.0

@@ -142,7 +142,7 @@ def factorization_error(dual, nu, s: float, rule) -> float:
     assert n <= 16, "the 2^N x 40 pattern products are held in memory at once"
     panel = np.vstack([interior_panel(dual.sequence.domain, 20, 2024),
                        rule.nodes[np.linspace(0, len(rule) - 1, 20, dtype=int)]])
-    h_at = hl.build_extension(dual, nu, s, rule)[0](panel)
+    h_at = hl.build_extension(hl.chain_samples(dual, s, rule), nu)[0](panel)
     split = hl.split_target(nu, s, dual.p)
     f_rows = (split.lam * hl.coeff_c(dual, s).values)[:, None] * dual.values(panel)
     g_rows = split.mu[:, None] * hl.extension.normalized_kernel_rows(dual, split.q, panel)

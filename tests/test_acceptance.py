@@ -136,12 +136,13 @@ def test_criterion_05_extension_correctness():
     dual = hl.dual_system(seq, 2.0, "gram2")
     rng = np.random.default_rng(55)
     nu = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    h, rep = hl.build_extension(dual, nu, 1.0, rule)
+    samples = hl.chain_samples(dual, 1.0, rule)
+    h, rep = hl.build_extension(samples, nu)
 
     nu2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    h2, _ = hl.build_extension(dual, nu2, 1.0, rule)
-    h12, _ = hl.build_extension(dual, nu + nu2, 1.0, rule)
-    hs, _ = hl.build_extension(dual, (1.5 - 0.5j) * nu, 1.0, rule)
+    h2, _ = hl.build_extension(samples, nu2)
+    h12, _ = hl.build_extension(samples, nu + nu2)
+    hs, _ = hl.build_extension(samples, (1.5 - 0.5j) * nu)
     panel = interior_panel(disc, 20, 99)
     v1, v2 = h(panel), h2(panel)
     scale = np.max(np.abs(v1)) + np.max(np.abs(v2))
@@ -149,7 +150,7 @@ def test_criterion_05_extension_correctness():
     hom_gap = np.max(np.abs(hs(panel) - (1.5 - 0.5j) * v1)) / scale
 
     # the Hoelder chain is asserted inside verify_norm_bound at slack 1e-8
-    vrep = hl.verify_norm_bound(dual, 1.0, rule, batch=16, seed=5)
+    vrep = hl.verify_norm_bound(samples, batch=16, seed=5)
     elapsed = time.perf_counter() - t0
     _criterion(5, "extension correctness", [
         (min_sep >= 0.5, f"gleason separation {min_sep:.3f} >= 0.5"),
@@ -220,7 +221,7 @@ def test_criterion_08_carleson_consistency():
     checks = []
     converged = True
     for q in (1.0, 2.0, 4.0):
-        rep = hl.carleson_constant(single, q, rule, seed=0)
+        rep = hl.carleson_constant(hl.normalized_kernel_matrix(single, q, rule), q, rule, seed=0)
         checks.append((abs(rep.d_q - 1.0) < 1e-12, f"single-point D_{q:g} = {rep.d_q:.14f}"))
         converged = converged and rep.details.get("converged", True)
     rng = np.random.default_rng(31)
@@ -234,13 +235,13 @@ def test_criterion_08_carleson_consistency():
             if abs(z) < 0.85 and all(abs(z - w) > 0.05 for w in pts):
                 pts.append(z)
         seq = hl.PointSequence.create(disc, pts)
-        spectral = hl.carleson_constant(seq, 2.0, rule)
+        A = hl.normalized_kernel_matrix(seq, 2.0, rule)
+        spectral = hl.carleson_constant(A, 2.0, rule)
         power, _, _, power_converged = _power_iteration_lq(
-            hl.normalized_kernel_matrix(seq, 2.0, rule), rule.weights, 2.0,
-            _default_starts(len(seq), 8, trial), 5000)
+            A, rule.weights, 2.0, _default_starts(len(seq), 8, trial), 5000)
         gap = max(gap, spectral.d_q - power)
         converged = converged and all(power_converged)
-        weak_worst = max(weak_worst, hl.weak_carleson_constant(seq, 2.0, rule).weak_d_q)
+        weak_worst = max(weak_worst, hl.weak_carleson_constant(A, 2.0, rule).weak_d_q)
     checks.append((gap < 1e-8, f"q=2 power-iteration within {gap:.2e} of spectral"))
     checks.append((weak_worst <= 1.0 + 1e-10, f"weak 2-Carleson max {weak_worst:.12f}"))
     checks.append((converged, "every power iteration stopped on its rtol test"))
@@ -254,9 +255,9 @@ def test_criterion_09_p_le_2_expectation_bound():
     disc = hl.Domain(hl.DISC)
     rule = hl.build_quadrature(disc, 512)
     seq = hl.PointSequence.create(disc, [0.6, -0.6])
-    rep2 = hl.verify_norm_bound(hl.dual_system(seq, 2.0, "gram2"), 1.0, rule, batch=8, seed=9)
-    rep15 = hl.verify_norm_bound(hl.dual_system(seq, 1.5, "collocation"), 1.0, rule,
-                                 batch=8, seed=9)
+    rep2, rep15 = (hl.verify_norm_bound(hl.chain_samples(hl.dual_system(seq, p, dual), 1.0, rule),
+                                        batch=8, seed=9)
+                   for p, dual in ((2.0, "gram2"), (1.5, "collocation")))
     k2, k15 = rep2.details["khintchine_factor_f"], rep15.details["khintchine_factor_f"]
     _criterion(9, "p <= 2 expectation bound", [
         (abs(k2 - 1.0) <= 1e-12, f"p=2, {rep2.details['targets_tested']} targets: "
@@ -271,7 +272,7 @@ def test_criterion_10_inf_route():
     rule = hl.build_quadrature(disc, 512)
     seq = hl.PointSequence.create(disc, [0.0, 0.5, 0.8j])
     dinf = hl.dual_system(seq, np.inf, "blaschke")
-    weak = hl.weak_carleson_constant(seq, 2.0, rule)
+    weak = hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 2.0, rule), 2.0, rule)
     out = hl.dual_expectation_bound_infty(dinf, 2.0, np.array([1.0, 1.0, 1.0]), rule,
                                           weak_d=weak.weak_d_q)
     kp = hl.normalized_kernel_matrix(seq, 2.0, rule)

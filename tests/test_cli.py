@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hardylab import cli, kernels
+from hardylab import cli, extension, geometry, kernels, sequences
 from hardylab.errors import EXIT_CAPACITY, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERIC
 
 
@@ -243,6 +244,52 @@ def test_report_subcommand(tmp_path):
     rep = _load(tmp_path / "o", "report")
     for key in ("gleason", "norms", "sh", "carleson", "dual", "extend"):
         assert key in rep["results"]
+
+
+# the shape of the benchmark's ball report: four points in generic directions out
+# to |a| = 0.99, on a ball rule of 16 x 64 x 64 = 65536 nodes
+BALL_EDGE = {"domain": "ball2",
+             "points": [[0.0, 0.0, 0.0, 0.0], [0.3, 0.0, 0.0, 0.4], [0.0, 0.54, 0.72, 0.0],
+                        [0.495, 0.495, -0.495, 0.495]],
+             "s": 1, "p": 2, "dual_method": "gram2", "batch": 16,
+             "resolution": 16, "angular": 64, "grid": {"rmax": 0.999, "count": 12}, "seed": 7}
+
+
+@pytest.mark.parametrize("sub,evaluations", [("extend", 1), ("carleson", 1), ("report", 3)])
+def test_each_section_evaluates_the_kernels_on_its_rule_once(monkeypatch, sub, evaluations):
+    # extend derives rho, k_{q,a} and their products from one kernel matrix,
+    # the strong and weak Carleson estimates share one, and the dual section
+    # samples its duals once; the report runs all three sections
+    nodes = len(geometry.build_quadrature(geometry.Domain(geometry.BALL2), 16, angular=64))
+    at_nodes = []
+    kernel_matrix = kernels.kernel_matrix
+
+    def spy(points, zs, dom):
+        out = kernel_matrix(points, zs, dom)
+        at_nodes.append(out.shape[1] == nodes)
+        return out
+
+    for module in (kernels, sequences, extension):
+        monkeypatch.setattr(module, "kernel_matrix", spy)
+    cli.run(sub, BALL_EDGE)
+    assert sum(at_nodes) == evaluations
+
+
+def test_extend_traced_peak_stays_at_one_set_of_samples():
+    # the samples are the kernel matrix divided in place plus rho and the
+    # products, the three (N, M) arrays verify_norm_bound always held, and no
+    # target's samples of h are held beside its sign moments: the traced peak
+    # reads 19.52 MiB (20.52 MiB when every step sampled the kernels itself
+    # and h stayed alive); one more (N, M) array would add 4 MiB.  A first
+    # run also imports numpy's lazily loaded modules, so it is untraced
+    cli.run("extend", BALL_EDGE)
+    tracemalloc.start()
+    try:
+        cli.run("extend", BALL_EDGE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.53 * 2**20
 
 
 def test_report_dual_method_reaches_both_sections(tmp_path):

@@ -108,7 +108,7 @@ def test_coefficient_past_budget_is_invariant_violation(disc, tmp_path, monkeypa
 def test_build_extension_trivial(disc, disc_rule):
     seq = _seq(disc, 0.0)
     dual = hl.dual_system(seq, 2.0, "gram2")
-    h, rep = hl.build_extension(dual, np.array([1.0 + 0j]), 1.0, disc_rule)
+    h, rep = hl.build_extension(hl.chain_samples(dual, 1.0, disc_rule), np.array([1.0 + 0j]))
     assert rep.residuals[0] < 1e-12
     assert abs(rep.norm_ratio - 1.0) < 1e-10
     assert abs(h(np.array([0.3 + 0.3j]))[0] - 1.0) < 1e-10
@@ -119,7 +119,7 @@ def test_build_extension_two_points_end_to_end(disc, disc_rule, disc_norms):
     seq = _seq(disc, 0.5, -0.5)
     dual = hl.dual_system(seq, 2.0, "gram2")
     nu = np.array([1.0, 1.0], dtype=complex)
-    h, rep = hl.build_extension(dual, nu, 1.0, disc_rule)
+    h, rep = hl.build_extension(hl.chain_samples(dual, 1.0, disc_rule), nu)
     assert rep.max_rel_residual < 1e-8
 
     pts = np.array([[0.5], [-0.5]])
@@ -145,10 +145,11 @@ def test_extension_linearity(disc, disc_rule):
     rng = np.random.default_rng(7)
     nu1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     nu2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    h1, _ = hl.build_extension(dual, nu1, 1.0, disc_rule)
-    h2, _ = hl.build_extension(dual, nu2, 1.0, disc_rule)
-    h12, _ = hl.build_extension(dual, nu1 + nu2, 1.0, disc_rule)
-    hc, _ = hl.build_extension(dual, (2.0 - 1.0j) * nu1, 1.0, disc_rule)
+    samples = hl.chain_samples(dual, 1.0, disc_rule)
+    h1, _ = hl.build_extension(samples, nu1)
+    h2, _ = hl.build_extension(samples, nu2)
+    h12, _ = hl.build_extension(samples, nu1 + nu2)
+    hc, _ = hl.build_extension(samples, (2.0 - 1.0j) * nu1)
     pts = interior_panel(disc, 20, 42)
     scale = np.max(np.abs(h1(pts))) + np.max(np.abs(h2(pts)))
     add_gap = np.max(np.abs(h12(pts) - h1(pts) - h2(pts)))
@@ -165,16 +166,39 @@ def test_extension_residual_scales_with_dual_defect(disc, disc_rule):
     for eps in (1e-6, 2e-6):
         perturbed = hl.DualSystem(seq, 2.0, "gram2", dual.scales,
                                   dual.coefficients + eps * np.eye(2), norms=dual.norms)
-        _, rep = hl.build_extension(perturbed, nu, 1.0, disc_rule)
+        _, rep = hl.build_extension(hl.chain_samples(perturbed, 1.0, disc_rule), nu)
         gaps.append(rep.max_rel_residual)
     assert 1.7 < gaps[1] / gaps[0] < 2.3
+
+
+@pytest.mark.parametrize("case", ["ball-gram2", "disc-blaschke"])
+def test_chain_samples_are_the_sampled_values_bit_for_bit(case):
+    # rho = X K and K divided in place into the k_{q,a} hold the very bits of
+    # sampling the dual and the normalized kernels apart, and so does h there
+    if case == "ball-gram2":
+        dom = hl.Domain(hl.BALL2)
+        seq = hl.PointSequence.create(dom, [[0.0, 0.0], [0.3, 0.4j], [0.54j, 0.72],
+                                            [0.495 + 0.495j, -0.495 + 0.495j]])
+        dual, s = hl.dual_system(seq, 2.0, "gram2"), 1.0
+        rule = hl.build_quadrature(dom, 16, angular=64)
+    else:
+        dom = hl.Domain(hl.DISC)
+        seq = hl.PointSequence.create(dom, [0.5, -0.3 + 0.4j, -0.6j])
+        dual, s, rule = hl.dual_system(seq, np.inf, "blaschke"), 1.2, hl.build_quadrature(dom, 256)
+    samples = hl.chain_samples(dual, s, rule)
+    rho = dual.values(rule.nodes)
+    kq = extension.normalized_kernel_rows(dual, samples.q, rule.nodes)
+    assert np.array_equal(samples.rho, rho) and np.array_equal(samples.kq, kq)
+    assert np.array_equal(samples.prod, rho * kq)
+    h, rep = hl.build_extension(samples, np.array([1.0, -0.5j, 2.0, 0.25])[:len(seq)])
+    assert rep.details["h_norm"] == float(hl.rule_norm(h(rule.nodes), rule.weights, s))
 
 
 def test_build_extension_blaschke_inf_dual(disc, disc_rule):
     seq = _seq(disc, 0.0, 0.5)
     dual = hl.dual_system(seq, np.inf, "blaschke")
     nu = np.array([1.0, -0.5j])
-    h, rep = hl.build_extension(dual, nu, 1.0, disc_rule)
+    h, rep = hl.build_extension(hl.chain_samples(dual, 1.0, disc_rule), nu)
     assert rep.max_rel_residual < 1e-10
 
 
@@ -191,7 +215,7 @@ def test_dual_values_and_extension_reject_points_of_the_wrong_width(kind, method
             else hl.build_quadrature(dom, 64))
     dual = hl.dual_system(hl.PointSequence.create(dom, pts),
                           np.inf if method == "blaschke" else 2.0, method)
-    h, _ = hl.build_extension(dual, np.array([1.0, -0.5j]), 1.0, rule)
+    h, _ = hl.build_extension(hl.chain_samples(dual, 1.0, rule), np.array([1.0, -0.5j]))
     wide = np.zeros((3, dom.n + 1), dtype=complex)
     for f in (dual.values, h):
         with pytest.raises(hl.ShapeError):
@@ -226,7 +250,7 @@ def test_factorization_identity_blaschke_ring(disc, s):
 def test_verify_norm_bound_trivial(disc, disc_rule):
     seq = _seq(disc, 0.0)
     dual = hl.dual_system(seq, 2.0, "gram2")
-    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=4, seed=0)
+    rep = hl.verify_norm_bound(hl.chain_samples(dual, 1.0, disc_rule), batch=4, seed=0)
     assert abs(rep.ci_estimate - 1.0) < 1e-10
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-10)
     # p = q = 2: both moments are square functions, no pattern is evaluated
@@ -237,7 +261,7 @@ def test_verify_norm_bound_trivial(disc, disc_rule):
 def test_verify_norm_bound_antipodal(disc, disc_rule):
     seq = _seq(disc, 0.9, -0.9)
     dual = hl.dual_system(seq, 2.0, "gram2")
-    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=16, seed=5)
+    rep = hl.verify_norm_bound(hl.chain_samples(dual, 1.0, disc_rule), batch=16, seed=5)
     assert np.isfinite(rep.ci_estimate) and rep.ci_estimate >= 1.0 - 1e-9
     assert rep.constant_budget >= rep.ci_estimate * (1.0 - 1e-8)
     assert rep.details["worst_chain_margin"] >= -1e-12
@@ -264,7 +288,7 @@ def test_unit_targets_enumerate_one_term(disc, disc_rule, monkeypatch):
     monkeypatch.setattr(hl.signs, "_even_moment", spy_even)
     seq = _seq(disc, 0.5, -0.4j, -0.3 + 0.2j, 0.6 + 0.3j)
     dual = hl.dual_system(seq, 1.5, "collocation")
-    rep = hl.verify_norm_bound(dual, 1.2, disc_rule, batch=2, seed=3)
+    rep = hl.verify_norm_bound(hl.chain_samples(dual, 1.2, disc_rule), batch=2, seed=3)
     assert calls == [("f", 1), ("g", 1)] * 4 + [("f", 4), ("g", 4)] * 2
     assert rep.details["sign_patterns"] == 8  # 2^(4-1), all from f
     assert rep.details["sign_routes"] == {"f": "enumeration", "g": "closed-form"}
@@ -275,13 +299,13 @@ def test_verify_norm_bound_needs_seed(disc, disc_rule):
     seq = _seq(disc, 0.5)
     dual = hl.dual_system(seq, 2.0, "gram2")
     with pytest.raises(hl.ParameterError):
-        hl.verify_norm_bound(dual, 1.0, disc_rule, batch=4)
+        hl.verify_norm_bound(hl.chain_samples(dual, 1.0, disc_rule), batch=4)
 
 
 def test_verify_norm_bound_inf_route(disc, disc_rule):
     seq = _seq(disc, 0.0, 0.5)
     dual = hl.dual_system(seq, np.inf, "blaschke")
-    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=8, seed=2)
+    rep = hl.verify_norm_bound(hl.chain_samples(dual, 1.0, disc_rule), batch=8, seed=2)
     assert rep.ci_estimate >= 1.0 - 1e-9
     assert rep.constant_budget is None  # budget is assembled for p <= 2 only
 
@@ -294,7 +318,7 @@ def test_p2_orthogonality_identity(disc, disc_rule):
     # verify_norm_bound asserts E||f||_2^2 = sum_a |x_a|^2 ||rho_a||_2^2 on every target
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system(seq, 2.0, "gram2")
-    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=8, seed=4)
+    rep = hl.verify_norm_bound(hl.chain_samples(dual, 1.0, disc_rule), batch=8, seed=4)
     assert abs(rep.details["khintchine_factor_f"] - 1.0) <= 1e-12
 
 
@@ -303,7 +327,7 @@ def test_p_1_5_bound_and_pointwise(disc, disc_rule):
     # are asserted on every target; K_f <= 1 by Jensen
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system(seq, 1.5, "collocation")
-    rep = hl.verify_norm_bound(dual, 1.0, disc_rule, batch=8, seed=4)
+    rep = hl.verify_norm_bound(hl.chain_samples(dual, 1.0, disc_rule), batch=8, seed=4)
     assert 0.0 < rep.details["khintchine_factor_f"] <= 1.0 + 1e-12
 
 
@@ -321,7 +345,7 @@ def test_perturbed_p2_moment_breaks_orthogonality(disc, disc_rule, monkeypatch):
     seq = _seq(disc, 0.6, -0.6)
     dual = hl.dual_system(seq, 2.0, "gram2")
     with pytest.raises(hl.InvariantViolation, match="orthogonality"):
-        hl.verify_norm_bound(dual, 1.0, disc_rule, batch=2, seed=4)
+        hl.verify_norm_bound(hl.chain_samples(dual, 1.0, disc_rule), batch=2, seed=4)
 
 
 def test_inf_route_two_points(disc, disc_rule):
@@ -376,9 +400,9 @@ def test_extension_pipeline_other_domains(kind, pts):
     seq = hl.PointSequence.create(dom, pts)
     dual = hl.dual_system(seq, 2.0, "gram2")
     nu = np.array([1.0, -0.5j])
-    _, rep = hl.build_extension(dual, nu, 1.0, rule)
+    _, rep = hl.build_extension(hl.chain_samples(dual, 1.0, rule), nu)
     assert rep.max_rel_residual < 1e-8
-    vrep = hl.verify_norm_bound(dual, 1.0, rule, batch=8, seed=3)
+    vrep = hl.verify_norm_bound(hl.chain_samples(dual, 1.0, rule), batch=8, seed=3)
     assert vrep.ci_estimate <= vrep.constant_budget * (1.0 + 1e-8)
     assert factorization_error(dual, nu, 1.0, rule) < 1e-10
 
@@ -417,7 +441,7 @@ def test_holder_chain_property(kind, method, seed, n, p, t):
     dual = hl.dual_system(seq, p, method)
     rule = (hl.build_quadrature(dom, 8, angular=16) if kind == "ball2"
             else hl.build_quadrature(dom, 64))
-    rep = hl.verify_norm_bound(dual, s, rule, batch=4, seed=seed)
+    rep = hl.verify_norm_bound(hl.chain_samples(dual, s, rule), batch=4, seed=seed)
     assert rep.details["worst_chain_margin"] >= -1e-8
     if p <= 2.0:
         assert rep.ci_estimate <= rep.constant_budget * (1.0 + 1e-12)

@@ -99,13 +99,14 @@ def test_carleson_window_constant(disc):
 def test_carleson_single_point(disc_rule):
     seq = _disc_seq(0.7j)
     for q in (1.0, 2.0, 4.0):
-        rep = hl.carleson_constant(seq, q, disc_rule, seed=0)
+        A = hl.normalized_kernel_matrix(seq, q, disc_rule)
+        rep = hl.carleson_constant(A, q, disc_rule, seed=0)
         assert abs(rep.d_q - 1.0) < 1e-12
 
 
 def test_carleson_two_point_oracle(disc_rule):
     seq = _disc_seq(0.9, -0.9)
-    rep = hl.carleson_constant(seq, 2.0, disc_rule)
+    rep = hl.carleson_constant(hl.normalized_kernel_matrix(seq, 2.0, disc_rule), 2.0, disc_rule)
     # 2x2 Gram eigenvalue oracle: eigenvalues 1 +- |<k_{2,a}, k_{2,b}>|
     overlap = (1.0 / 1.81) * 0.19  # k_a(b) / (||k_a||_2 ||k_b||_2)
     assert abs(rep.d_q - np.sqrt(1.0 + overlap)) < 1e-10
@@ -113,7 +114,8 @@ def test_carleson_two_point_oracle(disc_rule):
 
 
 def test_carleson_q1_triangle(disc_rule):
-    rep = hl.carleson_constant(_disc_seq(0.9, -0.9, 0.5j), 1.0, disc_rule)
+    seq = _disc_seq(0.9, -0.9, 0.5j)
+    rep = hl.carleson_constant(hl.normalized_kernel_matrix(seq, 1.0, disc_rule), 1.0, disc_rule)
     assert rep.d_q <= 1.0 + 1e-10
 
 
@@ -127,9 +129,9 @@ def test_power_iteration_agrees_with_gram(disc, disc_rule):
             if abs(z) < 0.85 and all(abs(z - w) > 0.05 for w in pts):
                 pts.append(z)
         seq = _disc_seq(*pts)
-        spectral = hl.carleson_constant(seq, 2.0, disc_rule)
-        power, _, _, _ = _power_iteration_lq(hl.normalized_kernel_matrix(seq, 2.0, disc_rule),
-                                             disc_rule.weights, 2.0,
+        A = hl.normalized_kernel_matrix(seq, 2.0, disc_rule)
+        spectral = hl.carleson_constant(A, 2.0, disc_rule)
+        power, _, _, _ = _power_iteration_lq(A, disc_rule.weights, 2.0,
                                              _default_starts(len(seq), 8, trial), 5000)
         assert power <= spectral.d_q + 1e-12
         assert spectral.d_q - power < 1e-8
@@ -137,8 +139,8 @@ def test_power_iteration_agrees_with_gram(disc, disc_rule):
 
 def test_carleson_certificate_consistency(disc_rule):
     seq = _disc_seq(0.8, -0.8, 0.4j)
-    rep = hl.carleson_constant(seq, 4.0, disc_rule, seed=3)
     A = hl.normalized_kernel_matrix(seq, 4.0, disc_rule)
+    rep = hl.carleson_constant(A, 4.0, disc_rule, seed=3)
     mu = rep.certificate
     ratio = (np.sum(disc_rule.weights * np.abs(A @ mu) ** 4) ** 0.25) / hl.seq_norm(mu, 4.0)
     assert abs(ratio - rep.d_q) < 1e-12
@@ -147,34 +149,36 @@ def test_carleson_certificate_consistency(disc_rule):
 def test_carleson_parameter_errors(disc_rule):
     seq = _disc_seq(0.5)
     with pytest.raises(hl.ParameterError):
-        hl.carleson_constant(seq, 0.5, disc_rule)
+        hl.carleson_constant(hl.normalized_kernel_matrix(seq, 0.5, disc_rule), 0.5, disc_rule)
     with pytest.raises(hl.ParameterError):
-        hl.weak_carleson_constant(seq, 1.5, disc_rule)
+        hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 1.5, disc_rule), 1.5, disc_rule)
     # the power iteration is stochastic: without a seed it does not run
     with pytest.raises(hl.ParameterError, match="seed"):
-        hl.carleson_constant(seq, 4.0, disc_rule)
+        hl.carleson_constant(hl.normalized_kernel_matrix(seq, 4.0, disc_rule), 4.0, disc_rule)
     with pytest.raises(hl.ParameterError, match="seed"):
-        hl.weak_carleson_constant(seq, 4.0, disc_rule)
+        hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 4.0, disc_rule), 4.0, disc_rule)
     # a negative restart count is an error; 0 runs the deterministic starts only
+    A = hl.normalized_kernel_matrix(seq, 4.0, disc_rule)
     for run in (hl.carleson_constant, hl.weak_carleson_constant):
         with pytest.raises(hl.ParameterError, match="restarts"):
-            run(seq, 4.0, disc_rule, restarts=-3, seed=1)
-        rep = run(seq, 4.0, disc_rule, restarts=0, seed=1)
+            run(A, 4.0, disc_rule, restarts=-3, seed=1)
+        rep = run(A, 4.0, disc_rule, restarts=0, seed=1)
         assert len(rep.details["restart_iterations"]) == 1 + len(seq)
 
 
 def test_power_iteration_reports_convergence(monkeypatch, disc_rule):
     seq = _disc_seq(0.5, -0.3j, 0.6j)
     starts = 1 + len(seq) + 32  # ones, coordinate vectors, seeded restarts
+    A = hl.normalized_kernel_matrix(seq, 4.0, disc_rule)
     for estimate in (hl.carleson_constant, hl.weak_carleson_constant):
         with monkeypatch.context() as m:
             m.setattr(sequences, "_POWER_MAX_ITER", 1)
-            capped = estimate(seq, 4.0, disc_rule, seed=0).details
+            capped = estimate(A, 4.0, disc_rule, seed=0).details
         assert capped["converged"] is False and capped["iterations"] == 1
         # every restart still progresses after its one step
         assert capped["restart_iterations"] == [1] * starts
         assert capped["restart_converged"] == [False] * starts
-        full = estimate(seq, 4.0, disc_rule, seed=0).details
+        full = estimate(A, 4.0, disc_rule, seed=0).details
         assert full["converged"] is True
         assert full["restart_converged"] == [True] * starts
         assert len(full["restart_iterations"]) == starts
@@ -254,14 +258,14 @@ def test_power_iteration_matches_pre_change_loop(kind, weak, q):
     n, restarts, seed = len(seq), 6, 7
     A = hl.normalized_kernel_matrix(seq, q, rule)
     if weak:
-        rep = hl.weak_carleson_constant(seq, q, rule, restarts=restarts, seed=seed)
+        rep = hl.weak_carleson_constant(A, q, rule, restarts=restarts, seed=seed)
         value = rep.weak_d_q
         oracle = _pre_change_power_iteration(np.abs(A) ** 2, rule.weights, q / 2.0,
                                              _default_starts(n, restarts, seed, positive=True),
                                              5000)
         own = hl.weak_ratio_at(seq, q, rep.certificate, rule)
     else:
-        rep = hl.carleson_constant(seq, q, rule, restarts=restarts, seed=seed)
+        rep = hl.carleson_constant(A, q, rule, restarts=restarts, seed=seed)
         value = rep.d_q
         oracle = _pre_change_power_iteration(A, rule.weights, q,
                                              _default_starts(n, restarts, seed), 5000)
@@ -357,19 +361,22 @@ def test_exponent_two_runs_on_the_gram_matrix(monkeypatch, disc):
     lq_pass = sequences._lq_pass
     monkeypatch.setattr(sequences, "_lq_pass",
                         lambda A, wAH, w, q, mu: exponents.append(q) or lq_pass(A, wAH, w, q, mu))
-    weak = hl.weak_carleson_constant(seq, 4.0, rule, restarts=6, seed=7)
+    weak = hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 4.0, rule), 4.0, rule,
+                                     restarts=6, seed=7)
     strong, _, _, strong_converged = _power_iteration_lq(
         hl.normalized_kernel_matrix(seq, 2.0, rule), rule.weights, 2.0,
         _default_starts(len(seq), 6, 7), 5000)
     assert exponents == []
     assert abs(weak.weak_d_q - hl.weak_ratio_at(seq, 4.0, weak.certificate, rule)) \
         <= 1e-13 * weak.weak_d_q
-    exact = hl.carleson_constant(seq, 2.0, rule)
+    exact = hl.carleson_constant(hl.normalized_kernel_matrix(seq, 2.0, rule), 2.0, rule)
     assert exact.method == "gram-spectral"
     assert abs(strong - exact.d_q) <= 1e-12 * exact.d_q
     assert weak.details["converged"] and all(strong_converged)
-    hl.carleson_constant(seq, 3.0, rule, restarts=6, seed=7)
-    hl.weak_carleson_constant(seq, 6.0, rule, restarts=6, seed=7)
+    hl.carleson_constant(hl.normalized_kernel_matrix(seq, 3.0, rule), 3.0, rule,
+                         restarts=6, seed=7)
+    hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 6.0, rule), 6.0, rule,
+                              restarts=6, seed=7)
     assert set(exponents) == {3.0}
 
 
@@ -412,10 +419,11 @@ def test_exponent_four_runs_on_the_quartic_gram_matrix(monkeypatch, disc):
                         lambda A, w: grams.append(quartic_gram(A, w)) or grams[-1])
     seq = separated_points(disc, 5, seed=41)
     rule = hl.build_quadrature(disc, 1025)
-    strong = hl.carleson_constant(seq, 4.0, rule, restarts=6, seed=7)
-    weak = hl.weak_carleson_constant(seq, 8.0, rule, restarts=6, seed=7)
-    assert exponents == [] and [H.dtype for H in grams] == [np.complex128, np.float64]
     A = hl.normalized_kernel_matrix(seq, 4.0, rule)
+    strong = hl.carleson_constant(A, 4.0, rule, restarts=6, seed=7)
+    weak = hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 8.0, rule), 8.0, rule,
+                                     restarts=6, seed=7)
+    assert exponents == [] and [H.dtype for H in grams] == [np.complex128, np.float64]
     cert = strong.certificate
     own = _weighted_lq(A @ cert, rule.weights, 4.0) / hl.seq_norm(cert, 4.0)
     assert abs(own - strong.d_q) <= 1e-13 * strong.d_q
@@ -428,8 +436,10 @@ def test_exponent_four_runs_on_the_quartic_gram_matrix(monkeypatch, disc):
         _power_iteration_lq(B, rule.weights[:300], 4.0, _default_starts(n, 2, 7), 2)
     assert exponents == [4.0] * 3
     exponents.clear()
-    hl.carleson_constant(seq, 3.0, rule, restarts=6, seed=7)
-    hl.weak_carleson_constant(seq, 6.0, rule, restarts=6, seed=7)
+    hl.carleson_constant(hl.normalized_kernel_matrix(seq, 3.0, rule), 3.0, rule,
+                         restarts=6, seed=7)
+    hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 6.0, rule), 6.0, rule,
+                              restarts=6, seed=7)
     assert set(exponents) == {3.0} and len(grams) == 3
 
 
@@ -491,8 +501,8 @@ def test_column_mass_certificates_take_the_first_tied_column(ball):
     ])
     rule = hl.build_quadrature(ball, 16, angular=64)
     e0 = np.eye(4)[0]
-    strong = hl.carleson_constant(seq, 1.0, rule)
-    weak = hl.weak_carleson_constant(seq, 2.0, rule)
+    strong = hl.carleson_constant(hl.normalized_kernel_matrix(seq, 1.0, rule), 1.0, rule)
+    weak = hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 2.0, rule), 2.0, rule)
     assert np.array_equal(strong.certificate, e0) and abs(strong.d_q - 1.0) < 1e-12
     assert np.array_equal(weak.certificate, e0) and abs(weak.weak_d_q - 1.0) < 1e-12
 
@@ -500,7 +510,8 @@ def test_column_mass_certificates_take_the_first_tied_column(ball):
 def test_weak_carleson_q2_is_contractive(disc_rule):
     for pts in ([0.5], [0.9, -0.9], [0.3, 0.6j, -0.7]):
         seq = _disc_seq(*pts)
-        rep = hl.weak_carleson_constant(seq, 2.0, disc_rule)
+        A = hl.normalized_kernel_matrix(seq, 2.0, disc_rule)
+        rep = hl.weak_carleson_constant(A, 2.0, disc_rule)
         assert rep.weak_d_q <= 1.0 + 1e-10
         # the column mass is the weak ratio at its coordinate certificate, bit for bit
         assert rep.weak_d_q == hl.weak_ratio_at(seq, 2.0, rep.certificate, disc_rule)
@@ -509,9 +520,9 @@ def test_weak_carleson_q2_is_contractive(disc_rule):
 def test_weak_carleson_two_point_grid_oracle(disc_rule):
     seq = _disc_seq(0.9, -0.9)
     q = 4.0
-    rep = hl.weak_carleson_constant(seq, q, disc_rule, seed=5)
-    # exhaustive oracle over the positive l^{q/2} sphere in two dimensions
     A = hl.normalized_kernel_matrix(seq, q, disc_rule)
+    rep = hl.weak_carleson_constant(A, q, disc_rule, seed=5)
+    # exhaustive oracle over the positive l^{q/2} sphere in two dimensions
     B = np.abs(A) ** 2
     r = q / 2.0
     best = 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -162,7 +163,8 @@ def test_weak_from_carleson_q2_middle_identity(disc_rule):
 
 def test_weak_from_carleson_chain(disc_rule):
     seq = hl.PointSequence.create(hl.Domain(hl.DISC), [0.8, -0.8])
-    rep = hl.carleson_constant(seq, 4.0, disc_rule, seed=3)
+    A = hl.normalized_kernel_matrix(seq, 4.0, disc_rule)
+    rep = hl.carleson_constant(A, 4.0, disc_rule, seed=3)
     out = hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, rep.d_q)
     assert out["right_ok"]
     assert out["left_factor"] > 0 and np.isfinite(out["left_factor"])
@@ -393,6 +395,33 @@ def test_even_exponent_snap_boundary():
         mom = hl.sign_moments(rows, coeffs, w, p)
         assert (mom.route, mom.p, mom.patterns) == ("enumeration", p, 32)
     assert hl.sign_moments(rows, coeffs, w, 2.0 * hl.signs._EVEN_MAX_K + 2.0).route == "enumeration"
+
+
+def _khintchine_by_division(mom):
+    """``khintchine_factor`` by its formula: max E|f|^p / square^(p/2) over positive squares."""
+    den = mom.square ** (mom.p / 2.0)
+    ok = den > 0
+    return float(np.max(mom.nodes[ok] / den[ok])) if np.any(ok) else 0.0
+
+
+def test_p2_khintchine_factor_skips_the_division():
+    # at p = 2 the moments are the square function itself, and x / x**1.0 is
+    # 1 at every finite x > 0, so the factor needs no per-node ratio
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+    mom = hl.sign_moments(rows, rng.standard_normal(4), np.full(64, 1 / 64), 2.0)
+    assert mom.nodes is mom.square
+    with_zeros = rng.random(64)
+    with_zeros[::3] = 0.0
+    squares = [rng.random(64) * 10.0 ** rng.integers(-300, 300, 64), with_zeros, np.zeros(64),
+               np.array([0.5, np.nan, 2.0]), np.array([np.nan, 0.0]), np.array([0.5, np.inf])]
+    for square in squares:
+        moments = dataclasses.replace(mom, nodes=square, square=square)
+        with np.errstate(invalid="ignore"):  # inf / inf is nan either way
+            fast, slow = moments.khintchine_factor(), _khintchine_by_division(moments)
+        assert np.array_equal([fast], [slow], equal_nan=True)
+    assert [dataclasses.replace(mom, nodes=sq, square=sq).khintchine_factor()
+            for sq in squares[:3]] == [1.0, 1.0, 0.0]
 
 
 def test_p2_moments_on_a_ball_dual_match_enumeration(ball):
