@@ -273,8 +273,9 @@ def _run_extend(cfg: dict):
     seed = _need_seed(cfg)
     dual = sequences.dual_system(seq, p, cfg.get("dual_method", "gram2"))
     delta_residual = _delta_residual(dual)
+    nu = _parse_target(cfg, len(seq))
     samples = ext.chain_samples(dual, s, rule)
-    _, rep = ext.build_extension(samples, _parse_target(cfg, len(seq)))
+    _, rep = ext.build_extension(samples, nu)
     bound_rep = ext.verify_norm_bound(samples, batch=_number(cfg.get("batch", 64), "batch"),
                                       seed=seed)
     rep.ci_estimate = bound_rep.ci_estimate

@@ -23,11 +23,12 @@ checks it, the p <= 2 dual factor included.  Constants the theory leaves
 implicit (Khintchine factors, structural-hypothesis extrema) are measured
 per instance and reported, never hard-coded.
 
-Every check here works on the (N, M) sample matrices of ``chain_samples``,
-which derives rho_a, k_{q,a} and their products at the nodes of a rule
-from one ``kernel_matrix``; the one evaluator returned is h itself, a
-vectorized zs (M, n) -> (M,) for points off the rule: the sequence points
-and the interior points of the Bergman lift.
+Every check here works on the (N, M) sample matrices of ``chain_samples``
+at the nodes of a rule.  ``chain_rows`` derives rho_a and k_{q,a} at any
+points from one ``kernel_matrix``; the rule's samples and h, the one
+evaluator returned, both come from it.  h is a vectorized zs (M, n) -> (M,)
+for points off the rule: the sequence points and the interior points of
+the Bergman lift.
 """
 from __future__ import annotations
 
@@ -189,43 +190,51 @@ def _kernel_norms(dual: DualSystem, q: float) -> np.ndarray:
     return np.array([dual.norms.norm(seq[i], q) for i in range(len(seq))])
 
 
-def normalized_kernel_rows(dual: DualSystem, q: float, zs: np.ndarray) -> np.ndarray:
-    """(N, len(zs)) values of k_{q,a} at the dual's points, normalized with its norm cache."""
+def chain_rows(dual: DualSystem, q: float, zs: np.ndarray) -> tuple:
+    """(rho, kq): the (N, len(zs)) values of rho_a and k_{q,a} at zs, from one ``kernel_matrix``.
+
+    The ||k_a||_q come from the dual's norm cache before K is formed; K is
+    divided by them in place once rho is read from it, so it is never held
+    beside its images.
+    """
     seq = dual.sequence
-    return kernel_matrix(seq.arrays(), zs, seq.domain) / _kernel_norms(dual, q)[:, None]
+    scale = _kernel_norms(dual, q)
+    K = kernel_matrix(seq.arrays(), zs, seq.domain)
+    rho = dual.values_from_kernels(zs, K)
+    K /= scale[:, None]
+    return rho, K
 
 
 @dataclass
 class ChainSamples:
     """The chain of a dual at exponent s, 1/s = 1/p + 1/q, sampled at the nodes of a rule.
 
-    ``rho`` holds the rho_a, ``kq`` the k_{q,a} and ``prod`` the terms
-    rho_a k_{q,a} of h, each an (N, M) array.
+    ``coeffs`` holds the c_a, ``rho`` the rho_a, ``kq`` the k_{q,a} and
+    ``prod`` the terms rho_a k_{q,a} of h, each of the last three an (N, M)
+    array.
     """
 
     dual: DualSystem
     s: float
     q: float
     rule: QuadratureRule
+    coeffs: ExtensionCoeffs
     rho: np.ndarray
     kq: np.ndarray
     prod: np.ndarray
 
 
 def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule) -> ChainSamples:
-    """Every sample matrix of the chain on ``rule``, from one ``kernel_matrix`` at its nodes.
+    """The c_a and every sample matrix of the chain on ``rule``: ``chain_rows`` at its nodes
+    and their products.
 
-    rho = X K for a dual in the kernel span (a Blaschke dual keeps its
-    closed form), then K is divided in place by ||k_a||_q into the k_{q,a},
-    so it is never held beside its images.  Each array has the bits of
-    ``DualSystem.values`` and ``normalized_kernel_rows`` at the nodes.
+    The c_a come first, so the norm-cache work of their scans runs before
+    any (N, M) array is held.
     """
-    seq = dual.sequence
     q = exponent_from_split(s, dual.p)
-    K = kernel_matrix(seq.arrays(), rule.nodes, seq.domain)
-    rho = dual.values(rule.nodes) if dual.blaschke else dual.coefficients @ K
-    K /= _kernel_norms(dual, q)[:, None]
-    return ChainSamples(dual, s, q, rule, rho, K, rho * K)
+    coeffs = coeff_c(dual, s)
+    rho, kq = chain_rows(dual, q, rule.nodes)
+    return ChainSamples(dual, s, q, rule, coeffs, rho, kq, rho * kq)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +250,17 @@ def build_extension(samples: ChainSamples, nu) -> tuple:
     ||h||_s / ||nu||_s measured on the rule, from the samples of h there.
     """
     dual, s, q, rule = samples.dual, samples.s, samples.q, samples.rule
-    seq, p = dual.sequence, dual.p
+    seq, p, coeffs = dual.sequence, dual.p, samples.coeffs
     nu = np.asarray(nu, dtype=complex)
     if nu.shape != (len(seq),):
         raise ParameterError("one target value per sequence point is required")
-    coeffs = coeff_c(dual, s)
     target_scale = _kernel_norms(dual, conjugate_exponent(s))
 
     weights = nu * coeffs.values
 
     def h(zs: np.ndarray) -> np.ndarray:
-        return weights @ (dual.values(zs) * normalized_kernel_rows(dual, q, zs))
+        rho, kq = chain_rows(dual, q, zs)
+        return weights @ (rho * kq)
 
     targets = nu * target_scale
     at_points = h(seq.arrays())
@@ -327,9 +336,8 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
     if batch < 1:
         raise ParameterError("batch must be at least 1")
     dual, s, q, rule = samples.dual, samples.s, samples.q, samples.rule
-    seq, p = dual.sequence, dual.p
+    seq, p, coeffs = dual.sequence, dual.p, samples.coeffs
     n = len(seq)
-    coeffs = coeff_c(dual, s)
     w = rule.weights
     rho_vals, kq_vals, prod_vals = samples.rho, samples.kq, samples.prod
     sup_rho = float(np.max(rule_norm(rho_vals, w, p)))

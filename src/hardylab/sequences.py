@@ -521,10 +521,15 @@ class DualSystem:
 
     def values(self, zs: np.ndarray) -> np.ndarray:
         """(N, M) values rho_a(z) at an (M, n) array of points."""
-        pts = self.sequence.arrays()
+        K = None if self.blaschke else kernel_matrix(self.sequence.arrays(), zs, self.sequence.domain)
+        return self.values_from_kernels(zs, K)
+
+    def values_from_kernels(self, zs: np.ndarray, K: np.ndarray | None) -> np.ndarray:
+        """rho_a(z) at zs from K = ``kernel_matrix`` of the points at zs: X K in the
+        kernel span, the closed form for a Blaschke dual (which reads no K)."""
         if not self.blaschke:
-            return self.coefficients @ kernel_matrix(pts, zs, self.sequence.domain)
-        zeros = pts[:, 0]
+            return self.coefficients @ K
+        zeros = self.sequence.arrays()[:, 0]
         at_points = np.diag(_blaschke_others(zeros, zeros))
         rows = _blaschke_others(zeros, _point_array(zs, self.sequence.domain)[:, 0])
         return (self.scales / at_points)[:, None] * rows

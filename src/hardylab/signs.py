@@ -39,7 +39,10 @@ half.  The partial sums of each half over all its patterns form a table A
 (with the first term added in) and a table B, each kept as separate real
 and imaginary float tables; within a table, sign k of row i is read off
 bit k of i.  f at pattern (i, j) is row i of A plus row j of B, and the
-loop runs over j, each step covering every i at once.  ``EXACT_CAP``
+loop runs over j, each step covering every i at once.  B is formed
+``_B_ROWS`` rows at a time, just before the loop reaches them, so only A,
+two buffers of its shape and one such slice of B are held: at 16 signs and
+256 nodes, 1.1 MiB instead of the 2 MiB a whole B takes.  ``EXACT_CAP``
 bounds the N signs of this route only, counted before the zeros are
 dropped; the closed form takes any N.
 
@@ -58,6 +61,7 @@ from .geometry import rule_power
 
 EXACT_CAP = 20
 _NODE_BLOCK = 1 << 12
+_B_ROWS = 32
 _EVEN_MAX_K = 8
 _SNAP_ULPS = 8
 
@@ -135,10 +139,10 @@ def _even_moment(terms: np.ndarray, k: int) -> np.ndarray:
     return factorial(k) ** 2 * poly[k, k].real
 
 
-def _pattern_table(terms: np.ndarray) -> tuple:
-    """Real and imaginary parts of sum_k eps_k terms_k for every pattern of
-    the K = len(terms) signs, in index order: two (2^K, M) float tables."""
-    signs = _sign_matrix(len(terms))  # K <= EXACT_CAP // 2
+def _pattern_table(signs: np.ndarray, terms: np.ndarray) -> tuple:
+    """Real and imaginary parts of sum_k eps_k terms_k for each row eps of
+    ``signs`` (rows of ``_sign_matrix(len(terms))``): two (len(signs), M)
+    float tables."""
     return signs @ terms.real, signs @ terms.imag
 
 
@@ -151,28 +155,31 @@ def _half_enumeration(terms: np.ndarray, p: float) -> np.ndarray:
     n, m = terms.shape
     rest = terms[1:]
     half = len(rest) // 2
-    a_re, a_im = _pattern_table(rest[:half])
-    b_re, b_im = _pattern_table(rest[half:])
+    a_re, a_im = _pattern_table(_sign_matrix(half), rest[:half])
     if n:  # N = 0 leaves the single empty pattern, f = 0
         a_re += terms[0].real
         a_im += terms[0].imag
     mag2 = np.empty_like(a_re)
     im2 = np.empty_like(a_im)
     nodes = np.zeros(m)
-    for j in range(len(b_re)):
-        np.add(a_re, b_re[j], out=mag2)
-        np.multiply(mag2, mag2, out=mag2)
-        np.add(a_im, b_im[j], out=im2)
-        np.multiply(im2, im2, out=im2)
-        mag2 += im2
-        if p == np.inf:
-            np.maximum(nodes, np.max(mag2, axis=0), out=nodes)
-            continue
-        np.power(mag2, p / 2.0, out=mag2)
-        nodes += np.sum(mag2, axis=0)
+    b_signs = _sign_matrix(len(rest) - half)  # K <= EXACT_CAP // 2
+    for lo in range(0, len(b_signs), _B_ROWS):
+        b_re, b_im = _pattern_table(b_signs[lo:lo + _B_ROWS], rest[half:])
+        for j in range(len(b_re)):
+            np.add(a_re, b_re[j], out=mag2)
+            np.multiply(mag2, mag2, out=mag2)
+            np.add(a_im, b_im[j], out=im2)
+            np.multiply(im2, im2, out=im2)
+            mag2 += im2
+            if p == np.inf:
+                np.maximum(nodes, np.max(mag2, axis=0), out=nodes)
+                continue
+            np.power(mag2, p / 2.0, out=mag2)
+            nodes += np.sum(mag2, axis=0)
+        del b_re, b_im  # the next slice need not coexist with this one
     if p == np.inf:
         return np.sqrt(nodes, out=nodes)
-    nodes /= len(a_re) * len(b_re)
+    nodes /= len(a_re) * len(b_signs)
     return nodes
 
 

@@ -144,8 +144,9 @@ def factorization_error(dual, nu, s: float, rule) -> float:
                        rule.nodes[np.linspace(0, len(rule) - 1, 20, dtype=int)]])
     h_at = hl.build_extension(hl.chain_samples(dual, s, rule), nu)[0](panel)
     split = hl.split_target(nu, s, dual.p)
-    f_rows = (split.lam * hl.coeff_c(dual, s).values)[:, None] * dual.values(panel)
-    g_rows = split.mu[:, None] * hl.extension.normalized_kernel_rows(dual, split.q, panel)
+    rho, kq = hl.extension.chain_rows(dual, split.q, panel)
+    f_rows = (split.lam * hl.coeff_c(dual, s).values)[:, None] * rho
+    g_rows = split.mu[:, None] * kq
     eps = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
     expectation = np.mean((eps @ f_rows) * (eps @ g_rows), axis=0)
     return float(np.max(np.abs(h_at - expectation) / (1.0 + np.abs(h_at))))

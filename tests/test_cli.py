@@ -275,21 +275,36 @@ def test_each_section_evaluates_the_kernels_on_its_rule_once(monkeypatch, sub, e
     assert sum(at_nodes) == evaluations
 
 
-def test_extend_traced_peak_stays_at_one_set_of_samples():
-    # the samples are the kernel matrix divided in place plus rho and the
-    # products, the three (N, M) arrays verify_norm_bound always held, and no
-    # target's samples of h are held beside its sign moments: the traced peak
-    # reads 19.52 MiB (20.52 MiB when every step sampled the kernels itself
-    # and h stayed alive); one more (N, M) array would add 4 MiB.  A first
-    # run also imports numpy's lazily loaded modules, so it is untraced
-    cli.run("extend", BALL_EDGE)
+def _ring(count, radius, turn):
+    return [[radius * math.cos(turn + 2 * math.pi * k / count),
+             radius * math.sin(turn + 2 * math.pi * k / count)] for k in range(count)]
+
+
+# the shape of the benchmark's sign enumeration: 16 disc points on two circles,
+# q = 6 in closed form and p = 1.5 enumerated, 2^15 patterns on 256 nodes
+SIGNS16 = {"domain": "disc", "points": _ring(6, 0.45, 0.3) + _ring(10, 0.8, 0.1),
+           "s": 1.2, "p": 1.5, "dual_method": "collocation", "resolution": 256,
+           "batch": 4, "seed": 11}
+
+
+@pytest.mark.parametrize("cfg,bound_mib", [(BALL_EDGE, 20.52), (SIGNS16, 2.0)],
+                         ids=["ball-edge", "signs16"])
+def test_extend_traced_peak_stays_at_one_set_of_samples(cfg, bound_mib):
+    # ball-edge: the samples are the kernel matrix divided in place plus rho
+    # and the products, and no target's samples of h are held beside its sign
+    # moments, so the traced peak reads 19.52 MiB against 20.52 MiB when every
+    # step sampled the kernels itself; one more (N, M) array would add 4 MiB.
+    # signs16: the enumeration holds its table B one 32-row slice at a time,
+    # so the peak reads 1.60 MiB against 2.47 MiB with all of B at once.  A
+    # first run also imports numpy's lazily loaded modules, so it is untraced
+    cli.run("extend", cfg)
     tracemalloc.start()
     try:
-        cli.run("extend", BALL_EDGE)
+        cli.run("extend", cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 19.53 * 2**20
+    assert peak <= bound_mib * 2**20
 
 
 def test_report_dual_method_reaches_both_sections(tmp_path):

@@ -174,7 +174,7 @@ def test_extension_residual_scales_with_dual_defect(disc, disc_rule):
 @pytest.mark.parametrize("case", ["ball-gram2", "disc-blaschke"])
 def test_chain_samples_are_the_sampled_values_bit_for_bit(case):
     # rho = X K and K divided in place into the k_{q,a} hold the very bits of
-    # sampling the dual and the normalized kernels apart, and so does h there
+    # sampling the dual and dividing a fresh kernel matrix, and so does h there
     if case == "ball-gram2":
         dom = hl.Domain(hl.BALL2)
         seq = hl.PointSequence.create(dom, [[0.0, 0.0], [0.3, 0.4j], [0.54j, 0.72],
@@ -187,7 +187,8 @@ def test_chain_samples_are_the_sampled_values_bit_for_bit(case):
         dual, s, rule = hl.dual_system(seq, np.inf, "blaschke"), 1.2, hl.build_quadrature(dom, 256)
     samples = hl.chain_samples(dual, s, rule)
     rho = dual.values(rule.nodes)
-    kq = extension.normalized_kernel_rows(dual, samples.q, rule.nodes)
+    scale = np.array([dual.norms.norm(seq[i], samples.q) for i in range(len(seq))])
+    kq = hl.kernel_matrix(seq.arrays(), rule.nodes, dom) / scale[:, None]
     assert np.array_equal(samples.rho, rho) and np.array_equal(samples.kq, kq)
     assert np.array_equal(samples.prod, rho * kq)
     h, rep = hl.build_extension(samples, np.array([1.0, -0.5j, 2.0, 0.25])[:len(seq)])

@@ -271,6 +271,18 @@ def test_node_blocks_match_one_pass(p):
     assert abs(mom.value - value) <= 1e-13 * value
 
 
+@pytest.mark.parametrize("p", [1.5, np.inf])
+@pytest.mark.parametrize("n,m", [(16, 256), (12, 9), (11, 1), (3, 9)])
+def test_table_b_slices_match_the_whole_table(monkeypatch, n, m, p):
+    # B in 8, 2 and 1 slices of 32 rows, and one shorter than a slice: the
+    # bits of forming all of B at once
+    rows, coeffs, _ = _random_instance(n, m, 40 + n)
+    terms = coeffs[:, None] * rows
+    sliced = hl.signs._half_enumeration(terms, p)
+    monkeypatch.setattr(hl.signs, "_B_ROWS", 1 << n)
+    assert np.array_equal(sliced, hl.signs._half_enumeration(terms, p))
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(n=st.integers(1, 8), m=st.integers(1, 5), zero_bits=st.integers(0, 2**8 - 1),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 5.999999999999997, np.inf]),
@@ -436,7 +448,7 @@ def test_p2_moments_on_a_ball_dual_match_enumeration(ball):
         pts.append([v[0] + 1j * v[1], v[2] + 1j * v[3]])
     dual = hl.dual_system(hl.PointSequence.create(ball, pts), 2.0, "gram2")
     rule = hl.build_quadrature(ball, 16, angular=64)
-    rows = [dual.values(rule.nodes), hl.extension.normalized_kernel_rows(dual, 2.0, rule.nodes)]
+    rows = hl.extension.chain_rows(dual, 2.0, rule.nodes)
     for vals in rows:
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         mom = hl.sign_moments(vals, coeffs, rule.weights, 2.0)
