@@ -228,8 +228,9 @@ def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule) -> ChainSamp
     """The c_a and every sample matrix of the chain on ``rule``: ``chain_rows`` at its nodes
     and their products.
 
-    The c_a come first, so the norm-cache work of their scans runs before
-    any (N, M) array is held.
+    ``build_extension`` and ``verify_norm_bound`` both read the c_a from
+    here; they come first, so their norm-cache scans run before any
+    (N, M) array is held.
     """
     q = exponent_from_split(s, dual.p)
     coeffs = coeff_c(dual, s)
