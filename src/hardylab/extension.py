@@ -24,7 +24,10 @@ implicit (Khintchine factors, structural-hypothesis extrema) are measured
 per instance and reported, never hard-coded.
 
 Every check here works on the (N, M) sample matrices of ``chain_samples``
-at the nodes of a rule.  ``chain_rows`` derives rho_a and k_{q,a} at any
+at the nodes of a rule.  ``verify_norm_bound`` reads them one block of
+nodes at a time and checks all of its targets at once in each block: the
+samples of h of every target come from one product and f and g from one
+batched engine call each.  ``chain_rows`` derives rho_a and k_{q,a} at any
 points from one ``kernel_matrix``; the rule's samples and h, the one
 evaluator returned, both come from it.  h is a vectorized zs (M, n) -> (M,)
 for points off the rule: the sequence points and the interior points of
@@ -44,6 +47,7 @@ from .sequences import DualSystem, PointSequence, _weak_ratio, normalized_kernel
 from .signs import SignMoments, sign_moments
 
 _CHAIN_SLACK = 1e-8
+_BLOCK_ENTRIES = 1 << 16  # targets x nodes per block of verify_norm_bound: 1 MiB complex
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +292,30 @@ def build_extension(samples: ChainSamples, nu) -> tuple:
     return h, report
 
 
-def _check_dual_factor(f: SignMoments, x, rho_pow, rho_norms, k_f: float) -> None:
-    """Assert the p <= 2 dual factor of f = sum_a eps_a x_a rho_a from |rho_a|^p and ||rho_a||_p^p:
-    l2 <= lp at every node, E||f||_p^p <= K_f sum_a |x_a|^p ||rho_a||_p^p (equal at p = 2).
+def _check_pointwise_l2_lp(f: SignMoments, x, rho_pow) -> None:
+    """Assert l2 <= lp at every node of a block for the f = sum_a eps_a x_a rho_a of each
+    row of x, from |rho_a|^p on the block (the pointwise half of the p <= 2 dual factor)."""
+    p = f.p
+    l2, lp = f.square, np.abs(x) ** p @ rho_pow
+    if p != 2.0:  # at p = 2 both sides are the same sum of squares
+        l2, lp = np.sqrt(l2), lp ** (1.0 / p)
+    if np.any(l2 > lp * (1.0 + 1e-12)):
+        raise InvariantViolation("pointwise l2 <= lp comparison failed at a node")
+
+
+def _check_dual_diagonal(f_value: float, p: float, x, rho_norms, k_f: float) -> None:
+    """Assert E||f||_p^p <= K_f sum_a |x_a|^p ||rho_a||_p^p for one target (equal at p = 2),
+    p being the exponent of the engine's moment.
 
     At p = 2 the engine's moment is the square function, so the equality
     compares sum_m w_m sum_a |x_a rho_a(m)|^2 with sum_a |x_a|^2 ||rho_a||_2^2,
     the same sum in two orders; it guards the rule and the normalization,
     not sign orthogonality, which the tests check against enumeration."""
-    p = f.p
-    x_pow = np.abs(x) ** p
-    l2, lp = f.square, x_pow @ rho_pow
-    if p != 2.0:  # at p = 2 both sides are the same sum of squares
-        l2, lp = np.sqrt(l2), lp ** (1.0 / p)
-    if np.any(l2 > lp * (1.0 + 1e-12)):
-        raise InvariantViolation("pointwise l2 <= lp comparison failed at a node")
-    diagonal = float(x_pow @ rho_norms)
-    if f.value > k_f * diagonal * (1.0 + _CHAIN_SLACK):
-        raise InvariantViolation(f"E||f||_p^p = {f.value} exceeded its bound {k_f * diagonal}")
-    if p == 2.0 and abs(f.value - diagonal) > 1e-10 * diagonal:
-        raise InvariantViolation(f"sign orthogonality failed: {f.value} != {diagonal}")
+    diagonal = float(np.abs(x) ** p @ rho_norms)
+    if f_value > k_f * diagonal * (1.0 + _CHAIN_SLACK):
+        raise InvariantViolation(f"E||f||_p^p = {f_value} exceeded its bound {k_f * diagonal}")
+    if p == 2.0 and abs(f_value - diagonal) > 1e-10 * diagonal:
+        raise InvariantViolation(f"sign orthogonality failed: {f_value} != {diagonal}")
 
 
 def verify_norm_bound(samples: ChainSamples, batch: int = 64,
@@ -322,10 +330,17 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
 
     is asserted with exact sign expectations (sup over patterns and nodes
     of |f| replaces the first factor when p = inf).  For p <= 2 the dual
-    factor of every target is checked as well (``_check_dual_factor``), and
-    the full measured budget  K_f^{1/p} (alpha^{-1} beta) sup_a ||rho_a||_p
-    K_g^{1/q} D_weak^{1/2}  is assembled and asserted as an upper bound
-    for the estimate.
+    factor of every target is checked as well (``_check_pointwise_l2_lp``,
+    ``_check_dual_diagonal``), and the full measured budget
+    K_f^{1/p} (alpha^{-1} beta) sup_a ||rho_a||_p K_g^{1/q} D_weak^{1/2}
+    is assembled and asserted as an upper bound for the estimate.
+
+    All T targets are checked at once, over blocks of about
+    ``_BLOCK_ENTRIES`` / T nodes of the rule: each block takes the samples
+    of h of every target from one product and f and g from one engine call
+    each, so every (T, block) array is at most 1 MiB, and the integrals,
+    maxima and Khintchine factors of each target are accumulated over the
+    blocks.  The per-target checks then run in target order.
 
     The details record the route of each sign moment (``sign_routes``; one
     per exponent, so the same for every target) and, where an exponent was
@@ -342,54 +357,69 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
     w = rule.weights
     rho_vals, kq_vals, prod_vals = samples.rho, samples.kq, samples.prod
     sup_rho = float(np.max(rule_norm(rho_vals, w, p)))
-    if p <= 2.0:
-        rho_norms, rho_pow = rule_power(rho_vals, w, p), np.abs(rho_vals) ** p
+    dual_factor = p <= 2.0
+    if dual_factor:
+        rho_norms = rule_power(rho_vals, w, p)
 
     rng = np.random.default_rng(seed)
     targets = [np.eye(n, dtype=complex)[i] for i in range(n)]
     for _ in range(batch):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         targets.append(v / seq_norm(v, s))
+    splits = [split_target(nu, s, p) for nu in targets]
+    h_weights = np.array([split.nu for split in splits]) * coeffs.values
+    x = np.array([split.lam for split in splits]) * coeffs.values
+    mu = np.array([split.mu for split in splits])
+    del splits  # the stacked rows above are all that is read from here on
+
+    # per target: integrals of |h|^s, E|f|^p, E|g|^q and the square function of
+    # g at q/2 over the blocks so far, and the largest per-node Khintchine
+    # factor of f (its sup |f| at p = inf) and of g
+    h_pow, f_value, g_value, g_weak, f_top, g_top = np.zeros((6, len(targets)))
+    patterns = 0
+    routes, snapped = {}, {}
+    step = max(1, _BLOCK_ENTRIES // len(targets))
+    for lo in range(0, len(w), step):
+        block, wb = slice(lo, lo + step), w[lo:lo + step]
+        h_pow += rule_power(h_weights @ prod_vals[:, block], wb, s)
+        f = sign_moments(rho_vals[:, block], x, wb, p)
+        if dual_factor:
+            _check_pointwise_l2_lp(f, x, np.abs(rho_vals[:, block]) ** p)
+        f_value += f.value
+        f_top = np.maximum(f_top, np.max(f.nodes, axis=-1) if p == INF else f.khintchine_factor())
+        g = sign_moments(kq_vals[:, block], mu, wb, q)
+        g_value += g.value
+        g_top = np.maximum(g_top, g.khintchine_factor())
+        g_weak += rule_power(g.square, wb, q / 2.0)
+        patterns = max(patterns, int(np.max(f.patterns)), int(np.max(g.patterns)))
+        routes = {"f": f.route, "g": g.route}
+        if f.p != p:
+            snapped["p_snapped"] = f.p
+        if g.p != q:
+            snapped["q_snapped"] = g.p
 
     ci = 0.0
     khin_f = 0.0
     khin_g = 0.0
     weak_inst = 0.0
     worst_chain_margin = np.inf
-    patterns = 0
-    routes, snapped = {}, {}
-    for nu in targets:
-        split = split_target(nu, s, p)
-        # h's samples are not held beside the sign moments' temporaries
-        h_norm = float(rule_norm((split.nu * coeffs.values) @ prod_vals, w, s))
-        nu_norm = seq_norm(nu, s)
-        ci = max(ci, h_norm / nu_norm)
-
-        x = split.lam * coeffs.values
-        f = sign_moments(rho_vals, x, w, p)
+    for i, nu in enumerate(targets):
+        h_norm = float(np.power(h_pow[i], 1.0 / s))  # rule_norm's root
+        ci = max(ci, h_norm / seq_norm(nu, s))
         if p == INF:
-            f_factor = float(np.max(f.nodes))
+            f_factor = float(f_top[i])
         else:
-            f_factor = f.value ** (1.0 / p)
-            k_f = f.khintchine_factor()
+            f_factor = float(f_value[i]) ** (1.0 / p)
+            k_f = float(f_top[i])
             khin_f = max(khin_f, k_f)
-            if p <= 2.0:
-                _check_dual_factor(f, x, rho_pow, rho_norms, k_f)
-        patterns = max(patterns, f.patterns)
-        routes["f"] = f.route
-        if f.p != p:
-            snapped["p_snapped"] = f.p
-        del f  # its per-node arrays need not coexist with the g moment's temporaries
-        g = sign_moments(kq_vals, split.mu, w, q)
-        patterns = max(patterns, g.patterns)
-        routes["g"] = g.route
-        if g.p != q:
-            snapped["q_snapped"] = g.p
-        bound = f_factor * g.value ** (1.0 / q)
-        khin_g = max(khin_g, g.khintchine_factor())
-        mu_norm = seq_norm(split.mu, q)
+            if dual_factor:
+                _check_dual_diagonal(float(f_value[i]), snapped.get("p_snapped", p), x[i],
+                                     rho_norms, k_f)
+        bound = f_factor * float(g_value[i]) ** (1.0 / q)
+        khin_g = max(khin_g, float(g_top[i]))
+        mu_norm = seq_norm(mu[i], q)
         if mu_norm > 0:
-            weak_inst = max(weak_inst, float(rule_norm(g.square, w, q / 2.0)) / mu_norm**2)
+            weak_inst = max(weak_inst, float(np.power(g_weak[i], 1.0 / (q / 2.0))) / mu_norm**2)
         if h_norm > bound * (1.0 + _CHAIN_SLACK):
             raise InvariantViolation(
                 f"Hoelder chain failed: ||h||_s = {h_norm} > bound {bound}")

@@ -7,11 +7,17 @@ otherwise) or by seeded Monte Carlo.  It returns per-node moments only,
 E|f|^p or, at p = inf, the max of |f|; no figure of a single pattern is
 kept.  The chain steps live in ``extension``.
 
-Both exact routes run over the support only: a term with c_a = 0 is zero
-under every sign, so it changes no moment and is left out.  Nodes are
-independent, so both run over blocks of ``_NODE_BLOCK`` of them: the
-tables and temporaries of one call stay bounded however fine the rule is.
-The order and every reduction are fixed, so every figure is reproducible.
+A call takes one coefficient vector c or a batch of T of them on the same
+rows, and returns the moments of each.  The square function of the whole
+batch, sum_a |c_a|^2 |R_a|^2 per vector and node, is one real product
+|C|^2 @ |R|^2 with |R|^2 formed once per call; the other exact routes run
+vector by vector.  Both exact routes run over the support only: a term
+with c_a = 0 is zero under every sign, so it changes no moment and is left
+out (the square function leaves out the rows no vector of the batch uses).
+Nodes are independent, so both run over blocks of ``_NODE_BLOCK`` of them:
+the tables and temporaries of one call stay bounded however fine the rule
+is.  The order and every reduction are fixed, so every figure is
+reproducible.
 
 Closed form, p = 2k with 1 <= k <= ``_EVEN_MAX_K``.  With x_a = c_a R_a(m),
 
@@ -85,7 +91,9 @@ class SignMoments:
     the number of sign patterns evaluated: 2^(K-1) over the K nonzero
     coefficients when enumerated (1 for the empty sum), 0 on the closed
     form, ``samples`` for Monte Carlo; and ``route`` is "closed-form",
-    "enumeration" or "monte-carlo".
+    "enumeration" or "monte-carlo".  For a batch of T coefficient vectors
+    ``nodes`` and ``square`` are (T, M) and ``value`` and ``patterns`` (T,)
+    arrays, one row or entry per vector.
     """
 
     p: float
@@ -96,14 +104,18 @@ class SignMoments:
     patterns: int
     route: str
 
-    def khintchine_factor(self) -> float:
-        """Largest per-node E|f|^p / (sum_a |c_a R_a|^2)^{p/2}; 0 if that vanishes."""
+    def khintchine_factor(self):
+        """Largest per-node E|f|^p / (sum_a |c_a R_a|^2)^{p/2}, 0 if that vanishes at every
+        node: a float, or one per vector of a batch."""
         if self.nodes is self.square:  # p = 2: x / x**1.0 is 1 at finite x > 0, nan at inf
-            top = np.fmax.reduce(self.square)  # squares are >= 0; fmax skips nan, as den > 0 does
-            return float(top / top) if top > 0 else 0.0
-        den = self.square ** (self.p / 2.0)
-        ok = den > 0
-        return float(np.max(self.nodes[ok] / den[ok])) if np.any(ok) else 0.0
+            top = np.fmax.reduce(self.square, axis=-1)  # fmax skips nan, as den > 0 does
+            factor = np.divide(top, top, out=np.zeros_like(top), where=top > 0)
+        else:
+            den = self.square ** (self.p / 2.0)
+            ok = den > 0
+            ratio = np.divide(self.nodes, den, out=np.full_like(den, -np.inf), where=ok)
+            factor = np.where(np.any(ok, axis=-1), np.max(ratio, axis=-1), 0.0)
+        return factor if factor.ndim else float(factor)
 
 
 def _even_order(p: float) -> int:
@@ -184,55 +196,71 @@ def _half_enumeration(terms: np.ndarray, p: float) -> np.ndarray:
 
 
 def _square_function(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Per-node sum_a |coeffs_a rows_a|^2, with one (N, M) temporary."""
-    mag = np.abs(rows)
-    mag *= np.abs(coeffs)[:, None]
-    return np.sum(np.square(mag, out=mag), axis=0)
+    """Per-node sum_a |coeffs_a|^2 |rows_a|^2 for coeffs (N,) or for each row of (T, N).
+
+    One real product |C|^2 @ |R|^2 over the rows some vector uses, with
+    |R|^2 = Re^2 + Im^2 formed once (no complex ``abs``): an unused row adds
+    only zeros, and leaving it out keeps a vector's figures independent of
+    the zeros beside it.
+    """
+    used = np.flatnonzero(np.any(np.atleast_2d(coeffs) != 0, axis=0))
+    if used.size < rows.shape[0]:  # index only then: a full-support copy costs (N, M) per call
+        rows, coeffs = rows[used], coeffs[..., used]
+    return np.square(np.abs(coeffs)) @ (np.square(rows.real) + np.square(rows.imag))
 
 
 def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
                  samples: int | None = None, seed: int | None = None) -> SignMoments:
     """Moments of f(eps) = sum_a eps_a coeffs_a rows_a, weighted by w.
 
-    ``rows`` is (N, M), ``coeffs`` (N,) and ``w`` (M,).  With
-    ``method="exact"`` only the K nonzero coefficients and their rows
-    enter.  An exponent within 8 * np.spacing(2k) of an even 2k, 2 <= 2k <= 16,
-    takes the closed form at exactly 2k, for any N, and evaluates no
-    pattern; every other exponent, p = inf included, enumerates the
-    2^(K-1) patterns whose first sign is +1, which gives the moments over
-    all 2^N, and is capped at N = ``EXACT_CAP``.  With
-    ``method="monte-carlo"`` ``samples`` seeded patterns are drawn.  A
-    sampled sup is no bound, so p = inf is exact only.
+    ``rows`` is (N, M), ``coeffs`` one vector (N,) or a batch (T, N) of
+    them, and ``w`` (M,).  A batch gives ``nodes`` and ``square`` of shape
+    (T, M) and ``value`` and ``patterns`` of shape (T,), row t being the
+    moments of vector t; the square function of the whole batch is one
+    product.  With ``method="exact"`` only the K nonzero coefficients of
+    each vector and their rows enter.  An exponent within 8 * np.spacing(2k)
+    of an even 2k, 2 <= 2k <= 16, takes the closed form at exactly 2k, for
+    any N, and evaluates no pattern; every other exponent, p = inf included,
+    enumerates the 2^(K-1) patterns whose first sign is +1, which gives the
+    moments over all 2^N, and is capped at N = ``EXACT_CAP``.  With
+    ``method="monte-carlo"`` ``samples`` seeded patterns of one vector are
+    drawn.  A sampled sup is no bound, so p = inf is exact only.
     """
     rows = np.asarray(rows)
     coeffs = np.asarray(coeffs)
     w = np.asarray(w, dtype=float)
-    if rows.ndim != 2 or coeffs.shape != (rows.shape[0],) or w.shape != (rows.shape[1],):
-        raise ShapeError(f"need rows (N, M), coeffs (N,) and weights (M,); got "
+    if (rows.ndim != 2 or coeffs.ndim not in (1, 2) or coeffs.shape[-1] != rows.shape[0]
+            or w.shape != (rows.shape[1],)):
+        raise ShapeError(f"need rows (N, M), coeffs (N,) or (T, N) and weights (M,); got "
                          f"{rows.shape}, {coeffs.shape} and {w.shape}")
-    n = coeffs.size
+    n = rows.shape[0]
     stderr = 0.0
     if method == "exact":
         k = _even_order(p)
         if not k and n > EXACT_CAP:
             raise CapacityError(f"exact enumeration capped at {EXACT_CAP} signs, got {n}")
-        support = np.flatnonzero(coeffs)
-        if support.size < n:  # index only then: a full-support copy costs (N, M) per call
-            rows, coeffs = rows[support], coeffs[support]
-        square = _square_function(rows, coeffs)
         if k == 1:
-            nodes = square
+            nodes = square = _square_function(rows, coeffs)
         else:
-            nodes = np.empty(rows.shape[1])
-            for lo in range(0, nodes.size, _NODE_BLOCK):
-                hi = lo + _NODE_BLOCK
-                terms = coeffs[:, None] * rows[:, lo:hi]
-                nodes[lo:hi] = _even_moment(terms, k) if k else _half_enumeration(terms, p)
+            nodes = np.empty(coeffs.shape[:-1] + rows.shape[1:])
+            for c, out in zip(np.atleast_2d(coeffs), np.atleast_2d(nodes)):
+                support = np.flatnonzero(c)
+                vec_rows = rows[support] if support.size < n else rows  # a full copy costs (N, M)
+                for lo in range(0, out.size, _NODE_BLOCK):
+                    hi = lo + _NODE_BLOCK
+                    terms = c[support, None] * vec_rows[:, lo:hi]
+                    out[lo:hi] = _even_moment(terms, k) if k else _half_enumeration(terms, p)
+            square = _square_function(rows, coeffs)  # not held beside the loop's tables
+        counts = np.count_nonzero(coeffs, axis=-1)
+        patterns = 0 * counts if k else 1 << np.maximum(counts - 1, 0)
+        if coeffs.ndim == 1:
+            patterns = int(patterns)
         if k:
-            p, patterns, route = 2.0 * k, 0, "closed-form"
-        else:
-            patterns, route = 1 << max(support.size - 1, 0), "enumeration"
+            p = 2.0 * k
+        route = "closed-form" if k else "enumeration"
     elif method == "monte-carlo":
+        if coeffs.ndim != 1:
+            raise ParameterError("Monte Carlo takes one coefficient vector")
         if samples is None or samples < 1:
             raise ParameterError("Monte Carlo needs samples >= 1")
         if seed is None:
@@ -248,8 +276,9 @@ def sign_moments(rows, coeffs, w, p: float, method: str = "exact",
         patterns, route = samples, "monte-carlo"
     else:
         raise ParameterError(f"unknown expectation method {method!r}")
-    value = float(rule_power(nodes, w, 1.0))
-    return SignMoments(p, nodes, value, stderr, square, patterns, route)
+    value = rule_power(nodes, w, 1.0)
+    return SignMoments(p, nodes, value if coeffs.ndim == 2 else float(value), stderr, square,
+                       patterns, route)
 
 
 def khintchine_ratio(x, q: float, method: str = "exact", samples: int | None = None,

@@ -273,7 +273,8 @@ def test_unit_targets_enumerate_one_term(disc, disc_rule, monkeypatch):
     # the N coordinate targets have one nonzero coefficient in f and in g,
     # so only the random targets reach either exact route with every term:
     # f at p = 1.5 enumerates, g at the computed q = 6 - 3 ulps takes the
-    # closed form at q = 6
+    # closed form at q = 6.  All six targets share one block of the rule, so
+    # every f moment comes before every g moment
     calls = []
     half_enumeration, even_moment = hl.signs._half_enumeration, hl.signs._even_moment
 
@@ -290,7 +291,7 @@ def test_unit_targets_enumerate_one_term(disc, disc_rule, monkeypatch):
     seq = _seq(disc, 0.5, -0.4j, -0.3 + 0.2j, 0.6 + 0.3j)
     dual = hl.dual_system(seq, 1.5, "collocation")
     rep = hl.verify_norm_bound(hl.chain_samples(dual, 1.2, disc_rule), batch=2, seed=3)
-    assert calls == [("f", 1), ("g", 1)] * 4 + [("f", 4), ("g", 4)] * 2
+    assert calls == [("f", 1)] * 4 + [("f", 4)] * 2 + [("g", 1)] * 4 + [("g", 4)] * 2
     assert rep.details["sign_patterns"] == 8  # 2^(4-1), all from f
     assert rep.details["sign_routes"] == {"f": "enumeration", "g": "closed-form"}
     assert rep.details["q"] == 5.999999999999997 and rep.details["q_snapped"] == 6.0

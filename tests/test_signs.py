@@ -321,13 +321,13 @@ def test_sparse_moments_at_the_cap_match_brute_force_over_the_support(support, m
     mom = hl.sign_moments(rows, sparse, w, p)
     assert mom.patterns == (0 if p == 2.0 else 4)  # p = 2 takes the closed form
     assert np.allclose(mom.nodes, nodes, rtol=1e-13, atol=0.0)
-    # the dropped terms add only exact zeros to the square function; at one
-    # node (M = 1) numpy sums the column pairwise, so there the association
-    # of the terms changes with their count and only the value agrees
+    # the square function over every term agrees, and its product runs over
+    # the support alone, so the dropped terms leave its bits as they are
     square = np.sum((np.abs(sparse)[:, None] * np.abs(rows)) ** 2, axis=0)
     assert np.allclose(mom.square, square, rtol=1e-15, atol=0.0)
-    if m > 1:
-        assert np.array_equal(mom.square, square)
+    kept = rows[sorted(support)]
+    assert np.array_equal(mom.square, np.abs(sparse[sorted(support)]) ** 2
+                          @ (kept.real ** 2 + kept.imag ** 2))
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
