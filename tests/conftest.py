@@ -150,3 +150,65 @@ def factorization_error(dual, nu, s: float, rule) -> float:
     eps = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
     expectation = np.mean((eps @ f_rows) * (eps @ g_rows), axis=0)
     return float(np.max(np.abs(h_at - expectation) / (1.0 + np.abs(h_at))))
+
+
+def reference_verify_norm_bound(samples, batch: int, seed: int) -> dict:
+    """The figures of ``verify_norm_bound`` from a loop over its targets, one at a time.
+
+    Each target's h is sampled on the whole rule and its f and g moments
+    come from one-vector engine calls, with the checks in the same order;
+    returns ``ci_estimate``, ``constant_budget`` and every figure of the
+    details that depends on the moments.
+    """
+    dual, s, q, rule = samples.dual, samples.s, samples.q, samples.rule
+    p, coeffs, n = dual.p, samples.coeffs, len(dual.sequence)
+    w = rule.weights
+    sup_rho = float(np.max(hl.rule_norm(samples.rho, w, p)))
+    if p <= 2.0:
+        rho_norms, rho_pow = hl.rule_power(samples.rho, w, p), np.abs(samples.rho) ** p
+    rng = np.random.default_rng(seed)
+    targets = [np.eye(n, dtype=complex)[i] for i in range(n)]
+    for _ in range(batch):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        targets.append(v / hl.seq_norm(v, s))
+    ci = khin_f = khin_g = weak = 0.0
+    margin, patterns = np.inf, 0
+    for nu in targets:
+        split = hl.split_target(nu, s, p)
+        h_norm = float(hl.rule_norm((split.nu * coeffs.values) @ samples.prod, w, s))
+        ci = max(ci, h_norm / hl.seq_norm(nu, s))
+        x = split.lam * coeffs.values
+        f = hl.sign_moments(samples.rho, x, w, p)
+        if p == np.inf:
+            f_factor = float(np.max(f.nodes))
+        else:
+            f_factor = f.value ** (1.0 / p)
+            k_f = f.khintchine_factor()
+            khin_f = max(khin_f, k_f)
+            if p <= 2.0:
+                x_pow = np.abs(x) ** f.p
+                l2, lp = f.square, x_pow @ rho_pow
+                if f.p != 2.0:
+                    l2, lp = np.sqrt(l2), lp ** (1.0 / f.p)
+                assert not np.any(l2 > lp * (1.0 + 1e-12))
+                diagonal = float(x_pow @ rho_norms)
+                assert f.value <= k_f * diagonal * (1.0 + 1e-8)
+                assert f.p != 2.0 or abs(f.value - diagonal) <= 1e-10 * diagonal
+        g = hl.sign_moments(samples.kq, split.mu, w, q)
+        patterns = max(patterns, f.patterns, g.patterns)
+        bound = f_factor * g.value ** (1.0 / q)
+        khin_g = max(khin_g, g.khintchine_factor())
+        mu_norm = hl.seq_norm(split.mu, q)
+        if mu_norm > 0:
+            weak = max(weak, float(hl.rule_norm(g.square, w, q / 2.0)) / mu_norm**2)
+        assert h_norm <= bound * (1.0 + 1e-8)
+        margin = min(margin, (bound - h_norm) / max(bound, 1e-300))
+    budget = None
+    if p != np.inf and p <= 2.0:
+        budget = (khin_f ** (1.0 / p) * coeffs.budget * sup_rho
+                  * khin_g ** (1.0 / q) * np.sqrt(weak))
+    return {"ci_estimate": ci, "constant_budget": budget, "sup_rho_p": sup_rho,
+            "khintchine_factor_f": khin_f if p != np.inf else None,
+            "khintchine_factor_g": khin_g, "weak_ratio_seen": weak,
+            "worst_chain_margin": margin, "sign_patterns": patterns,
+            "targets_tested": len(targets)}

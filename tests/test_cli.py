@@ -8,6 +8,8 @@ import pytest
 from hardylab import cli, extension, geometry, kernels, sequences
 from hardylab.errors import EXIT_CAPACITY, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERIC
 
+from conftest import reference_verify_norm_bound
+
 
 def _write(tmp_path, name, cfg):
     path = tmp_path / name
@@ -291,11 +293,12 @@ SIGNS16 = {"domain": "disc", "points": _ring(6, 0.45, 0.3) + _ring(10, 0.8, 0.1)
                          ids=["ball-edge", "signs16"])
 def test_extend_traced_peak_stays_at_one_set_of_samples(cfg, bound_mib):
     # ball-edge: the samples are the kernel matrix divided in place plus rho
-    # and the products, and no target's samples of h are held beside its sign
-    # moments, so the traced peak reads 19.52 MiB against 20.52 MiB when every
-    # step sampled the kernels itself; one more (N, M) array would add 4 MiB.
+    # and the products, and verify_norm_bound holds its targets' samples of h
+    # and sign moments one block of nodes at a time, so the traced peak reads
+    # 18.51 MiB against 20.52 MiB when every step sampled the kernels itself;
+    # one more (N, M) array would add 4 MiB.
     # signs16: the enumeration holds its table B one 32-row slice at a time,
-    # so the peak reads 1.60 MiB against 2.47 MiB with all of B at once.  A
+    # so the peak reads 1.62 MiB against 2.47 MiB with all of B at once.  A
     # first run also imports numpy's lazily loaded modules, so it is untraced
     cli.run("extend", cfg)
     tracemalloc.start()
@@ -305,6 +308,41 @@ def test_extend_traced_peak_stays_at_one_set_of_samples(cfg, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize("cfg", [BALL_EDGE, SIGNS16], ids=["ball-edge", "signs16"])
+def test_verify_norm_bound_blocks_match_the_per_target_loop(monkeypatch, cfg):
+    # every target shares each block of about 2^16 / T nodes of the rule, so f
+    # and g take 2 * ceil(M / block) engine calls (42 on the 65536 ball nodes,
+    # 2 on the 256 disc nodes), not 2 per target, and every figure agrees
+    # with the loop over one target at a time.  worst_chain_margin is the gap
+    # (bound - ||h||_s) / bound, a difference of two such figures, so it is
+    # held to 1e-13 of the bound: to 1e-13 absolute
+    calls, seen = [], []
+    sign_moments, verify = extension.sign_moments, extension.verify_norm_bound
+
+    def spy(rows, coeffs, *args):
+        calls.append(coeffs.shape)
+        return sign_moments(rows, coeffs, *args)
+
+    def keep(samples, **kwargs):
+        seen.append(samples)
+        return verify(samples, **kwargs)
+
+    monkeypatch.setattr(extension, "sign_moments", spy)
+    monkeypatch.setattr(extension, "verify_norm_bound", keep)
+    got = cli.run("extend", cfg)["results"]["extension"]
+    n, targets = len(cfg["points"]), len(cfg["points"]) + cfg["batch"]
+    blocks = math.ceil(len(seen[0].rule) / (extension._BLOCK_ENTRIES // targets))
+    assert calls == [(targets, n)] * (2 * blocks)
+    details = got["details"]["verification"]
+    for key, want in reference_verify_norm_bound(seen[0], cfg["batch"], cfg["seed"]).items():
+        have = got[key] if key in ("ci_estimate", "constant_budget") else details[key]
+        if isinstance(want, float):
+            scale = 1.0 if key == "worst_chain_margin" else abs(want)
+            assert abs(have - want) <= 1e-13 * scale, key
+        else:
+            assert have == want, key
 
 
 def test_report_dual_method_reaches_both_sections(tmp_path):

@@ -19,6 +19,18 @@ def test_rule_is_probability_measure(kind, resolution):
         assert np.max(np.abs(np.abs(rule.nodes) - 1.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("kind,resolution", [("disc", 64), ("ball2", 8), ("bidisc", 16)])
+def test_rule_refuses_a_node_off_the_boundary(kind, resolution):
+    # one node scaled by 1 + 1e-13 lies ten times BOUNDARY_TOL off the boundary
+    dom = hl.Domain(kind)
+    rule = hl.build_quadrature(dom, resolution)
+    hl.QuadratureRule(dom, rule.nodes, rule.weights, resolution)
+    nodes = rule.nodes.copy()
+    nodes[len(nodes) // 3] *= 1.0 + 1e-13
+    with pytest.raises(hl.ParameterError, match="boundary"):
+        hl.QuadratureRule(dom, nodes, rule.weights, resolution)
+
+
 def test_disc_rule_integrates_roots_of_unity(disc):
     rule = hl.build_quadrature(disc, 64)
     for k in range(0, 33):

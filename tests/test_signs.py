@@ -457,3 +457,51 @@ def test_p2_moments_on_a_ball_dual_match_enumeration(ball):
         assert np.allclose(mom.nodes, nodes, rtol=1e-14, atol=0.0)
         value = float(rule.weights @ nodes)
         assert abs(mom.value - value) <= 1e-14 * value
+
+
+@pytest.mark.parametrize("p", [1.5, np.inf, 4.0, 6.0, 2.0])
+def test_batch_matches_single_vector_calls(p):
+    # a (T, N) batch against T one-vector calls: random rows, an all-zero row,
+    # unit vectors (support 1) and a row with two zeros, on 4096 + 5 nodes so
+    # that the exact routes run two node blocks.  Enumeration and the k = 2, 3
+    # closed form run vector by vector and agree bit for bit; the square
+    # function of a batch is one matrix product, which may round apart from
+    # one vector's product
+    n, m = 6, 4096 + 5
+    rows, _, w = _random_instance(n, m, 23)
+    rng = np.random.default_rng(24)
+    batch = np.vstack([rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)),
+                       np.zeros(n), np.eye(n)[[0, 4]],
+                       np.array([0.5, 0.0, -2.0j, 0.0, 1.0, 0.25 + 0.5j])])
+    mom = hl.sign_moments(rows, batch, w, p)
+    assert mom.nodes.shape == mom.square.shape == (len(batch), m)
+    assert mom.value.shape == mom.patterns.shape == (len(batch),)
+    factors = mom.khintchine_factor()
+    assert factors.shape == (len(batch),)
+    for t, coeffs in enumerate(batch):
+        one = hl.sign_moments(rows, coeffs, w, p)
+        assert (mom.route, mom.p, int(mom.patterns[t])) == (one.route, one.p, one.patterns)
+        assert np.allclose(mom.square[t], one.square, rtol=1e-15, atol=0.0)
+        if p == 2.0:
+            assert mom.nodes is mom.square
+            assert np.allclose(mom.nodes[t], one.nodes, rtol=1e-15, atol=0.0)
+            assert abs(mom.value[t] - one.value) <= 1e-15 * one.value
+        else:
+            assert np.array_equal(mom.nodes[t], one.nodes)
+            assert mom.value[t] == one.value
+        if p != np.inf:
+            assert np.isclose(factors[t], one.khintchine_factor(), rtol=1e-14, atol=0.0)
+    assert not np.any(mom.nodes[3]) and mom.value[3] == 0.0 and factors[3] == 0.0
+
+
+def test_batch_cap_and_monte_carlo_refusal():
+    # the cap counts the N columns of the batch, zeros included, as for one vector
+    one = np.ones(1)
+    with pytest.raises(hl.CapacityError):
+        hl.sign_moments(np.ones((21, 1)), np.eye(21)[:4], one, 3.0)
+    assert hl.sign_moments(np.ones((21, 1)), np.eye(21)[:4], one, 2.0).route == "closed-form"
+    with pytest.raises(hl.ParameterError, match="one coefficient vector"):
+        hl.sign_moments(np.ones((4, 1)), np.ones((2, 4)), one, 3.0, method="monte-carlo",
+                        samples=10, seed=1)
+    with pytest.raises(hl.ShapeError):
+        hl.sign_moments(np.ones((4, 1)), np.ones((2, 2, 4)), one, 3.0)
