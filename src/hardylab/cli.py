@@ -29,6 +29,8 @@ SUBCOMMANDS = ("norms", "sh", "carleson", "dual", "gleason", "extend",
 
 # largest delta residual max |rho_a(b) - delta_ab scale_b| / scale_b a run accepts
 _DELTA_LIMIT = 1e-8
+# key of a report's shared dict under which the dual section hands its dual_rows on
+_ROWS = "rows"
 
 
 def _parse_exponent(v, what: str):
@@ -116,12 +118,36 @@ def _domain(cfg: dict) -> geometry.Domain:
     return geometry.Domain(cfg["domain"])
 
 
-def _rule(cfg: dict, dom: geometry.Domain) -> geometry.QuadratureRule:
+def _once(shared: dict | None, key: tuple, build):
+    """build(), run once per key within one report; ``shared`` is the report's dict, or
+    None outside a report, where every call builds."""
+    if shared is None:
+        return build()
+    if key not in shared:
+        shared[key] = build()
+    return shared[key]
+
+
+def _rule(cfg: dict, dom: geometry.Domain, shared: dict | None = None) -> geometry.QuadratureRule:
     default = 256 if dom.kind == geometry.DISC else 16
     resolution = _number(cfg.get("resolution", default), "resolution")
     angular = cfg.get("angular")
-    return geometry.build_quadrature(
-        dom, resolution, angular=None if angular is None else _number(angular, "angular"))
+    angular = None if angular is None else _number(angular, "angular")
+    return _once(shared, ("rule", dom, resolution, angular),
+                 lambda: geometry.build_quadrature(dom, resolution, angular=angular))
+
+
+def _dual(seq: sequences.PointSequence, p: float, method, shared: dict | None = None):
+    """``sequences.dual_system``, built once per (points, p, method) within a report.
+
+    The points are keyed by their bytes: -0.0 and 0.0 compare equal but
+    print differently.  A method that is no string is refused by
+    ``dual_system`` and is no key.
+    """
+    if not isinstance(method, str):
+        return sequences.dual_system(seq, p, method)
+    return _once(shared, ("dual", seq.domain, seq.arrays().tobytes(), p, method),
+                 lambda: sequences.dual_system(seq, p, method))
 
 
 def _seed(value) -> int:
@@ -198,14 +224,14 @@ def _run_sh(cfg: dict):
     return {"scans": [scan.to_json() for scan in scans], "engine": cache.report()}, rows
 
 
-def _run_carleson(cfg: dict):
+def _run_carleson(cfg: dict, shared: dict | None = None):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
     q = _parse_exponent(cfg.get("q", 2.0), "q")
     route = sequences._carleson_route(q)
     if cfg.get("method", "auto") not in ("auto", route):
         raise ParameterError(f"method must be 'auto' or {route!r} at q = {q:g}: {cfg['method']!r}")
-    rule = _rule(cfg, dom)
+    rule = _rule(cfg, dom, shared)
     seed = cfg.get("seed")
     weak, remark_2q = _flag(cfg, "weak", True), _flag(cfg, "remark_2q", False)
     kwargs = {"restarts": _number(cfg.get("restarts", 32), "restarts"),
@@ -227,17 +253,22 @@ def _run_carleson(cfg: dict):
     return out, None
 
 
-def _run_dual(cfg: dict):
+def _run_dual(cfg: dict, shared: dict | None = None):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
-    rule = _rule(cfg, dom)
+    rule = _rule(cfg, dom, shared)
     p = _parse_exponent(cfg.get("p", 2.0), "p")
     if _flag(cfg, "tikhonov", False):
         raise ParameterError("tikhonov must be false: a shifted dual loses rho_a(b) = delta_ab")
-    dual = sequences.dual_system(seq, p, cfg.get("method", "gram2"))
+    dual = _dual(seq, p, cfg.get("method", "gram2"), shared)
     out = dual.to_json()
     out["delta_residual"] = _delta_residual(dual)
-    out["dual_bound"] = sequences.dual_bound(dual, rule)
+    rho = None
+    if shared is not None:  # hand the samples on the rule to the extend section
+        rows = ext.dual_rows(dual, rule.nodes)
+        shared[_ROWS] = (dual, rule, rows)
+        rho = rows[0]
+    out["dual_bound"] = sequences.dual_bound(dual, rule, rho)
     return {"dual": out, "engine": dual.norms.report()}, None
 
 
@@ -263,18 +294,32 @@ def gleason_min_off_diagonal(matrix) -> float:
     return min(matrix[i][j] for i in range(n) for j in range(n) if i != j)
 
 
-def _run_extend(cfg: dict):
+def _handed_rows(shared: dict | None, dual: sequences.DualSystem,
+                 rule: geometry.QuadratureRule) -> tuple | None:
+    """The dual section's ``dual_rows`` if they are this dual's on this rule, else None.
+
+    The dual and the rule come from the report's dict, so the same parsed
+    values give the same objects.  The slot is emptied either way, so a
+    section that samples its own dual never holds the other's beside it.
+    """
+    handed = None if shared is None else shared.pop(_ROWS, None)
+    if handed is None or handed[0] is not dual or handed[1] is not rule:
+        return None
+    return handed[2]
+
+
+def _run_extend(cfg: dict, shared: dict | None = None):
     dom = _domain(cfg)
     seq = _parse_points(cfg, dom)
-    rule = _rule(cfg, dom)
+    rule = _rule(cfg, dom, shared)
     s = _parse_exponent(cfg.get("s", 1.0), "s")
     p = _parse_exponent(cfg.get("p", 2.0), "p")
     kernels.exponent_from_split(s, p)  # validates the identity at parse time
     seed = _need_seed(cfg)
-    dual = sequences.dual_system(seq, p, cfg.get("dual_method", "gram2"))
+    dual = _dual(seq, p, cfg.get("dual_method", "gram2"), shared)
     delta_residual = _delta_residual(dual)
     nu = _parse_target(cfg, len(seq))
-    samples = ext.chain_samples(dual, s, rule)
+    samples = ext.chain_samples(dual, s, rule, _handed_rows(shared, dual, rule))
     _, rep = ext.build_extension(samples, nu)
     bound_rep = ext.verify_norm_bound(samples, batch=_number(cfg.get("batch", 64), "batch"),
                                       seed=seed)
@@ -344,7 +389,15 @@ _REPORT_COMMON = ("domain", "points", "points_csv", "resolution", "angular", "se
 
 
 def _run_report(cfg: dict):
-    """Battery run; section dicts named after subcommands override the base."""
+    """Battery run; section dicts named after subcommands override the base.
+
+    The sections share one dict: the rule is built once per (domain,
+    resolution, angular) and the dual once per (points, p, method), and
+    the dual section hands its samples of rho and the kernels on the rule
+    to the extend section, which takes them when its dual and rule are the
+    same.  A section whose overrides change a key builds its own.
+    """
+    shared: dict = {}
 
     def section(name: str, **extra) -> dict:
         sub = {k: cfg[k] for k in _REPORT_COMMON if k in cfg}
@@ -359,11 +412,11 @@ def _run_report(cfg: dict):
     bundle["gleason"], _ = _run_gleason(section("gleason"))
     bundle["norms"], _ = _run_norms(section("norms"))
     bundle["sh"], _ = _run_sh(section("sh", grid=cfg.get("grid", {"rmax": 0.9, "count": 8})))
-    bundle["carleson"], _ = _run_carleson(section("carleson"))
+    bundle["carleson"], _ = _run_carleson(section("carleson"), shared)
     # the dual subcommand names its construction "method"
     dual_method = {"method": cfg["dual_method"]} if "dual_method" in cfg else {}
-    bundle["dual"], _ = _run_dual(section("dual", **dual_method))
-    bundle["extend"], _ = _run_extend(section("extend"))
+    bundle["dual"], _ = _run_dual(section("dual", **dual_method), shared)
+    bundle["extend"], _ = _run_extend(section("extend"), shared)
     return bundle, None
 
 

@@ -29,9 +29,12 @@ nodes at a time and checks all of its targets at once in each block: the
 samples of h of every target come from one product and f and g from one
 batched engine call each.  ``chain_rows`` derives rho_a and k_{q,a} at any
 points from one ``kernel_matrix``; the rule's samples and h, the one
-evaluator returned, both come from it.  h is a vectorized zs (M, n) -> (M,)
-for points off the rule: the sequence points and the interior points of
-the Bergman lift.
+evaluator returned, both come from it.  That kernel matrix with the rho_a
+read from it is ``dual_rows``; a caller that already holds them (a
+report's dual section) hands them to ``chain_samples``, which divides the
+kernels into k_{q,a} in place.  h is a vectorized zs (M, n) -> (M,) for
+points off the rule: the sequence points and the interior points of the
+Bergman lift.
 """
 from __future__ import annotations
 
@@ -41,8 +44,8 @@ import numpy as np
 
 from .errors import ContractError, InvariantViolation, ParameterError
 from .geometry import QuadratureRule, rule_norm, rule_power, seq_norm
-from .kernels import (INF, conjugate_exponent, exponent_from_split, kernel_matrix, sh_ps_scan,
-                      sh_q_scan)
+from .kernels import (INF, conjugate_exponent, divide_rows, exponent_from_split, kernel_matrix,
+                      sh_ps_scan, sh_q_scan)
 from .sequences import DualSystem, PointSequence, _weak_ratio, normalized_kernel_matrix
 from .signs import SignMoments, sign_moments
 
@@ -194,19 +197,25 @@ def _kernel_norms(dual: DualSystem, q: float) -> np.ndarray:
     return np.array([dual.norms.norm(seq[i], q) for i in range(len(seq))])
 
 
-def chain_rows(dual: DualSystem, q: float, zs: np.ndarray) -> tuple:
+def dual_rows(dual: DualSystem, zs: np.ndarray) -> tuple:
+    """(rho, K): the (N, len(zs)) values of rho_a and the ``kernel_matrix`` of the dual's
+    points at zs, rho being read from K (a Blaschke dual reads nothing from it)."""
+    seq = dual.sequence
+    K = kernel_matrix(seq.arrays(), zs, seq.domain)
+    return dual.values_from_kernels(zs, K), K
+
+
+def chain_rows(dual: DualSystem, q: float, zs: np.ndarray, rows: tuple | None = None) -> tuple:
     """(rho, kq): the (N, len(zs)) values of rho_a and k_{q,a} at zs, from one ``kernel_matrix``.
 
-    The ||k_a||_q come from the dual's norm cache before K is formed; K is
-    divided by them in place once rho is read from it, so it is never held
-    beside its images.
+    ``rows`` is ``dual_rows(dual, zs)`` when the caller already holds them;
+    its K becomes kq.  The ||k_a||_q come from the dual's norm cache before
+    K is formed; K is divided by them in place (``divide_rows``) once rho
+    is read from it, so it is never held beside its images.
     """
-    seq = dual.sequence
     scale = _kernel_norms(dual, q)
-    K = kernel_matrix(seq.arrays(), zs, seq.domain)
-    rho = dual.values_from_kernels(zs, K)
-    K /= scale[:, None]
-    return rho, K
+    rho, K = dual_rows(dual, zs) if rows is None else rows
+    return rho, divide_rows(K, scale)
 
 
 @dataclass
@@ -228,17 +237,21 @@ class ChainSamples:
     prod: np.ndarray
 
 
-def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule) -> ChainSamples:
+def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule,
+                  rows: tuple | None = None) -> ChainSamples:
     """The c_a and every sample matrix of the chain on ``rule``: ``chain_rows`` at its nodes
     and their products.
 
-    ``build_extension`` and ``verify_norm_bound`` both read the c_a from
-    here; they come first, so their norm-cache scans run before any
-    (N, M) array is held.
+    ``rows`` is ``dual_rows(dual, rule.nodes)`` when the caller already
+    holds them (a report's dual section hands its samples on); their K is
+    divided in place and becomes ``kq``.  ``build_extension`` and
+    ``verify_norm_bound`` both read the c_a from here; they come first, so
+    their norm-cache scans, and any error they raise, come before the
+    samples are formed or taken over.
     """
     q = exponent_from_split(s, dual.p)
     coeffs = coeff_c(dual, s)
-    rho, kq = chain_rows(dual, q, rule.nodes)
+    rho, kq = chain_rows(dual, q, rule.nodes, rows)
     return ChainSamples(dual, s, q, rule, coeffs, rho, kq, rho * kq)
 
 
@@ -356,10 +369,12 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
     n = len(seq)
     w = rule.weights
     rho_vals, kq_vals, prod_vals = samples.rho, samples.kq, samples.prod
-    sup_rho = float(np.max(rule_norm(rho_vals, w, p)))
-    dual_factor = p <= 2.0
-    if dual_factor:
+    if p == INF:
+        sup_rho = float(np.max(rule_norm(rho_vals, w, p)))
+    else:  # |rho|^p over the rule once: sup_rho is rule_norm's root of the rho_norms
         rho_norms = rule_power(rho_vals, w, p)
+        sup_rho = float(np.max(np.power(rho_norms, 1.0 / p)))
+    dual_factor = p <= 2.0
 
     rng = np.random.default_rng(seed)
     targets = [np.eye(n, dtype=complex)[i] for i in range(n)]
@@ -390,7 +405,8 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
         g = sign_moments(kq_vals[:, block], mu, wb, q)
         g_value += g.value
         g_top = np.maximum(g_top, g.khintchine_factor())
-        g_weak += rule_power(g.square, wb, q / 2.0)
+        # at q = 2 the weak integral at q/2 = 1 is g.value, the same sum bit for bit
+        g_weak += g.value if q == 2.0 else rule_power(g.square, wb, q / 2.0)
         patterns = max(patterns, int(np.max(f.patterns)), int(np.max(g.patterns)))
         routes = {"f": f.route, "g": g.route}
         if f.p != p:

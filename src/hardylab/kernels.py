@@ -6,7 +6,9 @@ disc kernels on the bidisc.  Everything downstream (Carleson constants,
 dual systems, extension operators) consumes kernels through this module,
 and ``kernel_matrix`` is the only code that evaluates those formulas: it
 returns the (N, M) values of the kernels of N points at M points in one
-broadcast, and k_a(a) is the diagonal of the points against themselves.
+broadcast, formed in place, and k_a(a) is the diagonal of the points
+against themselves.  ``divide_rows`` normalizes such a matrix row by row
+in place, with the bits of the division by a column of norms.
 
 Kernel norms are closed forms: ||k_a||_p^p is a hypergeometric value of
 |a|^2 (see ``NormCache``), summed with an explicit tail bound that every
@@ -87,23 +89,42 @@ def kernel_matrix(points, zs: np.ndarray, dom: Domain) -> np.ndarray:
     ``zs`` is an (M, n) array of interior or boundary points (a flat array
     is read as consecutive points); any other shape is a ``ShapeError``.
     This is the one place a kernel formula is evaluated: one broadcast over
-    (a, z) per domain.
+    (a, z) per domain, formed in place in the C-contiguous array it returns
+    (one (N, M) temporary more on the ball, two on the bidisc).  Every
+    in-place step is the ufunc of the out-of-place formula, so the bits are
+    the same.
     """
     ca = np.conj([dom.point(a) for a in points]).reshape(-1, dom.n)[:, None, :]
     zs = _point_array(zs, dom)
-    if dom.kind == DISC:
-        denom = 1.0 - ca[:, :, 0] * zs[None, :, 0]
-        _check_branch(denom)
-        return 1.0 / denom
+    denom = ca[:, :, 0] * zs[None, :, 0]
     if dom.kind == BALL2:
-        denom = 1.0 - (ca[:, :, 0] * zs[None, :, 0] + ca[:, :, 1] * zs[None, :, 1])
-        _check_branch(denom)
-        return denom**-2
-    denom1 = 1.0 - ca[:, :, 0] * zs[None, :, 0]
-    denom2 = 1.0 - ca[:, :, 1] * zs[None, :, 1]
-    _check_branch(denom1)
+        denom += ca[:, :, 1] * zs[None, :, 1]
+    np.subtract(1.0, denom, out=denom)
+    _check_branch(denom)
+    if dom.kind == DISC:
+        return np.divide(1.0, denom, out=denom)
+    if dom.kind == BALL2:
+        return np.power(denom, -2, out=denom)
+    denom2 = ca[:, :, 1] * zs[None, :, 1]
+    np.subtract(1.0, denom2, out=denom2)
     _check_branch(denom2)
-    return 1.0 / (denom1 * denom2)
+    # not denom *= denom2: numpy's in-place complex product of one element
+    # rounds differently from the product of larger arrays
+    denom = denom * denom2
+    return np.divide(1.0, denom, out=denom)
+
+
+def divide_rows(K: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """K / norms[:, None] in place, bit for bit, for a C-contiguous complex (N, M) K.
+
+    numpy divides a complex by a real as by a complex of zero imaginary
+    part (Smith's algorithm, with ratio 0), which is multiplying both parts
+    by the rounded reciprocal 1 / norm; the real view of K does that
+    directly, without the complex loop or a temporary.
+    """
+    view = K.view(float)
+    view *= (1.0 / norms)[:, None]
+    return K
 
 
 def _check_branch(denom: np.ndarray) -> None:

@@ -49,7 +49,8 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .geometry import BALL2, DISC, Domain, QuadratureRule, rule_norm, rule_power, seq_norm
-from .kernels import INF, NormCache, conjugate_exponent, kernel_matrix, _point_array, _point_key
+from .kernels import (INF, NormCache, conjugate_exponent, divide_rows, kernel_matrix, _point_array,
+                      _point_key)
 
 
 @dataclass(frozen=True)
@@ -209,10 +210,11 @@ def normalized_kernel_matrix(seq: PointSequence, q: float, rule: QuadratureRule)
     The result is the transpose of a row-major (N, M) array; the power
     iteration runs faster on that column-major layout than on a copy: the
     row-blocked pass multiplies by its row blocks, and the quartic Gram
-    matrix gathers its products from the rows of the transpose.
+    matrix gathers its products from the rows of the transpose.  The rows
+    are divided by their norms in place (``divide_rows``).
     """
     K = kernel_matrix(seq.arrays(), rule.nodes, seq.domain)
-    return (K / rule_norm(K, rule.weights, q)[:, None]).T
+    return divide_rows(K, rule_norm(K, rule.weights, q)).T
 
 
 def _duality_weight(mag: np.ndarray, r: float) -> np.ndarray:
@@ -602,8 +604,13 @@ def dual_system(seq: PointSequence, p: float, method: str) -> DualSystem:
     return DualSystem(seq, float(p), method, scales, X, cond, norms=norms)
 
 
-def dual_bound(dual: DualSystem, rule: QuadratureRule) -> float:
-    """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf)."""
+def dual_bound(dual: DualSystem, rule: QuadratureRule, rho: np.ndarray | None = None) -> float:
+    """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf).
+
+    ``rho`` is ``dual.values(rule.nodes)`` when the caller already holds it.
+    """
     if dual.p < 1:
         raise ParameterError("dual_bound requires p >= 1 or p = inf")
-    return float(np.max(rule_norm(dual.values(rule.nodes), rule.weights, dual.p)))
+    if rho is None:
+        rho = dual.values(rule.nodes)
+    return float(np.max(rule_norm(rho, rule.weights, dual.p)))

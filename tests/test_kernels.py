@@ -76,6 +76,53 @@ def test_kernel_matrix_matches_kernel_eval(kind, a_raw, z_raw):
     assert np.array_equal(diag, [_kernel_at(a, a, dom) for a in A])
 
 
+def _out_of_place_kernels(points, zs, kind):
+    """The kernel formulas of kernel_matrix written out of place, one temporary per step."""
+    ca = np.conj(points)[:, None, :]
+    if kind == "disc":
+        return 1.0 / (1.0 - ca[:, :, 0] * zs[None, :, 0])
+    if kind == "ball2":
+        return (1.0 - (ca[:, :, 0] * zs[None, :, 0] + ca[:, :, 1] * zs[None, :, 1])) ** -2
+    return 1.0 / ((1.0 - ca[:, :, 0] * zs[None, :, 0]) * (1.0 - ca[:, :, 1] * zs[None, :, 1]))
+
+
+# small rules keep the examples fast: 32 circle nodes, 4 x 8 x 8 on the sphere, 8 x 8 on the torus
+_SMALL_RULES = {"disc": 32, "ball2": 4, "bidisc": 8}
+
+
+@pytest.mark.parametrize("kind", ["disc", "ball2", "bidisc"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(a_raw=_polar(0.99, 4), z_raw=_polar(1.0, 5), q=st.sampled_from([1.0, 1.5, 2.0, 4.0, 6.5]))
+def test_kernel_samples_formed_in_place_match_the_out_of_place_formulas(kind, a_raw, z_raw, q):
+    # kernel_matrix forms its values in place and normalized_kernel_matrix and
+    # chain_rows divide rows by norms through the real view of K; each must give
+    # the bits of the out-of-place formula and of K / norms[:, None]
+    dom = hl.Domain(kind)
+    A, Z = _polar_points(kind, a_raw), _polar_points(kind, z_raw)
+    want = _out_of_place_kernels(A, Z, kind)
+    assert np.array_equal(hl.kernel_matrix(A, Z, dom), want)
+    # numpy may round an in-place step on one element differently
+    for i, j in itertools.product(range(len(A)), range(len(Z))):
+        assert np.array_equal(hl.kernel_matrix(A[i:i + 1], Z[j:j + 1], dom), want[i:i + 1, j:j + 1])
+    keys = {tuple(a) for a in A}
+    if len(keys) < len(A):
+        return  # a point sequence has distinct points
+    seq = hl.PointSequence.create(dom, A)
+    rule = hl.build_quadrature(dom, _SMALL_RULES[kind], angular=8 if kind == "ball2" else None)
+    K = _out_of_place_kernels(seq.arrays(), rule.nodes, kind)
+    assert np.array_equal(hl.normalized_kernel_matrix(seq, q, rule),
+                          (K / hl.rule_norm(K, rule.weights, q)[:, None]).T)
+    # a dual whose rho_a are the kernels themselves: chain_rows reads only its
+    # points, its norm cache and X K
+    n = len(seq)
+    dual = hl.DualSystem(seq, 2.0, "collocation", np.ones(n), np.eye(n, dtype=complex), 1.0,
+                         norms=hl.NormCache(dom))
+    norms = np.array([dual.norms.norm(seq[i], q) for i in range(n)])
+    rho, kq = hl.extension.chain_rows(dual, q, rule.nodes)
+    assert np.array_equal(rho, K)
+    assert np.array_equal(kq, K / norms[:, None])
+
+
 def test_branch_check_outside_closed_domain(disc):
     with pytest.raises(hl.DomainError):
         hl.kernel_matrix([[0.9]], np.array([[1.2 + 0j]]), disc)
