@@ -264,10 +264,9 @@ def _run_dual(cfg: dict, shared: dict | None = None):
     out = dual.to_json()
     out["delta_residual"] = _delta_residual(dual)
     rho = None
-    if shared is not None:  # hand the samples on the rule to the extend section
-        rows = ext.dual_rows(dual, rule.nodes)
-        shared[_ROWS] = (dual, rule, rows)
-        rho = rows[0]
+    if shared is not None:  # sampled once for the report and handed to the extend section
+        rho, K = ext.dual_rows(dual, rule.nodes)
+        shared[_ROWS] = (dual, rule, (rho, K))
     out["dual_bound"] = sequences.dual_bound(dual, rule, rho)
     return {"dual": out, "engine": dual.norms.report()}, None
 
@@ -296,16 +295,14 @@ def gleason_min_off_diagonal(matrix) -> float:
 
 def _handed_rows(shared: dict | None, dual: sequences.DualSystem,
                  rule: geometry.QuadratureRule) -> tuple | None:
-    """The dual section's ``dual_rows`` if they are this dual's on this rule, else None.
+    """The dual section's ``dual_rows`` if they are of this very dual and rule, else None.
 
-    The dual and the rule come from the report's dict, so the same parsed
-    values give the same objects.  The slot is emptied either way, so a
-    section that samples its own dual never holds the other's beside it.
+    The report's dict gives the same objects for the same parsed values.
+    The slot is emptied either way, so samples the caller forms itself
+    never sit beside the dual section's.
     """
     handed = None if shared is None else shared.pop(_ROWS, None)
-    if handed is None or handed[0] is not dual or handed[1] is not rule:
-        return None
-    return handed[2]
+    return handed[2] if handed and handed[0] is dual and handed[1] is rule else None
 
 
 def _run_extend(cfg: dict, shared: dict | None = None):
