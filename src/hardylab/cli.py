@@ -118,13 +118,13 @@ def _domain(cfg: dict) -> geometry.Domain:
     return geometry.Domain(cfg["domain"])
 
 
-def _once(shared: dict | None, key: tuple, build):
-    """build(), run once per key within one report; ``shared`` is the report's dict, or
-    None outside a report, where every call builds."""
+def _once(shared: dict | None, key: tuple, build, *args, **kwargs):
+    """build(*args, **kwargs), run once per key within one report; ``shared`` is the
+    report's dict, or None outside a report, where every call builds."""
     if shared is None:
-        return build()
+        return build(*args, **kwargs)
     if key not in shared:
-        shared[key] = build()
+        shared[key] = build(*args, **kwargs)
     return shared[key]
 
 
@@ -133,21 +133,19 @@ def _rule(cfg: dict, dom: geometry.Domain, shared: dict | None = None) -> geomet
     resolution = _number(cfg.get("resolution", default), "resolution")
     angular = cfg.get("angular")
     angular = None if angular is None else _number(angular, "angular")
-    return _once(shared, ("rule", dom, resolution, angular),
-                 lambda: geometry.build_quadrature(dom, resolution, angular=angular))
+    return _once(shared, ("rule", dom, resolution, angular), geometry.build_quadrature,
+                 dom, resolution, angular=angular)
 
 
 def _dual(seq: sequences.PointSequence, p: float, method, shared: dict | None = None):
     """``sequences.dual_system``, built once per (points, p, method) within a report.
 
-    The points are keyed by their bytes: -0.0 and 0.0 compare equal but
-    print differently.  A method that is no string is refused by
-    ``dual_system`` and is no key.
+    The points are keyed by their bytes (-0.0 and 0.0 compare equal but print
+    differently) and the method by its repr (a list, which ``dual_system``
+    refuses, is no key).
     """
-    if not isinstance(method, str):
-        return sequences.dual_system(seq, p, method)
-    return _once(shared, ("dual", seq.domain, seq.arrays().tobytes(), p, method),
-                 lambda: sequences.dual_system(seq, p, method))
+    return _once(shared, ("dual", seq.domain, seq.arrays().tobytes(), p, repr(method)),
+                 sequences.dual_system, seq, p, method)
 
 
 def _seed(value) -> int:
