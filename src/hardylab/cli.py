@@ -141,8 +141,8 @@ def _dual(seq: sequences.PointSequence, p: float, method, shared: dict | None = 
     """``sequences.dual_system``, built once per (points, p, method) within a report.
 
     The points are keyed by their bytes (-0.0 and 0.0 compare equal but print
-    differently) and the method by its repr (a list, which ``dual_system``
-    refuses, is no key).
+    differently) and the method by its repr, so that a list, which
+    ``dual_system`` refuses, still makes a key.
     """
     return _once(shared, ("dual", seq.domain, seq.arrays().tobytes(), p, repr(method)),
                  sequences.dual_system, seq, p, method)
