@@ -29,7 +29,8 @@ SUBCOMMANDS = ("norms", "sh", "carleson", "dual", "gleason", "extend",
 
 # largest delta residual max |rho_a(b) - delta_ab scale_b| / scale_b a run accepts
 _DELTA_LIMIT = 1e-8
-# key of a report's shared dict under which the dual section hands its dual_rows on
+# key of a report's shared dict under which the dual section hands its dual_rows and
+# dual_powers on
 _ROWS = "rows"
 
 
@@ -261,11 +262,12 @@ def _run_dual(cfg: dict, shared: dict | None = None):
     dual = _dual(seq, p, cfg.get("method", "gram2"), shared)
     out = dual.to_json()
     out["delta_residual"] = _delta_residual(dual)
-    rho = None
-    if shared is not None:  # sampled once for the report and handed to the extend section
+    powers = None
+    if shared is not None:  # sampled and integrated once for the report, handed to extend
         rho, K = ext.dual_rows(dual, rule.nodes)
-        shared[_ROWS] = (dual, rule, (rho, K))
-    out["dual_bound"] = sequences.dual_bound(dual, rule, rho)
+        powers = sequences.dual_powers(rho, rule, dual.p)
+        shared[_ROWS] = (dual, rule, (rho, K, powers))
+    out["dual_bound"] = sequences.dual_bound(dual, rule, powers)
     return {"dual": out, "engine": dual.norms.report()}, None
 
 
@@ -293,7 +295,8 @@ def gleason_min_off_diagonal(matrix) -> float:
 
 def _handed_rows(shared: dict | None, dual: sequences.DualSystem,
                  rule: geometry.QuadratureRule) -> tuple | None:
-    """The dual section's ``dual_rows`` if they are of this very dual and rule, else None.
+    """The dual section's ``dual_rows`` and ``dual_powers`` if they are of this very dual and
+    rule, else None.
 
     The report's dict gives the same objects for the same parsed values.
     The slot is emptied either way, so samples the caller forms itself
@@ -390,9 +393,21 @@ def _run_report(cfg: dict):
     resolution, angular) and the dual once per (points, p, method), and
     the dual section hands its samples of rho and the kernels on the rule
     to the extend section, which takes them when its dual and rule are the
-    same.  A section whose overrides change a key builds its own.
+    same.  A section whose overrides change a key builds its own, and a rule
+    built by a section that names its own domain, resolution or angular is
+    dropped when that section ends.
     """
     shared: dict = {}
+
+    def shared_section(name: str, runner, **extra) -> dict:
+        sub = section(name, **extra)
+        before = set(shared)
+        out, _ = runner(sub, shared)
+        if {"domain", "resolution", "angular"} & set(cfg.get(name, {})):
+            for key in set(shared) - before:
+                if key[0] == "rule":  # not _ROWS: extend takes or drops the handed rows
+                    del shared[key]
+        return out
 
     def section(name: str, **extra) -> dict:
         sub = {k: cfg[k] for k in _REPORT_COMMON if k in cfg}
@@ -407,11 +422,11 @@ def _run_report(cfg: dict):
     bundle["gleason"], _ = _run_gleason(section("gleason"))
     bundle["norms"], _ = _run_norms(section("norms"))
     bundle["sh"], _ = _run_sh(section("sh", grid=cfg.get("grid", {"rmax": 0.9, "count": 8})))
-    bundle["carleson"], _ = _run_carleson(section("carleson"), shared)
+    bundle["carleson"] = shared_section("carleson", _run_carleson)
     # the dual subcommand names its construction "method"
     dual_method = {"method": cfg["dual_method"]} if "dual_method" in cfg else {}
-    bundle["dual"], _ = _run_dual(section("dual", **dual_method), shared)
-    bundle["extend"], _ = _run_extend(section("extend"), shared)
+    bundle["dual"] = shared_section("dual", _run_dual, **dual_method)
+    bundle["extend"] = shared_section("extend", _run_extend)
     return bundle, None
 
 

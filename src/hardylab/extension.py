@@ -30,11 +30,11 @@ samples of h of every target come from one product and f and g from one
 batched engine call each.  ``chain_rows`` derives rho_a and k_{q,a} at any
 points from one ``kernel_matrix``; the rule's samples and h, the one
 evaluator returned, both come from it.  That kernel matrix with the rho_a
-read from it is ``dual_rows``; a caller that already holds them (a
-report's dual section) hands them to ``chain_samples``, which divides the
-kernels into k_{q,a} in place.  h is a vectorized zs (M, n) -> (M,) for
-points off the rule: the sequence points and the interior points of the
-Bergman lift.
+read from it is ``dual_rows``; a caller that already holds them and the
+integrals of |rho_a|^p on the rule (a report's dual section) hands them to
+``chain_samples``, which divides the kernels into k_{q,a} in place.  h is
+a vectorized zs (M, n) -> (M,) for points off the rule: the sequence
+points and the interior points of the Bergman lift.
 """
 from __future__ import annotations
 
@@ -46,7 +46,8 @@ from .errors import ContractError, InvariantViolation, ParameterError
 from .geometry import QuadratureRule, rule_norm, rule_power, seq_norm
 from .kernels import (INF, conjugate_exponent, divide_rows, exponent_from_split, kernel_matrix,
                       sh_ps_scan, sh_q_scan)
-from .sequences import DualSystem, PointSequence, _weak_ratio, normalized_kernel_matrix
+from .sequences import (DualSystem, PointSequence, _weak_ratio, dual_bound, dual_powers,
+                        normalized_kernel_matrix)
 from .signs import SignMoments, sign_moments
 
 _CHAIN_SLACK = 1e-8
@@ -223,8 +224,8 @@ class ChainSamples:
     """The chain of a dual at exponent s, 1/s = 1/p + 1/q, sampled at the nodes of a rule.
 
     ``coeffs`` holds the c_a, ``rho`` the rho_a, ``kq`` the k_{q,a} and
-    ``prod`` the terms rho_a k_{q,a} of h, each of the last three an (N, M)
-    array.
+    ``prod`` the terms rho_a k_{q,a} of h, each of these three an (N, M)
+    array, and ``powers`` the (N,) ``dual_powers`` of rho on the rule.
     """
 
     dual: DualSystem
@@ -235,6 +236,7 @@ class ChainSamples:
     rho: np.ndarray
     kq: np.ndarray
     prod: np.ndarray
+    powers: np.ndarray
 
 
 def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule,
@@ -242,17 +244,19 @@ def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule,
     """The c_a and every sample matrix of the chain on ``rule``: ``chain_rows`` at its nodes
     and their products.
 
-    ``rows`` is ``dual_rows(dual, rule.nodes)`` when the caller already
-    holds them (a report's dual section hands its samples on); their K is
-    divided in place and becomes ``kq``.  ``build_extension`` and
+    ``rows`` is (rho, K, powers), ``dual_rows(dual, rule.nodes)`` and the
+    ``dual_powers`` of that rho, when the caller already holds them (a
+    report's dual section hands its samples on); their K is divided in
+    place and becomes ``kq``.  ``build_extension`` and
     ``verify_norm_bound`` both read the c_a from here; they come first, so
     their norm-cache scans, and any error they raise, come before the
     samples are formed or taken over.
     """
     q = exponent_from_split(s, dual.p)
     coeffs = coeff_c(dual, s)
-    rho, kq = chain_rows(dual, q, rule.nodes, rows)
-    return ChainSamples(dual, s, q, rule, coeffs, rho, kq, rho * kq)
+    rho, kq = chain_rows(dual, q, rule.nodes, None if rows is None else rows[:2])
+    powers = dual_powers(rho, rule, dual.p) if rows is None else rows[2]
+    return ChainSamples(dual, s, q, rule, coeffs, rho, kq, rho * kq, powers)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +373,7 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
     n = len(seq)
     w = rule.weights
     rho_vals, kq_vals, prod_vals = samples.rho, samples.kq, samples.prod
-    if p == INF:
-        sup_rho = float(np.max(rule_norm(rho_vals, w, p)))
-    else:  # |rho|^p over the rule once: sup_rho is rule_norm's root of the rho_norms
-        rho_norms = rule_power(rho_vals, w, p)
-        sup_rho = float(np.max(np.power(rho_norms, 1.0 / p)))
+    sup_rho = dual_bound(dual, rule, samples.powers)
     dual_factor = p <= 2.0
 
     rng = np.random.default_rng(seed)
@@ -430,7 +430,7 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
             khin_f = max(khin_f, k_f)
             if dual_factor:
                 _check_dual_diagonal(float(f_value[i]), snapped.get("p_snapped", p), x[i],
-                                     rho_norms, k_f)
+                                     samples.powers, k_f)
         bound = f_factor * float(g_value[i]) ** (1.0 / q)
         khin_g = max(khin_g, float(g_top[i]))
         mu_norm = seq_norm(mu[i], q)

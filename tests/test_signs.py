@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hardylab as hl
@@ -225,6 +227,47 @@ def test_sign_moments_match_brute_force(n, m, p, seed):
     if p == 2.0:
         # sign orthogonality: E|f|^2 is the square function
         assert np.allclose(mom.nodes, mom.square, rtol=1e-12, atol=0.0)
+
+
+def _mp_enumeration(terms, p):
+    """Per-node mean of |f|^p over all 2^K sign patterns at 40 digits, and the largest
+    |p/2 ln|f|^2| over the patterns with f != 0 (0 if there is none)."""
+    means, top = [], mpmath.mpf(0)
+    with mpmath.workdps(40):
+        for col in terms.T:
+            xs = [mpmath.mpc(complex(x)) for x in col]
+            total = mpmath.mpf(0)
+            for eps in itertools.product((-1, 1), repeat=len(xs)):
+                mag = abs(mpmath.fsum(e * x for e, x in zip(eps, xs)))
+                if mag:
+                    total += mag**p
+                    top = max(top, abs(p / 2 * mpmath.log(mag**2)))
+            means.append(total / 2 ** len(xs))
+        return [float(v) for v in means], float(top)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(0, 10), m=st.integers(1, 2), p=st.sampled_from([1.0, 1.2, 1.5, 3.0, 5.0]),
+       seed=st.integers(0, 2**32 - 1), zero_bits=st.integers(0, 2**10 - 1), pair=st.booleans())
+@example(k=0, m=2, p=1.5, seed=0, zero_bits=0, pair=False)
+@example(k=2, m=1, p=3.0, seed=1, zero_bits=0, pair=True)
+def test_half_enumeration_matches_mpmath(k, m, p, seed, zero_bits, pair):
+    # |f|^p is exp(p/2 ln|f|^2): each term is within about (|p/2 ln|f|^2| + 2) u
+    # of the exact power (u = 2^-53), and f = 0 (N = 0, zero terms, a pair
+    # x, -x) gives exp(-inf) = 0 with no warning; terms span 1e-6 to 1e6
+    rng = np.random.default_rng(seed)
+    terms = 10.0 ** rng.uniform(-6, 6, (k, m)) * np.exp(2j * np.pi * rng.uniform(size=(k, m)))
+    terms[[i for i in range(k) if zero_bits >> i & 1]] = 0.0
+    if pair and k >= 2:
+        terms[1] = -terms[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = hl.signs._half_enumeration(terms, p)
+    assert not caught, [str(w.message) for w in caught]
+    want, top = _mp_enumeration(terms, p)
+    bound = 64 * 2.0**-53 * (1.0 + top)
+    for have, ref in zip(got, want):
+        assert abs(have - ref) <= bound * ref, (have, ref, bound)
 
 
 def _gemm_enumeration(rows, coeffs, w, p):
