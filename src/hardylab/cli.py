@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -71,9 +72,8 @@ def _list(value, what: str, size: int | None = None, *, empty_ok: bool = False) 
     return value
 
 
-def _flag(cfg: dict, key: str, default: bool) -> bool:
+def _flag(value, key: str) -> bool:
     """A boolean config entry: JSON true or false, anything else is a ParameterError."""
-    value = cfg.get(key, default)
     if not isinstance(value, bool):
         raise ParameterError(f"{key} must be true or false, got {value!r}")
     return value
@@ -90,33 +90,32 @@ def _complex_row(row, n: int, what: str) -> np.ndarray:
     return np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)])
 
 
-def _parse_points(cfg: dict, dom: geometry.Domain) -> sequences.PointSequence:
-    if "points_csv" in cfg:
-        return sequences.PointSequence.from_csv(dom, cfg["points_csv"])
-    if "points" not in cfg:
+def _parse_points(points, points_csv, dom: geometry.Domain) -> sequences.PointSequence:
+    if points_csv is not None:
+        return sequences.PointSequence.from_csv(dom, points_csv)
+    if points is None:
         raise ParameterError("config needs 'points' or 'points_csv'")
     return sequences.PointSequence.create(
-        dom, [_complex_row(row, dom.n, f"{dom.kind} points")
-              for row in _list(cfg["points"], "points")])
+        dom, [_complex_row(row, dom.n, f"{dom.kind} points") for row in _list(points, "points")])
 
 
-def _parse_target(cfg: dict, n: int) -> np.ndarray:
+def _parse_target(target, n: int) -> np.ndarray:
     """Target values nu_a, each a finite number or an [re, im] pair; all ones by default."""
-    entries = _list(cfg.get("target", [1.0] * n), "target")
+    entries = _list([1.0] * n if target is None else target, "target")
     try:
         nu = np.array([_complex_row(v, 1, "target pairs")[0] if isinstance(v, (list, tuple))
                        else complex(v) for v in entries])
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad target entry: {exc}") from exc
     if not np.all(np.isfinite(nu)):
-        raise ParameterError(f"target entries must be finite, got {cfg['target']!r}")
+        raise ParameterError(f"target entries must be finite, got {target!r}")
     return nu
 
 
-def _domain(cfg: dict) -> geometry.Domain:
-    if "domain" not in cfg:
+def _domain(domain) -> geometry.Domain:
+    if domain is None:
         raise ParameterError("config needs a 'domain' (disc, ball2 or bidisc)")
-    return geometry.Domain(cfg["domain"])
+    return geometry.Domain(domain)
 
 
 def _once(shared: dict | None, key: tuple, build, *args, **kwargs):
@@ -129,10 +128,10 @@ def _once(shared: dict | None, key: tuple, build, *args, **kwargs):
     return shared[key]
 
 
-def _rule(cfg: dict, dom: geometry.Domain, shared: dict | None = None) -> geometry.QuadratureRule:
-    default = 256 if dom.kind == geometry.DISC else 16
-    resolution = _number(cfg.get("resolution", default), "resolution")
-    angular = cfg.get("angular")
+def _rule(dom: geometry.Domain, resolution, angular, shared: dict | None) -> geometry.QuadratureRule:
+    if resolution is None:
+        resolution = 256 if dom.kind == geometry.DISC else 16
+    resolution = _number(resolution, "resolution")
     angular = None if angular is None else _number(angular, "angular")
     return _once(shared, ("rule", dom, resolution, angular), geometry.build_quadrature,
                  dom, resolution, angular=angular)
@@ -157,10 +156,10 @@ def _seed(value) -> int:
     return seed
 
 
-def _need_seed(cfg: dict) -> int:
-    if cfg.get("seed") is None:
+def _need_seed(seed) -> int:
+    if seed is None:
         raise ParameterError("this subcommand is stochastic: an explicit 'seed' is required")
-    return _seed(cfg["seed"])
+    return _seed(seed)
 
 
 def _delta_residual(dual: sequences.DualSystem) -> float:
@@ -173,14 +172,14 @@ def _delta_residual(dual: sequences.DualSystem) -> float:
     return residual
 
 
-def _scan_grid(cfg: dict, dom: geometry.Domain):
-    grid_cfg = cfg.get("grid", {"rmax": 0.95, "count": 20})
-    if isinstance(grid_cfg, list):
-        return [_complex_row(row, dom.n, f"{dom.kind} grid points") for row in grid_cfg]
-    if not isinstance(grid_cfg, dict):
-        raise ParameterError(f"grid must be a list of points or a dict, got {grid_cfg!r}")
-    rmax = _number(grid_cfg.get("rmax", 0.95), "grid rmax", float)
-    count = _number(grid_cfg.get("count", 20), "grid count")
+def _scan_grid(grid, dom: geometry.Domain):
+    grid = {"rmax": 0.95, "count": 20} if grid is None else grid
+    if isinstance(grid, list):
+        return [_complex_row(row, dom.n, f"{dom.kind} grid points") for row in grid]
+    if not isinstance(grid, dict):
+        raise ParameterError(f"grid must be a list of points or a dict, got {grid!r}")
+    rmax = _number(grid.get("rmax", 0.95), "grid rmax", float)
+    count = _number(grid.get("count", 20), "grid count")
     if count < 1:
         raise ParameterError(f"grid count must be at least 1, got {count}")
     radii = np.linspace(0.0, rmax, count)
@@ -195,11 +194,10 @@ def _scan_grid(cfg: dict, dom: geometry.Domain):
 # subcommand implementations, each returning (results dict, csv rows or None)
 
 
-def _run_norms(cfg: dict):
-    dom = _domain(cfg)
-    seq = _parse_points(cfg, dom)
-    exponents = [_parse_exponent(p, "exponents")
-                 for p in _list(cfg.get("exponents", [1, 4 / 3, 2, 4, "inf"]), "exponents")]
+def _run_norms(domain=None, points=None, points_csv=None, exponents=(1, 4 / 3, 2, 4, "inf")):
+    dom = _domain(domain)
+    seq = _parse_points(points, points_csv, dom)
+    exponents = [_parse_exponent(p, "exponents") for p in _list(exponents, "exponents")]
     cache = kernels.NormCache(dom)
     tables = [cache.table(seq[i], exponents) for i in range(len(seq))]
     for t in tables:
@@ -207,15 +205,14 @@ def _run_norms(cfg: dict):
     return {"tables": [t.to_json() for t in tables], "engine": cache.report()}, None
 
 
-def _run_sh(cfg: dict):
-    dom = _domain(cfg)
+def _run_sh(domain=None, grid=None, q=(4 / 3, 2.0, 4.0), ps=((2.0, 1.0),)):
+    dom = _domain(domain)
     cache = kernels.NormCache(dom)
-    grid, note = _scan_grid(cfg, dom), str(cfg.get("grid", "radial"))
-    scans = [kernels.sh_q_scan(dom, _parse_exponent(q, "q"), grid, cache, note)
-             for q in _list(cfg.get("q", [4 / 3, 2.0, 4.0]), "q", empty_ok=True)]
-    pairs = [_list(ps, "ps entry", 2)
-             for ps in _list(cfg.get("ps", [[2.0, 1.0]]), "ps", empty_ok=True)]
-    scans += [kernels.sh_ps_scan(dom, _parse_exponent(p, "ps"), _parse_exponent(s, "ps"), grid,
+    zs, note = _scan_grid(grid, dom), "radial" if grid is None else str(grid)
+    scans = [kernels.sh_q_scan(dom, _parse_exponent(x, "q"), zs, cache, note)
+             for x in _list(q, "q", empty_ok=True)]
+    pairs = [_list(pair, "ps entry", 2) for pair in _list(ps, "ps", empty_ok=True)]
+    scans += [kernels.sh_ps_scan(dom, _parse_exponent(p, "ps"), _parse_exponent(s, "ps"), zs,
                                  cache, note) for p, s in pairs]
     if not scans:
         raise ParameterError("sh needs at least one entry in q or ps")
@@ -223,17 +220,16 @@ def _run_sh(cfg: dict):
     return {"scans": [scan.to_json() for scan in scans], "engine": cache.report()}, rows
 
 
-def _run_carleson(cfg: dict, shared: dict | None = None):
-    dom = _domain(cfg)
-    seq = _parse_points(cfg, dom)
-    q = _parse_exponent(cfg.get("q", 2.0), "q")
-    route = sequences._carleson_route(q)
-    if cfg.get("method", "auto") not in ("auto", route):
-        raise ParameterError(f"method must be 'auto' or {route!r} at q = {q:g}: {cfg['method']!r}")
-    rule = _rule(cfg, dom, shared)
-    seed = cfg.get("seed")
-    weak, remark_2q = _flag(cfg, "weak", True), _flag(cfg, "remark_2q", False)
-    kwargs = {"restarts": _number(cfg.get("restarts", 32), "restarts"),
+def _run_carleson(domain=None, points=None, points_csv=None, q=2.0, resolution=None,
+                  angular=None, seed=None, weak=True, remark_2q=False, restarts=32, *,
+                  shared: dict | None = None):
+    dom = _domain(domain)
+    seq = _parse_points(points, points_csv, dom)
+    q = _parse_exponent(q, "q")
+    sequences._carleson_route(q)  # refuses q outside [1, inf) before the rule is built
+    rule = _rule(dom, resolution, angular, shared)
+    weak, remark_2q = _flag(weak, "weak"), _flag(remark_2q, "remark_2q")
+    kwargs = {"restarts": _number(restarts, "restarts"),
               "seed": None if seed is None else _seed(seed)}
     A = sequences.normalized_kernel_matrix(seq, q, rule)  # the strong and weak estimates share it
     report = sequences.carleson_constant(A, q, rule, **kwargs)
@@ -252,14 +248,12 @@ def _run_carleson(cfg: dict, shared: dict | None = None):
     return out, None
 
 
-def _run_dual(cfg: dict, shared: dict | None = None):
-    dom = _domain(cfg)
-    seq = _parse_points(cfg, dom)
-    rule = _rule(cfg, dom, shared)
-    p = _parse_exponent(cfg.get("p", 2.0), "p")
-    if _flag(cfg, "tikhonov", False):
-        raise ParameterError("tikhonov must be false: a shifted dual loses rho_a(b) = delta_ab")
-    dual = _dual(seq, p, cfg.get("method", "gram2"), shared)
+def _run_dual(domain=None, points=None, points_csv=None, resolution=None, angular=None, p=2.0,
+              method="gram2", *, shared: dict | None = None):
+    dom = _domain(domain)
+    seq = _parse_points(points, points_csv, dom)
+    rule = _rule(dom, resolution, angular, shared)
+    dual = _dual(seq, _parse_exponent(p, "p"), method, shared)
     out = dual.to_json()
     out["delta_residual"] = _delta_residual(dual)
     powers = None
@@ -271,9 +265,9 @@ def _run_dual(cfg: dict, shared: dict | None = None):
     return {"dual": out, "engine": dual.norms.report()}, None
 
 
-def _run_gleason(cfg: dict):
-    dom = _domain(cfg)
-    seq = _parse_points(cfg, dom)
+def _run_gleason(domain=None, points=None, points_csv=None):
+    dom = _domain(domain)
+    seq = _parse_points(points, points_csv, dom)
     n = len(seq)
     matrix = [[sequences.gleason_distance(seq[i], seq[j], dom) for j in range(n)] for i in range(n)]
     out = {
@@ -306,21 +300,22 @@ def _handed_rows(shared: dict | None, dual: sequences.DualSystem,
     return handed[2] if handed and handed[0] is dual and handed[1] is rule else None
 
 
-def _run_extend(cfg: dict, shared: dict | None = None):
-    dom = _domain(cfg)
-    seq = _parse_points(cfg, dom)
-    rule = _rule(cfg, dom, shared)
-    s = _parse_exponent(cfg.get("s", 1.0), "s")
-    p = _parse_exponent(cfg.get("p", 2.0), "p")
+def _run_extend(domain=None, points=None, points_csv=None, resolution=None, angular=None, s=1.0,
+                p=2.0, seed=None, dual_method="gram2", target=None, batch=64, *,
+                shared: dict | None = None):
+    dom = _domain(domain)
+    seq = _parse_points(points, points_csv, dom)
+    rule = _rule(dom, resolution, angular, shared)
+    s = _parse_exponent(s, "s")
+    p = _parse_exponent(p, "p")
     kernels.exponent_from_split(s, p)  # validates the identity at parse time
-    seed = _need_seed(cfg)
-    dual = _dual(seq, p, cfg.get("dual_method", "gram2"), shared)
+    seed = _need_seed(seed)
+    dual = _dual(seq, p, dual_method, shared)
     delta_residual = _delta_residual(dual)
-    nu = _parse_target(cfg, len(seq))
+    nu = _parse_target(target, len(seq))
     samples = ext.chain_samples(dual, s, rule, _handed_rows(shared, dual, rule))
     _, rep = ext.build_extension(samples, nu)
-    bound_rep = ext.verify_norm_bound(samples, batch=_number(cfg.get("batch", 64), "batch"),
-                                      seed=seed)
+    bound_rep = ext.verify_norm_bound(samples, batch=_number(batch, "batch"), seed=seed)
     rep.ci_estimate = bound_rep.ci_estimate
     rep.constant_budget = bound_rep.constant_budget
     rep.details["verification"] = bound_rep.details
@@ -329,65 +324,58 @@ def _run_extend(cfg: dict, shared: dict | None = None):
     return {"extension": rep.to_json(), "engine": dual.norms.report()}, rows
 
 
-def _run_khintchine(cfg: dict):
-    qs = [_parse_exponent(q, "q") for q in _list(cfg.get("q", [1.0, 2.0, 4.0]), "q")]
-    method = cfg.get("method", "exact")
-    samples = _number(cfg.get("samples") or 0, "samples")
-    seed = None
-    rows, results = [], []
-    if "vectors" in cfg:
+def _run_khintchine(q=(1.0, 2.0, 4.0), method="exact", samples=None, vectors=None,
+                    lengths=(2, 4, 8), seed=None):
+    qs = [_parse_exponent(x, "q") for x in _list(q, "q")]
+    if samples is not None and method == "exact":
+        raise ParameterError(f"samples {samples!r} needs method 'monte-carlo'; "
+                             "the exact method draws none")
+    samples = _number(samples or 0, "samples")
+    rows, results, drawn = [], [], None
+    if vectors is not None:
         vectors = [np.array([_complex_row(v, 1, "vector entries")[0] for v in _list(vec, "vector")])
-                   for vec in _list(cfg["vectors"], "vectors")]
+                   for vec in _list(vectors, "vectors")]
     else:
-        seed = _need_seed(cfg)
-        rng = np.random.default_rng(seed)
-        lengths = [_number(n, "length") for n in _list(cfg.get("lengths", [2, 4, 8]), "lengths")]
+        drawn = _need_seed(seed)
+        rng = np.random.default_rng(drawn)
+        lengths = [_number(n, "length") for n in _list(lengths, "lengths")]
         for n in lengths:
             if n < 1:
                 raise ParameterError(f"khintchine lengths must be at least 1, got {n}")
         vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in lengths]
-    mc_seed = _need_seed(cfg) if method == "monte-carlo" else None
+    mc_seed = _need_seed(seed) if method == "monte-carlo" else None
     for q in qs:
         for x in vectors:
             ratio, stderr = signs.khintchine_ratio(x, q, method, samples, mc_seed)
             rows.append([q, len(x), ratio, method, stderr])
             results.append({"q": q, "n": len(x), "ratio": ratio, "method": method, "stderr": stderr})
-    return {"ratios": results, "seed": seed}, rows
+    return {"ratios": results, "seed": drawn}, rows
 
 
-def _run_bergman(cfg: dict):
-    for key, only in (("base_dim", 1), ("weight", 0)):
-        try:
-            value = _number(cfg.get(key, only), key)
-        except ParameterError:
-            value = None
-        if value != only:
-            raise ParameterError(f"bergman runs on the unweighted disc: {key} must be {only}, "
-                                 f"got {cfg[key]!r}")
-    spec = bergman_mod.BergmanSpec(
-        radial=_number(cfg.get("radial", 32), "radial"),
-        angular=_number(cfg.get("angular_volume", 64), "angular_volume"),
-    )
-    pts = _parse_points(cfg, geometry.Domain(geometry.DISC)).arrays()[:, 0]
-    nu = _parse_target(cfg, len(pts))
-    s = _parse_exponent(cfg.get("s", 1.0), "s")
-    p = _parse_exponent(cfg.get("p", 2.0), "p")
+def _run_bergman(points=None, points_csv=None, target=None, s=1.0, p=2.0,
+                 dual_method="collocation", resolution=16, angular=64, radial=32,
+                 angular_volume=64):
+    spec = bergman_mod.BergmanSpec(radial=_number(radial, "radial"),
+                                   angular=_number(angular_volume, "angular_volume"))
+    pts = _parse_points(points, points_csv, geometry.Domain(geometry.DISC)).arrays()[:, 0]
+    nu = _parse_target(target, len(pts))
+    s = _parse_exponent(s, "s")
+    p = _parse_exponent(p, "p")
     kernels.exponent_from_split(s, p)
     ball = geometry.Domain(geometry.BALL2)
-    rule = geometry.build_quadrature(ball, _number(cfg.get("resolution", 16), "resolution"),
-                                     angular=_number(cfg.get("angular", 64), "angular"))
-    _, rep = bergman_mod.bergman_extension(pts, nu, s, p, spec, rule=rule,
-                                           dual_method=cfg.get("dual_method", "collocation"))
+    rule = geometry.build_quadrature(ball, _number(resolution, "resolution"),
+                                     angular=_number(angular, "angular"))
+    _, rep = bergman_mod.bergman_extension(pts, nu, s, p, spec, rule=rule, dual_method=dual_method)
     rows = [[i, r] for i, r in enumerate(rep.residuals)]
     return {"bergman_extension": rep.to_json(), "weight": 0}, rows
 
 
-_REPORT_COMMON = ("domain", "points", "points_csv", "resolution", "angular", "seed",
-                  "batch", "s", "p", "restarts", "dual_method")
-
-
-def _run_report(cfg: dict):
-    """Battery run; section dicts named after subcommands override the base.
+def _run_report(domain=None, points=None, points_csv=None, resolution=None, angular=None,
+                seed=None, batch=None, s=None, p=None, restarts=None, dual_method=None,
+                grid=None, gleason=None, norms=None, sh=None, carleson=None, dual=None,
+                extend=None):
+    """Battery run: each section takes the keys above that its subcommand names (``dual_method``
+    as the dual's ``method``), then its own dict, checked before any section runs.
 
     The sections share one dict: the rule is built once per (domain,
     resolution, angular) and the dual once per (points, p, method), and
@@ -397,36 +385,23 @@ def _run_report(cfg: dict):
     built by a section that names its own domain, resolution or angular is
     dropped when that section ends.
     """
+    grid = {"rmax": 0.9, "count": 8} if grid is None else grid  # the sh section's default
+    # every key above by name; the dual subcommand names its construction "method"
+    given = dict(locals(), method=dual_method)
+    sections = [(name, _checked(name, {} if cfg is None else cfg, f"report section {name!r}"))
+                for name, cfg in given.items() if name in _RUNNERS]
     shared: dict = {}
-
-    def shared_section(name: str, runner, **extra) -> dict:
-        sub = section(name, **extra)
+    bundle = {}
+    for name, override in sections:
+        runner = _RUNNERS[name]
+        sub = {key: given[key] for key in _keys(name) if given.get(key) is not None} | override
+        extra = {"shared": shared} if "shared" in inspect.signature(runner).parameters else {}
         before = set(shared)
-        out, _ = runner(sub, shared)
-        if {"domain", "resolution", "angular"} & set(cfg.get(name, {})):
+        bundle[name], _ = runner(**sub, **extra)
+        if {"domain", "resolution", "angular"} & set(override):
             for key in set(shared) - before:
                 if key[0] == "rule":  # not _ROWS: extend takes or drops the handed rows
                     del shared[key]
-        return out
-
-    def section(name: str, **extra) -> dict:
-        sub = {k: cfg[k] for k in _REPORT_COMMON if k in cfg}
-        sub.update(extra)
-        override = cfg.get(name, {})
-        if not isinstance(override, dict):
-            raise ParameterError(f"report section {name!r} must be a dict, got {override!r}")
-        sub.update(override)
-        return sub
-
-    bundle = {}
-    bundle["gleason"], _ = _run_gleason(section("gleason"))
-    bundle["norms"], _ = _run_norms(section("norms"))
-    bundle["sh"], _ = _run_sh(section("sh", grid=cfg.get("grid", {"rmax": 0.9, "count": 8})))
-    bundle["carleson"] = shared_section("carleson", _run_carleson)
-    # the dual subcommand names its construction "method"
-    dual_method = {"method": cfg["dual_method"]} if "dual_method" in cfg else {}
-    bundle["dual"] = shared_section("dual", _run_dual, **dual_method)
-    bundle["extend"] = shared_section("extend", _run_extend)
     return bundle, None
 
 
@@ -441,6 +416,28 @@ _RUNNERS = {
     "bergman": _run_bergman,
     "report": _run_report,
 }
+
+
+def _keys(subcommand: str) -> list:
+    """The config keys of a subcommand: the parameters of its runner that are not keyword-only,
+    whose defaults are the keys' defaults (None stands for a key left out)."""
+    params = inspect.signature(_RUNNERS[subcommand]).parameters.values()
+    return [par.name for par in params if par.kind is par.POSITIONAL_OR_KEYWORD]
+
+
+def _checked(subcommand: str, cfg, what: str = "config") -> dict:
+    """``cfg`` if it is a dict of keys the subcommand names; an unknown key is a config error
+    that names the closest known key."""
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"{what} must be a dict, got {cfg!r}")
+    known = _keys(subcommand)
+    for key in cfg:
+        if key not in known:
+            import difflib  # only here: every run would pay for its import
+            close = difflib.get_close_matches(str(key), known, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ParameterError(f"unknown {subcommand} config key {key!r}{hint}")
+    return cfg
 
 
 def _sanitize(obj):
@@ -465,7 +462,7 @@ def run(subcommand: str, cfg: dict) -> dict:
     if subcommand not in _RUNNERS:
         raise ParameterError(f"unknown subcommand {subcommand!r}")
     t0 = time.perf_counter()
-    results, rows = _RUNNERS[subcommand](cfg)
+    results, rows = _RUNNERS[subcommand](**_checked(subcommand, cfg))
     report = {
         "subcommand": subcommand,
         "config": _sanitize(cfg),
@@ -511,6 +508,7 @@ def main(argv=None) -> int:
                 cfg = json.loads(Path(args.config).read_text())
             except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParameterError(f"cannot read config {args.config}: {exc}") from exc
+        cfg = _checked(args.command, cfg)  # the flags below set keys, checked again in run
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.resolution is not None:

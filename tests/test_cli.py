@@ -69,8 +69,9 @@ def test_carleson_needs_seed_for_power_iteration(tmp_path):
                      "--seed", "3"]) == 0
 
 
-# method names the route q takes or is "auto": at q = 2 the power iteration would
-# only bound the exact Gram eigenvalue from below, at q = 1 it would need q' = inf
+# q alone picks the route (at q = 2 the power iteration would only bound the exact
+# Gram eigenvalue from below, at q = 1 it would need q' = inf), so carleson has no
+# method key and naming one is a config error
 @pytest.mark.parametrize("method,q,seed", [("spectral", 2, None), ("gram-spectral", 4, 1),
                                            ("spectral", 4, None), ("power-iteration", 1, 1),
                                            ("power-iteration", 2, 1)])
@@ -83,28 +84,11 @@ def test_carleson_unknown_method_is_config_error(tmp_path, capsys, method, q, se
     assert "method" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method,q", [("coordinate-extreme", 1), ("gram-spectral", 2),
-                                      ("power-iteration", 4)])
-def test_carleson_method_naming_the_route_reports_as_auto(method, q):
-    cfg = {"domain": "disc", "points": DISC_POINTS, "q": q, "seed": 1, "restarts": 4,
-           "resolution": 256}
-    named, auto = cli.run("carleson", {**cfg, "method": method}), cli.run("carleson", cfg)
-    assert named["results"] == auto["results"]
-    assert named["results"]["carleson"]["method"] == method
-
-
 def test_dual_tikhonov_true_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS, "tikhonov": True})
     assert cli.main(["dual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "tikhonov" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-def test_dual_tikhonov_false_reports_as_omitted():
-    cfg = {"domain": "disc", "points": DISC_POINTS, "resolution": 256}
-    plain, explicit = cli.run("dual", cfg), cli.run("dual", {**cfg, "tikhonov": False})
-    assert explicit["results"] == plain["results"]
-    assert "tikhonov_eps" not in plain["results"]["dual"]
 
 
 def test_ill_conditioned_dual_is_numeric_error(tmp_path, capsys):
@@ -123,6 +107,7 @@ def test_dual_and_gleason_subcommands(tmp_path):
     assert cli.main(["dual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rep = _load(tmp_path / "o", "dual")
     assert rep["results"]["dual"]["delta_residual"] < 1e-9
+    cfg = _write(tmp_path, "g.json", {"domain": "disc", "points": DISC_POINTS})
     assert cli.main(["gleason", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rep = _load(tmp_path / "o", "gleason")
     assert "window_constant" in rep["results"]
@@ -131,9 +116,9 @@ def test_dual_and_gleason_subcommands(tmp_path):
 
 @pytest.mark.parametrize("sub", ["dual", "extend"])
 def test_gram2_needs_p2(tmp_path, capsys, sub):
-    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS, "p": 4, "s": 1,
-                                      "method": "gram2", "dual_method": "gram2",
-                                      "seed": 1, "resolution": 256})
+    own = {"method": "gram2"} if sub == "dual" else {"dual_method": "gram2", "s": 1, "seed": 1}
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS, "p": 4,
+                                      "resolution": 256, **own})
     assert cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "gram2" in capsys.readouterr().err
 
@@ -206,23 +191,6 @@ def test_bergman_reads_points_csv(tmp_path):
     assert from_csv["results"] == cli.run("bergman", _BERGMAN)["results"]
 
 
-@pytest.mark.parametrize("key,value,runs", [
-    ("base_dim", 1, True), ("weight", 0, True), ("weight", 0.0, True),
-    ("base_dim", 2, False), ("weight", 1, False), ("weight", -1, False),
-    ("weight", True, False), ("weight", "heavy", False),
-])
-def test_bergman_runs_on_the_unweighted_disc_only(tmp_path, capsys, key, value, runs):
-    path = _write(tmp_path, "c.json", {**_BERGMAN, key: value})
-    code = cli.main(["bergman", "--config", str(path), "--out", str(tmp_path / "o")])
-    if runs:
-        assert code == 0
-        assert _load(tmp_path / "o", "bergman")["results"]["weight"] == 0
-    else:
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "unweighted disc" in err and key in err
-
-
 def test_extend_ball_edge_line(tmp_path):
     # points up to |a| = 0.999 on one complex line, the last on the far side
     radii = [0.0, 0.5, 0.9, 0.99, -0.999]
@@ -274,7 +242,7 @@ def test_each_section_evaluates_the_kernels_on_its_rule_once(monkeypatch, sub, e
 
     for module in (kernels, sequences, extension):
         monkeypatch.setattr(module, "kernel_matrix", spy)
-    cli.run(sub, BALL_EDGE)
+    cli.run(sub, _report_section(BALL_EDGE, sub))
     assert sum(at_nodes) == evaluations
 
 
@@ -291,9 +259,9 @@ SIGNS16 = {"domain": "disc", "points": _ring(6, 0.45, 0.3) + _ring(10, 0.8, 0.1)
 
 
 def _report_section(cfg: dict, name: str) -> dict:
-    """A report section's config as the report merges it: the common keys of the base, the
-    section's defaults, then the base's section dict."""
-    sub = {k: cfg[k] for k in cli._REPORT_COMMON if k in cfg}
+    """A report section's config as the report merges it: the keys of the base that the
+    section's subcommand names, the section's defaults, then the base's section dict."""
+    sub = {k: cfg[k] for k in cli._keys(name) if k in cfg}
     if name == "sh":
         sub["grid"] = cfg.get("grid", {"rmax": 0.9, "count": 8})
     if name == "dual" and "dual_method" in cfg:
@@ -356,7 +324,8 @@ def _traced_peak(sub: str, cfg: dict) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("cfg,bound_mib", [(BALL_EDGE, 20.52), (SIGNS16, 2.0)],
+@pytest.mark.parametrize("cfg,bound_mib", [(_report_section(BALL_EDGE, "extend"), 20.52),
+                                            (SIGNS16, 2.0)],
                          ids=["ball-edge", "signs16"])
 def test_extend_traced_peak_stays_at_one_set_of_samples(cfg, bound_mib):
     # ball-edge: the samples are the kernel matrix divided in place plus rho
@@ -409,7 +378,8 @@ def test_report_integrates_rho_once(monkeypatch):
     assert sum(passes) == 1
 
 
-@pytest.mark.parametrize("cfg", [BALL_EDGE, SIGNS16], ids=["ball-edge", "signs16"])
+@pytest.mark.parametrize("cfg", [_report_section(BALL_EDGE, "extend"), SIGNS16],
+                         ids=["ball-edge", "signs16"])
 def test_verify_norm_bound_blocks_match_the_per_target_loop(monkeypatch, cfg):
     # every target shares each block of about 2^16 / T nodes of the rule, so f
     # and g take 2 * ceil(M / block) engine calls (42 on the 65536 ball nodes,
