@@ -53,7 +53,6 @@ from .sequences import (
     gleason_product_delta,
     normalized_kernel_matrix,
     weak_carleson_constant,
-    weak_ratio_at,
 )
 from .signs import (
     EXACT_CAP,
@@ -72,7 +71,6 @@ from .extension import (
     dual_expectation_bound_infty,
     split_target,
     verify_norm_bound,
-    weak_from_carleson_check,
 )
 from .bergman import (
     BergmanSpec,

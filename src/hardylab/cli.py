@@ -23,13 +23,11 @@ import numpy as np
 from . import bergman as bergman_mod
 from . import extension as ext
 from . import geometry, kernels, sequences, signs
-from .errors import HardyLabError, InvariantViolation, ParameterError, exit_code_for
+from .errors import HardyLabError, ParameterError, exit_code_for
 
 SUBCOMMANDS = ("norms", "sh", "carleson", "dual", "gleason", "extend",
                "khintchine", "bergman", "report")
 
-# largest delta residual max |rho_a(b) - delta_ab scale_b| / scale_b a run accepts
-_DELTA_LIMIT = 1e-8
 # key of a report's shared dict under which the dual section hands its dual_rows and
 # dual_powers on
 _ROWS = "rows"
@@ -162,22 +160,13 @@ def _need_seed(seed) -> int:
     return _seed(seed)
 
 
-def _delta_residual(dual: sequences.DualSystem) -> float:
-    """The dual's delta residual; past ``_DELTA_LIMIT`` the dual is broken (exit 5)."""
-    residual = dual.delta_residual()
-    if residual > _DELTA_LIMIT:
-        raise InvariantViolation(
-            f"dual delta residual {residual:.3e} exceeds {_DELTA_LIMIT:.0e} "
-            f"(condition {dual.condition})")
-    return residual
-
-
 def _scan_grid(grid, dom: geometry.Domain):
     grid = {"rmax": 0.95, "count": 20} if grid is None else grid
     if isinstance(grid, list):
         return [_complex_row(row, dom.n, f"{dom.kind} grid points") for row in grid]
     if not isinstance(grid, dict):
         raise ParameterError(f"grid must be a list of points or a dict, got {grid!r}")
+    _refuse_unknown(grid, ["rmax", "count"], "sh grid")
     rmax = _number(grid.get("rmax", 0.95), "grid rmax", float)
     count = _number(grid.get("count", 20), "grid count")
     if count < 1:
@@ -254,14 +243,14 @@ def _run_dual(domain=None, points=None, points_csv=None, resolution=None, angula
     seq = _parse_points(points, points_csv, dom)
     rule = _rule(dom, resolution, angular, shared)
     dual = _dual(seq, _parse_exponent(p, "p"), method, shared)
-    out = dual.to_json()
-    out["delta_residual"] = _delta_residual(dual)
-    powers = None
+    rho, K = ext.dual_rows(dual, rule.nodes)
+    if shared is None:
+        K = None  # no extend section takes it: dropped before rho is integrated
+    powers = sequences.dual_powers(rho, rule, dual.p)
     if shared is not None:  # sampled and integrated once for the report, handed to extend
-        rho, K = ext.dual_rows(dual, rule.nodes)
-        powers = sequences.dual_powers(rho, rule, dual.p)
         shared[_ROWS] = (dual, rule, (rho, K, powers))
-    out["dual_bound"] = sequences.dual_bound(dual, rule, powers)
+    out = {**dual.to_json(), "delta_residual": dual.delta_residual(),
+           "dual_bound": sequences.dual_bound(dual, powers)}
     return {"dual": out, "engine": dual.norms.report()}, None
 
 
@@ -311,7 +300,6 @@ def _run_extend(domain=None, points=None, points_csv=None, resolution=None, angu
     kernels.exponent_from_split(s, p)  # validates the identity at parse time
     seed = _need_seed(seed)
     dual = _dual(seq, p, dual_method, shared)
-    delta_residual = _delta_residual(dual)
     nu = _parse_target(target, len(seq))
     samples = ext.chain_samples(dual, s, rule, _handed_rows(shared, dual, rule))
     _, rep = ext.build_extension(samples, nu)
@@ -319,7 +307,7 @@ def _run_extend(domain=None, points=None, points_csv=None, resolution=None, angu
     rep.ci_estimate = bound_rep.ci_estimate
     rep.constant_budget = bound_rep.constant_budget
     rep.details["verification"] = bound_rep.details
-    rep.details["dual_delta_residual"] = delta_residual
+    rep.details["dual_delta_residual"] = dual.delta_residual()
     rows = [[i, r] for i, r in enumerate(rep.residuals)]
     return {"extension": rep.to_json(), "engine": dual.norms.report()}, rows
 
@@ -367,7 +355,7 @@ def _run_bergman(points=None, points_csv=None, target=None, s=1.0, p=2.0,
                                      angular=_number(angular, "angular"))
     _, rep = bergman_mod.bergman_extension(pts, nu, s, p, spec, rule=rule, dual_method=dual_method)
     rows = [[i, r] for i, r in enumerate(rep.residuals)]
-    return {"bergman_extension": rep.to_json(), "weight": 0}, rows
+    return {"bergman_extension": rep.to_json()}, rows
 
 
 def _run_report(domain=None, points=None, points_csv=None, resolution=None, angular=None,
@@ -425,18 +413,27 @@ def _keys(subcommand: str) -> list:
     return [par.name for par in params if par.kind is par.POSITIONAL_OR_KEYWORD]
 
 
-def _checked(subcommand: str, cfg, what: str = "config") -> dict:
-    """``cfg`` if it is a dict of keys the subcommand names; an unknown key is a config error
-    that names the closest known key."""
-    if not isinstance(cfg, dict):
-        raise ParameterError(f"{what} must be a dict, got {cfg!r}")
-    known = _keys(subcommand)
+def _refuse_unknown(cfg: dict, known: list, what: str) -> None:
+    """A config error for the first key of ``cfg`` not in ``known``: it names the report
+    sections among ``known`` whose subcommands take the key, or else the closest known key."""
     for key in cfg:
         if key not in known:
-            import difflib  # only here: every run would pay for its import
-            close = difflib.get_close_matches(str(key), known, n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ParameterError(f"unknown {subcommand} config key {key!r}{hint}")
+            owners = [repr(name) for name in known if name in _RUNNERS and key in _keys(name)]
+            if owners:
+                hint = f"; it belongs in the {' or '.join(owners)} section"
+            else:
+                import difflib  # only here: every run would pay for its import
+                close = difflib.get_close_matches(str(key), known, n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ParameterError(f"unknown {what} key {key!r}{hint}")
+
+
+def _checked(subcommand: str, cfg, what: str = "config") -> dict:
+    """``cfg`` if it is a dict of keys the subcommand names; an unknown key is a config error
+    (``_refuse_unknown``)."""
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"{what} must be a dict, got {cfg!r}")
+    _refuse_unknown(cfg, _keys(subcommand), f"{subcommand} config")
     return cfg
 
 

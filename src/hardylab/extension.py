@@ -32,9 +32,11 @@ points from one ``kernel_matrix``; the rule's samples and h, the one
 evaluator returned, both come from it.  That kernel matrix with the rho_a
 read from it is ``dual_rows``; a caller that already holds them and the
 integrals of |rho_a|^p on the rule (a report's dual section) hands them to
-``chain_samples``, which divides the kernels into k_{q,a} in place.  h is
-a vectorized zs (M, n) -> (M,) for points off the rule: the sequence
-points and the interior points of the Bergman lift.
+``chain_samples``, which divides the kernels into k_{q,a} in place.  At
+the sequence points the kernel matrix is a copy of the dual's own K, so
+c_a, the residuals of h there and the dual itself share one evaluation.
+h is a vectorized zs (M, n) -> (M,) for points off the rule: the interior
+points of the Bergman lift.
 """
 from __future__ import annotations
 
@@ -46,8 +48,7 @@ from .errors import ContractError, InvariantViolation, ParameterError
 from .geometry import QuadratureRule, rule_norm, rule_power, seq_norm
 from .kernels import (INF, conjugate_exponent, divide_rows, exponent_from_split, kernel_matrix,
                       sh_ps_scan, sh_q_scan)
-from .sequences import (DualSystem, PointSequence, _weak_ratio, dual_bound, dual_powers,
-                        normalized_kernel_matrix)
+from .sequences import DualSystem, _weak_ratio, dual_bound, dual_powers, normalized_kernel_matrix
 from .signs import SignMoments, sign_moments
 
 _CHAIN_SLACK = 1e-8
@@ -142,11 +143,12 @@ def coeff_c(dual: DualSystem, s: float) -> ExtensionCoeffs:
     alpha-hat and beta-hat are the ``sh_q_scan`` and ``sh_ps_scan`` extrema
     over the sequence points themselves, and c_a is the beta-ratio at a over
     the alpha-ratio at a, so a c_a past the budget is an InvariantViolation.
+    The k_a(a) are the diagonal of the dual's K.
     """
     seq, norms = dual.sequence, dual.norms
     q = exponent_from_split(s, dual.p)
     sc, pc = conjugate_exponent(s), conjugate_exponent(dual.p)
-    diag = np.diagonal(kernel_matrix(seq.arrays(), seq.arrays(), seq.domain)).real
+    diag = np.diagonal(dual.K).real
     if np.any(diag <= 0):
         raise ParameterError("kernel diagonal must be positive")
     points = [seq[i] for i in range(len(seq))]
@@ -268,8 +270,9 @@ def build_extension(samples: ChainSamples, nu) -> tuple:
 
     h is a vectorized evaluator zs (M, n) -> (M,) that holds on to the dual.
     h(a) = nu_a ||k_a||_{s'} holds by construction up to the dual system's
-    delta residual; the report carries per-point residuals and the ratio
-    ||h||_s / ||nu||_s measured on the rule, from the samples of h there.
+    delta residual; the report carries per-point residuals, read off a copy
+    of the dual's K, and the ratio ||h||_s / ||nu||_s measured on the rule,
+    from the samples of h there.
     """
     dual, s, q, rule = samples.dual, samples.s, samples.q, samples.rule
     seq, p, coeffs = dual.sequence, dual.p, samples.coeffs
@@ -285,7 +288,9 @@ def build_extension(samples: ChainSamples, nu) -> tuple:
         return weights @ (rho * kq)
 
     targets = nu * target_scale
-    at_points = h(seq.arrays())
+    pts = seq.arrays()
+    rho, kq = chain_rows(dual, q, pts, (dual.values_from_kernels(pts, dual.K), dual.K.copy()))
+    at_points = weights @ (rho * kq)
     residuals = np.abs(at_points - targets)
     denom = float(np.max(np.abs(targets)))
     max_rel = float(np.max(residuals) / denom) if denom > 0 else float(np.max(residuals, initial=0.0))
@@ -373,7 +378,7 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
     n = len(seq)
     w = rule.weights
     rho_vals, kq_vals, prod_vals = samples.rho, samples.kq, samples.prod
-    sup_rho = dual_bound(dual, rule, samples.powers)
+    sup_rho = dual_bound(dual, samples.powers)
     dual_factor = p <= 2.0
 
     rng = np.random.default_rng(seed)
@@ -523,52 +528,4 @@ def dual_expectation_bound_infty(inf_dual: DualSystem, p: float, lam, rule: Quad
         "weak_d_used": weak_eff,
         "budget": budget,
         "per_point_sup": per_point_sup.tolist(),
-    }
-
-
-def weak_from_carleson_check(seq: PointSequence, q: float, mu, rule: QuadratureRule,
-                             d_q: float, method: str = "exact",
-                             samples: int | None = None, seed: int | None = None) -> dict:
-    """Verify the sign-averaging route from the synthesis bound to the
-    squared-modulus bound for one coefficient vector.
-
-    Computes, with k_{q,a} normalized on the rule,
-
-      left   = || sum |mu_a|^2 |k_{q,a}|^2 ||_{q/2}^{q/2}
-      middle = E || sum mu_a eps_a k_{q,a} ||_q^q
-      right  = D^q ||mu||_q^q,  D = d_q as supplied
-
-    ``right_ok`` records whether the supplied d_q dominates the average; a
-    d_q below the true constant can fail it.  The left/middle comparison
-    carries the Khintchine constant, so only finiteness and positivity are
-    asserted for it.
-    """
-    if q < 2:
-        raise ParameterError("the sign-averaging chain needs q >= 2")
-    if not d_q > 0:
-        raise ParameterError(f"the synthesis constant d_q must be positive, got {d_q}")
-    mu = np.asarray(mu, dtype=complex)
-    if not np.any(mu):
-        raise ParameterError("the sign-averaging chain needs a nonzero coefficient vector")
-    w = rule.weights
-    mom = sign_moments(normalized_kernel_matrix(seq, q, rule).T, mu, w, q, method, samples, seed)
-    left = float(rule_power(mom.square, w, q / 2.0))
-    middle, stderr = mom.value, mom.stderr
-    right = d_q**q * seq_norm(mu, q)**q
-    slack = 1e-8 * right + 4.0 * stderr
-    right_ok = middle <= right + slack
-    left_factor = left / middle if middle > 0 else np.inf
-    if not (np.isfinite(left_factor) and left_factor > 0):
-        raise ParameterError("degenerate instance: the averaged synthesis norm vanished")
-    return {
-        "q": q,
-        "left": left,
-        "middle": middle,
-        "right": right,
-        "left_factor": left_factor,
-        "right_factor": middle / right,
-        "right_ok": bool(right_ok),
-        "d_q_given": d_q,
-        "method": method,
-        "stderr": stderr,
     }

@@ -14,8 +14,12 @@ kernel-norm cache it read its scales from, and every chain step in
 Kernels and duals are only ever needed as sample matrices: the kernels of
 a sequence at M points are one ``kernel_matrix`` call, and
 ``DualSystem.values`` gives every rho_a at M points as one (N, M) array.
-A collocation dual records the condition number of its solve in its
-report; past ``_COND_LIMIT`` it is not built at all.
+A dual holds K, the kernel matrix of its points against themselves, formed
+once by ``dual_system``: the collocation solve, the delta residual, the
+k_a(a) of the extension coefficients and the extension at the points all
+read it.  A collocation dual records the condition number of its solve in
+its report; past ``_COND_LIMIT`` it is not built at all, and neither is a
+dual whose delta residual is past ``_DELTA_LIMIT``.
 
 Operator norms away from q = 2 are nonconvex; the estimates here are
 certified lower bounds from a duality-map power iteration with seeded
@@ -477,18 +481,9 @@ def weak_carleson_constant(A: np.ndarray, q: float, rule: QuadratureRule, *,
                                                  rule.resolution))
 
 
-def weak_ratio_at(seq: PointSequence, q: float, mu, rule: QuadratureRule) -> float:
-    """||sum |mu_a|^2 |k_{q,a}|^2||_{q/2} / ||mu||_q^2 for one coefficient vector."""
-    if q < 2:
-        raise ParameterError("weak Carleson ratios need q >= 2")
-    mu = np.asarray(mu, dtype=complex)
-    if not np.any(mu):
-        raise ParameterError("weak_ratio_at needs a nonzero coefficient vector")
-    return _weak_ratio(normalized_kernel_matrix(seq, q, rule), rule.weights, q, mu)
-
-
 def _weak_ratio(A: np.ndarray, w: np.ndarray, q: float, mu: np.ndarray) -> float:
-    """weak_ratio_at on the normalized kernel matrix A (M, N) with rule weights w."""
+    """||sum |mu_a|^2 |k_{q,a}|^2||_{q/2} / ||mu||_q^2 for one coefficient vector mu, on the
+    normalized kernel matrix A (M, N) with rule weights w."""
     dens = (np.abs(A) ** 2) @ (np.abs(mu) ** 2)
     return float(rule_norm(dens, w, q / 2.0)) / seq_norm(mu, q) ** 2
 
@@ -505,8 +500,9 @@ class DualSystem:
     p = inf convention.  Matrix-based systems store rho_a = sum_c X[a, c] k_c
     together with the condition number of the collocation matrix; Blaschke
     systems are closed form and exact on the disc.  ``norms`` is the
-    kernel-norm cache of the sequence's domain that every chain step reads;
-    reports leave it out.
+    kernel-norm cache of the sequence's domain that every chain step reads,
+    and ``K[a, b] = k_a(b)`` the ``kernel_matrix`` of the points against
+    themselves, evaluated here when no K is given; reports leave both out.
     """
 
     sequence: PointSequence
@@ -516,6 +512,12 @@ class DualSystem:
     coefficients: np.ndarray | None = None
     condition: float | None = None
     norms: NormCache = field(kw_only=True, repr=False, compare=False)
+    K: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.K is None:
+            pts = self.sequence.arrays()
+            self.K = kernel_matrix(pts, pts, self.sequence.domain)
 
     @property
     def blaschke(self) -> bool:
@@ -537,8 +539,8 @@ class DualSystem:
         return (self.scales / at_points)[:, None] * rows
 
     def delta_residual(self) -> float:
-        """max_{a,b} |rho_a(b) - delta_ab scale_b| / scale_b."""
-        vals = self.values(self.sequence.arrays())
+        """max_{a,b} |rho_a(b) - delta_ab scale_b| / scale_b, with rho_a(b) read off ``K``."""
+        vals = self.values_from_kernels(self.sequence.arrays(), self.K)
         return float(np.max(np.abs(vals - np.diag(self.scales)) / self.scales))
 
     def to_json(self) -> dict:
@@ -566,16 +568,20 @@ def _blaschke_others(zeros: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 _COND_LIMIT = 1e12
+# largest delta residual max |rho_a(b) - delta_ab scale_b| / scale_b of a dual that is built
+_DELTA_LIMIT = 1e-8
 
 
 def dual_system(seq: PointSequence, p: float, method: str) -> DualSystem:
     """The "gram2" (p = 2 only), "collocation" or "blaschke" (disc only) dual for exponent p.
 
     scale_b is 1 at p = inf and ||k_b||_{p'} otherwise, read from a new
-    NormCache of the sequence's domain that the dual keeps.  Collocation
-    (gram2 is its p = 2 case) solves K X^T = diag(scales) in span{k_c};
+    NormCache of the sequence's domain that the dual keeps, as it keeps K,
+    the one ``kernel_matrix`` of the points against themselves.  Collocation
+    (gram2 is its p = 2 case) solves K^T X^T = diag(scales) in span{k_c};
     Blaschke is rho_a = scale_a B_a / B_a(a), B_a the product over b != a.
-    A condition number past ``_COND_LIMIT`` is an IllConditionedError.
+    A condition number past ``_COND_LIMIT`` is an IllConditionedError, and
+    a delta residual past ``_DELTA_LIMIT`` an InvariantViolation.
     """
     if method not in ("gram2", "collocation", "blaschke"):
         raise ParameterError(f"unknown dual method {method!r}")
@@ -589,19 +595,25 @@ def dual_system(seq: PointSequence, p: float, method: str) -> DualSystem:
     else:
         pc = conjugate_exponent(p)
         scales = np.array([norms.norm(seq[i], pc) for i in range(len(seq))])
-    if method == "blaschke":
-        return DualSystem(seq, float(p), method, scales, norms=norms)
     pts = seq.arrays()
-    K = kernel_matrix(pts, pts, seq.domain).T  # K[b, c] = k_c(b)
-    cond = float(np.linalg.cond(K))
-    if cond > _COND_LIMIT:
-        raise IllConditionedError(
-            f"collocation matrix condition {cond:.3e} beyond {_COND_LIMIT:.0e}; points too close")
-    try:
-        X = np.linalg.solve(K, np.diag(scales.astype(complex))).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"dual system solve failed: {exc}") from exc
-    return DualSystem(seq, float(p), method, scales, X, cond, norms=norms)
+    K = kernel_matrix(pts, pts, seq.domain)
+    if method == "blaschke":
+        dual = DualSystem(seq, float(p), method, scales, norms=norms, K=K)
+    else:
+        cond = float(np.linalg.cond(K.T))  # K.T[b, c] = k_c(b)
+        if cond > _COND_LIMIT:
+            raise IllConditionedError(f"collocation matrix condition {cond:.3e} beyond "
+                                      f"{_COND_LIMIT:.0e}; points too close")
+        try:
+            X = np.linalg.solve(K.T, np.diag(scales.astype(complex))).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"dual system solve failed: {exc}") from exc
+        dual = DualSystem(seq, float(p), method, scales, X, cond, norms=norms, K=K)
+    residual = dual.delta_residual()
+    if residual > _DELTA_LIMIT:
+        raise InvariantViolation(f"dual delta residual {residual:.3e} exceeds "
+                                 f"{_DELTA_LIMIT:.0e} (condition {dual.condition})")
+    return dual
 
 
 def dual_powers(rho: np.ndarray, rule: QuadratureRule, p: float) -> np.ndarray:
@@ -610,15 +622,9 @@ def dual_powers(rho: np.ndarray, rule: QuadratureRule, p: float) -> np.ndarray:
     return np.max(np.abs(rho), axis=-1) if p == INF else rule_power(rho, rule.weights, p)
 
 
-def dual_bound(dual: DualSystem, rule: QuadratureRule, powers: np.ndarray | None = None) -> float:
-    """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf): the largest root of the
-    ``dual_powers`` of rho on the rule, ``rule_norm``'s root.
-
-    ``powers`` is ``dual_powers(dual.values(rule.nodes), rule, dual.p)`` when
-    the caller already holds it.
-    """
+def dual_bound(dual: DualSystem, powers: np.ndarray) -> float:
+    """sup_a ||rho_a||_p by quadrature (max over nodes when p = inf): the largest root of
+    ``powers``, the ``dual_powers`` of rho on a rule, taken as ``rule_norm`` takes it."""
     if dual.p < 1:
         raise ParameterError("dual_bound requires p >= 1 or p = inf")
-    if powers is None:
-        powers = dual_powers(dual.values(rule.nodes), rule, dual.p)
     return float(np.max(powers if dual.p == INF else np.power(powers, 1.0 / dual.p)))

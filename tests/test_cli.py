@@ -137,6 +137,18 @@ def test_broken_delta_property_is_invariant_violation(tmp_path, capsys, sub, cfg
     assert not (tmp_path / "o" / f"{sub}.json").exists()
 
 
+def test_bergman_refuses_a_broken_dual(tmp_path, capsys):
+    # the dual checks its delta property where it is built, so the Bergman lift
+    # of the near pair is refused as the dual and extend runs are
+    path = _write(tmp_path, "c.json", {"points": [[0.99, 0.0], [0.99, 1e-7]], "s": 1, "p": 2,
+                                       "resolution": 8, "angular": 32})
+    assert cli.main(["bergman", "--config", str(path), "--out", str(tmp_path / "o")]) \
+        == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "delta residual" in err and "condition" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_extend_subcommand_and_csv(tmp_path):
     cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
                                       "s": 1, "p": 2, "dual_method": "gram2",
@@ -181,6 +193,7 @@ def test_bergman_subcommand(tmp_path):
     assert cli.main(["bergman", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rep = _load(tmp_path / "o", "bergman")
     assert rep["results"]["bergman_extension"]["max_rel_residual"] < 1e-8
+    assert "weight" not in rep["results"]  # a constant 0 left from the retired weight key
 
 
 def test_bergman_reads_points_csv(tmp_path):
@@ -268,6 +281,28 @@ def _report_section(cfg: dict, name: str) -> dict:
         sub["method"] = cfg["dual_method"]
     sub.update(cfg.get(name, {}))
     return sub
+
+
+@pytest.mark.parametrize("sub,cfg", [
+    ("extend", SIGNS16), ("extend", _report_section(BALL_EDGE, "extend")), ("report", BALL_EDGE),
+    ("bergman", {"points": [[0.5, 0.0], [-0.5, 0.0]], "s": 1, "p": 2, "resolution": 8,
+                 "angular": 32}),
+], ids=["extend-signs16", "extend-ball-edge", "report-ball-edge", "bergman"])
+def test_each_run_evaluates_the_kernels_at_its_points_once(monkeypatch, sub, cfg):
+    # the dual holds K = kernel_matrix(points, points) from its construction, and
+    # the solve, the delta residual, the k_a(a) of the c_a and h at the points
+    # all read it
+    at_points = []
+    kernel_matrix = kernels.kernel_matrix
+
+    def spy(points, zs, dom):
+        at_points.append(np.shape(points) == np.shape(zs) and np.array_equal(points, zs))
+        return kernel_matrix(points, zs, dom)
+
+    for module in (kernels, sequences, extension):
+        monkeypatch.setattr(module, "kernel_matrix", spy)
+    cli.run(sub, cfg)
+    assert sum(at_points) == 1
 
 
 @pytest.mark.parametrize("override,rules,duals,at_rules", [

@@ -48,11 +48,19 @@ def _refused(tmp_path, capsys, sub, cfg, *flags) -> str:
      "report config key 'extnd'; did you mean 'extend'"),
     ("report", {**EXTEND, "extend": {"bacth": 2}}, [],
      "extend config key 'bacth'; did you mean 'batch'"),
-    ("report", {**EXTEND, "exponents": [2]}, [], "report config key 'exponents'"),
+    # a top-level report key that only a section takes points at that section
+    ("report", {**EXTEND, "exponents": [2]}, [],
+     "report config key 'exponents'; it belongs in the 'norms' section"),
+    ("report", {**EXTEND, "q": 4}, [], "report config key 'q'; it belongs in the 'sh' or "
+     "'carleson' section"),
     ("gleason", {"domain": "disc", "points": DISC["points"]}, ["--seed", "3"],
      "gleason config key 'seed'"),
+    # a grid dict is read by its keys too: a misspelled one no longer falls back to a default
+    ("sh", {"domain": "disc", "grid": {"rmx": 0.5, "count": 2}, "q": [2], "ps": []}, [],
+     "sh grid key 'rmx'; did you mean 'rmax'"),
 ], ids=["norms", "sh", "carleson", "dual", "gleason", "extend", "extend-resolution", "khintchine",
-        "bergman", "report-top", "report-section", "report-exponents", "gleason-seed-flag"])
+        "bergman", "report-top", "report-section", "report-exponents", "report-q",
+        "gleason-seed-flag", "sh-grid"])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, sub, cfg, flags, message):
     assert f"error: unknown {message}" in _refused(tmp_path, capsys, sub, cfg, *flags)
 

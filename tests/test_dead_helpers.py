@@ -9,9 +9,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hardylab"
 
 
-# public names nothing in src calls yet, kept for the certified Carleson and
-# budget bounds and the p = inf budget (ROADMAP item 2)
-KEPT_FOR_LATER = {"weak_from_carleson_check", "dual_expectation_bound_infty", "weak_ratio_at"}
+# public names nothing in src calls yet, kept while an acceptance criterion runs
+# them: the p = inf bounded-dual route (ROADMAP item 6)
+KEPT_FOR_LATER = {"dual_expectation_bound_infty"}
 
 
 def _definitions(tree: ast.Module):
@@ -92,9 +92,14 @@ def test_every_public_method_is_used():
 
 def test_kept_for_later_names_are_defined_and_unread():
     # the exemption list cannot outlive its entries: a name that was deleted,
-    # or that src has started to read, must leave it
+    # that src has started to read, or that no acceptance criterion calls any
+    # more must leave it
     unused = _unused_in_src(lambda name, node: name in KEPT_FOR_LATER and _function_or_class(node))
     assert {entry.split()[-1] for entry in unused} == KEPT_FOR_LATER
+    tree = ast.parse((TESTS / "test_acceptance.py").read_text())
+    called = {name for call in ast.walk(tree) if isinstance(call, ast.Call)
+              for name, _ in _reads(call.func)}
+    assert KEPT_FOR_LATER <= called, KEPT_FOR_LATER - called
 
 
 def _imported_names(tree: ast.Module):

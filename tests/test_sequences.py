@@ -7,12 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 import hardylab as hl
 from hardylab import sequences
-from hardylab.sequences import _default_starts, _duality_map, _power_iteration_lq
+from hardylab.sequences import _default_starts, _duality_map, _power_iteration_lq, _weak_ratio
 from conftest import DUAL_CASES, separated_points
 
 
 def _disc_seq(*pts):
     return hl.PointSequence.create(hl.Domain(hl.DISC), list(pts))
+
+
+def _dual_bound(dual, rule):
+    """``dual_bound`` of the dual's rho sampled on the rule."""
+    return hl.dual_bound(dual, sequences.dual_powers(dual.values(rule.nodes), rule, dual.p))
 
 
 def test_point_sequence_validation(disc):
@@ -263,7 +268,7 @@ def test_power_iteration_matches_pre_change_loop(kind, weak, q):
         oracle = _pre_change_power_iteration(np.abs(A) ** 2, rule.weights, q / 2.0,
                                              _default_starts(n, restarts, seed, positive=True),
                                              5000)
-        own = hl.weak_ratio_at(seq, q, rep.certificate, rule)
+        own = _weak_ratio(A, rule.weights, q, rep.certificate)
     else:
         rep = hl.carleson_constant(A, q, rule, restarts=restarts, seed=seed)
         value = rep.d_q
@@ -367,8 +372,9 @@ def test_exponent_two_runs_on_the_gram_matrix(monkeypatch, disc):
         hl.normalized_kernel_matrix(seq, 2.0, rule), rule.weights, 2.0,
         _default_starts(len(seq), 6, 7), 5000)
     assert exponents == []
-    assert abs(weak.weak_d_q - hl.weak_ratio_at(seq, 4.0, weak.certificate, rule)) \
-        <= 1e-13 * weak.weak_d_q
+    own = _weak_ratio(hl.normalized_kernel_matrix(seq, 4.0, rule), rule.weights, 4.0,
+                      weak.certificate)
+    assert abs(weak.weak_d_q - own) <= 1e-13 * weak.weak_d_q
     exact = hl.carleson_constant(hl.normalized_kernel_matrix(seq, 2.0, rule), 2.0, rule)
     assert exact.method == "gram-spectral"
     assert abs(strong - exact.d_q) <= 1e-12 * exact.d_q
@@ -427,8 +433,9 @@ def test_exponent_four_runs_on_the_quartic_gram_matrix(monkeypatch, disc):
     cert = strong.certificate
     own = _weighted_lq(A @ cert, rule.weights, 4.0) / hl.seq_norm(cert, 4.0)
     assert abs(own - strong.d_q) <= 1e-13 * strong.d_q
-    assert abs(weak.weak_d_q - hl.weak_ratio_at(seq, 8.0, weak.certificate, rule)) \
-        <= 1e-13 * weak.weak_d_q
+    own = _weak_ratio(hl.normalized_kernel_matrix(seq, 8.0, rule), rule.weights, 8.0,
+                      weak.certificate)
+    assert abs(weak.weak_d_q - own) <= 1e-13 * weak.weak_d_q
     assert strong.details["converged"] and weak.details["converged"]
     rng = np.random.default_rng(9)
     for n in (sequences._QUARTIC_MAX_N, sequences._QUARTIC_MAX_N + 1):
@@ -514,7 +521,7 @@ def test_weak_carleson_q2_is_contractive(disc_rule):
         rep = hl.weak_carleson_constant(A, 2.0, disc_rule)
         assert rep.weak_d_q <= 1.0 + 1e-10
         # the column mass is the weak ratio at its coordinate certificate, bit for bit
-        assert rep.weak_d_q == hl.weak_ratio_at(seq, 2.0, rep.certificate, disc_rule)
+        assert rep.weak_d_q == _weak_ratio(A, disc_rule.weights, 2.0, rep.certificate)
 
 
 def test_weak_carleson_two_point_grid_oracle(disc_rule):
@@ -535,10 +542,11 @@ def test_weak_carleson_two_point_grid_oracle(disc_rule):
 
 
 def test_weak_ratio_at_matches_definition(disc_rule):
+    # the weak ratio at one coefficient vector mu
     seq = _disc_seq(0.6, -0.3j)
     mu = np.array([1.0, 2.0 - 1.0j])
-    got = hl.weak_ratio_at(seq, 4.0, mu, disc_rule)
     A = hl.normalized_kernel_matrix(seq, 4.0, disc_rule)
+    got = _weak_ratio(A, disc_rule.weights, 4.0, mu)
     dens = (np.abs(A) ** 2) @ (np.abs(mu) ** 2)
     want = np.sum(disc_rule.weights * dens**2) ** 0.5 / hl.seq_norm(mu, 4.0) ** 2
     assert abs(got - want) < 1e-14
@@ -560,7 +568,7 @@ def test_dual_single_point(disc, disc_rule):
     seq = _disc_seq(0.4)
     dual = hl.dual_system(seq, 2.0, "gram2")
     assert dual.delta_residual() < 1e-12
-    assert abs(hl.dual_bound(dual, disc_rule) - 1.0) < 1e-9
+    assert abs(_dual_bound(dual, disc_rule) - 1.0) < 1e-9
 
 
 def test_dual_collocation(disc):
@@ -585,7 +593,7 @@ def test_dual_blaschke(disc, disc_norms, disc_rule):
     seq = _disc_seq(0.0, 0.5)
     dinf = hl.dual_system(seq, np.inf, "blaschke")
     assert dinf.delta_residual() < 1e-12
-    bound = hl.dual_bound(dinf, disc_rule)
+    bound = _dual_bound(dinf, disc_rule)
     assert abs(bound - 2.0) < 1e-12  # 1 / |B_a(a)| = 1 / 0.5
     with pytest.raises(hl.UnsupportedDomainError):
         hl.dual_system(hl.PointSequence.create(hl.Domain(hl.BALL2), [[0.1, 0.0]]), np.inf,
@@ -606,7 +614,7 @@ def test_dual_bound_well_separated(disc, disc_norms, disc_rule):
     # so ||rho_a||_p = ||k_a||_{p'} / |B_a(a)| = max kernel norm up to eps
     seq = _disc_seq(0.9, -0.9)  # gleason distance 1.8/1.81
     dual = hl.dual_system(seq, 2.0, "blaschke")
-    bound = hl.dual_bound(dual, disc_rule)
+    bound = _dual_bound(dual, disc_rule)
     reference = max(disc_norms.norm(seq[i], 2.0) for i in range(2))
     assert reference <= bound <= reference * (1.81 / 1.80) * (1.0 + 1e-10)
 

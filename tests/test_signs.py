@@ -145,55 +145,6 @@ def test_khintchine_mc_close_to_exact():
     assert exact_err == 0.0 and 0.0 < mc_err < 0.05
 
 
-def test_weak_from_carleson_single_point(disc_rule):
-    seq = hl.PointSequence.create(hl.Domain(hl.DISC), [0.5])
-    mu = np.array([2.0 + 1.0j])
-    out = hl.weak_from_carleson_check(seq, 4.0, mu, disc_rule, d_q=1.0)
-    scale = abs(mu[0]) ** 4.0
-    assert abs(out["left"] - scale) < 1e-10 * scale
-    assert abs(out["middle"] - scale) < 1e-10 * scale
-    assert abs(out["right"] - scale) < 1e-10 * scale
-
-
-def test_weak_from_carleson_q2_middle_identity(disc_rule):
-    seq = hl.PointSequence.create(hl.Domain(hl.DISC), [0.6, -0.2j, 0.3])
-    mu = np.array([1.0, 0.5j, -0.25])
-    out = hl.weak_from_carleson_check(seq, 2.0, mu, disc_rule, d_q=2.0)
-    want = float(np.sum(np.abs(mu) ** 2))
-    assert abs(out["middle"] - want) < 1e-10 * want
-
-
-def test_weak_from_carleson_chain(disc_rule):
-    seq = hl.PointSequence.create(hl.Domain(hl.DISC), [0.8, -0.8])
-    A = hl.normalized_kernel_matrix(seq, 4.0, disc_rule)
-    rep = hl.carleson_constant(A, 4.0, disc_rule, seed=3)
-    out = hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, rep.d_q)
-    assert out["right_ok"]
-    assert out["left_factor"] > 0 and np.isfinite(out["left_factor"])
-    with pytest.raises(hl.ParameterError):
-        hl.weak_from_carleson_check(seq, 1.5, np.array([1.0, 1.0]), disc_rule, 1.0)
-
-
-def test_weak_from_carleson_small_d_q_fails_right(disc_rule):
-    # right is taken from the supplied d_q, so a d_q far below the constant
-    # cannot dominate the average
-    seq = hl.PointSequence.create(hl.Domain(hl.DISC), [0.8, -0.8])
-    out = hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, 0.1)
-    assert not out["right_ok"]
-    assert out["right_factor"] > 1.0
-    with pytest.raises(hl.ParameterError):
-        hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, 0.0)
-
-
-def test_weak_from_carleson_mc(disc_rule):
-    seq = hl.PointSequence.create(hl.Domain(hl.DISC), [0.8, -0.8])
-    exact = hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, 1.2)
-    mc = hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, 1.2,
-                                     method="monte-carlo", samples=20000, seed=4)
-    assert abs(mc["middle"] - exact["middle"]) <= 4.0 * mc["stderr"] + 1e-12
-    assert mc["right_ok"]
-
-
 def test_mc_matches_exact_at_n12():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -408,13 +359,9 @@ def test_sign_moments_validation():
 
 
 @pytest.mark.parametrize("method", ["montecarlo", "exact ", "exakt"])
-def test_misspelled_method_is_rejected(method, disc_rule):
+def test_misspelled_method_is_rejected(method):
     with pytest.raises(hl.ParameterError, match="unknown expectation method"):
         hl.khintchine_ratio(np.array([1.0, 1.0]), 4.0, method=method, samples=50, seed=1)
-    seq = hl.PointSequence.create(hl.Domain(hl.DISC), [0.8, -0.8])
-    with pytest.raises(hl.ParameterError, match="unknown expectation method"):
-        hl.weak_from_carleson_check(seq, 4.0, np.array([1.0, 1.0]), disc_rule, 1.2,
-                                    method=method, samples=50, seed=1)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
