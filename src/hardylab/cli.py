@@ -243,11 +243,11 @@ def _run_dual(domain=None, points=None, points_csv=None, resolution=None, angula
     seq = _parse_points(points, points_csv, dom)
     rule = _rule(dom, resolution, angular, shared)
     dual = _dual(seq, _parse_exponent(p, "p"), method, shared)
-    rho, K = ext.dual_rows(dual, rule.nodes)
-    if shared is None:
-        K = None  # no extend section takes it: dropped before rho is integrated
-    powers = sequences.dual_powers(rho, rule, dual.p)
-    if shared is not None:  # sampled and integrated once for the report, handed to extend
+    if shared is None:  # no extend section takes K, and a Blaschke dual never forms it
+        powers = sequences.dual_powers(dual.values(rule.nodes), rule, dual.p)
+    else:  # sampled and integrated once for the report, handed to extend
+        rho, K = ext.dual_rows(dual, rule.nodes)
+        powers = sequences.dual_powers(rho, rule, dual.p)
         shared[_ROWS] = (dual, rule, (rho, K, powers))
     out = {**dual.to_json(), "delta_residual": dual.delta_residual(),
            "dual_bound": sequences.dual_bound(dual, powers)}

@@ -21,17 +21,20 @@ read it.  A collocation dual records the condition number of its solve in
 its report; past ``_COND_LIMIT`` it is not built at all, and neither is a
 dual whose delta residual is past ``_DELTA_LIMIT``.
 
-Operator norms away from q = 2 are nonconvex; the estimates here are
-certified lower bounds from a duality-map power iteration with seeded
+Both Carleson constants are one estimate, sup ||B t||_{L^r} / ||t||_{l^r}:
+the strong one of B = A at r = q, the weak one of B = |A|^2 at r = q/2
+over t = |mu|^2 >= 0.  One route table serves both.  At r = 1 the
+heaviest column attains it; at r = 2 the top eigenpair of B^H W B gives it
+exactly (for the nonnegative weak Gram matrix, |v|^T G |v| >= |v^T G v|,
+so |v| attains it too).  Every other r is nonconvex; the estimates there
+are certified lower bounds from a duality-map power iteration with seeded
 restarts, and every report carries the maximizing certificate and the
 steps and converged flag of each restart.  The restarts run in lockstep as
 one batch: each step is a single pass that gives every candidate's ratio
-and its next gradient together.  At the iteration's exponent 2 (the weak
-constant at q = 4) the pass needs only the N x N Gram matrix A^H W A,
-formed once; at exponent 4 (the strong constant at q = 4, the weak one at
-q = 8) and up to ``_QUARTIC_MAX_N`` points, only the quartic Gram matrix
-over the pairs of columns, formed once; at every other exponent it runs
-over the kernel matrix in blocks of rows.
+and its next gradient together.  At exponent 4 (the strong constant at
+q = 4, the weak one at q = 8) and up to ``_QUARTIC_MAX_N`` points the pass
+needs only the quartic Gram matrix over the pairs of columns, formed once;
+at every other exponent it runs over the kernel matrix in blocks of rows.
 The batch runs in real arithmetic when the matrix and the starts are real,
 as for the weak constant, whose matrix is |A|^2 and whose starts are
 positive.  Of restarts that reach the same maximum up to rounding, the
@@ -270,17 +273,6 @@ def _lq_pass(A: np.ndarray, wAH: np.ndarray, w: np.ndarray, q: float, mu: np.nda
     return np.power(power, 1.0 / q), grad
 
 
-def _gram_pass(G: np.ndarray, mu: np.ndarray):
-    """``_lq_pass`` at q = 2 (the weak constant at q = 4) from G = A^H W A alone.
-
-    The gradient A^H (w A mu_r) is G mu_r, and ||A mu_r||_{L^2}^2 is
-    Re <G mu_r, mu_r>, clipped at 0 against rounding.
-    """
-    grad = mu @ G.T
-    power = np.sum(np.conj(mu) * grad, axis=1).real
-    return np.power(np.maximum(power, 0.0), 0.5), grad
-
-
 def _quartic_gram(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     """H = P^H W P over the pairs a <= b, where P[m, ab] = A_ma A_mb (D = N(N+1)/2 columns).
 
@@ -333,15 +325,15 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
     ``np.result_type`` of A and the starts: real arithmetic when the matrix
     and every start are real, complex otherwise.  The route is chosen once
     per call, and each step is one pass that gives every candidate's ratio
-    together with its gradient: at q = 2 from the N x N Gram matrix
-    (w A^H) A (``_gram_pass``), at q = 4 with N <= ``_QUARTIC_MAX_N`` from the
-    D x D quartic Gram matrix over the pairs of columns, D = N(N+1)/2
-    (``_quartic_pass``), each formed once; at every other q a row-blocked
-    pass over A and the weighted conjugate transpose w A^H, formed once
-    (``_lq_pass``).  The quartic route never forms w A^H.  A restart only
-    steps on from a candidate it accepted, so that gradient is the next
-    one.  A restart drops out of the batch once it stops progressing or its
-    gradient is zero.  Returns (ratio, maximizer, steps of each restart,
+    together with its gradient: at q = 4 with N <= ``_QUARTIC_MAX_N`` from
+    the D x D quartic Gram matrix over the pairs of columns, D = N(N+1)/2
+    (``_quartic_pass``), formed once; at every other q a row-blocked pass
+    over A and the weighted conjugate transpose w A^H, formed once
+    (``_lq_pass``).  The Carleson constants never iterate at q = 2, where
+    the Gram eigenpair is exact.  The quartic route never forms w A^H.  A
+    restart only steps on from a candidate it accepted, so that gradient is
+    the next one.  A restart drops out of the batch once it stops
+    progressing or its gradient is zero.  Returns (ratio, maximizer, steps of each restart,
     converged flag of each restart), in start order; a restart has not
     converged when it used up ``max_iter`` before its relative progress
     fell below ``_POWER_RTOL``.  The first restart within 1e-12 relative of
@@ -356,7 +348,7 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
     else:
         wAH = A.T * w
         np.conjugate(wAH, out=wAH)  # in place: one copy of A, not two
-        step = partial(_gram_pass, wAH @ A) if q == 2.0 else partial(_lq_pass, A, wAH, w, q)
+        step = partial(_lq_pass, A, wAH, w, q)
     ratio, grad = step(mu)
     steps = np.zeros(len(mu), dtype=int)
     converged = np.ones(len(mu), dtype=bool)
@@ -380,20 +372,6 @@ def _power_iteration_lq(A: np.ndarray, w: np.ndarray, q: float, starts, max_iter
     return float(ratio[best]), mu[best], steps.tolist(), converged.tolist()
 
 
-def _power_details(restarts: int, seed: int, iterations: list, converged: list,
-                   resolution: int) -> dict:
-    """Report details of a power-iteration estimate, per restart and overall."""
-    return {"restarts": restarts, "seed": seed, "iterations": max(iterations, default=0),
-            "converged": all(converged), "resolution": resolution,
-            "restart_iterations": iterations, "restart_converged": converged}
-
-
-def _heaviest_column(masses: np.ndarray) -> tuple:
-    """(mass, e_i) of the first column within 1e-12 relative of the heaviest (ties are rounding)."""
-    i = _first_near_max(masses)
-    return float(masses[i]), np.eye(len(masses))[i].astype(complex)
-
-
 def _default_starts(n: int, restarts: int, seed: int | None, positive: bool = False):
     if seed is None:
         raise ParameterError("the power iteration is stochastic: an explicit seed is required")
@@ -410,13 +388,48 @@ def _default_starts(n: int, restarts: int, seed: int | None, positive: bool = Fa
     return starts
 
 
-def _carleson_route(q: float) -> str:
-    """The method ``carleson_constant`` takes at exponent q, the name its report carries."""
-    if q == INF or q < 1:
-        raise ParameterError("carleson_constant needs 1 <= q < inf")
-    if q == 1:
+def _carleson_route(r: float) -> str:
+    """The route of sup ||B t||_{L^r} / ||t||_{l^r} at exponent r, the method its report names."""
+    if not 1 <= r < INF:  # also refuses nan, which fails every comparison
+        raise ParameterError(f"Carleson constants need 1 <= q < inf, got {r}")
+    if r == 1:
         return "coordinate-extreme"
-    return "gram-spectral" if q == 2 else "power-iteration"
+    return "gram-spectral" if r == 2 else "power-iteration"
+
+
+def _carleson_estimate(B: np.ndarray, r: float, rule: QuadratureRule, restarts: int,
+                       seed: int | None, positive: bool = False) -> tuple:
+    """(ratio, maximizer, route, details) of sup ||B t||_{L^r} / ||t||_{l^r} on the rule.
+
+    r = 1 is attained at e_i for the first column i within 1e-12 relative of
+    the heaviest (ties are rounding), and r = 2 is the square root of the
+    top eigenvalue of B^H W B, with its eigenvector; both are exact and need
+    no seed.  Every other r runs the seeded power iteration, from
+    ``positive`` random starts for the nonnegative B of the weak constant;
+    its details give the steps and converged flag per restart and overall.
+    """
+    route = _carleson_route(r)
+    w = rule.weights
+    details = {"resolution": rule.resolution}
+    if route == "coordinate-extreme":
+        masses = rule_power(B.T, w, 1.0)
+        i = _first_near_max(masses)
+        ratio, t = float(masses[i]), np.eye(len(masses))[i].astype(complex)
+    elif route == "gram-spectral":
+        gram = B.conj().T @ (w[:, None] * B)
+        try:
+            evals, evecs = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericError(f"Gram eigensolve failed: {exc}") from exc
+        top = int(np.argmax(evals))
+        ratio, t = float(np.sqrt(max(evals[top], 0.0))), evecs[:, top]
+    else:
+        ratio, t, iters, converged = _power_iteration_lq(
+            B, w, r, _default_starts(B.shape[1], restarts, seed, positive), _POWER_MAX_ITER)
+        details = {"restarts": restarts, "seed": seed, "iterations": max(iters, default=0),
+                   "converged": all(converged), "resolution": rule.resolution,
+                   "restart_iterations": iters, "restart_converged": converged}
+    return ratio, t, route, details
 
 
 def carleson_constant(A: np.ndarray, q: float, rule: QuadratureRule, *,
@@ -424,32 +437,13 @@ def carleson_constant(A: np.ndarray, q: float, rule: QuadratureRule, *,
     """Least D with ||sum mu_a k_{q,a}||_q <= D ||mu||_q, at desk scale.
 
     A is ``normalized_kernel_matrix(seq, q, rule)``, which the weak constant
-    at the same q reads as well.  q = 2 is solved exactly (up to the
-    eigensolve) through the Gram matrix of the normalized kernels; q = 1 is
-    attained at a coordinate vector; other q use the seeded power iteration
-    and give certified lower bounds.
+    at the same q reads as well.  q = 1 is attained at a coordinate vector
+    and q = 2 is solved exactly (up to the eigensolve) through the Gram
+    matrix of the normalized kernels; other q use the seeded power
+    iteration and give certified lower bounds (``_carleson_estimate``).
     """
-    route = _carleson_route(q)
-    w = rule.weights
-    if route == "coordinate-extreme":
-        mass, cert = _heaviest_column(rule_power(A.T, w, 1.0))
-        return CarlesonReport(q=q, d_q=mass, method=route, certificate=cert,
-                              details={"resolution": rule.resolution})
-    if route == "gram-spectral":
-        gram = A.conj().T @ (w[:, None] * A)
-        try:
-            evals, evecs = np.linalg.eigh(gram)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericError(f"Gram eigensolve failed: {exc}") from exc
-        top = int(np.argmax(evals))
-        return CarlesonReport(q=q, d_q=float(np.sqrt(max(evals[top], 0.0))),
-                              method=route, certificate=evecs[:, top],
-                              details={"resolution": rule.resolution})
-    ratio, mu, iters, converged = _power_iteration_lq(
-        A, w, q, _default_starts(A.shape[1], restarts, seed), _POWER_MAX_ITER)
-    return CarlesonReport(q=q, d_q=ratio, method=route, certificate=mu,
-                          details=_power_details(restarts, seed, iters, converged,
-                                                 rule.resolution))
+    ratio, mu, route, details = _carleson_estimate(A, q, rule, restarts, seed)
+    return CarlesonReport(q=q, d_q=ratio, method=route, certificate=mu, details=details)
 
 
 def weak_carleson_constant(A: np.ndarray, q: float, rule: QuadratureRule, *,
@@ -457,28 +451,25 @@ def weak_carleson_constant(A: np.ndarray, q: float, rule: QuadratureRule, *,
     """Least D with ||sum |mu_a|^2 |k_{q,a}|^2||_{q/2} <= D ||mu||_q^2.
 
     A is ``normalized_kernel_matrix(seq, q, rule)``, as for
-    ``carleson_constant``.  Only |mu_a|^2 enters, so the search runs over
-    nonnegative t on the l^{q/2} sphere.  q = 2 is exact: positivity makes
-    the L^1 norm of the sum additive, so the best constant is the largest
-    column mass (1 by normalization).  Other q run the power iteration,
-    which needs a ``seed``.
+    ``carleson_constant``.  Only t = |mu|^2 enters, so this is the strong
+    estimate of |A|^2 at r = q/2 over nonnegative t (``_carleson_estimate``).
+    q = 2 is exact: positivity makes the L^1 norm of the sum additive, so
+    the best constant is the largest column mass (1 by normalization).
+    q = 4 is exact too: the Gram matrix of |A|^2 is nonnegative, so the
+    modulus of its top eigenvector attains its top eigenvalue.  Other q run
+    the power iteration, which needs a ``seed``.  The certificate is
+    sqrt(|t|).
     """
     if q < 2:
         raise ParameterError("weak Carleson constants need q >= 2")
-    w = rule.weights
-    if q == 2:
-        mass, cert = _heaviest_column(rule_power(A.T, w, 2.0))
-        if mass > 1.0 + 1e-10:
-            raise InvariantViolation(f"weak 2-Carleson mass exceeded 1: {mass}")
-        return CarlesonReport(q=q, weak_d_q=mass, method="column-mass", certificate=cert,
-                              details={"resolution": rule.resolution})
-    ratio, t, iters, converged = _power_iteration_lq(
-        np.abs(A) ** 2, w, q / 2.0, _default_starts(A.shape[1], restarts, seed, positive=True),
-        _POWER_MAX_ITER)
-    return CarlesonReport(q=q, weak_d_q=ratio, method="power-iteration",
-                          certificate=np.sqrt(np.abs(t)).astype(complex),
-                          details=_power_details(restarts, seed, iters, converged,
-                                                 rule.resolution))
+    ratio, t, route, details = _carleson_estimate(np.abs(A) ** 2, q / 2.0, rule, restarts, seed,
+                                                  positive=True)
+    if route == "coordinate-extreme":
+        if ratio > 1.0 + 1e-10:
+            raise InvariantViolation(f"weak 2-Carleson mass exceeded 1: {ratio}")
+        route = "column-mass"
+    return CarlesonReport(q=q, weak_d_q=ratio, method=route,
+                          certificate=np.sqrt(np.abs(t)).astype(complex), details=details)
 
 
 def _weak_ratio(A: np.ndarray, w: np.ndarray, q: float, mu: np.ndarray) -> float:

@@ -69,8 +69,9 @@ def test_carleson_needs_seed_for_power_iteration(tmp_path):
                      "--seed", "3"]) == 0
 
 
-# q alone picks the route (at q = 2 the power iteration would only bound the exact
-# Gram eigenvalue from below, at q = 1 it would need q' = inf), so carleson has no
+# q alone picks the route of both estimates (at r = 2, the strong constant at q = 2
+# and the weak one at q = 4, the power iteration would only bound the exact Gram
+# eigenvalue from below; at q = 1 it would need q' = inf), so carleson has no
 # method key and naming one is a config error
 @pytest.mark.parametrize("method,q,seed", [("spectral", 2, None), ("gram-spectral", 4, 1),
                                            ("spectral", 4, None), ("power-iteration", 1, 1),
@@ -391,6 +392,27 @@ def test_report_traced_peak_stays_at_its_extend_section():
         assert _traced_peak("report", cfg) <= alone + 0.1 * 2**20, override
 
 
+def test_standalone_blaschke_dual_evaluates_no_kernels_on_its_rule(monkeypatch):
+    # no extend section takes the samples of a standalone dual, so a Blaschke
+    # dual takes rho in closed form and forms no kernel matrix on its rule: the
+    # traced peak reads 0.85 MiB against 1.10 MiB when K was formed and dropped
+    cfg = {"domain": "disc", "points": DISC_POINTS + [[0.1, -0.7]], "p": "inf",
+           "method": "blaschke", "resolution": 4096}
+    sampled = []
+    kernel_matrix = kernels.kernel_matrix
+
+    def spy(points, zs, dom):
+        sampled.append(len(zs))
+        return kernel_matrix(points, zs, dom)
+
+    for module in (kernels, sequences, extension):
+        monkeypatch.setattr(module, "kernel_matrix", spy)
+    assert cli.run("dual", cfg)["results"]["dual"]["method"] == "blaschke"
+    assert sampled == [4]  # K at the points, which the delta residual reads
+    monkeypatch.undo()
+    assert _traced_peak("dual", cfg) <= 0.9 * 2**20
+
+
 def test_report_integrates_rho_once(monkeypatch):
     # the dual section integrates |rho_a|^p over the rule once (dual_powers) and
     # hands the integrals on with its samples; dual_bound and verify_norm_bound
@@ -490,6 +512,17 @@ def test_carleson_remark_2q(tmp_path):
     rep = _load(tmp_path / "o", "carleson")
     assert "weak_2q" in rep["results"]
     assert rep["results"]["remark_ratio_weak2q_over_dq"] > 0
+
+
+def test_carleson_remark_2q_at_q2_needs_no_seed(tmp_path):
+    # the strong constant at q = 2 and the weak one at 2q = 4 are both Gram
+    # eigenpairs, so nothing iterates and no seed is needed
+    cfg = _write(tmp_path, "c.json", {"domain": "disc", "points": DISC_POINTS,
+                                      "q": 2, "resolution": 256, "remark_2q": True})
+    assert cli.main(["carleson", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    results = _load(tmp_path / "o", "carleson")["results"]
+    assert results["carleson"]["method"] == results["weak_2q"]["method"] == "gram-spectral"
+    assert results["weak"]["method"] == "column-mass"
 
 
 def test_khintchine_mc_csv_has_stderr(tmp_path):

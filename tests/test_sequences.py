@@ -157,33 +157,39 @@ def test_carleson_parameter_errors(disc_rule):
         hl.carleson_constant(hl.normalized_kernel_matrix(seq, 0.5, disc_rule), 0.5, disc_rule)
     with pytest.raises(hl.ParameterError):
         hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 1.5, disc_rule), 1.5, disc_rule)
-    # the power iteration is stochastic: without a seed it does not run
-    with pytest.raises(hl.ParameterError, match="seed"):
-        hl.carleson_constant(hl.normalized_kernel_matrix(seq, 4.0, disc_rule), 4.0, disc_rule)
-    with pytest.raises(hl.ParameterError, match="seed"):
-        hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 4.0, disc_rule), 4.0, disc_rule)
-    # a negative restart count is an error; 0 runs the deterministic starts only
+    # a non-finite exponent is refused by both estimators, not iterated on
+    with pytest.raises(hl.ParameterError, match="q < inf"):
+        hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, np.inf, disc_rule), np.inf,
+                                  disc_rule, seed=1)
     A = hl.normalized_kernel_matrix(seq, 4.0, disc_rule)
     for run in (hl.carleson_constant, hl.weak_carleson_constant):
+        with pytest.raises(hl.ParameterError, match="q < inf"):
+            run(A, np.nan, disc_rule, seed=1)
+    # the power iteration is stochastic: without a seed it does not run
+    A6 = hl.normalized_kernel_matrix(seq, 6.0, disc_rule)
+    for run, q, Aq in ((hl.carleson_constant, 4.0, A), (hl.weak_carleson_constant, 6.0, A6)):
+        with pytest.raises(hl.ParameterError, match="seed"):
+            run(Aq, q, disc_rule)
+        # a negative restart count is an error; 0 runs the deterministic starts only
         with pytest.raises(hl.ParameterError, match="restarts"):
-            run(A, 4.0, disc_rule, restarts=-3, seed=1)
-        rep = run(A, 4.0, disc_rule, restarts=0, seed=1)
+            run(Aq, q, disc_rule, restarts=-3, seed=1)
+        rep = run(Aq, q, disc_rule, restarts=0, seed=1)
         assert len(rep.details["restart_iterations"]) == 1 + len(seq)
 
 
 def test_power_iteration_reports_convergence(monkeypatch, disc_rule):
     seq = _disc_seq(0.5, -0.3j, 0.6j)
     starts = 1 + len(seq) + 32  # ones, coordinate vectors, seeded restarts
-    A = hl.normalized_kernel_matrix(seq, 4.0, disc_rule)
-    for estimate in (hl.carleson_constant, hl.weak_carleson_constant):
+    for estimate, q in ((hl.carleson_constant, 4.0), (hl.weak_carleson_constant, 6.0)):
+        A = hl.normalized_kernel_matrix(seq, q, disc_rule)
         with monkeypatch.context() as m:
             m.setattr(sequences, "_POWER_MAX_ITER", 1)
-            capped = estimate(A, 4.0, disc_rule, seed=0).details
+            capped = estimate(A, q, disc_rule, seed=0).details
         assert capped["converged"] is False and capped["iterations"] == 1
         # every restart still progresses after its one step
         assert capped["restart_iterations"] == [1] * starts
         assert capped["restart_converged"] == [False] * starts
-        full = estimate(A, 4.0, disc_rule, seed=0).details
+        full = estimate(A, q, disc_rule, seed=0).details
         assert full["converged"] is True
         assert full["restart_converged"] == [True] * starts
         assert len(full["restart_iterations"]) == starts
@@ -276,6 +282,14 @@ def test_power_iteration_matches_pre_change_loop(kind, weak, q):
                                              _default_starts(n, restarts, seed), 5000)
         own = _weighted_lq(A @ rep.certificate, rule.weights, q) / hl.seq_norm(rep.certificate, q)
     ratio, _, iterations, converged = oracle
+    if weak and q == 4.0:
+        # the exact Gram eigenvalue, which the loop only approaches from below,
+        # with a nonnegative certificate that attains it
+        assert rep.method == "gram-spectral"
+        assert value >= (1.0 - 1e-13) * ratio
+        assert np.all(rep.certificate.real >= 0.0) and not np.any(rep.certificate.imag)
+        assert abs(own - value) <= 1e-13 * value
+        return
     assert rep.method == "power-iteration"
     assert abs(value - ratio) <= 1e-13 * ratio
     assert (rep.details["iterations"], rep.details["converged"]) == (iterations, converged)
@@ -356,34 +370,73 @@ def test_first_of_tied_restarts_supplies_the_certificate():
         assert np.allclose(mu, alone[0][1], rtol=0.0, atol=1e-9)
 
 
-def test_exponent_two_runs_on_the_gram_matrix(monkeypatch, disc):
-    # the weak constant at q = 4 and a direct power iteration on the q = 2 kernel
-    # matrix both iterate at exponent 2, where every pass comes from the N x N
-    # Gram matrix; every other exponent keeps the row-blocked pass over A
+_ROUTES = [(False, 1.0, "coordinate-extreme"), (False, 2.0, "gram-spectral"),
+           (False, 3.0, "power-iteration"), (False, 4.0, "power-iteration"),
+           (True, 2.0, "column-mass"), (True, 4.0, "gram-spectral"),
+           (True, 6.0, "power-iteration"), (True, 8.0, "power-iteration")]
+
+
+@pytest.mark.parametrize("weak,q,method", _ROUTES,
+                         ids=[f"{'weak' if weak else 'strong'}-{q:g}" for weak, q, _ in _ROUTES])
+def test_carleson_route_table(monkeypatch, disc, weak, q, method):
+    # the route table of README: the strong constant at exponent r = q and the
+    # weak one at r = q/2 take the heaviest column at r = 1, the Gram eigenpair
+    # at r = 2 and the power iteration otherwise; only the iteration needs a
+    # seed, and the exact routes never call it
     seq = separated_points(disc, 5, seed=41)
-    rule = hl.build_quadrature(disc, 1025)
-    exponents = []
-    lq_pass = sequences._lq_pass
-    monkeypatch.setattr(sequences, "_lq_pass",
-                        lambda A, wAH, w, q, mu: exponents.append(q) or lq_pass(A, wAH, w, q, mu))
-    weak = hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 4.0, rule), 4.0, rule,
-                                     restarts=6, seed=7)
-    strong, _, _, strong_converged = _power_iteration_lq(
-        hl.normalized_kernel_matrix(seq, 2.0, rule), rule.weights, 2.0,
-        _default_starts(len(seq), 6, 7), 5000)
-    assert exponents == []
-    own = _weak_ratio(hl.normalized_kernel_matrix(seq, 4.0, rule), rule.weights, 4.0,
-                      weak.certificate)
-    assert abs(weak.weak_d_q - own) <= 1e-13 * weak.weak_d_q
-    exact = hl.carleson_constant(hl.normalized_kernel_matrix(seq, 2.0, rule), 2.0, rule)
-    assert exact.method == "gram-spectral"
-    assert abs(strong - exact.d_q) <= 1e-12 * exact.d_q
-    assert weak.details["converged"] and all(strong_converged)
-    hl.carleson_constant(hl.normalized_kernel_matrix(seq, 3.0, rule), 3.0, rule,
-                         restarts=6, seed=7)
-    hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 6.0, rule), 6.0, rule,
-                              restarts=6, seed=7)
-    assert set(exponents) == {3.0}
+    rule = hl.build_quadrature(disc, 256)
+    A = hl.normalized_kernel_matrix(seq, q, rule)
+    estimate = hl.weak_carleson_constant if weak else hl.carleson_constant
+    calls = []
+    iterate = sequences._power_iteration_lq
+    monkeypatch.setattr(sequences, "_power_iteration_lq",
+                        lambda *args: calls.append(args[2]) or iterate(*args))
+    iterates = method == "power-iteration"
+    if iterates:
+        with pytest.raises(hl.ParameterError, match="seed"):
+            estimate(A, q, rule)
+    else:
+        assert estimate(A, q, rule).method == method
+    rep = estimate(A, q, rule, restarts=6, seed=7)
+    assert rep.method == method
+    assert calls == ([q / 2.0 if weak else q] if iterates else [])
+    assert ("seed" in rep.details) == iterates
+
+
+@pytest.mark.parametrize("kind", list(_ORACLE_RULES))
+def test_weak_q4_is_the_exact_gram_eigenvalue(kind):
+    # sqrt of the top eigenvalue of (|A|^2)^T W |A|^2, formed here on its own;
+    # the power iteration on the same matrix only approaches it from below
+    dom = hl.Domain(kind)
+    rule = hl.build_quadrature(dom, *_ORACLE_RULES[kind])
+    seq = separated_points(dom, 5, seed=41)
+    A = hl.normalized_kernel_matrix(seq, 4.0, rule)
+    B = np.abs(A) ** 2
+    exact = np.sqrt(np.linalg.eigh(np.einsum("m,ma,mb->ab", rule.weights, B, B))[0][-1])
+    rep = hl.weak_carleson_constant(A, 4.0, rule)
+    assert abs(rep.weak_d_q - exact) <= 1e-14 * exact
+    power = _power_iteration_lq(B, rule.weights, 2.0,
+                                _default_starts(len(seq), 32, 7, positive=True), 5000)[0]
+    assert rep.weak_d_q >= power
+
+
+def test_product_set_constants_are_the_products_of_the_factors():
+    # on the bidisc tensor rule the normalized kernels of S1 x S2 are the
+    # Kronecker products of the factors' on the disc rule, and so are the Gram
+    # matrices of A and of |A|^2: the exact d_2 and weak d_4 multiply
+    s1 = [0.5, -0.5, 0.5j]
+    s2 = [0.3 + 0.2j, -0.6 + 0.1j, 0.1 - 0.7j, 0.45 + 0.5j]
+    disc, bidisc = hl.Domain(hl.DISC), hl.Domain(hl.BIDISC)
+    disc_rule, bidisc_rule = hl.build_quadrature(disc, 64), hl.build_quadrature(bidisc, 64)
+    product = hl.PointSequence.create(bidisc, [[a, b] for a in s1 for b in s2])
+
+    def constants(seq, rule):
+        strong = hl.carleson_constant(hl.normalized_kernel_matrix(seq, 2.0, rule), 2.0, rule)
+        weak = hl.weak_carleson_constant(hl.normalized_kernel_matrix(seq, 4.0, rule), 4.0, rule)
+        return np.array([strong.d_q, weak.weak_d_q])
+
+    factors = constants(_disc_seq(*s1), disc_rule) * constants(_disc_seq(*s2), disc_rule)
+    assert np.all(np.abs(constants(product, bidisc_rule) - factors) <= 1e-14 * factors)
 
 
 # below one block of the quartic Gram matrix, exactly one, one plus a row, past a pass block
@@ -476,9 +529,9 @@ def test_power_iteration_memory_stays_row_blocked():
     # the benchmark's ball size: 27648 nodes, 16 points, 1 + 16 + 32 starts.
     # A batch held at once would need several (27648 x 49) complex temporaries
     # of 21 MiB each; row blocks keep the extra memory to one weighted
-    # conjugate transpose of A plus a few MiB, and at q = 2 the passes run on
-    # the 16 x 16 Gram matrix.  At q = 4 no weighted copy of A is made: the
-    # 136 x 136 quartic Gram matrix is formed from blocks of 256 rows
+    # conjugate transpose of A plus a few MiB, as at q = 2.  At q = 4 no
+    # weighted copy of A is made: the 136 x 136 quartic Gram matrix is formed
+    # from blocks of 256 rows
     rng = np.random.default_rng(3)
     A = (rng.standard_normal((16, 27648)) + 1j * rng.standard_normal((16, 27648))).T
     w = np.full(27648, 1.0 / 27648)
