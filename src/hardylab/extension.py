@@ -24,14 +24,17 @@ implicit (Khintchine factors, structural-hypothesis extrema) are measured
 per instance and reported, never hard-coded.
 
 Every check here works on the (N, M) sample matrices of ``chain_samples``
-at the nodes of a rule.  ``verify_norm_bound`` reads them one block of
-nodes at a time and checks all of its targets at once in each block: the
-samples of h of every target come from one product and f and g from one
-batched engine call each.  ``chain_rows`` derives rho_a and k_{q,a} at any
-points from one ``kernel_matrix``; the rule's samples and h, the one
-evaluator returned, both come from it.  That kernel matrix with the rho_a
-read from it is ``dual_rows``; a caller that already holds them and the
-integrals of |rho_a|^p on the rule (a report's dual section) hands them to
+at the nodes of a rule, rho_a and k_{q,a}; nothing holds their products.
+``build_extension`` and ``verify_norm_bound`` read them one block of nodes
+at a time and form the terms rho_a k_{q,a} of h on the block only, so the
+chain holds no (N, M) array beyond the two samples.  ``verify_norm_bound``
+checks all of its targets at once in each block: the samples of h of every
+target come from one product and f and g from one batched engine call
+each.  ``chain_rows`` derives rho_a and k_{q,a} at any points from one
+``kernel_matrix``; the rule's samples and h, the one evaluator returned,
+both come from it.  That kernel matrix with the rho_a read from it is
+``dual_rows``; a caller that already holds them and the integrals of
+|rho_a|^p on the rule (a report's dual section) hands them to
 ``chain_samples``, which divides the kernels into k_{q,a} in place.  At
 the sequence points the kernel matrix is a copy of the dual's own K, so
 c_a, the residuals of h there and the dual itself share one evaluation.
@@ -52,7 +55,7 @@ from .sequences import DualSystem, _weak_ratio, dual_bound, dual_powers, normali
 from .signs import SignMoments, sign_moments
 
 _CHAIN_SLACK = 1e-8
-_BLOCK_ENTRIES = 1 << 16  # targets x nodes per block of verify_norm_bound: 1 MiB complex
+_BLOCK_ENTRIES = 1 << 16  # rows x nodes per block of the chain's rule passes: 1 MiB complex
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +228,10 @@ def chain_rows(dual: DualSystem, q: float, zs: np.ndarray, rows: tuple | None = 
 class ChainSamples:
     """The chain of a dual at exponent s, 1/s = 1/p + 1/q, sampled at the nodes of a rule.
 
-    ``coeffs`` holds the c_a, ``rho`` the rho_a, ``kq`` the k_{q,a} and
-    ``prod`` the terms rho_a k_{q,a} of h, each of these three an (N, M)
-    array, and ``powers`` the (N,) ``dual_powers`` of rho on the rule.
+    ``coeffs`` holds the c_a, ``rho`` the rho_a and ``kq`` the k_{q,a},
+    each an (N, M) array, and ``powers`` the (N,) ``dual_powers`` of rho on
+    the rule.  The terms rho_a k_{q,a} of h are formed by the readers, one
+    block of nodes at a time (``_blocks``), so no (N, M) product is held.
     """
 
     dual: DualSystem
@@ -237,14 +241,12 @@ class ChainSamples:
     coeffs: ExtensionCoeffs
     rho: np.ndarray
     kq: np.ndarray
-    prod: np.ndarray
     powers: np.ndarray
 
 
 def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule,
                   rows: tuple | None = None) -> ChainSamples:
-    """The c_a and every sample matrix of the chain on ``rule``: ``chain_rows`` at its nodes
-    and their products.
+    """The c_a and both sample matrices of the chain on ``rule``: ``chain_rows`` at its nodes.
 
     ``rows`` is (rho, K, powers), ``dual_rows(dual, rule.nodes)`` and the
     ``dual_powers`` of that rho, when the caller already holds them (a
@@ -258,7 +260,14 @@ def chain_samples(dual: DualSystem, s: float, rule: QuadratureRule,
     coeffs = coeff_c(dual, s)
     rho, kq = chain_rows(dual, q, rule.nodes, None if rows is None else rows[:2])
     powers = dual_powers(rho, rule, dual.p) if rows is None else rows[2]
-    return ChainSamples(dual, s, q, rule, coeffs, rho, kq, rho * kq, powers)
+    return ChainSamples(dual, s, q, rule, coeffs, rho, kq, powers)
+
+
+def _blocks(m: int, rows: int):
+    """Slices of about ``_BLOCK_ENTRIES`` / rows of the m nodes of a rule, in order, so that a
+    (rows, block) complex array is at most 1 MiB."""
+    step = max(1, _BLOCK_ENTRIES // rows)
+    return (slice(lo, lo + step) for lo in range(0, m, step))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +281,8 @@ def build_extension(samples: ChainSamples, nu) -> tuple:
     h(a) = nu_a ||k_a||_{s'} holds by construction up to the dual system's
     delta residual; the report carries per-point residuals, read off a copy
     of the dual's K, and the ratio ||h||_s / ||nu||_s measured on the rule,
-    from the samples of h there.
+    from the samples of h there, whose terms are formed one block of about
+    ``_BLOCK_ENTRIES`` / N nodes at a time.
     """
     dual, s, q, rule = samples.dual, samples.s, samples.q, samples.rule
     seq, p, coeffs = dual.sequence, dual.p, samples.coeffs
@@ -295,7 +305,10 @@ def build_extension(samples: ChainSamples, nu) -> tuple:
     denom = float(np.max(np.abs(targets)))
     max_rel = float(np.max(residuals) / denom) if denom > 0 else float(np.max(residuals, initial=0.0))
 
-    h_norm = float(rule_norm(weights @ samples.prod, rule.weights, s))
+    on_rule = np.empty(len(rule), dtype=complex)
+    for block in _blocks(len(rule), len(seq)):
+        np.matmul(weights, samples.rho[:, block] * samples.kq[:, block], out=on_rule[block])
+    h_norm = float(rule_norm(on_rule, rule.weights, s))
     nu_norm = seq_norm(nu, s)
     report = ExtensionReport(
         residuals=residuals.tolist(),
@@ -314,10 +327,13 @@ def build_extension(samples: ChainSamples, nu) -> tuple:
     return h, report
 
 
-def _check_pointwise_l2_lp(f: SignMoments, x, rho_pow) -> None:
+def _check_pointwise_l2_lp(f: SignMoments, x, rho) -> None:
     """Assert l2 <= lp at every node of a block for the f = sum_a eps_a x_a rho_a of each
-    row of x, from |rho_a|^p on the block (the pointwise half of the p <= 2 dual factor)."""
+    row of x, from the rho_a on the block (the pointwise half of the p <= 2 dual factor);
+    |rho_a|^p is formed in one temporary, raised in place."""
     p = f.p
+    rho_pow = np.abs(rho)
+    rho_pow **= p
     l2, lp = f.square, np.abs(x) ** p @ rho_pow
     if p != 2.0:  # at p = 2 both sides are the same sum of squares
         l2, lp = np.sqrt(l2), lp ** (1.0 / p)
@@ -377,7 +393,7 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
     seq, p, coeffs = dual.sequence, dual.p, samples.coeffs
     n = len(seq)
     w = rule.weights
-    rho_vals, kq_vals, prod_vals = samples.rho, samples.kq, samples.prod
+    rho_vals, kq_vals = samples.rho, samples.kq
     sup_rho = dual_bound(dual, samples.powers)
     dual_factor = p <= 2.0
 
@@ -398,13 +414,12 @@ def verify_norm_bound(samples: ChainSamples, batch: int = 64,
     h_pow, f_value, g_value, g_weak, f_top, g_top = np.zeros((6, len(targets)))
     patterns = 0
     routes, snapped = {}, {}
-    step = max(1, _BLOCK_ENTRIES // len(targets))
-    for lo in range(0, len(w), step):
-        block, wb = slice(lo, lo + step), w[lo:lo + step]
-        h_pow += rule_power(h_weights @ prod_vals[:, block], wb, s)
-        f = sign_moments(rho_vals[:, block], x, wb, p)
+    for block in _blocks(len(w), len(targets)):
+        rho_b, wb = rho_vals[:, block], w[block]
+        h_pow += rule_power(h_weights @ (rho_b * kq_vals[:, block]), wb, s)
+        f = sign_moments(rho_b, x, wb, p)
         if dual_factor:
-            _check_pointwise_l2_lp(f, x, np.abs(rho_vals[:, block]) ** p)
+            _check_pointwise_l2_lp(f, x, rho_b)
         f_value += f.value
         f_top = np.maximum(f_top, np.max(f.nodes, axis=-1) if p == INF else f.khintchine_factor())
         g = sign_moments(kq_vals[:, block], mu, wb, q)

@@ -7,7 +7,7 @@ of it.  A function sampled on a rule is a plain array of values at
 ``rule.nodes``, integrated against ``rule.weights``: ``rule_power`` and
 ``rule_norm`` are the one home of rule integrals of |v|^p, on boundary and
 Bergman volume rules alike, and one row rounds the same alone as inside a
-batch.
+batch.  ``rule_power`` holds one temporary the size of its input.
 
 Conventions: an interior point is a complex vector of length n (a bare
 complex number is accepted for the disc); quadrature nodes are stored as
@@ -144,8 +144,16 @@ def build_quadrature(dom: Domain, resolution: int, angular: int | None = None) -
 
 def rule_power(values, weights: np.ndarray | float, p: float) -> np.ndarray:
     """Row-wise integral of |values|^p against ``weights`` (last axis), for any p > 0:
-    the weak ratios of the p = inf extension route integrate at q/2 = 1/2."""
-    return np.sum(weights * np.abs(values) ** p, axis=-1)
+    the weak ratios of the p = inf extension route integrate at q/2 = 1/2.
+
+    |values|^p is formed in one temporary, raised and weighted in place;
+    ``**=`` takes the fast paths of ``**`` (square, sqrt, copy), so the bits
+    are those of ``np.sum(weights * np.abs(values) ** p, axis=-1)``.
+    """
+    mag = np.abs(values)
+    mag **= p
+    mag *= weights
+    return np.sum(mag, axis=-1)
 
 
 def rule_norm(values, weights: np.ndarray | float, p: float) -> np.ndarray:

@@ -397,6 +397,21 @@ def _carleson_route(r: float) -> str:
     return "gram-spectral" if r == 2 else "power-iteration"
 
 
+def _gram(B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """B^H W B as conj(B^T conj(W B)), bit for bit ``B.conj().T @ (w[:, None] * B)``.
+
+    Conjugating both factors of every product conjugates it exactly, so the
+    one rule-sized temporary is W B, conjugated in place; no conjugate of B
+    is formed.  An exact zero comes out of the product as +0 and the final
+    conjugate makes it -0, so adding 0 gives it back its sign.  For a real B
+    both conjugates are copies.
+    """
+    wB = w[:, None] * B
+    gram = np.conjugate(B.T @ np.conjugate(wB, out=wB))
+    gram += 0.0
+    return gram
+
+
 def _carleson_estimate(B: np.ndarray, r: float, rule: QuadratureRule, restarts: int,
                        seed: int | None, positive: bool = False) -> tuple:
     """(ratio, maximizer, route, details) of sup ||B t||_{L^r} / ||t||_{l^r} on the rule.
@@ -416,7 +431,7 @@ def _carleson_estimate(B: np.ndarray, r: float, rule: QuadratureRule, restarts: 
         i = _first_near_max(masses)
         ratio, t = float(masses[i]), np.eye(len(masses))[i].astype(complex)
     elif route == "gram-spectral":
-        gram = B.conj().T @ (w[:, None] * B)
+        gram = _gram(B, w)
         try:
             evals, evecs = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -462,8 +477,9 @@ def weak_carleson_constant(A: np.ndarray, q: float, rule: QuadratureRule, *,
     """
     if q < 2:
         raise ParameterError("weak Carleson constants need q >= 2")
-    ratio, t, route, details = _carleson_estimate(np.abs(A) ** 2, q / 2.0, rule, restarts, seed,
-                                                  positive=True)
+    B = np.abs(A)
+    B **= 2  # |A|^2 in one temporary: **= squares as ** does
+    ratio, t, route, details = _carleson_estimate(B, q / 2.0, rule, restarts, seed, positive=True)
     if route == "coordinate-extreme":
         if ratio > 1.0 + 1e-10:
             raise InvariantViolation(f"weak 2-Carleson mass exceeded 1: {ratio}")

@@ -164,6 +164,7 @@ def reference_verify_norm_bound(samples, batch: int, seed: int) -> dict:
     p, coeffs, n = dual.p, samples.coeffs, len(dual.sequence)
     w = rule.weights
     sup_rho = float(np.max(hl.rule_norm(samples.rho, w, p)))
+    prod = samples.rho * samples.kq  # the terms rho_a k_{q,a} of h on the whole rule
     if p <= 2.0:
         rho_norms, rho_pow = hl.rule_power(samples.rho, w, p), np.abs(samples.rho) ** p
     rng = np.random.default_rng(seed)
@@ -175,7 +176,7 @@ def reference_verify_norm_bound(samples, batch: int, seed: int) -> dict:
     margin, patterns = np.inf, 0
     for nu in targets:
         split = hl.split_target(nu, s, p)
-        h_norm = float(hl.rule_norm((split.nu * coeffs.values) @ samples.prod, w, s))
+        h_norm = float(hl.rule_norm((split.nu * coeffs.values) @ prod, w, s))
         ci = max(ci, h_norm / hl.seq_norm(nu, s))
         x = split.lam * coeffs.values
         f = hl.sign_moments(samples.rho, x, w, p)

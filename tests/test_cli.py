@@ -241,7 +241,7 @@ BALL_EDGE = {"domain": "ball2",
 
 @pytest.mark.parametrize("sub,evaluations", [("extend", 1), ("carleson", 1), ("report", 2)])
 def test_each_section_evaluates_the_kernels_on_its_rule_once(monkeypatch, sub, evaluations):
-    # extend derives rho, k_{q,a} and their products from one kernel matrix,
+    # extend derives rho and k_{q,a} from one kernel matrix,
     # the strong and weak Carleson estimates share one, and the dual section
     # samples its duals once; in the report the dual section hands its kernel
     # matrix and samples of rho on to the extend section
@@ -360,27 +360,27 @@ def _traced_peak(sub: str, cfg: dict) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("cfg,bound_mib", [(_report_section(BALL_EDGE, "extend"), 20.52),
+@pytest.mark.parametrize("cfg,bound_mib", [(_report_section(BALL_EDGE, "extend"), 13.08),
                                             (SIGNS16, 2.0)],
                          ids=["ball-edge", "signs16"])
 def test_extend_traced_peak_stays_at_one_set_of_samples(cfg, bound_mib):
-    # ball-edge: the samples are the kernel matrix divided in place plus rho
-    # and the products, and verify_norm_bound holds its targets' samples of h
-    # and sign moments one block of nodes at a time, so the traced peak reads
-    # 17.57 MiB against 20.52 MiB when every step sampled the kernels itself;
-    # one more (N, M) array would add 4 MiB.
+    # ball-edge: the samples are rho and the kernel matrix divided in place,
+    # 4 MiB each; build_extension and verify_norm_bound form the terms rho k_q
+    # of h, the samples of h and the sign moments one block of nodes at a
+    # time, so the traced peak reads 13.07 MiB; one more (N, M) array would
+    # add 4 MiB.
     # signs16: the enumeration holds its table B one 32-row slice at a time,
-    # so the peak reads 1.62 MiB against 2.47 MiB with all of B at once
+    # so the peak reads 1.55 MiB against 2.47 MiB with all of B at once
     assert _traced_peak("extend", cfg) <= bound_mib * 2**20
 
 
 def test_report_traced_peak_stays_at_its_extend_section():
-    # the report's peak is the extend section's: the shared rule and dual and
-    # the samples the dual section hands on add nothing beside it.  It reads
-    # 17.61 MiB (18.54 MiB while verify_norm_bound integrated |rho|^p beside
-    # the products rho k_q), and the bound is that peak rounded up; one more
-    # (N, M) array held beside extend's samples would add 4 MiB
-    assert _traced_peak("report", BALL_EDGE) <= 17.62 * 2**20
+    # the shared rule and dual and the samples the dual section hands on add
+    # nothing beside the extend section's checks, where the report's traced
+    # peak falls: 13.11 MiB, against 12.56 MiB in the dual section and 10.69
+    # MiB in the carleson section.  The bound is that peak rounded up; one
+    # more (N, M) array held beside extend's samples would add 4 MiB
+    assert _traced_peak("report", BALL_EDGE) <= 13.12 * 2**20
     # an extend section with a dual of its own samples its own kernels, and the
     # dual section's samples are dropped first; a dual section on a rule of its
     # own drops that rule when it ends (kept, its 12 x 64^2 nodes add 1.9 MiB):
@@ -390,6 +390,20 @@ def test_report_traced_peak_stays_at_its_extend_section():
         cfg = {**BALL_EDGE, **override}
         alone = _traced_peak("extend", _report_section(cfg, "extend"))
         assert _traced_peak("report", cfg) <= alone + 0.1 * 2**20, override
+
+
+def test_carleson_traced_peak_stays_at_one_kernel_matrix():
+    # the carleson_ball_q4 shape: 16 points on a 12 x 48^2 ball rule, q = 4.
+    # The strong and weak estimates share one (27648 x 16) complex A of
+    # 6.75 MiB; the weak one squares |A| in place and the quartic route forms
+    # its Gram matrix from row blocks, so the traced peak reads 14.58 MiB,
+    # and the bound is that peak rounded up
+    directions = np.random.default_rng(20061).standard_normal((16, 4))
+    points = (np.linspace(0.2, 0.85, 16)[:, None] * directions
+              / np.linalg.norm(directions, axis=1)[:, None])
+    cfg = {"domain": "ball2", "points": points.tolist(), "q": 4, "restarts": 32,
+           "resolution": 12, "angular": 48, "seed": 1}
+    assert _traced_peak("carleson", cfg) <= 14.58 * 2**20
 
 
 def test_standalone_blaschke_dual_evaluates_no_kernels_on_its_rule(monkeypatch):

@@ -158,6 +158,27 @@ def test_seq_norm():
     assert abs(hl.seq_norm(x, np.inf) - 4.0) < 1e-15
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1,), (37,), (1100,), (3, 257), (6, 64)]),
+       p=st.sampled_from([0.5, 1, 1.0, 1.5, 2, 2.0, 3.0, 4.0]), real=st.booleans(),
+       unit=st.booleans(), transposed=st.booleans())
+def test_rule_power_is_the_out_of_place_formula_bit_for_bit(seed, shape, p, real, unit, transposed):
+    # |values|^p is raised and weighted in place in one temporary; **= takes the
+    # fast paths of ** (sqrt at 0.5, copy at 1, square at 2), so every input
+    # shape, layout and weight gives the bits of the out-of-place formula
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
+    if not real:
+        vals = vals + 1j * rng.standard_normal(shape)
+    if transposed:  # a Fortran-ordered view, as the column masses read A.T
+        vals = np.asfortranarray(vals)
+    weights = 1.0 if unit else rng.uniform(0.5, 1.5, size=shape[-1]) / shape[-1]
+    want = np.sum(weights * np.abs(vals) ** p, axis=-1)
+    got = hl.rule_power(vals, weights, p)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), m=st.integers(4, 1100),
        p=st.one_of(st.floats(1.0, 12.0), st.sampled_from([1.0, 2.0, np.inf])),

@@ -420,6 +420,24 @@ def test_weak_q4_is_the_exact_gram_eigenvalue(kind):
     assert rep.weak_d_q >= power
 
 
+def test_gram_is_the_conjugate_transpose_product_bit_for_bit(ball):
+    # the report's carleson shape: 4 ball points, q = 2, a 16 x 64^2 rule.
+    # conj(B^T conj(W B)) conjugates each product of B^H (W B) exactly, so the
+    # Gram matrix and its top eigenpair keep their bits without a conjugate
+    # copy of B; for the real |A|^2 of the weak constant both are B^T (W B)
+    seq = hl.PointSequence.create(ball, [[0.0, 0.0], [0.3, 0.4j], [0.54j, 0.72],
+                                         [0.495 + 0.495j, -0.495 + 0.495j]])
+    rule = hl.build_quadrature(ball, 16, angular=64)
+    w = rule.weights
+    A = hl.normalized_kernel_matrix(seq, 2.0, rule)
+    for B in (A, np.abs(A) ** 2):
+        want = B.conj().T @ (w[:, None] * B)
+        got = sequences._gram(B, w)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64),
+                                                          want.view(np.uint64))
+    assert np.iscomplexobj(A) and not np.array_equal(A, A.conj())
+
+
 def test_product_set_constants_are_the_products_of_the_factors():
     # on the bidisc tensor rule the normalized kernels of S1 x S2 are the
     # Kronecker products of the factors' on the disc rule, and so are the Gram
